@@ -13,6 +13,11 @@
      dune exec bench/main.exe -- engine --json  ... and write BENCH_engine.json
      dune exec bench/main.exe -- engine --check BENCH_engine.json
                                                 regression guard (25% band)
+     dune exec bench/main.exe -- trace          recorder retained bytes/event
+                                                + minor words/event
+     dune exec bench/main.exe -- trace --json   ... and write BENCH_trace.json
+     dune exec bench/main.exe -- trace --check BENCH_trace.json
+                                                regression guard (10% band)
      dune exec bench/main.exe -- cc             per-CC-variant wall clock
 
    Sections:
@@ -119,17 +124,6 @@ let run_gallery () =
 open Bechamel
 open Toolkit
 
-let bench_event_queue =
-  Test.make ~name:"event_queue: add+pop 1k"
-    (Staged.stage (fun () ->
-         let q = Engine.Event_queue.create () in
-         for i = 0 to 999 do
-           Engine.Event_queue.add q ~time:(float_of_int ((i * 7919) mod 1000)) i
-         done;
-         while not (Engine.Event_queue.is_empty q) do
-           ignore (Engine.Event_queue.pop q : (float * int) option)
-         done))
-
 let bench_sim_cascade =
   Test.make ~name:"sim: 1k chained events"
     (Staged.stage (fun () ->
@@ -143,22 +137,10 @@ let bench_sim_cascade =
              : Engine.Sim.handle);
          Engine.Sim.run_to_completion sim))
 
-let bench_cong =
-  Test.make ~name:"tahoe window: 1k acks"
-    (Staged.stage (fun () ->
-         let c =
-           Tcp.Cong.create
-             ~algorithm:(Tcp.Cong.Tahoe { modified_ca = true })
-             ~maxwnd:1000
-         in
-         for i = 1 to 1000 do
-           if i mod 97 = 0 then Tcp.Cong.on_timeout c else Tcp.Cong.on_ack c
-         done))
-
 let bench_cc =
-  (* The same event mix as the Cong micro above, but through the packed
-     Cc interface — the difference is the cost of the closure-record
-     dispatch the pluggable-controller refactor added. *)
+  (* A Tahoe-style event mix (an ACK stream with a timeout every 97th
+     event) through the packed Cc interface, closure-record dispatch
+     included. *)
   Test.make ~name:"cc dispatch: 1k acks (newreno)"
     (Staged.stage (fun () ->
          Tcp.Cc_zoo.ensure_registered ();
@@ -224,9 +206,7 @@ let bench_series =
 let measure_micro () =
   let tests =
     [
-      bench_event_queue;
       bench_sim_cascade;
-      bench_cong;
       bench_cc;
       bench_rto;
       bench_end_to_end;
@@ -410,6 +390,99 @@ let run_engine_check baseline_file =
     check "minor words/event" p.ep_minor_words_per_event base_words
   in
   if ns_ok && words_ok then 0 else 1
+
+(* ------------------------------------------------------------------ *)
+(* Recorder storage: retained bytes/event and minor words/event        *)
+(* ------------------------------------------------------------------ *)
+
+(* Memory cost of the lib/trace recorders Runner.run attaches to every
+   run, on fig-3's 5+5 two-way connections over 600 sim-seconds (about
+   180k events).  Two allocation counts, both deterministic:
+     retained_bytes_per_event — Obj.reachable_words of the held
+       Runner.result after a full major GC, per event.  The recorders'
+       storage dominates it; the network and TCP state it also reaches
+       do not grow with the run.
+     minor_words_per_event    — Gc.minor_words over one whole
+       Runner.run, per event: the hot path including the recorder hooks.
+   [--json] commits them to BENCH_trace.json; [--check FILE] re-measures
+   and fails if either exceeds the committed baseline by more than 10%
+   (counts do not drift, so the band only has to absorb compiler and
+   stdlib differences between CI legs). *)
+
+let trace_scenario () =
+  Core.Scenario.make ~name:"trace-bench" ~tau:0.01 ~buffer:(Some 20)
+    ~conns:
+      (Core.Scenario.stagger ~step:0.7
+         (List.init 10 (fun i ->
+              Core.Scenario.conn
+                (if i < 5 then Core.Scenario.Forward else Core.Scenario.Reverse))))
+    ~duration:600. ~warmup:200. ()
+
+type trace_profile = {
+  tp_events : int;
+  tp_retained_bytes_per_event : float;
+  tp_minor_words_per_event : float;
+}
+
+let measure_trace () =
+  let scenario = trace_scenario () in
+  ignore (Core.Runner.run scenario : Core.Runner.result);
+  let w0 = Gc.minor_words () in
+  let r = Core.Runner.run scenario in
+  let words = Gc.minor_words () -. w0 in
+  Gc.full_major ();
+  let retained = Obj.reachable_words (Obj.repr r) * (Sys.word_size / 8) in
+  let events =
+    Engine.Sim.events_run (Net.Network.sim r.Core.Runner.dumbbell.Net.Topology.net)
+  in
+  {
+    tp_events = events;
+    tp_retained_bytes_per_event = float_of_int retained /. float_of_int events;
+    tp_minor_words_per_event = words /. float_of_int events;
+  }
+
+let write_trace_json file (p : trace_profile) =
+  let oc = open_out file in
+  Printf.fprintf oc
+    "{\n  \"scenario\": \"fig3-5+5-600s\",\n  \"events\": %d,\n\
+    \  \"retained_bytes_per_event\": %.3f,\n\
+    \  \"minor_words_per_event\": %.3f\n}\n"
+    p.tp_events p.tp_retained_bytes_per_event p.tp_minor_words_per_event;
+  close_out oc;
+  Printf.printf "wrote %s\n" file
+
+let print_trace_profile (p : trace_profile) =
+  Printf.printf "events per run:            %d\n" p.tp_events;
+  Printf.printf "retained bytes per event:  %.3f\n" p.tp_retained_bytes_per_event;
+  Printf.printf "minor words per event:     %.3f\n" p.tp_minor_words_per_event
+
+let run_trace ~json () =
+  banner "RECORDER STORAGE: retained bytes/event and minor words/event";
+  let p = measure_trace () in
+  print_trace_profile p;
+  if json then write_trace_json "BENCH_trace.json" p;
+  0
+
+let run_trace_check baseline_file =
+  banner "RECORDER STORAGE: regression check against committed baseline";
+  let base_bytes = json_number_field baseline_file "retained_bytes_per_event" in
+  let base_words = json_number_field baseline_file "minor_words_per_event" in
+  let p = measure_trace () in
+  print_trace_profile p;
+  write_trace_json "BENCH_trace.current.json" p;
+  let check name measured base =
+    let limit = base *. 1.10 in
+    let ok = measured <= limit in
+    Printf.printf "%-26s %10.3f  (baseline %.3f, limit %.3f)  %s\n" name
+      measured base limit
+      (if ok then "ok" else "REGRESSION");
+    ok
+  in
+  let bytes_ok =
+    check "retained bytes/event" p.tp_retained_bytes_per_event base_bytes
+  in
+  let words_ok = check "minor words/event" p.tp_minor_words_per_event base_words in
+  if bytes_ok && words_ok then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* Sweep scaling: the pool's backends at jobs 1 / 2 / 4                *)
@@ -938,6 +1011,9 @@ let () =
     | [ "engine" ] -> run_engine ~json:false ()
     | [ "engine"; "--json" ] -> run_engine ~json:true ()
     | [ "engine"; "--check"; baseline ] -> run_engine_check baseline
+    | [ "trace" ] -> run_trace ~json:false ()
+    | [ "trace"; "--json" ] -> run_trace ~json:true ()
+    | [ "trace"; "--check"; baseline ] -> run_trace_check baseline
     | [ "obs" ] -> run_obs ~json:false ()
     | [ "obs"; "--json" ] -> run_obs ~json:true ()
     | [ "obs"; "--check"; baseline ] -> run_obs_check baseline

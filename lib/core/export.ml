@@ -6,19 +6,23 @@ let with_out path f =
      raise e);
   close_out oc
 
+(* Shortest spelling that parses back to the same float, so a CSV
+   round-trips bit for bit. *)
+let num = Obs.Json.float_repr
+
 let series_csv ~path ?(header = ("time", "value")) series =
   with_out path (fun oc ->
       let a, b = header in
       Printf.fprintf oc "%s,%s\n" a b;
       Trace.Series.iter series ~f:(fun ~time ~value ->
-          Printf.fprintf oc "%.6f,%g\n" time value))
+          Printf.fprintf oc "%s,%s\n" (num time) (num value)))
 
 let dep_log_csv ~path dep =
   with_out path (fun oc ->
       output_string oc "time,conn,kind,seq\n";
       List.iter
         (fun (r : Trace.Dep_log.record) ->
-          Printf.fprintf oc "%.6f,%d,%s,%d\n" r.time r.conn
+          Printf.fprintf oc "%s,%d,%s,%d\n" (num r.time) r.conn
             (Net.Packet.kind_to_string r.kind)
             r.seq)
         (Trace.Dep_log.records dep))
@@ -28,7 +32,7 @@ let drops_csv ~path drops =
       output_string oc "time,conn,kind,seq,link\n";
       List.iter
         (fun (r : Trace.Drop_log.record) ->
-          Printf.fprintf oc "%.6f,%d,%s,%d,%d\n" r.time r.conn
+          Printf.fprintf oc "%s,%d,%s,%d,%d\n" (num r.time) r.conn
             (Net.Packet.kind_to_string r.kind)
             r.seq r.link)
         (Trace.Drop_log.records drops))

@@ -1,4 +1,7 @@
-(** CSV dumps of traces, for replotting the figures with external tools. *)
+(** CSV dumps of traces, for replotting the figures with external tools.
+    Floats are written in their shortest round-trip spelling
+    ({!Obs.Json.float_repr}), so parsing a file back gives the recorded
+    values bit for bit. *)
 
 (** Write a step series as [time,value] rows.
     @raise Sys_error on I/O failure. *)

@@ -130,8 +130,8 @@ let to_json t =
 
 (* The sample path walks two preallocated arrays fixed at [record]
    time — the cells in registration order and one series per expanded
-   name — so a tick allocates nothing beyond the series' own amortized
-   growth (no snapshot lists, no name strings). *)
+   name — so a tick allocates nothing beyond the series' chunk
+   allocations (no snapshot lists, no name strings). *)
 type recorder = {
   sim : Engine.Sim.t;
   dt : float;

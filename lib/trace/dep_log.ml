@@ -1,17 +1,31 @@
 type record = { time : float; conn : int; kind : Net.Packet.kind; seq : int }
 
-type t = { link : Net.Link.t; mutable records : record list (* newest first *) }
+(* One row per departure, column-wise; [code] packs conn and kind. *)
+type t = {
+  link : Net.Link.t;
+  time : Column.Float.t;
+  code : Column.Int.t;
+  seq : Column.Int.t;
+}
 
 let attach link =
-  let t = { link; records = [] } in
+  let t =
+    { link; time = Column.Float.create (); code = Column.Int.create ();
+      seq = Column.Int.create () }
+  in
   Net.Link.on_depart link (fun time (p : Net.Packet.t) _qlen ->
-      t.records <- { time; conn = p.conn; kind = p.kind; seq = p.seq } :: t.records);
+      Column.Float.push t.time time;
+      Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
+      Column.Int.push t.seq p.seq);
   t
 
 let link t = t.link
-let records t = List.rev t.records
+let total t = Column.Float.length t.time
 
-let in_window t ~t0 ~t1 =
-  List.filter (fun r -> r.time >= t0 && r.time < t1) (records t)
+let record t i =
+  let code = Column.Int.get t.code i in
+  { time = Column.Float.get t.time i; conn = Rows.conn code;
+    kind = Rows.kind code; seq = Column.Int.get t.seq i }
 
-let total t = List.length t.records
+let records t = Rows.all (total t) (record t)
+let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)

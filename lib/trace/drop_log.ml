@@ -6,26 +6,43 @@ type record = {
   link : int;
 }
 
-type t = { mutable records : record list (* newest first *) }
+(* One row per drop, column-wise; [code] packs conn and kind. *)
+type t = {
+  time : Column.Float.t;
+  code : Column.Int.t;
+  seq : Column.Int.t;
+  link : Column.Int.t;
+}
 
-let create () = { records = [] }
+let create () =
+  { time = Column.Float.create (); code = Column.Int.create ();
+    seq = Column.Int.create (); link = Column.Int.create () }
 
 let watch t link =
+  let id = Net.Link.id link in
   Net.Link.on_drop link (fun time (p : Net.Packet.t) ->
-      t.records <-
-        { time; conn = p.conn; kind = p.kind; seq = p.seq;
-          link = Net.Link.id link }
-        :: t.records)
+      Column.Float.push t.time time;
+      Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
+      Column.Int.push t.seq p.seq;
+      Column.Int.push t.link id)
 
-let records t = List.rev t.records
+let total t = Column.Float.length t.time
 
-let in_window t ~t0 ~t1 =
-  List.filter (fun r -> r.time >= t0 && r.time < t1) (records t)
+let record t i =
+  let code = Column.Int.get t.code i in
+  { time = Column.Float.get t.time i; conn = Rows.conn code;
+    kind = Rows.kind code; seq = Column.Int.get t.seq i;
+    link = Column.Int.get t.link i }
 
-let total t = List.length t.records
+let records t = Rows.all (total t) (record t)
+let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)
 
-let data_drops t =
-  List.length (List.filter (fun r -> r.kind = Net.Packet.Data) t.records)
+let count_kind t kind =
+  let n = ref 0 in
+  for i = 0 to total t - 1 do
+    if Rows.kind (Column.Int.get t.code i) = kind then incr n
+  done;
+  !n
 
-let ack_drops t =
-  List.length (List.filter (fun r -> r.kind = Net.Packet.Ack) t.records)
+let data_drops t = count_kind t Net.Packet.Data
+let ack_drops t = count_kind t Net.Packet.Ack

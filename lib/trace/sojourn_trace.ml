@@ -5,14 +5,20 @@ type record = {
   sojourn : float;
 }
 
+(* One row per departure, column-wise; [code] packs conn and kind. *)
 type t = {
   link : Net.Link.t;
   entered : (int, float) Hashtbl.t;  (* packet id -> enqueue time *)
-  mutable records : record list;  (* newest first *)
+  time : Column.Float.t;
+  sojourn : Column.Float.t;
+  code : Column.Int.t;
 }
 
 let attach link =
-  let t = { link; entered = Hashtbl.create 64; records = [] } in
+  let t =
+    { link; entered = Hashtbl.create 64; time = Column.Float.create ();
+      sojourn = Column.Float.create (); code = Column.Int.create () }
+  in
   Net.Link.on_enqueue link (fun time (p : Net.Packet.t) _qlen ->
       Hashtbl.replace t.entered p.id time);
   Net.Link.on_drop link (fun _time (p : Net.Packet.t) ->
@@ -23,26 +29,40 @@ let attach link =
       | None -> ()
       | Some entered ->
         Hashtbl.remove t.entered p.id;
-        t.records <-
-          { time; conn = p.conn; kind = p.kind; sojourn = time -. entered }
-          :: t.records);
+        Column.Float.push t.time time;
+        Column.Float.push t.sojourn (time -. entered);
+        Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind));
   t
 
 let link t = t.link
-let records t = List.rev t.records
 
-let in_window t ~t0 ~t1 =
-  List.filter (fun r -> r.time >= t0 && r.time < t1) (records t)
+let record t i =
+  let code = Column.Int.get t.code i in
+  { time = Column.Float.get t.time i; conn = Rows.conn code;
+    kind = Rows.kind code; sojourn = Column.Float.get t.sojourn i }
 
+let records t = Rows.all (Column.Float.length t.time) (record t)
+let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)
+
+(* A chunk-by-chunk scan of the columns: it adds the matching sojourns
+   oldest first, the order a left fold over [in_window] would, so the
+   mean is bit-identical to that fold's. *)
 let mean_sojourn t ~kind ~t0 ~t1 =
-  let matching =
-    List.filter (fun r -> r.kind = kind) (in_window t ~t0 ~t1)
-  in
-  match matching with
-  | [] -> None
-  | _ ->
-    let total = List.fold_left (fun acc r -> acc +. r.sojourn) 0. matching in
-    Some (total /. float_of_int (List.length matching))
+  let n = Column.Float.length t.time in
+  let total = ref 0. and count = ref 0 in
+  for c = 0 to Column.chunk_count n - 1 do
+    let ts = Column.Float.chunk t.time c in
+    let ss = Column.Float.chunk t.sojourn c in
+    let cs = Column.Int.chunk t.code c in
+    for k = 0 to Column.chunk_length n c - 1 do
+      let tm = Array.unsafe_get ts k in
+      if tm >= t0 && tm < t1 && Rows.kind (Array.unsafe_get cs k) = kind then begin
+        total := !total +. Array.unsafe_get ss k;
+        incr count
+      end
+    done
+  done;
+  if !count = 0 then None else Some (!total /. float_of_int !count)
 
 let effective_pipe_packets t ~data_tx ~t0 ~t1 =
   if data_tx <= 0. then invalid_arg "Sojourn_trace: data_tx must be positive";

@@ -134,6 +134,73 @@ let test_export_run () =
   List.iter (fun f -> Alcotest.(check bool) f true (Sys.file_exists f)) files;
   List.iter Sys.remove files
 
+(* Every float a run's CSV dump writes parses back to the live value bit
+   for bit: fractional congestion-avoidance windows included, which a
+   six-significant-digit format would round. *)
+let test_export_roundtrip () =
+  let scenario =
+    Core.Scenario.make ~name:"exp-rt" ~tau:0.01 ~buffer:(Some 20)
+      ~conns:
+        [ Core.Scenario.conn Core.Scenario.Forward;
+          Core.Scenario.conn ~start_time:1. Core.Scenario.Reverse ]
+      ~duration:30. ~warmup:5. ()
+  in
+  let r = Core.Runner.run scenario in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "repro-export-rt" in
+  let files = Core.Export.run_csv ~dir ~prefix:"rt" r in
+  let rows name =
+    let ic = open_in (Filename.concat dir ("rt-" ^ name)) in
+    let lines = ref [] in
+    (try
+       while true do
+         lines := String.split_on_char ',' (input_line ic) :: !lines
+       done
+     with End_of_file -> close_in ic);
+    List.tl (List.rev !lines)
+  in
+  let bits = Int64.bits_of_float in
+  let check_series name series =
+    let parsed =
+      List.map
+        (function
+          | [ t; v ] -> (float_of_string t, float_of_string v)
+          | _ -> Alcotest.fail (name ^ ": malformed row"))
+        (rows name)
+    in
+    let live = Trace.Series.to_list series in
+    Alcotest.(check int) (name ^ " rows") (List.length live) (List.length parsed);
+    Alcotest.(check bool) (name ^ " bit-exact") true
+      (List.for_all2
+         (fun (t, v) (t', v') -> bits t = bits t' && bits v = bits v')
+         live parsed)
+  in
+  check_series "q1.csv" (Trace.Queue_trace.series r.q1);
+  check_series "q2.csv" (Trace.Queue_trace.series r.q2);
+  Array.iteri
+    (fun i tr ->
+      check_series (Printf.sprintf "cwnd%d.csv" (i + 1)) (Trace.Cwnd_trace.cwnd tr))
+    r.cwnds;
+  Alcotest.(check bool) "a fractional window was written" true
+    (List.exists
+       (fun (_, v) -> Float.of_int (Float.to_int v) <> v)
+       (Trace.Series.to_list (Trace.Cwnd_trace.cwnd r.cwnds.(0))));
+  let drops = Trace.Drop_log.records r.drops in
+  let parsed = rows "drops.csv" in
+  Alcotest.(check int) "drop rows" (List.length drops) (List.length parsed);
+  List.iter2
+    (fun (d : Trace.Drop_log.record) row ->
+      match row with
+      | [ t; conn; kind; seq; link ] ->
+        Alcotest.(check bool) "drop time bit-exact" true
+          (bits d.time = bits (float_of_string t));
+        Alcotest.(check (list int)) "drop fields"
+          [ d.conn; d.seq; d.link ]
+          [ int_of_string conn; int_of_string seq; int_of_string link ];
+        Alcotest.(check string) "drop kind" (Net.Packet.kind_to_string d.kind) kind
+      | _ -> Alcotest.fail "drops.csv: malformed row")
+    drops parsed;
+  List.iter Sys.remove files
+
 let test_topology_params () =
   let p = Net.Topology.params ~tau:0.5 ~buffer:(Some 7) () in
   Alcotest.(check (float 1e-9)) "bottleneck bw" 50_000. p.Net.Topology.bottleneck_bw;
@@ -183,4 +250,6 @@ let suite =
       Alcotest.test_case "topology params" `Quick test_topology_params;
       Alcotest.test_case "dumbbell structure" `Quick test_dumbbell_structure;
       Alcotest.test_case "chain structure" `Quick test_chain_structure;
+      Alcotest.test_case "export round-trips bit-exact" `Quick
+        test_export_roundtrip;
     ] )

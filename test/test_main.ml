@@ -17,6 +17,7 @@ let () =
       Test_sender.suite;
       Test_connection.suite;
       Test_series.suite;
+      Test_column.suite;
       Test_traces.suite;
       Test_stats.suite;
       Test_epochs.suite;
