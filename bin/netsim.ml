@@ -476,13 +476,13 @@ let metrics_file_json probe =
 
 (* ---------------- run ---------------- *)
 
-let run_custom tau buffer fwd rev fixed delack ack_size algorithm cc pacing
+let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
     gateway flow_size skew duration warmup csv_dir validate faults_cli
     obs_cli guard_cli =
   (* [--cc list] prints the registry and exits (usable without any other
      scenario flags). *)
   (match cc with
-   | Some ("list" | "help") ->
+   | "list" | "help" ->
      List.iter
        (fun (id, describe) -> Printf.printf "%-18s %s\n" id describe)
        (Tcp.Cc.zoo ());
@@ -493,30 +493,18 @@ let run_custom tau buffer fwd rev fixed delack ack_size algorithm cc pacing
     exit 2
   end;
   let cc =
-    match cc with
-    | Some s -> (
-      match Tcp.Cc.spec_of_string s with
-      | Error msg ->
-        prerr_endline ("bad --cc: " ^ msg);
-        exit 2
-      | Ok spec ->
-        (* Trial-instantiate so an unknown name or bad parameter fails
-           here with the registry listing, not mid-scenario. *)
-        (try ignore (Tcp.Cc.make spec ~maxwnd:1000 : Tcp.Cc.t)
-         with Invalid_argument msg ->
-           prerr_endline ("bad --cc: " ^ msg);
-           exit 2);
-        spec)
-    | None -> (
-      (* Legacy spelling, kept for compatibility. *)
-      match algorithm with
-      | "tahoe" -> Tcp.Cc.spec "tahoe"
-      | "tahoe-original" -> Tcp.Cc.spec "tahoe-unmodified"
-      | "reno" -> Tcp.Cc.spec "reno"
-      | other ->
-        prerr_endline
-          ("unknown algorithm " ^ other ^ " (tahoe|tahoe-original|reno)");
-        exit 2)
+    match Tcp.Cc.spec_of_string cc with
+    | Error msg ->
+      prerr_endline ("bad --cc: " ^ msg);
+      exit 2
+    | Ok spec ->
+      (* Trial-instantiate so an unknown name or bad parameter fails
+         here with the registry listing, not mid-scenario. *)
+      (try ignore (Tcp.Cc.make spec ~maxwnd:1000 : Tcp.Cc.t)
+       with Invalid_argument msg ->
+         prerr_endline ("bad --cc: " ^ msg);
+         exit 2);
+      spec
   in
   let gateway =
     match gateway with
@@ -720,24 +708,14 @@ let run_cmd =
   let delack =
     Arg.(value & flag & info [ "delack" ] ~doc:"Enable the delayed-ACK option.")
   in
-  let algorithm =
-    Arg.(
-      value & opt string "tahoe"
-      & info [ "algorithm" ] ~docv:"ALGO"
-          ~doc:
-            "Congestion control (legacy spelling): tahoe, tahoe-original, \
-             or reno.  Superseded by $(b,--cc).")
-  in
   let cc =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt string "tahoe"
       & info [ "cc" ] ~docv:"NAME[:K=V,...]"
           ~doc:
             "Congestion control from the registry, with optional \
              parameters (e.g. newreno, aimd:a=1,b=0.7, fixed:w=30).  \
-             $(b,--cc list) prints the registered variants.  Wins over \
-             $(b,--algorithm).")
+             $(b,--cc list) prints the registered variants.")
   in
   let pacing =
     Arg.(
@@ -795,7 +773,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Simulate a custom dumbbell scenario.")
     Term.(
       const run_custom $ tau $ buffer $ fwd $ rev $ fixed $ delack $ ack_size
-      $ algorithm $ cc $ pacing $ gateway $ flow_size $ skew $ duration
+      $ cc $ pacing $ gateway $ flow_size $ skew $ duration
       $ warmup $ csv $ validate_flag $ fault_term $ obs_term $ guard_term)
 
 (* ---------------- sweep ---------------- *)

@@ -761,18 +761,17 @@ let multihop_table ?(speed = Full) () =
 let ablation_table ?(speed = Full) () =
   let duration, warmup = horizon speed in
   (* (a) modified vs unmodified congestion-avoidance increment. *)
-  let run_ca modified_ca =
+  let run_ca name =
+    let cc = Tcp.Cc.spec name in
     Runner.run
       (Scenario.make ~name:"abl-ca" ~tau:1.0 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
-              (List.init 3 (fun _ ->
-                   Scenario.conn ~algorithm:(Tcp.Cong.Tahoe { modified_ca })
-                     Scenario.Forward)))
+              (List.init 3 (fun _ -> Scenario.conn ~cc Scenario.Forward)))
          ~duration ~warmup ())
   in
-  let r_mod = run_ca true in
-  let r_orig = run_ca false in
+  let r_mod = run_ca "tahoe" in
+  let r_orig = run_ca "tahoe-unmodified" in
   (* (b) coarse (BSD 500 ms ticks) vs continuous retransmission timers on
      the fig-4 configuration: the synchronization mode must not depend on
      timer quantization. *)
@@ -823,11 +822,10 @@ let ablation_table ?(speed = Full) () =
 (* TAB-RENO: the conjecture across algorithms                          *)
 (* ------------------------------------------------------------------ *)
 
-let two_way_scenario ?algorithm ?cc
-    ?(pacing = None) ?(gateway = Net.Discipline.Fifo) ?(per_dir = 1)
-    ?(buffer = 20) ~tau speed =
+let two_way_scenario ?cc ?(pacing = None) ?(gateway = Net.Discipline.Fifo)
+    ?(per_dir = 1) ?(buffer = 20) ~tau speed =
   let duration, warmup = horizon speed in
-  let conn dir = Scenario.conn ?algorithm ?cc ~pacing dir in
+  let conn dir = Scenario.conn ?cc ~pacing dir in
   Scenario.make ~name:"two-way" ~tau ~buffer:(Some buffer) ~gateway
     ~conns:
       (Scenario.stagger ~step:1.0
@@ -836,9 +834,9 @@ let two_way_scenario ?algorithm ?cc
     ~duration ~warmup ()
 
 let reno_table ?(speed = Full) () =
-  let reno = Tcp.Cong.Reno { modified_ca = true } in
-  let small = Runner.run (two_way_scenario ~algorithm:reno ~tau:0.01 speed) in
-  let large = Runner.run (two_way_scenario ~algorithm:reno ~tau:1.0 speed) in
+  let cc = Tcp.Cc.spec "reno" in
+  let small = Runner.run (two_way_scenario ~cc ~tau:0.01 speed) in
+  let large = Runner.run (two_way_scenario ~cc ~tau:1.0 speed) in
   let q_small, r_small = Runner.queue_phase small in
   let q_large, r_large = Runner.queue_phase large in
   {
@@ -1038,22 +1036,19 @@ let collapse_table ?(speed = Full) () =
      the receiver advertised window maxwnd regardless of the load in the
      network" (2.1): a fixed window with retransmission but no congestion
      control. *)
-  let run algorithm loss_detection =
-    let cc = Tcp.Cc.spec_of_algorithm algorithm in
+  let run cc =
     Runner.run
       (Scenario.make ~name:"collapse" ~tau:1.0 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
-              (List.init 2 (fun i ->
-                   let dir =
-                     if i = 0 then Scenario.Forward else Scenario.Reverse
-                   in
-                   { (Scenario.conn dir) with cc; loss_detection })))
+              [ Scenario.conn ~cc Scenario.Forward;
+                Scenario.conn ~cc Scenario.Reverse ])
          ~duration ~warmup ())
   in
-  let tahoe = run (Tcp.Cong.Tahoe { modified_ca = true }) true in
-  let rfc793 = run (Tcp.Cong.Fixed 40) true in
-  let rfc793_wide = run (Tcp.Cong.Fixed 60) true in
+  let fixed w = Tcp.Cc.spec ~params:[ ("w", w) ] "fixed" in
+  let tahoe = run (Tcp.Cc.spec "tahoe") in
+  let rfc793 = run (fixed 40.) in
+  let rfc793_wide = run (fixed 60.) in
   let goodput r =
     float_of_int (Array.fold_left ( + ) 0 r.Runner.delivered)
     /. (r.Runner.t1 -. r.Runner.t0)

@@ -14,16 +14,10 @@ type conn_spec = {
   flow_size : int option;
 }
 
-let conn ?algorithm ?cc ?(start_time = 0.)
+let conn ?(cc = Tcp.Cc.spec "tahoe") ?(start_time = 0.)
     ?(delayed_ack = false) ?(ack_size = 50) ?(loss_detection = true)
     ?(maxwnd = 1000) ?(rto_params = Tcp.Rto.default_params) ?(pacing = None)
     ?(rtt_skew = 0.) ?(flow_size = None) dir =
-  let cc =
-    match (cc, algorithm) with
-    | Some s, _ -> s
-    | None, Some a -> Tcp.Cc.spec_of_algorithm a
-    | None, None -> Tcp.Cc.spec "tahoe"
-  in
   {
     dir;
     cc;

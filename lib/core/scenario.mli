@@ -26,10 +26,8 @@ type conn_spec = {
 
 (** Connection with paper defaults (Tahoe, modified CA, immediate ACKs,
     50-byte ACKs, started at [start_time], default 0).  [?cc] picks any
-    {!Tcp.Cc} registry entry and wins over the legacy [?algorithm]
-    selector. *)
+    {!Tcp.Cc} registry entry. *)
 val conn :
-  ?algorithm:Tcp.Cong.algorithm ->
   ?cc:Tcp.Cc.spec ->
   ?start_time:float ->
   ?delayed_ack:bool ->

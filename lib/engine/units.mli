@@ -20,3 +20,9 @@ val pipe_size : rate_bps:float -> delay:float -> packet_bytes:int -> float
 
 (** [pp_time] prints a duration with an adaptive unit (s/ms/us). *)
 val pp_time : Format.formatter -> float -> unit
+
+(** Shortest decimal representation of [f] that parses back to exactly
+    the same double: [%.9g] when that round-trips (keeping historical
+    trace spellings stable), widening through [%.12g] / [%.15g] to
+    [%.17g], which always round-trips. *)
+val float_repr : float -> string

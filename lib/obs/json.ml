@@ -169,24 +169,7 @@ let parse s =
     else Ok v
   with Bad msg -> Error msg
 
-(* Shortest decimal representation that round-trips through
-   [float_of_string].  %.9g (the historical trace format) is tried
-   first so values it already encodes exactly keep their old spelling;
-   %.17g always round-trips IEEE doubles, so the fallback terminates. *)
-let float_repr f =
-  let try_prec p =
-    let s = Printf.sprintf "%.*g" p f in
-    if float_of_string s = f then Some s else None
-  in
-  match try_prec 9 with
-  | Some s -> s
-  | None -> (
-    match try_prec 12 with
-    | Some s -> s
-    | None -> (
-      match try_prec 15 with
-      | Some s -> s
-      | None -> Printf.sprintf "%.17g" f))
+let float_repr = Engine.Units.float_repr
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

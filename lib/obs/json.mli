@@ -14,11 +14,8 @@ type t =
     trailing garbage is an error. *)
 val parse : string -> (t, string) result
 
-(** Shortest decimal representation of [f] that parses back to exactly
-    the same double: [%.9g] when that round-trips (keeping historical
-    trace spellings stable), widening through [%.12g] / [%.15g] to
-    [%.17g], which always round-trips.  Not JSON-safe for nan/inf —
-    callers must handle non-finite values themselves. *)
+(** {!Engine.Units.float_repr}.  Not JSON-safe for nan/inf — callers
+    must handle non-finite values themselves. *)
 val float_repr : float -> string
 
 (** Field of an object ([None] for a missing key or a non-object). *)

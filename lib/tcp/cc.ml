@@ -46,14 +46,9 @@ let spec_to_string { name; params } =
   | _ ->
     name ^ ":"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) params)
-
-let spec_of_algorithm = function
-  | Cong.Tahoe { modified_ca = true } -> spec "tahoe"
-  | Cong.Tahoe { modified_ca = false } -> spec "tahoe-unmodified"
-  | Cong.Reno { modified_ca = true } -> spec "reno"
-  | Cong.Reno { modified_ca = false } -> spec "reno-unmodified"
-  | Cong.Fixed w -> spec ~params:[ ("w", float_of_int w) ] "fixed"
+        (List.map
+           (fun (k, v) -> Printf.sprintf "%s=%s" k (Engine.Units.float_repr v))
+           params)
 
 (* ------------------------------------------------------------------ *)
 (* The interface                                                       *)
@@ -126,6 +121,11 @@ type t = {
 
 let instantiate (module M : S) ~maxwnd ~params =
   if maxwnd < 2 then invalid_arg "Cc.instantiate: maxwnd must be >= 2";
+  List.iter
+    (fun (k, v) ->
+      if not (Float.is_finite v) then
+        invalid_arg (Printf.sprintf "%s: parameter %s must be finite" M.id k))
+    params;
   let st = M.create ~maxwnd ~params in
   {
     spec = { name = M.id; params };
@@ -173,6 +173,12 @@ let reset t = t.reset ()
 
 let param params key ~default =
   match List.assoc_opt key params with Some v -> v | None -> default
+
+let int_param ~who params key ~default =
+  let v = param params key ~default:(float_of_int default) in
+  if not (Float.is_integer v) then
+    invalid_arg (Printf.sprintf "%s: %s must be an integer" who key);
+  int_of_float v
 
 let check_params ~who ~allowed params =
   List.iter

@@ -31,11 +31,10 @@ val spec : ?params:(string * float) list -> string -> spec
     and keys are checked against the registry by {!make}. *)
 val spec_of_string : string -> (spec, string) result
 
-(** Inverse of {!spec_of_string} (parameters in order, [%g] floats). *)
+(** Inverse of {!spec_of_string}: parameters in order, each value in
+    its shortest round-trip spelling ({!Engine.Units.float_repr}), so
+    [spec_of_string (spec_to_string s) = Ok s]. *)
 val spec_to_string : spec -> string
-
-(** The spec equivalent of a classic {!Cong.algorithm} variant. *)
-val spec_of_algorithm : Cong.algorithm -> spec
 
 (** {1 The module interface} *)
 
@@ -50,7 +49,8 @@ module type S = sig
 
   (** [create ~maxwnd ~params] builds the initial state (slow start
       where applicable).  Must reject unknown parameter keys and
-      out-of-range values with [Invalid_argument]. *)
+      out-of-range values with [Invalid_argument]; {!instantiate} has
+      already rejected non-finite values. *)
   val create : maxwnd:int -> params:(string * float) list -> t
 
   (** An ACK of new data arrived: [ackno] is the new cumulative ACK,
@@ -95,11 +95,13 @@ end
 (** A packed instance: one controller's state behind the hooks. *)
 type t
 
+(** Raises [Invalid_argument] for [maxwnd < 2] or a non-finite
+    parameter value, and whatever the module's [create] raises. *)
 val instantiate : (module S) -> maxwnd:int -> params:(string * float) list -> t
 
 (** Look the spec's name up in the registry and instantiate it.
     Raises [Invalid_argument] (listing the registered names) for an
-    unknown name, and whatever the module's [create] raises for bad
+    unknown name, and whatever {!instantiate} raises for bad
     parameters. *)
 val make : spec -> maxwnd:int -> t
 
@@ -135,6 +137,11 @@ val zoo : unit -> (string * string) list
 
 (** [param params key ~default]. *)
 val param : (string * float) list -> string -> default:float -> float
+
+(** [param] for an integer-valued parameter: a fractional value raises
+    [Invalid_argument] (naming [who]) rather than being truncated. *)
+val int_param :
+  who:string -> (string * float) list -> string -> default:int -> int
 
 (** Reject keys outside [allowed] with [Invalid_argument]. *)
 val check_params : who:string -> allowed:string list -> (string * float) list -> unit

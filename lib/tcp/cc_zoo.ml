@@ -1,11 +1,8 @@
 (* The built-in congestion-control variants behind the Cc registry.
 
-   The classic entries (tahoe and reno families) re-state the window
-   arithmetic of the seed Cong machine rather than wrapping it, so the
-   differential test suite (test_cc_differential) is a real check that
-   the interface port preserved behavior — a wrapper would make that
-   test vacuous.  Keep the two in sync: any change here must keep the
-   step-by-step equivalence with Cong. *)
+   The classic entries (tahoe and reno families, fixed) are held step
+   for step to frozen trajectories (test/cc_vectors.txt, replayed by
+   test_cc_differential): any change here must keep reproducing them. *)
 
 (* ------------------------------------------------------------------ *)
 (* Classic 4.3 window arithmetic (Tahoe / Reno / NewReno)               *)
@@ -54,10 +51,10 @@ module Classic = struct
         if t.modified_ca then Float.of_int (window t) else t.cwnd
       in
       t.cwnd <- t.cwnd +. (1. /. divisor);
-      (* Snap near-integers (same epsilon as Cong): accumulating 1/wnd
-         in binary floating point can land a hair below the integer,
-         which would break the modified algorithm's one-per-epoch
-         guarantee. *)
+      (* Snap near-integers: accumulating 1/wnd in binary floating point
+         can land a hair below the integer (e.g. 9.999999999999996 after
+         nine 1/9 steps), which would break the modified algorithm's
+         one-per-epoch guarantee. *)
       let nearest = Float.round t.cwnd in
       if Float.abs (t.cwnd -. nearest) < 1e-9 then t.cwnd <- nearest
     end;
@@ -168,9 +165,8 @@ module Aimd = struct
     Cc.check_params ~who:id ~allowed:[ "a"; "b" ] params;
     let a = Cc.param params "a" ~default:1. in
     let b = Cc.param params "b" ~default:0.5 in
-    if a <= 0. || Float.is_nan a then invalid_arg "aimd: a must be > 0";
-    if b <= 0. || b >= 1. || Float.is_nan b then
-      invalid_arg "aimd: b must be in (0, 1)";
+    if a <= 0. then invalid_arg "aimd: a must be > 0";
+    if b <= 0. || b >= 1. then invalid_arg "aimd: b must be in (0, 1)";
     { maxwnd; a; b; cwnd = 1.; ssthresh = float_of_int maxwnd }
 
   let window t =
@@ -238,12 +234,9 @@ module Compound = struct
     let gamma = Cc.param params "gamma" ~default:3. in
     let dalpha = Cc.param params "dalpha" ~default:1. in
     let zeta = Cc.param params "zeta" ~default:0.5 in
-    if gamma <= 0. || Float.is_nan gamma then
-      invalid_arg "compound: gamma must be > 0";
-    if dalpha <= 0. || Float.is_nan dalpha then
-      invalid_arg "compound: dalpha must be > 0";
-    if zeta <= 0. || Float.is_nan zeta then
-      invalid_arg "compound: zeta must be > 0";
+    if gamma <= 0. then invalid_arg "compound: gamma must be > 0";
+    if dalpha <= 0. then invalid_arg "compound: dalpha must be > 0";
+    if zeta <= 0. then invalid_arg "compound: zeta must be > 0";
     {
       maxwnd;
       gamma;
@@ -334,9 +327,8 @@ module Oracle = struct
     Cc.check_params ~who:id ~allowed:[ "rate"; "w0" ] params;
     (* Default rate: the paper's 50 Kbps bottleneck in 500 B packets. *)
     let rate = Cc.param params "rate" ~default:12.5 in
-    let w0 = int_of_float (Cc.param params "w0" ~default:1.) in
-    if rate <= 0. || Float.is_nan rate then
-      invalid_arg "oracle: rate must be > 0";
+    let w0 = Cc.int_param ~who:id params "w0" ~default:1 in
+    if rate <= 0. then invalid_arg "oracle: rate must be > 0";
     if w0 < 1 then invalid_arg "oracle: w0 must be >= 1";
     { maxwnd; rate; w0; min_rtt = infinity }
 
@@ -374,7 +366,7 @@ module Fixed = struct
 
   let create ~maxwnd ~params =
     Cc.check_params ~who:id ~allowed:[ "w" ] params;
-    let w = int_of_float (Cc.param params "w" ~default:10.) in
+    let w = Cc.int_param ~who:id params "w" ~default:10 in
     if w < 1 then invalid_arg "fixed: w must be >= 1";
     { maxwnd; w }
 
@@ -386,7 +378,7 @@ module Fixed = struct
   let on_rtt_sample _ ~rtt:_ = ()
   let cwnd t = float_of_int t.w
   let ssthresh t = float_of_int t.maxwnd
-  let in_slow_start t = t.w < t.maxwnd  (* mirrors Cong: cwnd < ssthresh *)
+  let in_slow_start t = t.w < t.maxwnd  (* cwnd < ssthresh *)
   let in_recovery _ = false
   let reset _ = ()
 end

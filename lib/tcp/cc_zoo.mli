@@ -2,11 +2,17 @@
 
     Registers the built-in {!Cc} entries:
 
-    - ["tahoe"], ["tahoe-unmodified"] — the paper's 4.3-Tahoe machine,
-      with the modified (1/floor cwnd) or original (1/cwnd) avoidance
-      increment; behavior-identical to {!Cong} (pinned by the
-      differential test suite).
-    - ["reno"], ["reno-unmodified"] — 4.3-Reno fast recovery.
+    - ["tahoe"], ["tahoe-unmodified"] — the paper's 4.3-Tahoe machine
+      (§2.1): slow start, then the modified (1/floor cwnd) or original
+      (1/cwnd) avoidance increment; a loss sets
+      [ssthresh <- max (min (cwnd/2) maxwnd) 2] and [cwnd <- 1].  The
+      classic entries are pinned to frozen trajectories by the
+      differential test suite.
+    - ["reno"], ["reno-unmodified"] — 4.3-Reno fast recovery: the third
+      duplicate ACK sets [ssthresh] as above but inflates
+      [cwnd <- ssthresh + 3], each further duplicate inflates by one,
+      and the next ACK of new data deflates [cwnd <- ssthresh].
+      Timeouts still collapse to 1.
     - ["newreno"] — Reno plus RFC-6582-style partial-ACK recovery: a
       partial ACK retransmits the next hole and deflates by the amount
       acknowledged instead of ending recovery.

@@ -18,10 +18,10 @@ type t = {
 }
 
 let make ~conn ~src_host ~dst_host ?(data_size = 500) ?(ack_size = 50)
-    ?(maxwnd = 1000) ?algorithm ?cc ?(start_time = 0.) ?(delayed_ack = false)
-    ?(delack_timeout = 0.2) ?(dupack_threshold = 3) ?(loss_detection = true)
-    ?(rto_params = Rto.default_params) ?(pacing = None) ?(flow_size = None)
-    ?(rtt_skew = 0.) () =
+    ?(maxwnd = 1000) ?(cc = Cc.spec "tahoe") ?(start_time = 0.)
+    ?(delayed_ack = false) ?(delack_timeout = 0.2) ?(dupack_threshold = 3)
+    ?(loss_detection = true) ?(rto_params = Rto.default_params)
+    ?(pacing = None) ?(flow_size = None) ?(rtt_skew = 0.) () =
   if data_size <= 0 then invalid_arg "Config.make: data_size must be positive";
   if ack_size < 0 then invalid_arg "Config.make: negative ack_size";
   if start_time < 0. then invalid_arg "Config.make: negative start_time";
@@ -35,12 +35,6 @@ let make ~conn ~src_host ~dst_host ?(data_size = 500) ?(ack_size = 50)
    | Some n when n <= 0 -> invalid_arg "Config.make: flow_size must be positive"
    | _ -> ());
   if rtt_skew < 0. then invalid_arg "Config.make: negative rtt_skew";
-  let cc =
-    match (cc, algorithm) with
-    | Some s, _ -> s  (* the spec wins over the legacy variant *)
-    | None, Some a -> Cc.spec_of_algorithm a
-    | None, None -> Cc.spec "tahoe"
-  in
   (* Instantiate once now so a bad spec (unknown name, bad parameter,
      maxwnd < 2) fails the run up front rather than at sender creation. *)
   Cc_zoo.ensure_registered ();

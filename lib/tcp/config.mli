@@ -36,11 +36,9 @@ type t = {
           breaks that assumption. *)
 }
 
-(** [?cc] names the congestion controller (default ["tahoe"]); [?algorithm]
-    is the legacy closed-variant selector, mapped through
-    {!Cc.spec_of_algorithm} and overridden by [?cc] when both are given.
-    The spec is instantiated once here, so an unknown name or bad
-    parameter raises [Invalid_argument] immediately. *)
+(** [?cc] names the congestion controller (default ["tahoe"]).  The spec
+    is instantiated once here, so an unknown name or bad parameter raises
+    [Invalid_argument] immediately. *)
 val make :
   conn:int ->
   src_host:int ->
@@ -48,7 +46,6 @@ val make :
   ?data_size:int ->
   ?ack_size:int ->
   ?maxwnd:int ->
-  ?algorithm:Cong.algorithm ->
   ?cc:Cc.spec ->
   ?start_time:float ->
   ?delayed_ack:bool ->

@@ -296,6 +296,8 @@ let test_spec_parsing () =
     (ok " fixed : w = 30 ");
   Alcotest.(check string) "round-trip" "aimd:a=1,b=0.7"
     (Cc.spec_to_string (ok "aimd:a=1,b=0.7"));
+  Alcotest.(check string) "no precision lost" "fixed:w=1234567"
+    (Cc.spec_to_string (ok "fixed:w=1234567"));
   List.iter
     (fun bad ->
       match Cc.spec_of_string bad with
@@ -304,28 +306,27 @@ let test_spec_parsing () =
         Alcotest.failf "parsed %S as %s" bad (Cc.spec_to_string s))
     [ ""; ":a=1"; "aimd:a"; "aimd:a=x"; "aimd:=1"; "aimd:a=1,,b=2" ]
 
-let test_spec_of_algorithm () =
-  let check algo expect =
-    Alcotest.(check string) expect expect
-      (Cc.spec_to_string (Cc.spec_of_algorithm algo))
+(* Names and keys as the parser reads them (trimmed, free of the
+   separators); any float value, non-finite included. *)
+let prop_spec_round_trip =
+  let word chars =
+    QCheck.Gen.(string_size ~gen:(oneofl chars) (int_range 1 8))
   in
-  check (Cong.Tahoe { modified_ca = true }) "tahoe";
-  check (Cong.Tahoe { modified_ca = false }) "tahoe-unmodified";
-  check (Cong.Reno { modified_ca = true }) "reno";
-  check (Cong.Reno { modified_ca = false }) "reno-unmodified";
-  check (Cong.Fixed 30) "fixed:w=30";
-  (* every mapped spec resolves in the registry *)
-  List.iter
-    (fun algo ->
-      ignore
-        (Cc.make (Cc.spec_of_algorithm algo) ~maxwnd:100 : Cc.t))
-    [
-      Cong.Tahoe { modified_ca = true };
-      Cong.Tahoe { modified_ca = false };
-      Cong.Reno { modified_ca = true };
-      Cong.Reno { modified_ca = false };
-      Cong.Fixed 30;
-    ]
+  let letters = List.init 26 (fun i -> Char.chr (Char.code 'a' + i)) in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun name params -> Cc.spec ~params name)
+        (word ('-' :: letters))
+        (list_size (int_range 0 4) (pair (word ('_' :: letters)) float)))
+  in
+  QCheck.Test.make ~name:"spec_of_string (spec_to_string s) = Ok s"
+    ~count:500
+    (QCheck.make ~print:Cc.spec_to_string gen)
+    (fun s ->
+      match Cc.spec_of_string (Cc.spec_to_string s) with
+      | Ok s' -> Alcotest.equal spec_testable s s'
+      | Error msg -> QCheck.Test.fail_reportf "%s" msg)
 
 let test_duplicate_param_rejected () =
   Alcotest.check_raises "duplicate key"
@@ -349,12 +350,69 @@ let test_bad_param_values () =
       true raised
   in
   rejects "aimd" [ ("a", 0.) ];
+  rejects "aimd" [ ("a", infinity) ];
+  rejects "aimd" [ ("b", nan) ];
   rejects "aimd" [ ("b", 1.) ];
   rejects "aimd" [ ("b", 0.) ];
   rejects "compound" [ ("gamma", -1.) ];
+  rejects "compound" [ ("gamma", infinity) ];
   rejects "oracle" [ ("rate", 0.) ];
+  rejects "oracle" [ ("rate", infinity) ];
   rejects "oracle" [ ("w0", 0.) ];
-  rejects "fixed" [ ("w", 0.) ]
+  rejects "oracle" [ ("w0", 1.5) ];
+  rejects "fixed" [ ("w", 0.) ];
+  rejects "fixed" [ ("w", 30.9) ];
+  rejects "fixed" [ ("w", neg_infinity) ];
+  (* non-finite values are refused once, before any entry sees them *)
+  List.iter
+    (fun name ->
+      Alcotest.check_raises (name ^ " never sees a NaN")
+        (Invalid_argument (name ^ ": parameter x must be finite"))
+        (fun () ->
+          ignore (Cc.make (Cc.spec ~params:[ ("x", nan) ] name) ~maxwnd:100
+            : Cc.t)))
+    all_names
+
+(* ---------------- the CLI surface ---------------- *)
+
+(* [netsim ARGS] -> (exit code, stdout); stderr is discarded. *)
+let run_netsim args =
+  match Test_domain_safety.netsim with
+  | None -> Alcotest.fail "netsim.exe not built"
+  | Some exe ->
+    let out = Filename.temp_file "netsim-cc" ".out" in
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let fd_err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process exe
+        (Array.of_list (exe :: args))
+        Unix.stdin fd_out fd_err
+    in
+    Unix.close fd_out;
+    Unix.close fd_err;
+    let code =
+      match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
+    in
+    (code, Test_domain_safety.read_file out)
+
+let short_run = [ "--fwd"; "1"; "--duration"; "10"; "--warmup"; "1" ]
+
+let test_cli_rejects_bad_params () =
+  List.iter
+    (fun cc ->
+      let code, _ = run_netsim ([ "run"; "--cc"; cc ] @ short_run) in
+      Alcotest.(check int) ("--cc " ^ cc ^ " exits 2") 2 code)
+    [ "oracle:rate=inf"; "aimd:a=inf"; "compound:gamma=infinity";
+      "fixed:w=30.9" ]
+
+let test_cli_reports_spec_losslessly () =
+  let code, out =
+    run_netsim ([ "run"; "--cc"; "fixed:w=1234567"; "--json" ] @ short_run)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "summary names the spec as given" true
+    (Test_domain_safety.contains out {|"cc":"fixed:w=1234567"|})
 
 let test_newreno_partial_ack () =
   (* Only NewReno answers true (retransmit the hole) to a partial ACK;
@@ -396,12 +454,15 @@ let suite =
         Alcotest.test_case "registry: duplicate/unknown rejected" `Quick
           test_registry_rejects;
         Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
-        Alcotest.test_case "spec of legacy algorithm" `Quick
-          test_spec_of_algorithm;
+        QCheck_alcotest.to_alcotest prop_spec_round_trip;
         Alcotest.test_case "duplicate parameter rejected" `Quick
           test_duplicate_param_rejected;
         Alcotest.test_case "out-of-range parameters rejected" `Quick
           test_bad_param_values;
         Alcotest.test_case "partial-ACK contract" `Quick
           test_newreno_partial_ack;
+        Alcotest.test_case "netsim run rejects bad --cc values" `Quick
+          test_cli_rejects_bad_params;
+        Alcotest.test_case "netsim run --json reports --cc losslessly" `Quick
+          test_cli_reports_spec_losslessly;
       ] )

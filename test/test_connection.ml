@@ -94,7 +94,7 @@ let test_fixed_window_steady_state () =
   let conn =
     Connection.create d.net
       (Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2
-         ~algorithm:(Cong.Fixed 10) ~loss_detection:false ())
+         ~cc:(Cc.spec ~params:[ ("w", 10.) ] "fixed") ~loss_detection:false ())
   in
   Sim.run sim ~until:100.;
   let sender = Connection.sender conn in

@@ -189,11 +189,8 @@ let prop_random_scenarios_hold_invariants =
   in
   QCheck.Test.make ~name:"random scenarios keep system invariants" ~count:25
     (QCheck.make gen) (fun (tau, buffer, fwd, rev, reno, delack) ->
-      let algorithm =
-        if reno then Cong.Reno { modified_ca = true }
-        else Cong.Tahoe { modified_ca = true }
-      in
-      let conn dir = Core.Scenario.conn ~algorithm ~delayed_ack:delack dir in
+      let cc = Cc.spec (if reno then "reno" else "tahoe") in
+      let conn dir = Core.Scenario.conn ~cc ~delayed_ack:delack dir in
       let scenario =
         Core.Scenario.make ~name:"random" ~tau ~buffer:(Some buffer)
           ~conns:

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "tahoe-two-way-traffic"
     [
-      Test_event_queue.suite;
       Test_sim.suite;
       Test_rng.suite;
       Test_units.suite;
@@ -9,7 +8,7 @@ let () =
       Test_network.suite;
       Test_routing.suite;
       Test_discipline.suite;
-      Test_cong.suite;
+      Test_cc_classic.suite;
       Test_cc_conformance.suite;
       Test_cc_differential.suite;
       Test_rto.suite;

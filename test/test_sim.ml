@@ -388,6 +388,124 @@ let prop_timer_equivalence =
       pending_agree && !logA = !logB
       && Sim.events_run simA = Sim.events_run simB)
 
+(* ------------------------------------------------------------------ *)
+(* Model-based: random programs vs a sorted (time, seq) reference       *)
+(* ------------------------------------------------------------------ *)
+
+(* Opcodes 0-2 [schedule], 3-4 [at], 5 [cancel] (of any handle ever
+   made, so fired and cancelled ones too), 6-7 [Timer.set] on one of
+   three timers, 8-9 [step].  Times are clamped into [now, 5], so at
+   most six distinct instants exist and same-time ties are common.  The
+   model orders by (time, seq); a re-arm takes a fresh seq, exactly
+   like a new schedule. *)
+let prop_model =
+  QCheck.Test.make
+    ~name:"model: schedule/at/cancel/Timer.set/step vs sorted list" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 0 200)
+        (triple (int_bound 9) (int_bound 5) small_nat))
+    (fun ops ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      let model = ref [] and seq = ref 0 and next_id = ref 0 in
+      let handles = ref [||] in
+      let timers =
+        Array.init 3 (fun i ->
+            Sim.Timer.create sim (fun () -> fired := -(i + 1) :: !fired))
+      in
+      let insert ~time id =
+        model :=
+          List.merge compare
+            (List.filter (fun (_, _, x) -> x <> id) !model)
+            [ (time, !seq, id) ];
+        incr seq
+      in
+      let remove id = model := List.filter (fun (_, _, x) -> x <> id) !model in
+      let ok = ref true in
+      List.iter
+        (fun (op, t, k) ->
+          let now = Sim.now sim in
+          let time = Float.max now (float_of_int t) in
+          (if op <= 4 then begin
+             let id = !next_id in
+             incr next_id;
+             let action () = fired := id :: !fired in
+             let h =
+               if op <= 2 then Sim.schedule sim ~delay:(time -. now) action
+               else Sim.at sim ~time action
+             in
+             handles := Array.append !handles [| (id, h) |];
+             insert ~time id
+           end
+           else if op = 5 then begin
+             let n = Array.length !handles in
+             if n > 0 then begin
+               let id, h = !handles.(k mod n) in
+               Sim.cancel h;
+               remove id
+             end
+           end
+           else if op <= 7 then begin
+             let i = k mod 3 in
+             Sim.Timer.set timers.(i) ~delay:(time -. now);
+             insert ~time (-(i + 1))
+           end
+           else
+             match (Sim.step sim ~until:5., !model) with
+             | false, [] -> ()
+             | true, (mt, _, id) :: rest ->
+               if !fired <> [] && List.hd !fired = id && Sim.now sim = mt then
+                 model := rest
+               else ok := false
+             | _ -> ok := false);
+          if Sim.queue_length sim <> List.length !model then ok := false)
+        ops;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Space leaks: vacated heap slots must not keep closures alive         *)
+(* ------------------------------------------------------------------ *)
+
+(* Build the closure and its payload inside a helper so no stack root
+   outlives the scheduling; after that, only a heap slot that was not
+   reset to the sentinel could keep the payload from being collected.
+   Each test reads [sim] after collecting, so the heap array stays
+   reachable throughout. *)
+let[@inline never] schedule_finalised sim ~delay collected =
+  let payload = Bytes.make 16 'x' in
+  Gc.finalise (fun _ -> incr collected) payload;
+  Sim.schedule sim ~delay (fun () -> Bytes.set payload 0 'y')
+
+(* With two events, removing the first moves the second into the root
+   (leaving a stale copy in the vacated last slot), and removing the
+   second empties the heap (leaving it in slot 0): both paths must
+   reset their slot. *)
+let test_fired_closures_collected () =
+  let sim = Sim.create () in
+  let collected = ref 0 in
+  ignore (schedule_finalised sim ~delay:1. collected : Sim.handle);
+  ignore (schedule_finalised sim ~delay:2. collected : Sim.handle);
+  Sim.run_to_completion sim;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "fired closures collected" 2 !collected;
+  Alcotest.(check int) "both ran" 2 (Sim.events_run sim)
+
+let[@inline never] schedule_two_then_cancel sim collected =
+  let first = schedule_finalised sim ~delay:1. collected in
+  let second = schedule_finalised sim ~delay:2. collected in
+  Sim.cancel first;
+  Sim.cancel second
+
+let test_cancelled_closures_collected () =
+  let sim = Sim.create () in
+  let collected = ref 0 in
+  schedule_two_then_cancel sim collected;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "cancelled closures collected" 2 !collected;
+  Alcotest.(check int) "queue empty" 0 (Sim.queue_length sim)
+
 let suite =
   ( "sim",
     [
@@ -420,4 +538,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cancel_semantics;
       QCheck_alcotest.to_alcotest prop_cancel_bounded;
       QCheck_alcotest.to_alcotest prop_timer_equivalence;
+      QCheck_alcotest.to_alcotest prop_model;
+      Alcotest.test_case "fired closures collected" `Quick
+        test_fired_closures_collected;
+      Alcotest.test_case "cancelled closures collected" `Quick
+        test_cancelled_closures_collected;
     ] )
