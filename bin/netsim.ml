@@ -20,7 +20,7 @@ let exit_interrupt = 130
 
 (* Numeric flags go through [Core.Args] so "nan", "inf" and
    out-of-range values are rejected at parse time with the flag named
-   in the error instead of corrupting a run. *)
+   in the error (exit 2) instead of corrupting a run. *)
 let checked_float ~what check =
   let parse s =
     match Core.Args.parse_float ~what check s with
@@ -29,6 +29,14 @@ let checked_float ~what check =
   in
   let print ppf v = Format.fprintf ppf "%g" v in
   Arg.conv (parse, print)
+
+let checked_int ~what ~min =
+  let parse s =
+    match Core.Args.parse_int ~what ~min s with
+    | Ok v -> Ok v
+    | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* ---------------- interrupts ---------------- *)
 
@@ -68,7 +76,7 @@ let guard_term =
   let max_events =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (checked_int ~what:"--max-events" ~min:1)) None
       & info [ "max-events" ] ~docv:"N"
           ~doc:
             "Watchdog: stop the simulation after N events (per point for \
@@ -404,7 +412,8 @@ let obs_term =
   in
   let flight =
     Arg.(
-      value & opt int 0
+      value
+      & opt (checked_int ~what:"--flight-recorder" ~min:0) 0
       & info [ "flight-recorder" ] ~docv:"N"
           ~doc:
             "Keep the last N trace events in a ring and dump them to \
@@ -684,18 +693,21 @@ let run_cmd =
   in
   let buffer =
     Arg.(
-      value & opt int 20
+      value
+      & opt (checked_int ~what:"--buffer" ~min:0) 20
       & info [ "buffer" ] ~docv:"PKTS"
           ~doc:"Bottleneck buffer; 0 means infinite.")
   in
   let fwd =
     Arg.(
-      value & opt int 1
+      value
+      & opt (checked_int ~what:"--fwd" ~min:0) 1
       & info [ "fwd" ] ~docv:"N" ~doc:"Connections sourcing on Host-1.")
   in
   let rev =
     Arg.(
-      value & opt int 0
+      value
+      & opt (checked_int ~what:"--rev" ~min:0) 0
       & info [ "rev" ] ~docv:"N" ~doc:"Connections sourcing on Host-2.")
   in
   let fixed =
@@ -733,7 +745,7 @@ let run_cmd =
   let flow_size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (checked_int ~what:"--flow-size" ~min:1)) None
       & info [ "flow-size" ] ~docv:"PKTS"
           ~doc:"Finite flows of this many packets (default: infinite).")
   in
@@ -748,7 +760,8 @@ let run_cmd =
   in
   let ack_size =
     Arg.(
-      value & opt int 50
+      value
+      & opt (checked_int ~what:"--ack-size" ~min:0) 50
       & info [ "ack-size" ] ~docv:"BYTES" ~doc:"ACK packet size.")
   in
   let duration =
@@ -780,24 +793,6 @@ let run_cmd =
 
 let grid_names = List.map (fun (g : Sweep.Grids.spec) -> g.name) Sweep.Grids.all
 
-(* --backend auto|seq|fork|domain; "auto" (the default) defers to
-   Sweep_pool.default_backend: NETSIM_SWEEP_BACKEND, else domains on
-   OCaml 5, else the fork pool. *)
-let backend_conv =
-  let parse s =
-    match String.lowercase_ascii (String.trim s) with
-    | "auto" | "" -> Ok None
-    | other -> (
-      match Sweep_pool.backend_of_string other with
-      | Ok b -> Ok (Some b)
-      | Error msg -> Error (`Msg msg))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "auto"
-    | Some b -> Format.pp_print_string ppf (Sweep_pool.backend_to_string b)
-  in
-  Arg.conv (parse, print)
-
 (* Live progress/ETA line on stderr ("\r"-rewritten, so stdout JSON
    stays byte-deterministic).  Under the domain backend the callback
    fires concurrently from worker domains; an atomic test-and-set
@@ -821,23 +816,17 @@ let progress_reporter ~total ~started =
               *. float_of_int (total - p.prog_done))
           else ""
         in
-        let failures =
-          if p.prog_failures > 0 then
-            Printf.sprintf ", %d worker failure(s)" p.prog_failures
-          else ""
-        in
         Printf.eprintf
-          "\rsweep: %d/%d points (%d%%), %d running, %.1fs elapsed%s%s \
+          "\rsweep: %d/%d points (%d%%), %d running, %.1fs elapsed%s \
            \027[K%!"
           p.prog_done total
           (100 * p.prog_done / max 1 total)
-          p.prog_running elapsed eta failures
+          p.prog_running elapsed eta
       end;
       Atomic.set busy false
     end
 
-let run_sweep grid_name backend jobs out quick list_grids max_retries
-    worker_timeout progress guard_cli =
+let run_sweep grid_name jobs out quick list_grids progress guard_cli =
   if list_grids then begin
     List.iter
       (fun (g : Sweep.Grids.spec) -> Printf.printf "%-14s %s\n" g.name g.title)
@@ -853,12 +842,6 @@ let run_sweep grid_name backend jobs out quick list_grids max_retries
       2
     | Some grid ->
       install_signal_handlers ();
-      (match backend with
-       | Some Sweep_pool.Domain when not Sweep_pool.domain_backend_available ->
-         Printf.eprintf
-           "netsim sweep: this build has no domain support (OCaml < 5); \
-            using the fork backend\n%!"
-       | _ -> ());
       let points = grid.points ~quick in
       let started = Unix.gettimeofday () in
       let on_progress =
@@ -867,12 +850,7 @@ let run_sweep grid_name backend jobs out quick list_grids max_retries
         else None
       in
       let outcome =
-        Sweep.Driver.run_collect ?backend ~jobs ~max_retries
-          ?deadline:worker_timeout
-          ~on_failure:(fun f ->
-            Printf.eprintf "netsim sweep: %s\n%!"
-              (Sweep_pool.worker_failure_to_string f))
-          ?on_progress
+        Sweep.Driver.run_collect ~jobs ?on_progress
           ~stop:(fun () -> !interrupted)
           ~budget:(budget_of_guard guard_cli)
           ?bundle_dir:guard_cli.bundle_dir points
@@ -930,26 +908,15 @@ let sweep_cmd =
       & info [] ~docv:"GRID"
           ~doc:("Grid to sweep: " ^ String.concat ", " grid_names ^ "."))
   in
-  let backend =
-    Arg.(
-      value
-      & opt backend_conv None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Execution backend: $(b,auto) (default; \
-             $(b,NETSIM_SWEEP_BACKEND), else domains on OCaml 5, else \
-             forked workers), $(b,seq), $(b,fork) or $(b,domain). \
-             Results are byte-identical for every backend.")
-  in
   let jobs =
     Arg.(
       value
-      & opt int (Sweep_pool.default_jobs ())
+      & opt (checked_int ~what:"--jobs" ~min:1) (Sweep_pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Parallel workers — domains or processes, per $(b,--backend) \
-             (default $(b,NETSIM_JOBS) or 1). Results are bit-identical \
-             for every N.")
+            "Parallel workers: domains where this build has them (OCaml \
+             5), else forked processes (default $(b,NETSIM_JOBS) or 1). \
+             Results are bit-identical for every N.")
   in
   let out =
     Arg.(
@@ -960,27 +927,6 @@ let sweep_cmd =
   in
   let list_grids =
     Arg.(value & flag & info [ "list" ] ~doc:"List available grids and exit.")
-  in
-  let max_retries =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:
-            "Respawn a crashed or hung worker's unfinished points up to N \
-             times before falling back to in-process sequential \
-             execution.  Never changes results, only where they are \
-             computed.")
-  in
-  let worker_timeout =
-    Arg.(
-      value
-      & opt
-          (some (checked_float ~what:"--worker-timeout" Core.Args.Positive))
-          None
-      & info [ "worker-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Treat a worker silent for SECONDS as hung: kill and respawn \
-             it (counts against $(b,--max-retries)).")
   in
   let progress =
     Arg.(
@@ -995,8 +941,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Run a scenario grid across parallel workers.")
     Term.(
-      const run_sweep $ grid_arg $ backend $ jobs $ out $ quick_flag
-      $ list_grids $ max_retries $ worker_timeout $ progress $ guard_term)
+      const run_sweep $ grid_arg $ jobs $ out $ quick_flag $ list_grids
+      $ progress $ guard_term)
 
 (* ---------------- plot ---------------- *)
 
@@ -1054,7 +1000,10 @@ let plot_cmd =
           ~doc:("Figure to plot: " ^ String.concat ", " plottable ^ "."))
   in
   let width =
-    Arg.(value & opt int 96 & info [ "width" ] ~docv:"COLS" ~doc:"Plot width.")
+    Arg.(
+      value
+      & opt (checked_int ~what:"--width" ~min:8) 96
+      & info [ "width" ] ~docv:"COLS" ~doc:"Plot width.")
   in
   Cmd.v
     (Cmd.info "plot" ~doc:"ASCII plots of a paper figure.")
@@ -1444,4 +1393,12 @@ let main =
       tracecheck_cmd; replay_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Cmdliner's own exit for a rejected flag (unknown, or refused by a
+   converter such as [checked_int]) is 124; this CLI promises 2. *)
+let () =
+  exit
+    (match Cmd.eval_value main with
+     | Ok (`Ok code) -> code
+     | Ok (`Help | `Version) -> 0
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -1,8 +1,9 @@
 (* Validated numeric argument parsing.  [float_of_string] happily
    accepts "nan", "inf" and negative values where the CLI means a
-   duration, a rate or a probability; every netsim flag goes through
-   [parse_float] with the range it actually requires, so a bad value
-   fails loudly at the command line instead of corrupting a run. *)
+   duration, a rate or a probability, and a bare int flag takes any
+   sign; every netsim flag goes through [parse_float] or [parse_int]
+   with the range it actually requires, so a bad value fails loudly at
+   the command line instead of corrupting a run. *)
 
 type check = Positive | Non_negative | Probability
 
@@ -32,3 +33,10 @@ let parse_float ~what c s =
   match float_of_string_opt (String.trim s) with
   | None -> Error (Printf.sprintf "%s: %S is not a number" what s)
   | Some v -> check ~what c v
+
+let parse_int ~what ~min s =
+  match int_of_string_opt (String.trim s) with
+  | None -> Error (Printf.sprintf "%s: %S is not an integer" what s)
+  | Some v when v < min ->
+    Error (Printf.sprintf "%s must be an integer >= %d (got %d)" what min v)
+  | Some v -> Ok v

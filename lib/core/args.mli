@@ -1,9 +1,9 @@
 (** Validated numeric argument parsing for the CLI.
 
     [float_of_string] accepts ["nan"], ["inf"] and negative values
-    where netsim flags mean durations, rates or probabilities; these
-    helpers reject non-finite and out-of-range values with an error
-    naming the offending flag. *)
+    where netsim flags mean durations, rates or probabilities, and int
+    flags take any sign; these helpers reject non-finite and
+    out-of-range values with an error naming the offending flag. *)
 
 type check =
   | Positive  (** finite and > 0: durations, rates, intervals *)
@@ -22,3 +22,7 @@ val check : what:string -> check -> float -> (float, string) result
 
 (** Parse then {!check}; malformed input also names [what]. *)
 val parse_float : what:string -> check -> string -> (float, string) result
+
+(** Parse an integer that must be at least [min]; malformed or
+    out-of-range input gives an error naming [what] and the bound. *)
+val parse_int : what:string -> min:int -> string -> (int, string) result

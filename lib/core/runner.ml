@@ -275,7 +275,13 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
 let validation_report r =
   Option.map (fun h -> Validate.Harness.report h) r.validation
 
-let goodput r i = float_of_int r.delivered.(i) /. (r.t1 -. r.t0)
+(* A run stopped before warm-up ends has the empty window [t0, t0]:
+   nothing was delivered in it and there is no series to classify. *)
+let empty_window r = r.t1 <= r.t0
+
+let goodput r i =
+  if empty_window r then 0.
+  else float_of_int r.delivered.(i) /. (r.t1 -. r.t0)
 
 let goodput_dir r dir =
   let total = ref 0. in
@@ -289,17 +295,17 @@ let drops_in_window r = Trace.Drop_log.in_window r.drops ~t0:r.t0 ~t1:r.t1
 
 let epochs ?(gap = 5.) r = Analysis.Epochs.detect ~gap (drops_in_window r)
 
+let classify r a b =
+  if empty_window r then (Analysis.Sync.Unclassified, Float.nan)
+  else Analysis.Sync.classify a b ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
+
 let queue_phase r =
-  Analysis.Sync.classify
-    (Trace.Queue_trace.series r.q1)
-    (Trace.Queue_trace.series r.q2)
-    ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
+  classify r (Trace.Queue_trace.series r.q1) (Trace.Queue_trace.series r.q2)
 
 let cwnd_phase r i j =
-  Analysis.Sync.classify
+  classify r
     (Trace.Cwnd_trace.cwnd r.cwnds.(i))
     (Trace.Cwnd_trace.cwnd r.cwnds.(j))
-    ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
 
 let effective_pipe r =
   let data_tx = Scenario.data_tx r.scenario in

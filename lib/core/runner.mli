@@ -89,7 +89,8 @@ val validation_report : result -> Validate.Report.t option
     [""] or ["0"])? *)
 val env_forces_validation : unit -> bool
 
-(** Goodput of connection [i] (packets/s) over the measurement window. *)
+(** Goodput of connection [i] (packets/s) over the measurement window;
+    [0.] when the run stopped before warm-up ended (empty window). *)
 val goodput : result -> int -> float
 
 (** Aggregate goodput (packets/s) of connections sending in [dir]. *)
@@ -101,10 +102,12 @@ val drops_in_window : result -> Trace.Drop_log.record list
 (** Congestion epochs within the window (gap defaults to 5 s). *)
 val epochs : ?gap:float -> result -> Analysis.Epochs.t list
 
-(** Phase classification of the two bottleneck queue series. *)
+(** Phase classification of the two bottleneck queue series;
+    [(Unclassified, nan)] for an empty window (stopped before warm-up). *)
 val queue_phase : result -> Analysis.Sync.phase * float
 
-(** Phase classification of two connections' cwnd series. *)
+(** Phase classification of two connections' cwnd series; as
+    {!queue_phase} for an empty window. *)
 val cwnd_phase : result -> int -> int -> Analysis.Sync.phase * float
 
 (** Mean ACK queueing delay over the window, expressed in data-packet

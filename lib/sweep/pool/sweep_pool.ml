@@ -1,46 +1,25 @@
-(* Deterministic parallel task pool with three runtime-selected
-   backends (see DESIGN.md §6j):
+(* Deterministic parallel task pool with three executors (see DESIGN.md
+   §6j):
 
-     Seq     plain in-process [List.map]
-     Fork    supervised fork/pipe/Marshal worker processes (this file)
+     Seq     plain in-process loop
+     Fork    forked worker processes streaming Marshal values back over
+             pipes (this file) — the fallback for builds without domains
      Domain  shared-memory OCaml 5 domains ({!Domain_backend}; on 4.14
-             the stub reports [available = false] and requests fall
-             back to Fork)
+             the stub reports [available = false])
 
-   [map ~jobs f xs] computes [List.map f xs] under every backend.
-   Results are bit-identical regardless of the backend, the job count —
-   and, for Fork, regardless of which workers crash — because the
-   *assignment* of work to workers never affects a result: task [i] is
-   always [f xs.(i)] (computed in a fork-time copy of the parent heap,
+   [map ~jobs f xs] computes [List.map f xs] under every executor.
+   Results are bit-identical regardless of the executor and the job
+   count because the assignment of work never affects a result: task [i]
+   is always [f xs.(i)] (computed in a fork-time copy of the parent heap,
    in a domain sharing it, or in the parent itself), every per-task RNG
    in this codebase is seeded from the task itself (the scenario), and
    results are reassembled by task index, not arrival order.
 
-   Supervision model (see DESIGN.md, "Failure model & supervision"):
-
-   - Each worker streams one length-prefixed Marshal frame back per
-     completed point, then a final done marker.  The parent multiplexes
-     every worker pipe through [Unix.select], decoding frames
-     incrementally, so a completed point is banked the moment its frame
-     lands — a worker that dies later loses only its *unfinished*
-     points.
-   - A crashed worker (non-zero exit, signal), a worker whose stream is
-     truncated or undecodable mid-frame, and a worker that stays silent
-     past the [deadline] are all detected individually and classified
-     (see {!cause}).  Their unfinished point indices are requeued to a
-     freshly forked worker, with exponential backoff between attempts.
-   - A point whose [f] *raises* is not retried (the computation is
-     deterministic, so a retry would raise identically); the exception
-     text and backtrace cross the pipe as a frame and surface in
-     {!Error}.
-   - After [max_retries] respawns, the pool degrades gracefully: the
-     still-missing points run sequentially in the parent process, in
-     ascending index order.
-
-   Workers are plain [Unix.fork] + a pipe back to the parent (works on
-   both OCaml 4.14 and 5.x single-domain programs; no threads/domains
-   may be running when [map] forks).  On non-Unix platforms, or with
-   [jobs <= 1], the computation simply runs sequentially in-process. *)
+   The fork executor is deliberately plain: a task that raises is a
+   point failure (as under every executor), a worker that dies turns its
+   unreturned tasks into point failures naming its wait status, and
+   nothing is respawned or re-run.  Points are pure OCaml, and runaway
+   points are stopped in-process by [Sim.run_guarded]'s budgets. *)
 
 let default_jobs () =
   match Sys.getenv_opt "NETSIM_JOBS" with
@@ -103,731 +82,260 @@ let available_cores () =
     match !found with Some n when n >= 1 -> n | _ -> cores ()
   with Sys_error _ -> cores ()
 
-(* ------------------------------------------------------------------ *)
-(* Backend selection                                                   *)
-(* ------------------------------------------------------------------ *)
-
 type backend = Seq | Fork | Domain
-
-let backend_to_string = function
-  | Seq -> "seq"
-  | Fork -> "fork"
-  | Domain -> "domain"
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "seq" | "sequential" -> Ok Seq
-  | "fork" -> Ok Fork
-  | "domain" | "domains" -> Ok Domain
-  | other ->
-    Error
-      (Printf.sprintf "unknown sweep backend %S (expected seq, fork or domain)"
-         other)
 
 let domain_backend_available = Domain_backend.available
 
-let default_backend () =
-  match Sys.getenv_opt "NETSIM_SWEEP_BACKEND" with
-  | None | Some "" -> if Domain_backend.available then Domain else Fork
-  | Some s -> (
-    match backend_of_string s with
-    | Ok b -> b
-    | Error _ -> if Domain_backend.available then Domain else Fork)
-
-(* ------------------------------------------------------------------ *)
-(* Failure taxonomy                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type cause =
-  | Exited of int
-  | Signaled of int
-  | Stopped of int
-  | Corrupt_stream of string
-  | Timed_out of float
-  | Spawn_failed of string
-
-type worker_failure = {
-  worker : int;
-  pid : int;
-  attempt : int;
-  cause : cause;
-  salvaged : int list;
-  lost : int list;
-}
+(* The executor actually used: [jobs <= 1] is always sequential, domains
+   when built in, else forked workers, else (non-Unix) sequential.  An
+   explicit request degrades the same way — never to different results,
+   only to a different executor. *)
+let executor ?(backend = Domain) ~jobs () =
+  let b = if jobs <= 1 then Seq else backend in
+  let b = if b = Domain && not Domain_backend.available then Fork else b in
+  if b = Fork && Sys.os_type <> "Unix" then
+    if Domain_backend.available then Domain else Seq
+  else b
 
 type point_failure = { point : int; exn_text : string; backtrace : string }
-
-type error = {
-  message : string;
-  worker_failures : worker_failure list;
-  point_failures : point_failure list;
-}
+type error = { message : string; point_failures : point_failure list }
 
 exception Error of error
 
-(* Waitpid reports OCaml's own signal numbering (Sys.sigkill = -7 …);
-   name the common ones rather than leak the encoding. *)
-let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigint then "SIGINT"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigpipe then "SIGPIPE"
-  else if s = Sys.sigstop then "SIGSTOP"
-  else Printf.sprintf "signal %d (ocaml numbering)" s
-
-let cause_to_string = function
-  | Exited c -> Printf.sprintf "exited with code %d" c
-  | Signaled s -> Printf.sprintf "killed by %s" (signal_name s)
-  | Stopped s -> Printf.sprintf "stopped by %s" (signal_name s)
-  | Corrupt_stream msg -> "corrupt result stream (" ^ msg ^ ")"
-  | Timed_out d -> Printf.sprintf "produced no output for %.3gs (deadline)" d
-  | Spawn_failed msg -> "could not be spawned (" ^ msg ^ ")"
-
-let indices_to_string is =
-  "[" ^ String.concat "," (List.map string_of_int is) ^ "]"
-
-let worker_failure_to_string (w : worker_failure) =
-  Printf.sprintf
-    "worker %d (pid %d, attempt %d) %s; salvaged points %s, lost points %s"
-    w.worker w.pid w.attempt (cause_to_string w.cause)
-    (indices_to_string w.salvaged)
-    (indices_to_string w.lost)
-
 let error_to_string (e : error) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf ("Sweep_pool: " ^ e.message);
-  List.iter
-    (fun w -> Buffer.add_string buf ("\n  " ^ worker_failure_to_string w))
-    e.worker_failures;
-  List.iter
-    (fun (p : point_failure) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\n  point %d raised %s" p.point p.exn_text))
-    e.point_failures;
-  Buffer.contents buf
+  String.concat "\n  "
+    (("Sweep_pool: " ^ e.message)
+    :: List.map
+         (fun p -> Printf.sprintf "point %d: %s" p.point p.exn_text)
+         e.point_failures)
 
 let () =
   Printexc.register_printer (function
     | Error e -> Some (error_to_string e)
     | _ -> None)
 
-(* ------------------------------------------------------------------ *)
-(* Chaos hooks (tests / CI only)                                       *)
-(* ------------------------------------------------------------------ *)
+(* Waitpid reports OCaml's own signal numbering (Sys.sigkill = -7 …);
+   name the common ones rather than leak the encoding. *)
+let signal_name s =
+  List.assoc_opt s
+    [
+      (Sys.sigkill, "SIGKILL"); (Sys.sigterm, "SIGTERM");
+      (Sys.sigint, "SIGINT"); (Sys.sigsegv, "SIGSEGV");
+      (Sys.sigabrt, "SIGABRT"); (Sys.sigpipe, "SIGPIPE");
+      (Sys.sigstop, "SIGSTOP");
+    ]
+  |> Option.value ~default:(Printf.sprintf "signal %d (ocaml numbering)" s)
 
-(* Deterministic failure injection for the supervision machinery itself:
-   NETSIM_CHAOS_KILL_AFTER=n      worker SIGKILLs itself after sending n
-                                  frames (n=0: before sending anything)
-   NETSIM_CHAOS_TRUNCATE_AFTER=n  worker writes a torn frame after n good
-                                  ones, then exits 0
-   Both apply to first-attempt workers only, so respawned workers succeed
-   and the requeue path is exercised — unless NETSIM_CHAOS_ALL_ATTEMPTS=1,
-   which makes every forked attempt fail (exercising retry exhaustion and
-   the sequential fallback, which runs in the parent and is never subject
-   to chaos).  Read per [map] call so tests can toggle via putenv. *)
-type chaos = {
-  kill_after : int option;
-  truncate_after : int option;
-  all_attempts : bool;
-}
+let status_to_string = function
+  | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
+  | Unix.WSIGNALED s -> "was killed by " ^ signal_name s
+  | Unix.WSTOPPED s -> "was stopped by " ^ signal_name s
 
-let read_chaos () =
-  let geti v = Option.bind (Sys.getenv_opt v) int_of_string_opt in
-  {
-    kill_after = geti "NETSIM_CHAOS_KILL_AFTER";
-    truncate_after = geti "NETSIM_CHAOS_TRUNCATE_AFTER";
-    all_attempts =
-      (match Sys.getenv_opt "NETSIM_CHAOS_ALL_ATTEMPTS" with
-       | Some ("1" | "true") -> true
-       | _ -> false);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Wire format: 8-byte big-endian length header + Marshal payload      *)
-(* ------------------------------------------------------------------ *)
-
-type 'b frame =
-  | F_point of int * 'b
-  | F_batch of (int * 'b) array
-      (* several completed points in one Marshal payload: cheap tasks
-         are batched so the per-frame Marshal + write + select-wakeup
-         cost is amortized (see [batch_max] / [batch_linger]) *)
-  | F_exn of int * string * string  (* index, exception text, backtrace *)
-  | F_done
-
-(* Batching policy: a completed point is held back until the batch
-   reaches [batch_max] points or [batch_linger] seconds have passed
-   since the last flush.  Simulation points (≥ milliseconds each) flush
-   themselves immediately, keeping the streamed-salvage granularity of
-   the supervision model; only micro-tasks coalesce.  Chaos mode forces
-   a flush after every point so the NETSIM_CHAOS_* frame counts keep
-   their per-point meaning. *)
-let batch_max = 256
-let batch_linger = 0.002
-
-(* A frame bigger than this is necessarily garbage (a summary is a few
-   KB); treating it as corruption keeps a bad header from making the
-   parent wait forever for data that will never come. *)
-let max_frame_bytes = 1 lsl 30
-
-let write_all_bytes fd b off len =
-  let rec loop off len =
-    if len > 0 then begin
-      let n =
-        try Unix.write fd b off len
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      loop (off + n) (len - n)
-    end
-  in
-  loop off len
-
-let send_frame fd payload =
-  let body = Marshal.to_string payload [] in
-  let len = String.length body in
-  let hdr = Bytes.create 8 in
-  Bytes.set_int64_be hdr 0 (Int64.of_int len);
-  write_all_bytes fd hdr 0 8;
-  write_all_bytes fd (Bytes.unsafe_of_string body) 0 len
-
-(* Incremental frame decoder: bytes accumulate in [buf.(0..len)], and
-   complete frames are peeled off the front. *)
-type decoder = { mutable buf : Bytes.t; mutable len : int }
-
-let decoder_create () = { buf = Bytes.create 65536; len = 0 }
-
-let decoder_feed d chunk n =
-  let need = d.len + n in
-  if need > Bytes.length d.buf then begin
-    let ncap = max need (2 * Bytes.length d.buf) in
-    let nbuf = Bytes.create ncap in
-    Bytes.blit d.buf 0 nbuf 0 d.len;
-    d.buf <- nbuf
-  end;
-  Bytes.blit chunk 0 d.buf d.len n;
-  d.len <- need
-
-exception Corrupt of string
-
-(* Next complete frame body, [None] if more bytes are needed.
-   @raise Corrupt on an impossible length header. *)
-let decoder_next d =
-  if d.len < 8 then None
-  else begin
-    let size = Int64.to_int (Bytes.get_int64_be d.buf 0) in
-    if size < 0 || size > max_frame_bytes then
-      raise (Corrupt (Printf.sprintf "frame header claims %d bytes" size));
-    if d.len < 8 + size then None
-    else begin
-      let body = Bytes.sub_string d.buf 8 size in
-      Bytes.blit d.buf (8 + size) d.buf 0 (d.len - 8 - size);
-      d.len <- d.len - 8 - size;
-      Some body
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Worker side                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_applies chaos ~attempt = attempt = 0 || chaos.all_attempts
-
-(* Runs in the forked child; never returns. *)
-let worker_body ~wr ~f ~tasks ~indices ~attempt ~chaos ~stop =
-  let sent = ref 0 in
-  let truncate_and_die () =
-    (* A torn frame: a header promising 4096 bytes followed by 4. *)
-    let hdr = Bytes.create 12 in
-    Bytes.set_int64_be hdr 0 4096L;
-    write_all_bytes wr hdr 0 12;
-    (try Unix.close wr with Unix.Unix_error _ -> ());
-    Unix._exit 0
-  in
-  let chaos_on =
-    chaos_applies chaos ~attempt
-    && (chaos.kill_after <> None || chaos.truncate_after <> None)
-  in
-  let chaos_step () =
-    if chaos_applies chaos ~attempt then begin
-      (match chaos.kill_after with
-       | Some n when !sent >= n -> Unix.kill (Unix.getpid ()) Sys.sigkill
-       | _ -> ());
-      match chaos.truncate_after with
-      | Some n when !sent >= n -> truncate_and_die ()
-      | _ -> ()
-    end
-  in
-  (* A result that cannot cross the pipe is a per-point failure, not a
-     worker crash. *)
-  let send_point i r =
-    try send_frame wr (F_point (i, r))
-    with e ->
-      send_frame wr
-        (F_exn (i, "unmarshalable result: " ^ Printexc.to_string e, ""))
-  in
-  let batch = ref [] in  (* completed (index, result), newest first *)
-  let batch_len = ref 0 in
-  let last_flush = ref (Unix.gettimeofday ()) in
-  let flush_batch () =
-    (match !batch with
-     | [] -> ()
-     | [ (i, r) ] -> send_point i r
-     | items -> (
-       let arr = Array.of_list (List.rev items) in
-       try send_frame wr (F_batch arr)
-       with _ ->
-         (* Some result in the batch is unmarshalable; send per point so
-            only the poisoned one degrades to an exception frame. *)
-         Array.iter (fun (i, r) -> send_point i r) arr));
-    batch := [];
-    batch_len := 0;
-    last_flush := Unix.gettimeofday ()
-  in
-  (try
-     chaos_step ();
-     List.iter
-       (fun i ->
-         (* A stop request (e.g. SIGINT shared with the parent) finishes
-            the in-flight point and abandons the rest; the parent knows
-            not to requeue them. *)
-         if not (stop ()) then begin
-           (match f tasks.(i) with
-            | r ->
-              batch := (i, r) :: !batch;
-              incr batch_len;
-              if
-                chaos_on
-                || !batch_len >= batch_max
-                || Unix.gettimeofday () -. !last_flush >= batch_linger
-              then flush_batch ()
-            | exception e ->
-              flush_batch ();
-              send_frame wr
-                (F_exn (i, Printexc.to_string e, Printexc.get_backtrace ())));
-           incr sent;
-           chaos_step ()
-         end)
-       indices;
-     flush_batch ();
-     send_frame wr F_done
-   with _ -> ());
-  (try Unix.close wr with Unix.Unix_error _ -> ());
-  (* _exit, not exit: at_exit in a fork child would re-flush the parent's
-     channels and run its cleanup a second time. *)
-  Unix._exit 0
-
-(* ------------------------------------------------------------------ *)
-(* Parent side                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type child = {
-  slot : int;  (* stable worker index, for reporting *)
-  pid : int;
-  fd : Unix.file_descr;
-  dec : decoder;
-  attempt : int;
-  mutable assigned : int list;  (* point indices still unaccounted for *)
-  mutable salvaged : int list;  (* completed here, newest first *)
-  mutable got_done : bool;
-  mutable last_heard : float;
-  mutable timed_out : float option;
-  mutable corrupt : string option;
-}
+type progress = { prog_done : int; prog_total : int; prog_running : int }
 
 type 'b outcome = {
   results : 'b option array;
-  worker_failures : worker_failure list;
   point_failures : point_failure list;
   interrupted : bool;
 }
 
-type progress = {
-  prog_done : int;
-  prog_total : int;
-  prog_running : int;
-  prog_failures : int;
+(* One message per point on a worker's pipe. *)
+type 'b message = int * ('b, string * string) result
+
+(* Runs in the forked child; never returns.  [_exit], not [exit]: the
+   child must not run the parent's [at_exit] handlers a second time. *)
+let worker ~wr ~f ~tasks ~share ~stop =
+  let oc = Unix.out_channel_of_descr wr in
+  let send i r =
+    let m =
+      try Marshal.to_string ((i, r) : _ message) []
+      with e ->
+        (* A result that cannot cross the pipe fails only its point. *)
+        let why = "unmarshalable result: " ^ Printexc.to_string e in
+        Marshal.to_string ((i, Error (why, "")) : _ message) []
+    in
+    output_string oc m;
+    flush oc
+  in
+  let run i =
+    match f tasks.(i) with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e, Printexc.get_backtrace ())
+  in
+  match List.iter (fun i -> if not (stop ()) then send i (run i)) share with
+  | () -> Unix._exit 0
+  | exception _ -> Unix._exit 1
+
+type child = {
+  slot : int;
+  pid : int;
+  fd : Unix.file_descr;
+  share : int list;
+  mutable pending : string;  (* bytes of a message not yet complete *)
 }
 
-let select_tick = 0.25 (* s; bounds stop-poll and respawn latency *)
+let rec waitpid pid =
+  try snd (Unix.waitpid [] pid)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid pid
 
-let map_collect ?backend ?(jobs = 1) ?(max_retries = 2) ?(backoff = 0.05)
-    ?deadline ?(on_failure = fun _ -> ())
+let map_collect ?backend ?(jobs = 1)
     ?(on_progress = fun (_ : progress) -> ()) ?(stop = fun () -> false) f xs =
   let tasks = Array.of_list xs in
   let n = Array.length tasks in
   let results = Array.make n None in
-  let point_failures = ref [] in
-  let worker_failures = ref [] in
+  let failures = ref [] in
   let interrupted = ref false in
-  let poisoned = Hashtbl.create 8 in
-  (* Completed-point count for progress reporting; single-writer in the
-     Seq and Fork paths (the parent banks every frame), atomic under
-     Domain where worker domains report completions directly. *)
+  (* Atomic because Domain workers report completions concurrently;
+     [fetch_and_add] gives each report its own count. *)
   let done_count = Atomic.make 0 in
-  let notify ~running () =
-    let d = Atomic.get done_count in
-    on_progress
-      {
-        prog_done = d;
-        prog_total = n;
-        prog_running = running;
-        prog_failures = List.length !worker_failures;
-      }
+  let notify running =
+    let d = 1 + Atomic.fetch_and_add done_count 1 in
+    on_progress { prog_done = d; prog_total = n; prog_running = running }
   in
-  let record_point_failure pf =
-    Hashtbl.replace poisoned pf.point ();
-    point_failures := pf :: !point_failures
-  in
-  let run_seq indices =
-    List.iter
-      (fun i ->
-        if stop () then interrupted := true
-        else
-          match results.(i) with
-          | Some _ -> ()
-          | None ->
-            if not (Hashtbl.mem poisoned i) then begin
-              (match f tasks.(i) with
-               | r -> results.(i) <- Some r
-               | exception e ->
-                 record_point_failure
-                   {
-                     point = i;
-                     exn_text = Printexc.to_string e;
-                     backtrace = Printexc.get_backtrace ();
-                   });
-              Atomic.incr done_count;
-              notify ~running:0 ()
-            end)
-      indices
+  let fail point exn_text backtrace =
+    failures := { point; exn_text; backtrace } :: !failures
   in
   let jobs = min jobs n in
-  (* Resolve the effective backend: [jobs <= 1] is always sequential; a
-     Domain request on a domainless build (4.14) degrades to Fork, and
-     Fork on a non-Unix host degrades to Seq — never to different
-     results, only to a different executor. *)
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  let backend = if jobs <= 1 then Seq else backend in
-  let backend =
-    match backend with
-    | Domain when not Domain_backend.available -> Fork
-    | b -> b
-  in
-  let backend =
-    match backend with
-    | Fork when Sys.os_type <> "Unix" ->
-      if Domain_backend.available then Domain else Seq
-    | b -> b
-  in
-  match backend with
-  | Seq ->
-    run_seq (List.init n Fun.id);
-    {
-      results;
-      worker_failures = [];
-      point_failures = List.rev !point_failures;
-      interrupted = !interrupted;
-    }
-  | Domain ->
-    (* Shared-memory domains: no worker processes, so no worker
-       failures, no retries, no deadlines — a task exception is a point
-       failure exactly as in the sequential path, and a crash takes the
-       whole process down (there is no isolation to salvage). *)
-    let failures, stopped =
-      Domain_backend.run ~jobs ~stop
-        ~on_result:(fun _i ->
-          (* Fires from worker domains; [done_count] is atomic and the
-             user's [on_progress] must be domain-safe (documented). *)
-          Atomic.incr done_count;
-          notify ~running:(min jobs (n - Atomic.get done_count)) ())
-        f tasks results
-    in
-    List.iter
-      (fun (tf : Domain_backend.task_failure) ->
-        record_point_failure
-          {
-            point = tf.index;
-            exn_text = tf.exn_text;
-            backtrace = tf.backtrace;
-          })
-      failures;
-    if stopped then interrupted := true;
-    {
-      results;
-      worker_failures = [];
-      point_failures = List.rev !point_failures;
-      interrupted = !interrupted;
-    }
-  | Fork -> begin
-    (* Anything buffered before a fork would be flushed once per process;
-       push it out first. *)
-    flush stdout;
-    flush stderr;
-    let chaos = read_chaos () in
-    let children = ref [] in
-    let respawns = ref [] in  (* (due_time, slot, attempt, indices) *)
-    let spawn ~slot ~attempt indices =
-      let spawn_failed msg =
-        let fail =
-          {
-            worker = slot;
-            pid = -1;
-            attempt;
-            cause = Spawn_failed msg;
-            salvaged = [];
-            lost = indices;
-          }
-        in
-        worker_failures := fail :: !worker_failures;
-        on_failure fail
-        (* No process to supervise; the points stay unaccounted for and
-           the post-loop scan runs them in-process. *)
-      in
-      match Unix.pipe () with
-      | exception Unix.Unix_error (e, _, _) ->
-        spawn_failed (Unix.error_message e)
-      | rd, wr -> (
-        match Unix.fork () with
-        | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close rd with Unix.Unix_error _ -> ());
-          (try Unix.close wr with Unix.Unix_error _ -> ());
-          spawn_failed (Unix.error_message e)
-        | 0 ->
-          (try Unix.close rd with Unix.Unix_error _ -> ());
-          (* Close inherited read ends of sibling pipes: fd hygiene only
-             (pipe EOF depends on write ends, which the parent closed). *)
-          List.iter
-            (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-            !children;
-          worker_body ~wr ~f ~tasks ~indices ~attempt ~chaos ~stop
-        | pid ->
-          (try Unix.close wr with Unix.Unix_error _ -> ());
-          children :=
-            {
-              slot;
-              pid;
-              fd = rd;
-              dec = decoder_create ();
-              attempt;
-              assigned = indices;
-              salvaged = [];
-              got_done = false;
-              last_heard = Unix.gettimeofday ();
-              timed_out = None;
-              corrupt = None;
-            }
-            :: !children)
-    in
-    let handle_frame child body =
-      match (Marshal.from_string body 0 : _ frame) with
-      | F_point (i, r) ->
-        results.(i) <- Some r;
-        child.assigned <- List.filter (fun j -> j <> i) child.assigned;
-        child.salvaged <- i :: child.salvaged;
-        Atomic.incr done_count;
-        notify ~running:(List.length !children) ()
-      | F_batch items ->
-        Array.iter
-          (fun (i, r) ->
-            results.(i) <- Some r;
-            child.salvaged <- i :: child.salvaged)
-          items;
-        child.assigned <-
-          List.filter
-            (fun j -> not (Array.exists (fun (i, _) -> i = j) items))
-            child.assigned;
-        for _ = 1 to Array.length items do Atomic.incr done_count done;
-        notify ~running:(List.length !children) ()
-      | F_exn (i, exn_text, backtrace) ->
-        record_point_failure { point = i; exn_text; backtrace };
-        child.assigned <- List.filter (fun j -> j <> i) child.assigned;
-        Atomic.incr done_count;
-        notify ~running:(List.length !children) ()
-      | F_done -> child.got_done <- true
-      | exception e -> raise (Corrupt (Printexc.to_string e))
-    in
-    let finalize child =
-      (try Unix.close child.fd with Unix.Unix_error _ -> ());
-      let _, status = Unix.waitpid [] child.pid in
-      children := List.filter (fun c -> c != child) !children;
-      let leftover = child.dec.len in
-      let stopping = stop () in
-      let clean =
-        child.corrupt = None && child.timed_out = None && child.got_done
-        && leftover = 0
-        && (child.assigned = [] || stopping)
-        && status = Unix.WEXITED 0
-      in
-      if not clean then begin
-        let cause =
-          match (child.corrupt, child.timed_out) with
-          | Some msg, _ -> Corrupt_stream msg
-          | None, Some d -> Timed_out d
-          | None, None -> (
-            match status with
-            | Unix.WEXITED 0 ->
-              if leftover > 0 then
-                Corrupt_stream
-                  (Printf.sprintf "EOF mid-frame, %d undecoded byte(s)"
-                     leftover)
-              else Corrupt_stream "stream ended before the done marker"
-            | Unix.WEXITED c -> Exited c
-            | Unix.WSIGNALED s -> Signaled s
-            | Unix.WSTOPPED s -> Stopped s)
-        in
-        let lost = List.sort compare child.assigned in
-        let fail =
-          {
-            worker = child.slot;
-            pid = child.pid;
-            attempt = child.attempt;
-            cause;
-            salvaged = List.rev child.salvaged;
-            lost;
-          }
-        in
-        worker_failures := fail :: !worker_failures;
-        on_failure fail;
-        if (not stopping) && lost <> [] then begin
-          let attempt = child.attempt + 1 in
-          (* Past the retry budget the points stay unaccounted for; the
-             post-loop scan degrades to in-process execution. *)
-          if attempt <= max_retries then begin
-            let delay = backoff *. (2. ** float_of_int child.attempt) in
-            respawns :=
-              (Unix.gettimeofday () +. delay, child.slot, attempt, lost)
-              :: !respawns
-          end
-        end
-      end
-    in
-    let chunk = Bytes.create 65536 in
-    let service child =
-      match Unix.read child.fd chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | 0 -> finalize child
-      | nread ->
-        child.last_heard <- Unix.gettimeofday ();
-        if child.corrupt = None then begin
-          decoder_feed child.dec chunk nread;
-          try
-            let continue = ref true in
-            while !continue do
-              match decoder_next child.dec with
-              | Some body -> handle_frame child body
-              | None -> continue := false
-            done
-          with Corrupt msg ->
-            (* Stop trusting this stream; kill the worker and let the
-               EOF path classify + requeue. *)
-            child.corrupt <- Some msg;
-            (try Unix.kill child.pid Sys.sigkill
-             with Unix.Unix_error _ -> ())
-        end
-    in
-    (* Initial strided assignment, like the unsupervised pool: worker [w]
-       owns w, w+jobs, w+2*jobs, ...  Striding (rather than chunking)
-       balances grids whose points get systematically slower along one
-       axis. *)
-    for w = 0 to jobs - 1 do
-      let indices = ref [] in
-      let i = ref w in
-      while !i < n do
-        indices := !i :: !indices;
-        i := !i + jobs
-      done;
-      spawn ~slot:w ~attempt:0 (List.rev !indices)
-    done;
-    (* Supervision loop: drain pipes, reap the dead, respawn the due.
-       On a stop request we stop respawning but keep draining — workers
-       sharing the stop signal finish their in-flight point and exit, and
-       those final frames are worth collecting. *)
-    while !children <> [] || ((not (stop ())) && !respawns <> []) do
-      let now = Unix.gettimeofday () in
-      let due, later = List.partition (fun (t, _, _, _) -> t <= now) !respawns in
-      respawns := later;
-      if not (stop ()) then
-        List.iter (fun (_, slot, attempt, idxs) -> spawn ~slot ~attempt idxs) due
-      ;
-      if !children = [] then
-        (if !respawns <> [] then
-           let next = List.fold_left (fun acc (t, _, _, _) -> Float.min acc t)
-               infinity !respawns in
-           let pause = Float.min select_tick (Float.max 0. (next -. now)) in
-           if pause > 0. then ignore (Unix.select [] [] [] pause))
-      else begin
-        let fds = List.map (fun c -> c.fd) !children in
-        (match Unix.select fds [] [] select_tick with
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | ready, _, _ ->
-           List.iter
-             (fun fd ->
-               match List.find_opt (fun c -> c.fd = fd) !children with
-               | Some child -> service child
-               | None -> ())
-             ready);
-        (* Per-worker inactivity deadline. *)
-        match deadline with
-        | None -> ()
-        | Some d ->
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun c ->
-              if now -. c.last_heard > d && c.timed_out = None then begin
-                c.timed_out <- Some d;
-                try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
-              end)
-            !children
-      end
-    done;
-    if stop () then interrupted := true
-    else begin
-      (* Graceful degradation: any point that never made it back — retry
-         budget exhausted, spawn failure — runs in-process, in order. *)
-      let missing = ref [] in
-      for i = n - 1 downto 0 do
-        match results.(i) with
-        | Some _ -> ()
-        | None -> if not (Hashtbl.mem poisoned i) then missing := i :: !missing
-      done;
-      run_seq !missing
-    end;
-    {
-      results;
-      worker_failures = List.rev !worker_failures;
-      point_failures =
-        List.sort (fun a b -> compare a.point b.point) !point_failures;
-      interrupted = !interrupted;
-    }
-  end
+  (match executor ?backend ~jobs () with
+   | Seq ->
+     Array.iteri
+       (fun i x ->
+         if stop () then interrupted := true
+         else begin
+           (match f x with
+            | r -> results.(i) <- Some r
+            | exception e ->
+              fail i (Printexc.to_string e) (Printexc.get_backtrace ()));
+           notify 0
+         end)
+       tasks
+   | Domain ->
+     (* No worker processes, so a crash takes the whole process down;
+        a task exception is a point failure as in the sequential path. *)
+     let task_failures, stopped =
+       Domain_backend.run ~jobs ~stop
+         ~on_result:(fun _ ->
+           notify (max 0 (min jobs (n - 1 - Atomic.get done_count))))
+         f tasks results
+     in
+     List.iter
+       (fun (tf : Domain_backend.task_failure) ->
+         fail tf.index tf.exn_text tf.backtrace)
+       task_failures;
+     interrupted := stopped
+   | Fork ->
+     (* Anything buffered before a fork would be flushed once per
+        process; push it out first. *)
+     flush stdout;
+     flush stderr;
+     let children = ref [] in
+     let accounted = Array.make n false in
+     let account i =
+       accounted.(i) <- true;
+       notify (List.length !children)
+     in
+     let bank ((i, r) : _ message) =
+       (match r with
+        | Ok v -> results.(i) <- Some v
+        | Error (text, bt) -> fail i text bt);
+       account i
+     in
+     (* Every index of [share] that never came back fails with [why]. *)
+     let lose share why =
+       List.iter
+         (fun i ->
+           if not accounted.(i) then begin
+             fail i why "";
+             account i
+           end)
+         share
+     in
+     (* Worker [w] owns w, w+jobs, w+2*jobs, ...: striding balances grids
+        whose points get slower along one axis. *)
+     for w = 0 to jobs - 1 do
+       let share = List.filter (fun i -> i mod jobs = w) (List.init n Fun.id) in
+       match Unix.pipe () with
+       | exception Unix.Unix_error (e, _, _) ->
+         lose share ("pipe: " ^ Unix.error_message e)
+       | rd, wr -> (
+         match Unix.fork () with
+         | exception Unix.Unix_error (e, _, _) ->
+           Unix.close rd;
+           Unix.close wr;
+           lose share ("fork: " ^ Unix.error_message e)
+         | 0 ->
+           Unix.close rd;
+           List.iter (fun c -> Unix.close c.fd) !children;
+           worker ~wr ~f ~tasks ~share ~stop
+         | pid ->
+           Unix.close wr;
+           let c = { slot = w; pid; fd = rd; share; pending = "" } in
+           children := c :: !children)
+     done;
+     (* Peel every complete Marshal value off [s] from [pos]; return the
+        incomplete tail. *)
+     let rec drain s pos =
+       let avail = String.length s - pos in
+       let size =
+         if avail < Marshal.header_size then max_int
+         else Marshal.total_size (Bytes.unsafe_of_string s) pos
+       in
+       if size > avail then String.sub s pos avail
+       else begin
+         bank (Marshal.from_string s pos);
+         drain s (pos + size)
+       end
+     in
+     (* A worker that exited cleanly under a stop request skipped the rest
+        of its share on purpose. *)
+     let reap c =
+       Unix.close c.fd;
+       let status = waitpid c.pid in
+       children := List.filter (fun c' -> c' != c) !children;
+       if not (status = Unix.WEXITED 0 && stop ()) then
+         lose c.share
+           (Printf.sprintf "worker %d (pid %d) %s before returning it" c.slot
+              c.pid (status_to_string status))
+     in
+     let chunk = Bytes.create 65536 in
+     while !children <> [] do
+       match Unix.select (List.map (fun c -> c.fd) !children) [] [] (-1.) with
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       | ready, _, _ ->
+         List.iter
+           (fun c ->
+             if List.mem c.fd ready then
+               match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+               | 0 -> reap c
+               | k ->
+                 c.pending <- drain (c.pending ^ Bytes.sub_string chunk 0 k) 0)
+           !children
+     done;
+     interrupted := stop ());
+  {
+    results;
+    point_failures =
+      List.sort (fun a b -> compare a.point b.point) !failures;
+    interrupted = !interrupted;
+  }
 
-let map ?backend ?jobs ?max_retries ?backoff ?deadline ?on_failure f xs =
-  let o =
-    map_collect ?backend ?jobs ?max_retries ?backoff ?deadline ?on_failure f xs
+let map ?backend ?jobs f xs =
+  let o = map_collect ?backend ?jobs f xs in
+  let missing =
+    List.filter (fun i -> Option.is_none o.results.(i))
+      (List.init (Array.length o.results) Fun.id)
   in
-  let missing = ref [] in
-  for i = Array.length o.results - 1 downto 0 do
-    match o.results.(i) with
-    | Some _ -> ()
-    | None -> missing := i :: !missing
-  done;
-  if o.point_failures <> [] || !missing <> [] then
+  if o.point_failures <> [] || missing <> [] then
     raise
       (Error
          {
            message =
              (match o.point_failures with
               | [] ->
-                Printf.sprintf "no result for point(s) %s"
-                  (indices_to_string !missing)
-              | pfs ->
-                Printf.sprintf "%d point(s) raised" (List.length pfs));
-           worker_failures = o.worker_failures;
+                "no result for point(s) "
+                ^ String.concat "," (List.map string_of_int missing)
+              | pfs -> Printf.sprintf "%d point(s) failed" (List.length pfs));
            point_failures = o.point_failures;
          });
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) o.results)
+  Array.to_list (Array.map Option.get o.results)

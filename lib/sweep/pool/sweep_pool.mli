@@ -1,192 +1,91 @@
 (** Deterministic parallel task pool — the execution layer of the
-    scenario-sweep subsystem ({!Sweep}) — with three runtime-selected
-    {!backend}s: plain sequential, supervised fork/pipe/Marshal worker
-    processes, and (on OCaml 5) shared-memory domains.
+    scenario-sweep subsystem ({!Sweep}) — with three executors:
+    in-process sequential, OCaml 5 shared-memory domains, and forked
+    worker processes (the fallback for builds without domains).
 
-    {2 Determinism}
+    [map ~jobs f xs] returns exactly [List.map f xs] for any [jobs] and
+    any executor: task [i] is always computed as [f xs.(i)] and results
+    are reassembled by task index.  As long as [f] itself is
+    deterministic (every RNG in this repo is seeded from its scenario,
+    never from the process, domain or worker), the results are
+    bit-identical regardless of the executor or the job count.
 
-    [map ~jobs f xs] returns exactly [List.map f xs] for any [jobs],
-    any {!backend} — and, under the fork backend, any worker kill
-    pattern: task [i] is always computed as [f xs.(i)] (in a fork-time
-    copy of the parent heap, in a domain sharing it, or in the parent
-    itself), and results are reassembled by task index.  As long as
-    [f] itself is deterministic (every RNG in this repo is seeded from
-    its scenario, never from the process, domain or worker), the
-    results are bit-identical regardless of the backend, the job count
-    or which workers crashed along the way.
+    The executor is picked from what the pool can observe: [jobs <= 1]
+    runs {!Seq}; otherwise {!Domain} where this build has domains, else
+    {!Fork}, else (non-Unix) {!Seq}.  [?backend] requests one executor
+    (tests and benchmarks compare them) and degrades the same way.
 
-    {2 Backends}
+    A task whose [f] raises is a {!point_failure} under every executor.
+    Under {!Fork}, a worker that dies (killed, or exiting without
+    returning its share) turns each of its unreturned tasks into a
+    {!point_failure} naming its wait status; nothing is respawned or
+    re-run. *)
 
-    - {!Seq}: in-process [List.map]; always used when [jobs <= 1].
-    - {!Fork}: the supervised worker-process pool described below.
-      Worker crashes, hangs and stream corruption are survived; the
-      per-point [Marshal] + pipe cost is amortized by batching cheap
-      results into chunked frames.
-    - {!Domain}: a fixed set of OCaml 5 domains pulling task indices
-      from a shared atomic counter and writing results into a pre-sized
-      slot array ({!Domain_backend}) — real multicore parallelism with
-      no serialization at all.  [f] must not touch global mutable state
-      (see DESIGN.md §6j for the shared-heap safety checklist);
-      [max_retries] / [deadline] / [on_failure] are inert here (there
-      are no worker processes to crash or respawn).  On 4.14 builds
-      the stub backend is unavailable and requests degrade to {!Fork}.
-
-    The default is {!Domain} where available, else {!Fork}; the
-    [NETSIM_SWEEP_BACKEND] environment variable ([seq] | [fork] |
-    [domain]) overrides it, and the [?backend] argument overrides both.
-
-    {2 Supervision (fork backend)}
-
-    Workers stream one length-prefixed [Marshal] frame back per
-    completed task; the parent multiplexes the pipes through
-    [Unix.select], so a worker that dies loses only its unfinished
-    tasks.  Crashed (exit/signal), hung (per-worker [deadline]) and
-    corrupt-stream (truncated or undecodable frame) workers are
-    detected individually; their unfinished task indices are requeued
-    to respawned workers with exponential backoff ([backoff],
-    [backoff*2], ...), and after [max_retries] respawns the pool
-    degrades to running just the missing tasks sequentially in-process.
-    A task whose [f] {e raises} is never retried — the computation is
-    deterministic — and surfaces in {!Error} with its exception text
-    and backtrace.
-
-    For testing the supervision machinery itself, the
-    [NETSIM_CHAOS_KILL_AFTER] / [NETSIM_CHAOS_TRUNCATE_AFTER] /
-    [NETSIM_CHAOS_ALL_ATTEMPTS] environment variables make workers
-    deterministically self-destruct (see DESIGN.md, "Failure model &
-    supervision"). *)
-
-(** How tasks are executed; see the module comment. *)
+(** Which executor runs the tasks; see the module comment. *)
 type backend = Seq | Fork | Domain
 
-val backend_to_string : backend -> string
-
-(** Parses ["seq"], ["fork"] or ["domain"] (case-insensitive);
-    [Error msg] names the alternatives otherwise. *)
-val backend_of_string : string -> (backend, string) result
-
-(** [true] iff this build can run the {!Domain} backend (OCaml >= 5.0);
+(** [true] iff this build can run the {!Domain} executor (OCaml >= 5.0);
     when [false], {!Domain} requests degrade to {!Fork}. *)
 val domain_backend_available : bool
 
-(** The backend used when [?backend] is omitted: [NETSIM_SWEEP_BACKEND]
-    if set to a valid name, else {!Domain} where available, else
-    {!Fork}. *)
-val default_backend : unit -> backend
-
-(** Why a worker process failed. *)
-type cause =
-  | Exited of int  (** exited with a non-zero code *)
-  | Signaled of int  (** killed by a signal (e.g. SIGKILL = 9) *)
-  | Stopped of int
-  | Corrupt_stream of string
-      (** truncated or undecodable frame; EOF mid-frame *)
-  | Timed_out of float  (** silent past the per-worker deadline (s) *)
-  | Spawn_failed of string  (** [pipe]/[fork] failed; never forked *)
-
-type worker_failure = {
-  worker : int;  (** stable worker slot (0-based) *)
-  pid : int;  (** [-1] when the worker never forked *)
-  attempt : int;  (** 0 = initial spawn, 1.. = respawns *)
-  cause : cause;
-  salvaged : int list;  (** task indices completed before the failure *)
-  lost : int list;  (** unfinished task indices (requeued), ascending *)
-}
-
-(** A task whose [f] raised (in a worker or in the sequential
-    fallback). *)
+(** A task that raised (exception text and backtrace) or whose worker
+    died before returning it (the text names the wait status, e.g.
+    ["worker 0 (pid 123) was killed by SIGKILL before returning it"]). *)
 type point_failure = { point : int; exn_text : string; backtrace : string }
 
 type error = {
   message : string;
-  worker_failures : worker_failure list;  (** chronological *)
   point_failures : point_failure list;  (** ascending by task index *)
 }
 
-(** Raised by {!map} when any task is unaccounted for or raised; a
-    printer is registered, so [Printexc.to_string] renders the full
-    per-worker / per-point detail. *)
+(** Raised by {!map} when any task failed or is missing; a printer is
+    registered, so [Printexc.to_string] renders the per-point detail. *)
 exception Error of error
 
-val cause_to_string : cause -> string
-val worker_failure_to_string : worker_failure -> string
 val error_to_string : error -> string
 
 (** [map ~jobs f xs] is [List.map f xs], computed by up to [jobs]
-    supervised worker processes (strided assignment: worker [w] starts
-    with tasks [w, w+jobs, ...]).
-
-    ['b] must be marshalable plain data — no closures, no custom
-    blocks.  Runs sequentially in-process when [jobs <= 1], when there
-    is at most one task, or on non-Unix platforms.  Do not call with
-    other threads or domains running (fork).
-
-    - [max_retries] (default 2): respawns granted per lost task before
-      the sequential fallback takes over.
-    - [backoff] (default 0.05 s): delay before the first respawn;
-      doubles per attempt.
-    - [deadline]: kill a worker silent for this many wall seconds
-      (default: wait forever).
-    - [on_failure]: called on every classified worker failure, e.g. to
-      log to stderr.  Must not write to stdout in deterministic-output
-      contexts.
-
-    @raise Error when a task raised or remained unaccounted for. *)
-val map :
-  ?backend:backend ->
-  ?jobs:int ->
-  ?max_retries:int ->
-  ?backoff:float ->
-  ?deadline:float ->
-  ?on_failure:(worker_failure -> unit) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+    workers (default 1).  Under {!Fork}, worker [w] computes tasks
+    [w, w+jobs, ...] and ['b] must be marshalable plain data — no
+    closures, no custom blocks; do not fork with other threads or
+    domains running.
+    @raise Error when a task failed or remained unaccounted for. *)
+val map : ?backend:backend -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** A live progress snapshot, delivered to [on_progress] after every
-    completed point. *)
+    accounted task. *)
 type progress = {
-  prog_done : int;  (** points accounted for (completed or raised) *)
+  prog_done : int;  (** tasks accounted for (completed or failed) *)
   prog_total : int;
   prog_running : int;  (** live workers (approximate under Domain) *)
-  prog_failures : int;  (** worker failures so far (fork backend) *)
 }
 
 (** Everything {!map} learned, without raising. *)
 type 'b outcome = {
   results : 'b option array;
       (** by task index; [None] = interrupted before completion or the
-          task raised (see [point_failures]) *)
-  worker_failures : worker_failure list;
-  point_failures : point_failure list;
+          task failed (see [point_failures]) *)
+  point_failures : point_failure list;  (** ascending by task index *)
   interrupted : bool;  (** the [stop] predicate fired *)
 }
 
 (** Like {!map}, but returns partial results instead of raising, and
-    honours a cooperative [stop] predicate: when it flips to [true] the
-    pool stops assigning work (workers sharing the flag — e.g. via an
-    inherited signal handler — finish their in-flight task, whose
-    result is still collected) and returns with [interrupted = true].
-    The sequential fallback also polls [stop] between tasks.
+    honours a cooperative [stop] predicate, polled between tasks: when
+    it flips to [true] the in-flight tasks finish (their results are
+    kept), the rest are skipped, and the outcome has
+    [interrupted = true].  Forked workers poll their own copy of [stop],
+    so it must observe state the workers share with the parent — e.g. a
+    flag flipped by an inherited signal handler.  Under {!Domain} it is
+    polled from worker domains and must be domain-safe.
 
-    Under the {!Domain} backend [stop] is polled from worker domains
-    and must be domain-safe (a monotonic [bool ref] flipped by a signal
-    handler is fine); in-flight points finish and are kept, exactly as
-    with forked workers.
-
-    [on_progress] fires after every accounted point (completed or
-    raised).  Under {!Seq} and {!Fork} it runs in the calling process;
-    under {!Domain} it fires from worker domains and must be
-    domain-safe (guard shared state with a [Mutex]).  It must not
-    write to stdout in deterministic-output contexts — progress
-    belongs on stderr. *)
+    [on_progress] fires once per accounted task, with [prog_done]
+    running 1..n.  Under {!Seq} and {!Fork} it runs in the calling
+    process, in order; under {!Domain} it fires from worker domains and
+    must be domain-safe.  It must not write to stdout in
+    deterministic-output contexts — progress belongs on stderr. *)
 val map_collect :
   ?backend:backend ->
   ?jobs:int ->
-  ?max_retries:int ->
-  ?backoff:float ->
-  ?deadline:float ->
-  ?on_failure:(worker_failure -> unit) ->
   ?on_progress:(progress -> unit) ->
   ?stop:(unit -> bool) ->
   ('a -> 'b) ->

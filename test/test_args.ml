@@ -1,9 +1,10 @@
 (* Validated CLI numeric parsing (lib/core/args.ml): [float_of_string]
    accepts "nan", "inf" and negatives where netsim flags mean durations,
-   rates or probabilities.  Every numeric flag in bin/netsim.ml routes
-   through [Args.parse_float]; this suite pins the check semantics and
-   walks the flag table so a new flag added without validation shows up
-   as a missing row here. *)
+   rates or probabilities, and a bare int flag takes any sign.  Every
+   numeric flag in bin/netsim.ml routes through [Args.parse_float] or
+   [Args.parse_int]; this suite pins the check semantics and walks the
+   flag table so a new flag added without validation shows up as a
+   missing row here. *)
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -58,46 +59,95 @@ let test_error_messages () =
    | Error msg ->
      Alcotest.(check bool) "malformed input names the flag" true
        (contains msg "--tau"));
-  match Core.Args.parse_float ~what:"--warmup" Core.Args.Non_negative " 2.5 " with
-  | Ok v -> Alcotest.(check (float 0.)) "whitespace trimmed" 2.5 v
+  (match Core.Args.parse_float ~what:"--warmup" Core.Args.Non_negative " 2.5 " with
+   | Ok v -> Alcotest.(check (float 0.)) "whitespace trimmed" 2.5 v
+   | Error msg -> Alcotest.failf "trimmed input rejected: %s" msg);
+  (match Core.Args.parse_int ~what:"--width" ~min:8 "0" with
+   | Ok _ -> Alcotest.fail "width 0 accepted"
+   | Error msg ->
+     Alcotest.(check bool) "names the flag" true (contains msg "--width");
+     Alcotest.(check bool) "states the bound" true (contains msg ">= 8");
+     Alcotest.(check bool) "shows the value" true (contains msg "got 0"));
+  match Core.Args.parse_int ~what:"--jobs" ~min:1 " 4 " with
+  | Ok v -> Alcotest.(check int) "whitespace trimmed" 4 v
   | Error msg -> Alcotest.failf "trimmed input rejected: %s" msg
 
-(* One row per numeric flag in bin/netsim.ml, with the check that flag
-   declares.  Every row must reject the classic float_of_string
-   footguns and accept a representative sane value. *)
+(* A float flag's check, or an int flag's minimum. *)
+type rule = Float of Core.Args.check | Int of int
+
+(* One row per numeric flag in bin/netsim.ml, with the rule that flag
+   declares.  Every row must reject the classic float_of_string and
+   int footguns and accept a representative sane value. *)
 let flag_table =
   [
-    ("--duration", Core.Args.Positive, "600");
-    ("--warmup", Core.Args.Non_negative, "200");
-    ("--tau", Core.Args.Positive, "0.01");
-    ("--skew", Core.Args.Non_negative, "0");
-    ("--pacing", Core.Args.Positive, "0.05");
-    ("--metrics-dt", Core.Args.Positive, "1");
-    ("--max-wall", Core.Args.Positive, "30");
-    ("--worker-timeout", Core.Args.Positive, "60");
-    ("--loss", Core.Args.Probability, "0.01");
-    ("--dup", Core.Args.Probability, "0.001");
-    ("--jitter", Core.Args.Non_negative, "0.002");
-    ("--burst-loss", Core.Args.Probability, "0.3");
-    ("--outage", Core.Args.Non_negative, "5");
+    ("--duration", Float Core.Args.Positive, "600");
+    ("--warmup", Float Core.Args.Non_negative, "200");
+    ("--tau", Float Core.Args.Positive, "0.01");
+    ("--skew", Float Core.Args.Non_negative, "0");
+    ("--pacing", Float Core.Args.Positive, "0.05");
+    ("--metrics-dt", Float Core.Args.Positive, "1");
+    ("--max-wall", Float Core.Args.Positive, "30");
+    ("--loss", Float Core.Args.Probability, "0.01");
+    ("--dup", Float Core.Args.Probability, "0.001");
+    ("--jitter", Float Core.Args.Non_negative, "0.002");
+    ("--burst-loss", Float Core.Args.Probability, "0.3");
+    ("--outage", Float Core.Args.Non_negative, "5");
+    ("--jobs", Int 1, "4");
+    ("--max-events", Int 1, "100000");
+    ("--flow-size", Int 1, "50");
+    ("--fwd", Int 0, "1");
+    ("--rev", Int 0, "0");
+    ("--buffer", Int 0, "20");
+    ("--ack-size", Int 0, "50");
+    ("--flight-recorder", Int 0, "64");
+    ("--width", Int 8, "96");
   ]
 
 let test_per_flag_rejection () =
   List.iter
-    (fun (flag, check, good) ->
-      (match Core.Args.parse_float ~what:flag check good with
-       | Ok _ -> ()
+    (fun (flag, rule, good) ->
+      let parse s =
+        match rule with
+        | Float c -> Result.map ignore (Core.Args.parse_float ~what:flag c s)
+        | Int min -> Result.map ignore (Core.Args.parse_int ~what:flag ~min s)
+      in
+      let bad =
+        match rule with
+        | Float _ -> [ "nan"; "inf"; "-inf"; "-1"; "x" ]
+        | Int min -> [ "nan"; "inf"; "x"; "1.5"; string_of_int (min - 1) ]
+      in
+      (match parse good with
+       | Ok () -> ()
        | Error msg -> Alcotest.failf "%s rejects its own default: %s" flag msg);
       List.iter
         (fun bad ->
-          match Core.Args.parse_float ~what:flag check bad with
-          | Ok v -> Alcotest.failf "%s accepted %s (as %g)" flag bad v
+          match parse bad with
+          | Ok () -> Alcotest.failf "%s accepted %s" flag bad
           | Error msg ->
             Alcotest.(check bool)
               (Printf.sprintf "%s error names the flag for %s" flag bad)
               true (contains msg flag))
-        [ "nan"; "inf"; "-inf"; "-1"; "x" ])
+        bad)
     flag_table
+
+(* End to end: an out-of-range int flag is CLI misuse (exit 2), not an
+   uncaught exception (exit 125) or a silently different run. *)
+let test_cli_int_flags_exit_2 () =
+  List.iter
+    (fun args ->
+      let code, _ = Test_cc_conformance.run_netsim args in
+      Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 code)
+    [
+      [ "run"; "--fwd=-1" ];
+      [ "run"; "--ack-size=-50" ];
+      [ "run"; "--flow-size=0" ];
+      [ "run"; "--buffer=-3" ];
+      [ "run"; "--flight-recorder=-4" ];
+      [ "run"; "--max-events"; "0" ];
+      [ "plot"; "fig8"; "--width"; "0" ];
+      [ "sweep"; "smoke"; "--jobs"; "0" ];
+      [ "sweep"; "smoke"; "--jobs=-3" ];
+    ]
 
 let suite =
   ( "args",
@@ -109,4 +159,6 @@ let suite =
         test_error_messages;
       Alcotest.test_case "every numeric flag rejects nan/inf/negative" `Quick
         test_per_flag_rejection;
+      Alcotest.test_case "netsim int flags out of range exit 2" `Quick
+        test_cli_int_flags_exit_2;
     ] )

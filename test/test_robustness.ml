@@ -1,7 +1,7 @@
 (* Robustness layer: run watchdogs ([Sim.run_guarded] budgets and stop
    requests, surfaced through [Runner.run]), crash bundles (write / load
    / deterministic replay), and the flush-and-close guarantee for trace
-   sinks.  The sweep-pool supervision tests live in test_sweep.ml. *)
+   sinks.  The sweep pool's dead-worker test lives in test_sweep.ml. *)
 
 (* Schedule [count] events, each scheduling the next — a cascade long
    enough to cross several 1024-event guard windows. *)
@@ -128,7 +128,14 @@ let test_runner_stop_before_warmup () =
     (fun d -> Alcotest.(check int) "nothing delivered" 0 d)
     r.Core.Runner.delivered;
   Alcotest.(check (float 0.)) "window degenerates to warmup" 5.
-    r.Core.Runner.t1
+    r.Core.Runner.t1;
+  (* The analyses see an empty window: a partial summary, not a crash. *)
+  Alcotest.(check (float 0.)) "zero goodput" 0. (Core.Runner.goodput r 0);
+  let s = Sweep.Summary.of_result ~id:"early" r in
+  Alcotest.(check string) "phase unclassified" "unclassified" s.phase;
+  Alcotest.(check bool) "phase correlation is nan" true
+    (Float.is_nan s.phase_corr);
+  Alcotest.(check int) "no drops in the window" 0 s.drops_window
 
 let test_runner_unbudgeted_result_unchanged () =
   (* The guarded loop must be invisible: a budget too large to trip
