@@ -1,11 +1,12 @@
 (* Per-flow accounting registry.
 
-   One mutable record per connection, held in an array-backed,
-   free-listed pool (like the engine's link/host pools): registering a
-   flow takes a slot, releasing it returns the slot, and the steady-state
-   accounting path allocates nothing — every update is an int/float store
-   into an existing record (the only amortized allocation is a new
-   quantile-sketch bucket on first use).
+   One mutable record per connection, in a hash table keyed by conn id,
+   so memory follows the number of flows, never the largest id (a trace
+   may declare any conn id).  The steady-state accounting path allocates
+   nothing: the lookup is [Tbl.find] with a [Not_found] handler (no
+   option box), and every update is an int/float store into an existing
+   record (the only amortized allocation is a new quantile-sketch bucket
+   on first use).
 
    The same record_* functions are driven from two sources that must
    agree bit-for-bit:
@@ -58,34 +59,16 @@ type flow = {
   mutable completed_at : float;  (* nan = not (yet) complete *)
 }
 
-type t = {
-  mutable slots : flow option array;
-  mutable free : int array;  (* stack of reusable slot indices *)
-  mutable free_top : int;
-  mutable next_slot : int;  (* high-water mark *)
-  mutable index : int array;  (* conn id -> slot, -1 = unregistered *)
-  mutable live : int;
-}
+module Tbl = Hashtbl.Make (struct
+  type t = int
 
-let create () =
-  {
-    slots = Array.make 16 None;
-    free = Array.make 16 0;
-    free_top = 0;
-    next_slot = 0;
-    index = Array.make 64 (-1);
-    live = 0;
-  }
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
-let flow_count t = t.live
+type t = flow Tbl.t
 
-let grow_index t conn =
-  if conn >= Array.length t.index then begin
-    let n = Stdlib.max (conn + 1) (2 * Array.length t.index) in
-    let bigger = Array.make n (-1) in
-    Array.blit t.index 0 bigger 0 (Array.length t.index);
-    t.index <- bigger
-  end
+let create () : t = Tbl.create 16
 
 let fresh_flow conn ~start_time ~flow_size =
   {
@@ -110,63 +93,25 @@ let fresh_flow conn ~start_time ~flow_size =
     completed_at = nan;
   }
 
-let find t conn =
-  if conn < 0 || conn >= Array.length t.index then None
-  else
-    let slot = Array.unsafe_get t.index conn in
-    if slot < 0 then None else Array.unsafe_get t.slots slot
-
 let register t ~conn ~start_time ~flow_size =
   if conn < 0 then invalid_arg "Flowstats.register: negative conn id";
-  match find t conn with
-  | Some f ->
+  match Tbl.find t conn with
+  | f ->
     (* Re-registration only refreshes metadata (a conn-meta record after
        a bare conn-def); accumulated counters are kept. *)
     f.start_time <- start_time;
     f.flow_size <- flow_size
-  | None ->
-    grow_index t conn;
-    let slot =
-      if t.free_top > 0 then begin
-        t.free_top <- t.free_top - 1;
-        t.free.(t.free_top)
-      end
-      else begin
-        if t.next_slot >= Array.length t.slots then
-          t.slots <-
-            Array.append t.slots
-              (Array.make (Array.length t.slots) None);
-        let s = t.next_slot in
-        t.next_slot <- s + 1;
-        s
-      end
-    in
-    t.slots.(slot) <- Some (fresh_flow conn ~start_time ~flow_size);
-    t.index.(conn) <- slot;
-    t.live <- t.live + 1
-
-let release t ~conn =
-  if conn >= 0 && conn < Array.length t.index then begin
-    let slot = t.index.(conn) in
-    if slot >= 0 then begin
-      t.index.(conn) <- -1;
-      t.slots.(slot) <- None;
-      if t.free_top >= Array.length t.free then
-        t.free <- Array.append t.free (Array.make (Array.length t.free) 0);
-      t.free.(t.free_top) <- slot;
-      t.free_top <- t.free_top + 1;
-      t.live <- t.live - 1
-    end
-  end
+  | exception Not_found ->
+    Tbl.replace t conn (fresh_flow conn ~start_time ~flow_size)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting (shared by the online hooks and the offline trace fold)  *)
 (* ------------------------------------------------------------------ *)
 
 let record_send t ~time ~conn ~seq ~retransmit =
-  match find t conn with
-  | None -> ()
-  | Some f ->
+  match Tbl.find t conn with
+  | exception Not_found -> ()
+  | f ->
     if retransmit then begin
       f.retransmits <- f.retransmits + 1;
       f.timing_seq <- -1
@@ -180,16 +125,16 @@ let record_send t ~time ~conn ~seq ~retransmit =
     end
 
 let record_data_delivered t ~conn ~bytes =
-  match find t conn with
-  | None -> ()
-  | Some f ->
+  match Tbl.find t conn with
+  | exception Not_found -> ()
+  | f ->
     f.delivered_pkts <- f.delivered_pkts + 1;
     f.delivered_bytes <- f.delivered_bytes + bytes
 
 let record_ack_delivered t ~time ~conn ~ackno =
-  match find t conn with
-  | None -> ()
-  | Some f ->
+  match Tbl.find t conn with
+  | exception Not_found -> ()
+  | f ->
     if ackno > f.snd_una then begin
       if f.timing_seq >= 0 && ackno > f.timing_seq then begin
         let rtt = time -. f.timing_sent in
@@ -208,16 +153,16 @@ let record_ack_delivered t ~time ~conn ~ackno =
     end
 
 let record_loss t ~conn =
-  match find t conn with
-  | None -> ()
-  | Some f ->
+  match Tbl.find t conn with
+  | exception Not_found -> ()
+  | f ->
     f.loss_events <- f.loss_events + 1;
     f.timing_seq <- -1
 
 let record_cwnd t ~conn ~cwnd =
-  match find t conn with
-  | None -> ()
-  | Some f ->
+  match Tbl.find t conn with
+  | exception Not_found -> ()
+  | f ->
     if cwnd < f.cwnd_min then f.cwnd_min <- cwnd;
     if cwnd > f.cwnd_max then f.cwnd_max <- cwnd
 
@@ -226,7 +171,7 @@ let record_cwnd t ~conn ~cwnd =
 (* ------------------------------------------------------------------ *)
 
 let ensure t conn =
-  if find t conn = None then
+  if not (Tbl.mem t conn) then
     register t ~conn ~start_time:0. ~flow_size:None
 
 let feed t (item : Btrace.item) =
@@ -312,18 +257,16 @@ let stats_of_flow f =
        | _ -> None);
   }
 
-(* Live flows in connection-id order: the deterministic iteration order
+(* Flows in connection-id order: the deterministic iteration order
    every aggregate below uses, independent of registration order. *)
 let flows t =
-  let acc = ref [] in
-  for slot = t.next_slot - 1 downto 0 do
-    match t.slots.(slot) with Some f -> acc := f :: !acc | None -> ()
-  done;
-  List.sort (fun a b -> compare a.conn b.conn) !acc
+  List.sort
+    (fun a b -> compare a.conn b.conn)
+    (List.of_seq (Tbl.to_seq_values t))
 
 let all t = List.map stats_of_flow (flows t)
 
-let stats t ~conn = Option.map stats_of_flow (find t conn)
+let stats t ~conn = Option.map stats_of_flow (Tbl.find_opt t conn)
 
 let jain t =
   match flows t with

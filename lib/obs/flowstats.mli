@@ -2,11 +2,10 @@
     cwnd extrema and flow-completion time for every connection, plus
     aggregate fairness and distribution views.
 
-    The registry is array-backed and free-listed like the engine's
-    pools: registering a flow takes a slot, {!release} returns it, and
-    the steady-state accounting path allocates nothing.  RTT and FCT
-    distributions go through {!Sketch}, so memory stays bounded at
-    10^4+ flows.
+    The registry is a hash table keyed by conn id, so its memory follows
+    the number of flows, whatever their ids, and the steady-state
+    accounting path allocates nothing.  RTT and FCT distributions go
+    through {!Sketch}, so memory stays bounded at 10^4+ flows.
 
     The same [record_*] accounting functions are driven online (from
     {!Probe} hooks during a run) and offline (from {!feed} folding a
@@ -23,15 +22,10 @@ val create : unit -> t
     ({!Sketch.default_alpha}). *)
 val alpha : float
 
-(** Take a slot for [conn].  Registering an already-registered conn
-    only refreshes the metadata (counters are kept).
+(** Start accounting for [conn].  Registering an already-registered
+    conn only refreshes the metadata (counters are kept).
     @raise Invalid_argument on a negative conn id. *)
 val register : t -> conn:int -> start_time:float -> flow_size:int option -> unit
-
-(** Return [conn]'s slot to the free list; unknown conns are ignored. *)
-val release : t -> conn:int -> unit
-
-val flow_count : t -> int
 
 (** {2 Accounting}
 
@@ -93,7 +87,7 @@ type stats = {
 
 val stats : t -> conn:int -> stats option
 
-(** Every live flow, in connection-id order. *)
+(** Every registered flow, in connection-id order. *)
 val all : t -> stats list
 
 (** Jain's fairness index over per-flow delivered bytes ([None] when no

@@ -2,8 +2,8 @@
 
    Two layers of guarantees:
 
-     - unit: the registry is free-listed (slots are reused after
-       release), and the accounting mirrors the sender's Karn
+     - unit: the registry is keyed by conn id (any id, listed in id
+       order), and the accounting mirrors the sender's Karn
        discipline — retransmissions and losses clear the RTT timer, an
        ACK samples only when it covers the timed sequence;
 
@@ -18,7 +18,9 @@ let get = function
 
 (* ---------------- registry mechanics ---------------- *)
 
-let test_register_release_reuse () =
+let conns t = List.map (fun s -> s.Obs.Flowstats.s_conn) (Obs.Flowstats.all t)
+
+let test_register_in_conn_order () =
   let t = Obs.Flowstats.create () in
   Alcotest.check_raises "negative conn rejected"
     (Invalid_argument "Flowstats.register: negative conn id") (fun () ->
@@ -26,21 +28,43 @@ let test_register_release_reuse () =
   List.iter
     (fun c -> Obs.Flowstats.register t ~conn:c ~start_time:0. ~flow_size:None)
     [ 3; 1; 2 ];
-  Alcotest.(check int) "three live flows" 3 (Obs.Flowstats.flow_count t);
   Alcotest.(check (list int)) "iteration is in conn order, not registration"
-    [ 1; 2; 3 ]
-    (List.map (fun s -> s.Obs.Flowstats.s_conn) (Obs.Flowstats.all t));
-  Obs.Flowstats.release t ~conn:2;
-  Obs.Flowstats.release t ~conn:99 (* unknown: ignored *);
-  Alcotest.(check int) "release frees the slot" 2 (Obs.Flowstats.flow_count t);
-  Alcotest.(check bool) "released conn gone" true
-    (Obs.Flowstats.stats t ~conn:2 = None);
-  (* The freed slot is reused: registering a fourth conn must not grow
-     past the high-water mark of three. *)
-  Obs.Flowstats.register t ~conn:7 ~start_time:2. ~flow_size:(Some 5);
-  Alcotest.(check int) "slot reused" 3 (Obs.Flowstats.flow_count t);
-  Alcotest.(check (list int)) "order after reuse" [ 1; 3; 7 ]
-    (List.map (fun s -> s.Obs.Flowstats.s_conn) (Obs.Flowstats.all t))
+    [ 1; 2; 3 ] (conns t);
+  Alcotest.(check bool) "unknown conn has no stats" true
+    (Obs.Flowstats.stats t ~conn:99 = None);
+  (* A trace may declare any id; memory must not follow its size. *)
+  let huge = 1 lsl 50 in
+  Obs.Flowstats.register t ~conn:huge ~start_time:0. ~flow_size:None;
+  Obs.Flowstats.record_data_delivered t ~conn:huge ~bytes:500;
+  Alcotest.(check (list int)) "huge id listed last" [ 1; 2; 3; huge ] (conns t);
+  Alcotest.(check int) "huge id accounted" 500
+    (get (Obs.Flowstats.stats t ~conn:huge)).Obs.Flowstats.s_delivered_bytes
+
+let test_cli_stats_huge_conn_id () =
+  (* A 14-byte trace declaring conn 2^50 must cost one flow, not a
+     conn-indexed array of 2^50 slots. *)
+  let path = Filename.temp_file "flowstats-huge" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc "NSBT\002\002\128\128\128\128\128\128\128\002";
+  close_out oc;
+  let code, out =
+    Test_cc_conformance.run_netsim [ "trace"; "stats"; path; "--json" ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  match Obs.Json.parse out with
+  | Error msg -> Alcotest.failf "stats JSON does not parse: %s" msg
+  | Ok v ->
+    let flows =
+      match Obs.Json.member "flows" v with
+      | Some (Obs.Json.List flows) -> flows
+      | _ -> Alcotest.fail "flows missing"
+    in
+    Alcotest.(check (list (option (float 0.))))
+      "one flow, conn 2^50" [ Some (float_of_int (1 lsl 50)) ]
+      (List.map
+         (fun f -> Option.bind (Obs.Json.member "conn" f) Obs.Json.to_float)
+         flows)
 
 let test_reregistration_keeps_counters () =
   (* A conn-meta record arriving after a bare conn-def refreshes the
@@ -50,7 +74,7 @@ let test_reregistration_keeps_counters () =
   Obs.Flowstats.record_data_delivered t ~conn:1 ~bytes:1000;
   Obs.Flowstats.register t ~conn:1 ~start_time:2.5 ~flow_size:(Some 10);
   let s = get (Obs.Flowstats.stats t ~conn:1) in
-  Alcotest.(check int) "still one flow" 1 (Obs.Flowstats.flow_count t);
+  Alcotest.(check (list int)) "still one flow" [ 1 ] (conns t);
   Alcotest.(check (float 0.)) "metadata refreshed" 2.5
     s.Obs.Flowstats.s_start_time;
   Alcotest.(check (option int)) "size refreshed" (Some 10)
@@ -62,7 +86,7 @@ let test_unregistered_events_ignored () =
   Obs.Flowstats.record_send t ~time:1. ~conn:9 ~seq:0 ~retransmit:false;
   Obs.Flowstats.record_data_delivered t ~conn:9 ~bytes:500;
   Obs.Flowstats.record_loss t ~conn:9;
-  Alcotest.(check int) "nothing registered" 0 (Obs.Flowstats.flow_count t)
+  Alcotest.(check (list int)) "nothing registered" [] (conns t)
 
 (* ---------------- the Karn mirror ---------------- *)
 
@@ -248,8 +272,10 @@ let test_sized_flow_fct_matches_sender () =
 let suite =
   ( "flowstats",
     [
-      Alcotest.test_case "registry: register, release, slot reuse" `Quick
-        test_register_release_reuse;
+      Alcotest.test_case "registry: conn order, any conn id" `Quick
+        test_register_in_conn_order;
+      Alcotest.test_case "cli: trace stats on a huge conn id" `Quick
+        test_cli_stats_huge_conn_id;
       Alcotest.test_case "registry: re-registration keeps counters" `Quick
         test_reregistration_keeps_counters;
       Alcotest.test_case "registry: unregistered events ignored" `Quick
