@@ -5,14 +5,6 @@ let mean a =
   check_nonempty "Stats.mean" a;
   Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
 
-let variance a =
-  check_nonempty "Stats.variance" a;
-  let m = mean a in
-  let sum = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a in
-  sum /. float_of_int (Array.length a)
-
-let stddev a = sqrt (variance a)
-
 let pearson xs ys =
   let n = Array.length xs in
   if n = 0 || n <> Array.length ys then
@@ -28,42 +20,9 @@ let pearson xs ys =
   if !sxx <= 1e-12 || !syy <= 1e-12 then 0.
   else !sxy /. sqrt (!sxx *. !syy)
 
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
-
 let median a =
   check_nonempty "Stats.median" a;
-  let b = sorted_copy a in
+  let b = Array.copy a in
+  Array.sort compare b;
   let n = Array.length b in
   if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.
-
-let percentile a ~p =
-  check_nonempty "Stats.percentile" a;
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let b = sorted_copy a in
-  let n = Array.length b in
-  let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-  b.(max 0 (min (n - 1) (rank - 1)))
-
-let minimum a =
-  check_nonempty "Stats.minimum" a;
-  Array.fold_left Float.min a.(0) a
-
-let maximum a =
-  check_nonempty "Stats.maximum" a;
-  Array.fold_left Float.max a.(0) a
-
-let histogram a ~bins ~lo ~hi =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if hi <= lo then invalid_arg "Stats.histogram: empty range";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-      let bin = int_of_float ((x -. lo) /. width) in
-      let bin = max 0 (min (bins - 1) bin) in
-      counts.(bin) <- counts.(bin) + 1)
-    a;
-  counts

@@ -3,11 +3,6 @@
 val mean : float array -> float
 (** @raise Invalid_argument on an empty array. *)
 
-val variance : float array -> float
-(** Population variance. @raise Invalid_argument on an empty array. *)
-
-val stddev : float array -> float
-
 val pearson : float array -> float array -> float
 (** Pearson correlation coefficient.  Returns [0.] if either input is
     (numerically) constant.  @raise Invalid_argument if lengths differ or
@@ -15,14 +10,3 @@ val pearson : float array -> float array -> float
 
 val median : float array -> float
 (** @raise Invalid_argument on an empty array. *)
-
-val percentile : float array -> p:float -> float
-(** Nearest-rank percentile, [p] in [\[0, 100\]].
-    @raise Invalid_argument on an empty array or [p] out of range. *)
-
-val minimum : float array -> float
-val maximum : float array -> float
-
-val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
-(** Counts per bin over [\[lo, hi)]; values outside are clamped into the
-    first/last bin.  @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)

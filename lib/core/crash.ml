@@ -41,25 +41,9 @@ let kind_of_stop (reason : Engine.Sim.stop_reason) =
 (* meta.json rendering / parsing                                       *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let str_or_null = function
   | None -> "null"
-  | Some s -> "\"" ^ escape s ^ "\""
+  | Some s -> "\"" ^ Obs.Json.escape s ^ "\""
 
 let int_or_null = function
   | None -> "null"
@@ -75,7 +59,9 @@ let meta_to_json m =
      \"reason\":\"%s\",\"exn\":%s,\"backtrace\":%s,\"validation\":%s,\
      \"events_run\":%d,\"queue_length\":%d,\"sim_now\":%.17g,\
      \"max_events\":%s,\"max_wall\":%s}\n"
-    format_tag (escape m.scenario_name) (escape m.kind) (escape m.reason)
+    format_tag
+    (Obs.Json.escape m.scenario_name)
+    (Obs.Json.escape m.kind) (Obs.Json.escape m.reason)
     (str_or_null m.exn_text)
     (str_or_null m.backtrace)
     (str_or_null m.validation)

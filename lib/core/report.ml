@@ -59,25 +59,11 @@ let pp ppf outcome =
 
 let print outcome = Format.printf "%a@." pp outcome
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let check_to_json c =
   Printf.sprintf
     {|{"metric":"%s","paper":"%s","measured":"%s","pass":%s}|}
-    (json_escape c.metric) (json_escape c.paper) (json_escape c.measured)
+    (Obs.Json.escape c.metric) (Obs.Json.escape c.paper)
+    (Obs.Json.escape c.measured)
     (match c.pass with
      | None -> "null"
      | Some true -> "true"
@@ -85,7 +71,7 @@ let check_to_json c =
 
 let to_json outcome =
   Printf.sprintf {|{"id":"%s","title":"%s","passed":%b,"checks":[%s]}|}
-    (json_escape outcome.id) (json_escape outcome.title)
+    (Obs.Json.escape outcome.id) (Obs.Json.escape outcome.title)
     (all_passed outcome)
     (String.concat "," (List.map check_to_json outcome.checks))
 

@@ -18,8 +18,6 @@ type result = {
   drops : Trace.Drop_log.t;
   dep_fwd : Trace.Dep_log.t;
   dep_bwd : Trace.Dep_log.t;
-  soj_fwd : Trace.Sojourn_trace.t;
-  soj_bwd : Trace.Sojourn_trace.t;
   util_fwd : float;
   util_bwd : float;
   t0 : float;
@@ -118,8 +116,6 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
   List.iter (Trace.Drop_log.watch drops) (Net.Network.links dumbbell.net);
   let dep_fwd = Trace.Dep_log.attach dumbbell.fwd in
   let dep_bwd = Trace.Dep_log.attach dumbbell.bwd in
-  let soj_fwd = Trace.Sojourn_trace.attach dumbbell.fwd in
-  let soj_bwd = Trace.Sojourn_trace.attach dumbbell.bwd in
   (* Metering starts at the end of warm-up. *)
   let meters = ref None in
   let delivered_at_warmup = Array.make (Array.length conns) 0 in
@@ -256,8 +252,6 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
     drops;
     dep_fwd;
     dep_bwd;
-    soj_fwd;
-    soj_bwd;
     util_fwd;
     util_bwd;
     t0 = scenario.warmup;
@@ -310,9 +304,9 @@ let cwnd_phase r i j =
 let effective_pipe r =
   let data_tx = Scenario.data_tx r.scenario in
   let pipe trace =
-    Trace.Sojourn_trace.effective_pipe_packets trace ~data_tx ~t0:r.t0 ~t1:r.t1
+    Trace.Dep_log.effective_pipe_packets trace ~data_tx ~t0:r.t0 ~t1:r.t1
   in
-  match (pipe r.soj_fwd, pipe r.soj_bwd) with
+  match (pipe r.dep_fwd, pipe r.dep_bwd) with
   | Some a, Some b -> Some (Float.max a b)
   | (Some _ as x), None | None, (Some _ as x) -> x
   | None, None -> None

@@ -21,10 +21,10 @@ type result = {
   q2 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-2 (rev direction) *)
   cwnds : Trace.Cwnd_trace.t array;  (** in scenario order *)
   drops : Trace.Drop_log.t;  (** drops anywhere in the network *)
-  dep_fwd : Trace.Dep_log.t;  (** departures from the fwd bottleneck *)
+  dep_fwd : Trace.Dep_log.t;
+      (** departures from the fwd bottleneck, with each packet's
+          queueing delay *)
   dep_bwd : Trace.Dep_log.t;
-  soj_fwd : Trace.Sojourn_trace.t;  (** per-packet queueing delay, fwd *)
-  soj_bwd : Trace.Sojourn_trace.t;
   util_fwd : float;  (** fwd bottleneck utilization over the window *)
   util_bwd : float;
   t0 : float;  (** measurement window start (= warmup) *)

@@ -6,6 +6,7 @@ type counters = {
   mutable dep_data : int;
   mutable dep_ack : int;
   mutable dep_bytes : int;
+  mutable faults : int;
 }
 
 type fault_event =
@@ -100,6 +101,7 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
         dep_data = 0;
         dep_ack = 0;
         dep_bytes = 0;
+        faults = 0;
       };
     enqueue_hooks = [];
     drop_hooks = [];
@@ -147,6 +149,7 @@ let on_depart t f = t.depart_hooks <- f :: t.depart_hooks
 let on_fault t f = t.fault_hooks <- f :: t.fault_hooks
 
 let fire_fault t event p =
+  t.counters.faults <- t.counters.faults + 1;
   List.iter (fun f -> f (Engine.Sim.now t.sim) event p) t.fault_hooks
 
 (* Hook arguments (the current time, the post-event queue length) are

@@ -32,6 +32,8 @@ type fault_event =
 (** Verdict of a fault plan's ingress filter for one offered packet. *)
 type verdict = [ `Pass | `Drop of string | `Duplicate ]
 
+(** Counts since the link was created.  A fault discard counts as a drop
+    and as a fault; [faults] counts every {!on_fault} event. *)
 type counters = {
   mutable enq_data : int;
   mutable enq_ack : int;
@@ -40,6 +42,7 @@ type counters = {
   mutable dep_data : int;
   mutable dep_ack : int;
   mutable dep_bytes : int;
+  mutable faults : int;
 }
 
 (** [create sim ~id ~name ~src ~dst ~bandwidth ~prop_delay ~buffer] makes an

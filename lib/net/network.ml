@@ -29,6 +29,8 @@ type t = {
   mutable all_links : Link.t list;  (* reverse order of creation *)
   mutable next_link_id : int;
   mutable next_packet_id : int;
+  mutable injected : int;
+  mutable delivered : int;
   mutable inject_hooks : (float -> Packet.t -> unit) list;
   mutable deliver_hooks : (float -> Packet.t -> unit) list;
   mutable free_arrivals : arrival;  (* free-list head; arrival_nil ends it *)
@@ -56,6 +58,8 @@ let create sim =
     all_links = [];
     next_link_id = 0;
     next_packet_id = 0;
+    injected = 0;
+    delivered = 0;
     inject_hooks = [];
     deliver_hooks = [];
     free_arrivals = arrival_nil;
@@ -63,18 +67,31 @@ let create sim =
   }
 
 let sim t = t.sim
+let injected t = t.injected
+let delivered t = t.delivered
 let on_inject t f = t.inject_hooks <- f :: t.inject_hooks
 let on_deliver t f = t.deliver_hooks <- f :: t.deliver_hooks
 
+(* A direct walk rather than [List.iter] over a closure: firing boxes the
+   current time once and allocates nothing else. *)
+let rec call_hooks hooks now p =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+    f now p;
+    call_hooks rest now p
+
 let fire_inject t p =
+  t.injected <- t.injected + 1;
   match t.inject_hooks with
   | [] -> ()
-  | hooks -> List.iter (fun f -> f (Engine.Sim.now t.sim) p) hooks
+  | hooks -> call_hooks hooks (Engine.Sim.now t.sim) p
 
 let fire_deliver t p =
+  t.delivered <- t.delivered + 1;
   match t.deliver_hooks with
   | [] -> ()
-  | hooks -> List.iter (fun f -> f (Engine.Sim.now t.sim) p) hooks
+  | hooks -> call_hooks hooks (Engine.Sim.now t.sim) p
 
 let refresh t =
   if t.array_stale then begin

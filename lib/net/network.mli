@@ -74,6 +74,14 @@ val on_inject : t -> (float -> Packet.t -> unit) -> unit
     host's processing delay). *)
 val on_deliver : t -> (float -> Packet.t -> unit) -> unit
 
+(** Packets injected via {!send_from_host} since the network was
+    created. *)
+val injected : t -> int
+
+(** Packets handed to a host's transport endpoint since the network was
+    created. *)
+val delivered : t -> int
+
 (** Fresh unique packet id. *)
 val fresh_packet_id : t -> int
 

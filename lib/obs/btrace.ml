@@ -550,20 +550,6 @@ let read data =
 (* Offline formatters                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_pkt buf (p : pkt) =
   Printf.bprintf buf ",\"id\":%d,\"conn\":%d,\"kind\":\"%s\",\"seq\":%d" p.id
     p.conn
@@ -572,7 +558,7 @@ let add_pkt buf (p : pkt) =
   if p.retransmit then Buffer.add_string buf ",\"rexmt\":true"
 
 let add_link buf (l : link) =
-  Printf.bprintf buf ",\"link\":\"%s\"" (escape l.link_name)
+  Printf.bprintf buf ",\"link\":\"%s\"" (Json.escape l.link_name)
 
 let jsonl_line ~time ev =
   let buf = Buffer.create 96 in
@@ -589,14 +575,14 @@ let jsonl_line ~time ev =
      add_pkt buf pkt
    | Fault { link; label; pkt } ->
      add_link buf link;
-     Printf.bprintf buf ",\"fault\":\"%s\"" (escape label);
+     Printf.bprintf buf ",\"fault\":\"%s\"" (Json.escape label);
      add_pkt buf pkt
    | Send { conn = _; pkt } -> add_pkt buf pkt
    | Cwnd { conn; cwnd; ssthresh } ->
      Printf.bprintf buf ",\"conn\":%d,\"cwnd\":%s,\"ssthresh\":%s" conn
        (Json.float_repr cwnd) (Json.float_repr ssthresh)
    | Loss { conn; reason } ->
-     Printf.bprintf buf ",\"conn\":%d,\"reason\":\"%s\"" conn (escape reason)
+     Printf.bprintf buf ",\"conn\":%d,\"reason\":\"%s\"" conn (Json.escape reason)
    | Ack_tx { conn; ackno; delayed; dup } ->
      Printf.bprintf buf ",\"conn\":%d,\"ackno\":%d,\"delayed\":%b,\"dup\":%b"
        conn ackno delayed dup);
@@ -640,20 +626,20 @@ let export_chrome items sink =
       (Printf.sprintf
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
           \"args\":{\"name\":\"%s\"}}"
-         pid tid (escape name))
+         pid tid (Json.escape name))
   in
   let instant ~time ~tid ~name =
     record
       (Printf.sprintf
          "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\
           \"pid\":%d,\"tid\":%d}"
-         (escape name) (1e6 *. time) pid tid)
+         (Json.escape name) (1e6 *. time) pid tid)
   in
   let counter ~time ~name ~args =
     record
       (Printf.sprintf
          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"args\":{%s}}"
-         (escape name) (1e6 *. time) pid args)
+         (Json.escape name) (1e6 *. time) pid args)
   in
   let queue_counter ~time (l : link) qlen =
     counter ~time
@@ -695,7 +681,7 @@ let export_chrome items sink =
                "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
                 \"pid\":%d,\"tid\":%d,\"args\":{\"conn\":%d,\"seq\":%d,\
                 \"id\":%d}}"
-               (escape (pkt_name pkt))
+               (Json.escape (pkt_name pkt))
                (1e6 *. (time -. tx))
                (1e6 *. tx) pid (link_tid link) pkt.conn pkt.seq pkt.id);
           queue_counter ~time link qlen

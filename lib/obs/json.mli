@@ -14,6 +14,13 @@ type t =
     trailing garbage is an error. *)
 val parse : string -> (t, string) result
 
+(** [escape s] is [s] as the body of a JSON string literal: a double
+    quote and a backslash are backslash-escaped, newline, carriage return
+    and tab take their one-letter forms, every other byte below 0x20 is
+    written as a [\u00XX] escape, and all other bytes pass through
+    unchanged. *)
+val escape : string -> string
+
 (** {!Engine.Units.float_repr}.  Not JSON-safe for nan/inf — callers
     must handle non-finite values themselves. *)
 val float_repr : float -> string

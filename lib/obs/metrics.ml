@@ -1,14 +1,9 @@
-type counter = int ref
-type gauge = float array (* 1 cell; flat array avoids boxing on store *)
-
 type histogram = {
   bounds : float array; (* strictly increasing upper bounds *)
   counts : int array; (* length bounds + 1; last is overflow *)
 }
 
 type cell =
-  | Counter of counter
-  | Gauge of gauge
   | Gauge_fn of (unit -> float)
   | Histogram of histogram
 
@@ -28,16 +23,6 @@ let register t name cell =
   Hashtbl.add t.names name ();
   t.metrics <- { name; cell } :: t.metrics
 
-let counter t name =
-  let c = ref 0 in
-  register t name (Counter c);
-  c
-
-let gauge t name =
-  let g = [| 0. |] in
-  register t name (Gauge g);
-  g
-
 let gauge_fn t name f = register t name (Gauge_fn f)
 
 let histogram t name ~bounds =
@@ -51,19 +36,13 @@ let histogram t name ~bounds =
   register t name (Histogram h);
   h
 
-let incr (c : counter) = Stdlib.incr c
-let add (c : counter) n = c := !c + n
-let counter_value (c : counter) = !c
-let set (g : gauge) v = g.(0) <- v
-let gauge_value (g : gauge) = g.(0)
-
 (* Linear scan: bucket counts are small (a handful of bounds), so this
    beats binary search and stays branch-predictable. *)
 let observe h v =
   let n = Array.length h.bounds in
   let i = ref 0 in
   while !i < n && v > h.bounds.(!i) do
-    Stdlib.incr i
+    incr i
   done;
   h.counts.(!i) <- h.counts.(!i) + 1
 
@@ -74,8 +53,6 @@ let snapshot t =
   List.concat_map
     (fun m ->
       match m.cell with
-      | Counter c -> [ (m.name, float_of_int !c) ]
-      | Gauge g -> [ (m.name, g.(0)) ]
       | Gauge_fn f -> [ (m.name, f ()) ]
       | Histogram h ->
         let n = Array.length h.bounds in
@@ -102,25 +79,12 @@ let float_json f =
     Printf.sprintf "%.0f" f
   else Json.float_repr f
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (float_json v))
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\":%s" (Json.escape k) (float_json v))
          (snapshot t))
   ^ "}"
 
@@ -151,8 +115,6 @@ let sample r =
   Array.iter
     (fun cell ->
       match cell with
-      | Counter c -> push (float_of_int !c)
-      | Gauge g -> push g.(0)
       | Gauge_fn f -> push (f ())
       | Histogram h ->
         let n = Array.length h.bounds in

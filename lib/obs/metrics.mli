@@ -1,33 +1,26 @@
-(** Metrics registry: named counters, gauges, and fixed-bucket histograms.
+(** Metrics registry: a snapshot-time view of the model, plus
+    fixed-bucket histograms.
 
-    Cells are flat mutable storage — an [int ref] per counter, a
-    one-element float array per gauge (a float field of a mixed record
-    would box on every store), an int array per histogram — so the
-    increment path allocates nothing.  Registration happens once, at
-    attach time; the per-event cost is a bounds check and a store.
+    A metric is either a gauge function ({!gauge_fn}) or a histogram.
+    Gauge functions read the model's own state — including its event
+    counters ([Net.Link.counters], [Tcp.Sender], [Tcp.Receiver],
+    [Net.Network]) — and are called only when a snapshot or a recorder
+    sample is taken, so wiring one costs nothing during the run.  A
+    histogram is an int array filled by {!observe}, whose per-event cost
+    is a short bucket scan and a store.  Registration happens once, at
+    attach time.
 
-    Derived gauges ({!gauge_fn}) are sampled only when a snapshot is
-    taken, so wiring one costs nothing during the run.  Snapshots list
-    metrics in registration order, which makes their JSON encoding a pure
-    function of the registry contents (the sweep determinism diff relies
-    on this). *)
+    Snapshots list metrics in registration order, which makes their JSON
+    encoding a pure function of the registry contents (the sweep
+    determinism diff relies on this). *)
 
 type t
-type counter
-type gauge
 type histogram
 
 val create : unit -> t
 
 (** Number of registered metrics (histograms count once). *)
 val size : t -> int
-
-(** [counter t name] registers a fresh counter.
-    @raise Invalid_argument if [name] is already registered. *)
-val counter : t -> string -> counter
-
-(** @raise Invalid_argument if [name] is already registered. *)
-val gauge : t -> string -> gauge
 
 (** A gauge computed on demand: [f ()] is called at snapshot time only.
     @raise Invalid_argument if [name] is already registered. *)
@@ -38,13 +31,6 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
     @raise Invalid_argument if [bounds] is empty, not strictly
     increasing, or [name] is already registered. *)
 val histogram : t -> string -> bounds:float array -> histogram
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Record one observation: the count of the first bucket whose upper
     bound is [>= v] (or the overflow bucket) is incremented. *)
@@ -68,11 +54,11 @@ val to_json : t -> string
     A recorder samples every metric registered at attach time on a fixed
     simulated-time cadence, appending to one {!Trace.Series.t} per
     expanded metric name.  The sampling event is pure observation — it
-    reads cells and appends to series, never touches model state — so
+    reads metrics and appends to series, never touches model state — so
     enabling it cannot change simulation results.  A tick walks
     preallocated rows fixed at {!record} time (no snapshot lists, no
-    name strings), so sampling overhead is just the cell reads and the
-    series appends. *)
+    name strings), so sampling overhead is just the gauge calls, the
+    histogram reads and the series appends. *)
 
 type recorder
 

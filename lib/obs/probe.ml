@@ -33,131 +33,134 @@ type t = {
    the distribution's shape off a snapshot. *)
 let qlen_bounds = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
 
-let copt registry name =
-  match registry with
-  | Some reg -> Some (Metrics.counter reg name)
-  | None -> None
+(* A count metric: a gauge over one of the model's own counters. *)
+let count reg name f = Metrics.gauge_fn reg name (fun () -> float_of_int (f ()))
 
-let bump = function Some c -> Metrics.incr c | None -> ()
-let emit tr ev = match tr with Some tr -> Tracer.emit tr ev | None -> ()
+(* Each consumer installs its own hooks, so a hook never builds an event
+   record or makes a call that its consumer does not need.
+
+   Metrics: gauges read at snapshot time, plus the queue-length
+   histogram, the one metric fed per event. *)
+
+let register_link reg ~sim link =
+  let pfx = "link." ^ Net.Link.name link in
+  Metrics.gauge_fn reg (pfx ^ ".qlen") (fun () ->
+      float_of_int (Net.Link.queue_length link));
+  Metrics.gauge_fn reg (pfx ^ ".busy_time") (fun () ->
+      Net.Link.busy_time link ~now:(Engine.Sim.now sim));
+  let meter = Trace.Util_meter.start link ~now:(Engine.Sim.now sim) in
+  Metrics.gauge_fn reg (pfx ^ ".utilization") (fun () ->
+      Trace.Util_meter.utilization meter ~now:(Engine.Sim.now sim));
+  let c = Net.Link.counters link in
+  count reg (pfx ^ ".enq") (fun () -> c.enq_data + c.enq_ack);
+  count reg (pfx ^ ".drop") (fun () -> c.drop_data + c.drop_ack);
+  count reg (pfx ^ ".dep") (fun () -> c.dep_data + c.dep_ack);
+  count reg (pfx ^ ".dep_bytes") (fun () -> c.dep_bytes);
+  count reg (pfx ^ ".faults") (fun () -> c.faults);
+  let h = Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds in
+  Net.Link.on_enqueue link (fun _time _pkt qlen ->
+      Metrics.observe h (float_of_int qlen))
+
+let register_conn reg (cid, conn) =
+  let s = Tcp.Connection.sender conn in
+  let r = Tcp.Connection.receiver conn in
+  let pfx = Printf.sprintf "conn.%d" cid in
+  Metrics.gauge_fn reg (pfx ^ ".cwnd") (fun () -> Tcp.Sender.cwnd s);
+  Metrics.gauge_fn reg (pfx ^ ".ssthresh") (fun () -> Tcp.Sender.ssthresh s);
+  count reg (pfx ^ ".retransmits") (fun () -> Tcp.Sender.retransmits s);
+  count reg (pfx ^ ".cwnd_cuts") (fun () ->
+      Tcp.Sender.timeouts s + Tcp.Sender.fast_retransmits s);
+  count reg (pfx ^ ".timeouts") (fun () -> Tcp.Sender.timeouts s);
+  count reg (pfx ^ ".fast_rexmt") (fun () -> Tcp.Sender.fast_retransmits s);
+  count reg (pfx ^ ".sends") (fun () ->
+      Tcp.Sender.data_sent s + Tcp.Sender.retransmits s);
+  count reg (pfx ^ ".acks") (fun () -> Tcp.Receiver.acks_sent r);
+  count reg (pfx ^ ".delayed_acks") (fun () ->
+      Tcp.Receiver.delayed_acks_sent r);
+  count reg (pfx ^ ".dup_acks") (fun () -> Tcp.Receiver.dup_acks_sent r)
+
+let register_metrics reg ~net ~conns =
+  let sim = Net.Network.sim net in
+  Metrics.gauge_fn reg "sim.events" (fun () ->
+      float_of_int (Engine.Sim.events_run sim));
+  Metrics.gauge_fn reg "sim.queue_depth" (fun () ->
+      float_of_int (Engine.Sim.queue_length sim));
+  count reg "net.injected" (fun () -> Net.Network.injected net);
+  count reg "net.delivered" (fun () -> Net.Network.delivered net);
+  List.iter (register_link reg ~sim) (Net.Network.links net);
+  List.iter (register_conn reg) conns
+
+(* Tracer: every model event. *)
 
 let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_drop label -> label
   | Net.Link.Fault_duplicate -> "duplicate"
   | Net.Link.Fault_delay _ -> "delay"
 
-let wire_link ~sim ~registry ~tr link =
-  (match tr with Some tr -> Tracer.declare_link tr link | None -> ());
-  let pfx = "link." ^ Net.Link.name link in
-  (match registry with
-   | Some reg ->
-     Metrics.gauge_fn reg (pfx ^ ".qlen") (fun () ->
-         float_of_int (Net.Link.queue_length link));
-     Metrics.gauge_fn reg (pfx ^ ".busy_time") (fun () ->
-         Net.Link.busy_time link ~now:(Engine.Sim.now sim));
-     let meter = Trace.Util_meter.start link ~now:(Engine.Sim.now sim) in
-     Metrics.gauge_fn reg (pfx ^ ".utilization") (fun () ->
-         Trace.Util_meter.utilization meter ~now:(Engine.Sim.now sim))
-   | None -> ());
-  let enq = copt registry (pfx ^ ".enq") in
-  let drop = copt registry (pfx ^ ".drop") in
-  let dep = copt registry (pfx ^ ".dep") in
-  let dep_bytes = copt registry (pfx ^ ".dep_bytes") in
-  let faults = copt registry (pfx ^ ".faults") in
-  let qhist =
-    match registry with
-    | Some reg ->
-      Some (Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds)
-    | None -> None
-  in
+let trace_link tr link =
+  Tracer.declare_link tr link;
   Net.Link.on_enqueue link (fun _time pkt qlen ->
-      bump enq;
-      (match qhist with
-       | Some h -> Metrics.observe h (float_of_int qlen)
-       | None -> ());
-      emit tr (Event.Enqueue { link; pkt; qlen }));
+      Tracer.emit tr (Event.Enqueue { link; pkt; qlen }));
   Net.Link.on_drop link (fun _time pkt ->
-      bump drop;
-      emit tr (Event.Drop { link; pkt }));
+      Tracer.emit tr (Event.Drop { link; pkt }));
   Net.Link.on_depart link (fun _time pkt qlen ->
-      bump dep;
-      (match dep_bytes with
-       | Some c -> Metrics.add c pkt.Net.Packet.size
-       | None -> ());
-      emit tr (Event.Depart { link; pkt; qlen }));
+      Tracer.emit tr (Event.Depart { link; pkt; qlen }));
   Net.Link.on_fault link (fun _time fe pkt ->
-      bump faults;
-      emit tr (Event.Fault { link; label = fault_label fe; pkt }))
+      Tracer.emit tr (Event.Fault { link; label = fault_label fe; pkt }))
 
-let wire_conn ~registry ~tr ~fs (cid, conn) =
+let trace_conn tr (cid, conn) =
   let cfg = Tcp.Connection.config conn in
-  (match tr with
-   | Some tr ->
-     Tracer.declare_conn_meta tr cid ~start_time:cfg.Tcp.Config.start_time
-       ~flow_size:cfg.Tcp.Config.flow_size
-   | None -> ());
-  (match fs with
-   | Some fs ->
-     Flowstats.register fs ~conn:cid ~start_time:cfg.Tcp.Config.start_time
-       ~flow_size:cfg.Tcp.Config.flow_size
-   | None -> ());
+  Tracer.declare_conn_meta tr cid ~start_time:cfg.Tcp.Config.start_time
+    ~flow_size:cfg.Tcp.Config.flow_size;
   let s = Tcp.Connection.sender conn in
-  let r = Tcp.Connection.receiver conn in
-  let pfx = Printf.sprintf "conn.%d" cid in
-  (match registry with
-   | Some reg ->
-     Metrics.gauge_fn reg (pfx ^ ".cwnd") (fun () -> Tcp.Sender.cwnd s);
-     Metrics.gauge_fn reg (pfx ^ ".ssthresh") (fun () ->
-         Tcp.Sender.ssthresh s);
-     Metrics.gauge_fn reg (pfx ^ ".retransmits") (fun () ->
-         float_of_int (Tcp.Sender.retransmits s))
-   | None -> ());
-  let cuts = copt registry (pfx ^ ".cwnd_cuts") in
-  let touts = copt registry (pfx ^ ".timeouts") in
-  let frexmt = copt registry (pfx ^ ".fast_rexmt") in
-  let sends = copt registry (pfx ^ ".sends") in
-  let acks = copt registry (pfx ^ ".acks") in
-  let delacks = copt registry (pfx ^ ".delayed_acks") in
-  let dupacks = copt registry (pfx ^ ".dup_acks") in
-  (* cwnd is covered by a snapshot-time gauge; the hook serves tracing
-     and the per-flow extrema. *)
-  (match (tr, fs) with
-   | (None, None) -> ()
-   | _ ->
-     Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh ->
-         (match fs with
-          | Some fs -> Flowstats.record_cwnd fs ~conn:cid ~cwnd
-          | None -> ());
-         emit tr (Event.Cwnd { conn = cid; cwnd; ssthresh })));
+  Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh ->
+      Tracer.emit tr (Event.Cwnd { conn = cid; cwnd; ssthresh }));
   Tcp.Sender.on_loss s (fun _time reason ->
-      bump cuts;
-      (match reason with
-       | Tcp.Sender.Timeout -> bump touts
-       | Tcp.Sender.Dup_ack -> bump frexmt);
-      (match fs with
-       | Some fs -> Flowstats.record_loss fs ~conn:cid
-       | None -> ());
-      emit tr
-        (Event.Loss
-           { conn = cid;
-             reason =
-               (match reason with
-                | Tcp.Sender.Timeout -> "timeout"
-                | Tcp.Sender.Dup_ack -> "dup_ack");
-           }));
+      let reason =
+        match reason with
+        | Tcp.Sender.Timeout -> "timeout"
+        | Tcp.Sender.Dup_ack -> "dup_ack"
+      in
+      Tracer.emit tr (Event.Loss { conn = cid; reason }));
+  Tcp.Sender.on_send s (fun _time pkt ->
+      Tracer.emit tr (Event.Send { conn = cid; pkt }));
+  Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver conn)
+    (fun _time ~ackno ~delayed ~dup ->
+      Tracer.emit tr (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
+
+let trace tr ~net ~conns =
+  Net.Network.on_inject net (fun _time p -> Tracer.emit tr (Event.Inject p));
+  Net.Network.on_deliver net (fun _time p -> Tracer.emit tr (Event.Deliver p));
+  List.iter (trace_link tr) (Net.Network.links net);
+  List.iter (trace_conn tr) conns
+
+(* Flowstats: per-flow sends, losses, cwnd extrema and deliveries. *)
+
+let account_conn fs (cid, conn) =
+  let cfg = Tcp.Connection.config conn in
+  Flowstats.register fs ~conn:cid ~start_time:cfg.Tcp.Config.start_time
+    ~flow_size:cfg.Tcp.Config.flow_size;
+  let s = Tcp.Connection.sender conn in
+  Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh:_ ->
+      Flowstats.record_cwnd fs ~conn:cid ~cwnd);
+  Tcp.Sender.on_loss s (fun _time _reason ->
+      Flowstats.record_loss fs ~conn:cid);
   Tcp.Sender.on_send s (fun time pkt ->
-      bump sends;
-      (match fs with
-       | Some fs ->
-         Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
-           ~retransmit:pkt.Net.Packet.retransmit
-       | None -> ());
-      emit tr (Event.Send { conn = cid; pkt }));
-  Tcp.Receiver.on_ack_sent r (fun _time ~ackno ~delayed ~dup ->
-      bump acks;
-      if delayed then bump delacks;
-      if dup then bump dupacks;
-      emit tr (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
+      Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
+        ~retransmit:pkt.Net.Packet.retransmit)
+
+let account fs ~net ~conns =
+  (* [time] is [Sim.now], the stamp the tracer writes, so the offline
+     fold over the trace sees bit-identical times. *)
+  Net.Network.on_deliver net (fun time p ->
+      match p.Net.Packet.kind with
+      | Net.Packet.Data ->
+        Flowstats.record_data_delivered fs ~conn:p.Net.Packet.conn
+          ~bytes:p.Net.Packet.size
+      | Net.Packet.Ack ->
+        Flowstats.record_ack_delivered fs ~time ~conn:p.Net.Packet.conn
+          ~ackno:p.Net.Packet.seq);
+  List.iter (account_conn fs) conns
 
 let attach setup ~net ~conns =
   let sim = Net.Network.sim net in
@@ -171,37 +174,9 @@ let attach setup ~net ~conns =
   in
   let fs = if setup.flowstats then Some (Flowstats.create ()) else None in
   let registry = if setup.metrics then Some (Metrics.create ()) else None in
-  (match registry with
-   | Some reg ->
-     Metrics.gauge_fn reg "sim.events" (fun () ->
-         float_of_int (Engine.Sim.events_run sim));
-     Metrics.gauge_fn reg "sim.queue_depth" (fun () ->
-         float_of_int (Engine.Sim.queue_length sim))
-   | None -> ());
-  let injected = copt registry "net.injected" in
-  let delivered = copt registry "net.delivered" in
-  if registry <> None || tr <> None || fs <> None then begin
-    Net.Network.on_inject net (fun _time p ->
-        bump injected;
-        emit tr (Event.Inject p));
-    Net.Network.on_deliver net (fun _time p ->
-        bump delivered;
-        (match fs with
-         | Some fs -> (
-           (* Stamp with [Sim.now] like the tracer does, so the offline
-              fold over the trace sees bit-identical times. *)
-           match p.Net.Packet.kind with
-           | Net.Packet.Data ->
-             Flowstats.record_data_delivered fs ~conn:p.Net.Packet.conn
-               ~bytes:p.Net.Packet.size
-           | Net.Packet.Ack ->
-             Flowstats.record_ack_delivered fs ~time:(Engine.Sim.now sim)
-               ~conn:p.Net.Packet.conn ~ackno:p.Net.Packet.seq)
-         | None -> ());
-        emit tr (Event.Deliver p));
-    List.iter (wire_link ~sim ~registry ~tr) (Net.Network.links net);
-    List.iter (wire_conn ~registry ~tr ~fs) conns
-  end;
+  Option.iter (fun reg -> register_metrics reg ~net ~conns) registry;
+  Option.iter (fun tr -> trace tr ~net ~conns) tr;
+  Option.iter (fun fs -> account fs ~net ~conns) fs;
   (* The recorder snapshots whatever is registered at creation time, so it
      must come after all of the wiring above. *)
   let recorder =

@@ -1,20 +1,32 @@
 (** Probe: wires the observability pillars ({!Metrics}, {!Tracer},
-    {!Flight}) into a live simulation through the model's existing
-    monitor hooks.
+    {!Flight}, {!Flowstats}) into a live simulation.
 
     A probe is configured with a {!setup} value and attached once, after
-    the network and connections exist but before [Sim.run].  The probe
-    only installs a hook when at least one consumer (metrics registry or
-    trace sink) wants the corresponding events, so a disabled pillar
-    costs nothing — not even an empty-closure call, because the model's
-    hook lists stay empty and the zero-hook fast path is taken. *)
+    the network and connections exist but {b before} [Sim.run].  Count
+    metrics read the model's own counters ([Net.Link.counters],
+    [Net.Network.injected]/[delivered], [Tcp.Sender], [Tcp.Receiver]),
+    which count from creation; attaching before the run is what makes
+    those counts equal the events a trace attached at the same time
+    sees.
+
+    Each consumer installs only the monitor hooks it needs:
+    - the metrics registry, one [on_enqueue] per link (the queue-length
+      histogram); every other metric is a gauge read at snapshot time;
+    - the tracer (binary trace or flight ring), every link, connection
+      and network hook;
+    - flowstats, [on_cwnd], [on_loss] and [on_send] per connection and
+      [on_deliver] on the network.
+
+    A disabled pillar costs nothing — not even an empty-closure call,
+    because the model's hook lists stay empty and the zero-hook fast
+    path is taken. *)
 
 type setup
 
 (** Build a configuration.
 
-    - [metrics] (default [true]): register counters / gauges /
-      histograms for the simulator, every link, and every connection.
+    - [metrics] (default [true]): register gauges and histograms for
+      the simulator, every link, and every connection.
     - [series_dt]: additionally sample every metric each [series_dt]
       simulated seconds into step series (see {!Metrics.record}).
     - [btrace]: binary trace sink (see {!Tracer.create}); convert
@@ -22,7 +34,7 @@ type setup
     - [flight]: keep a flight-recorder ring of the last [n] events.
     - [flight_sink] (default stderr): where {!dump_flight} writes.
     - [flowstats] (default [false]): per-flow accounting registry
-      ({!Flowstats}) fed from the same hooks; zero cost when off. *)
+      ({!Flowstats}) fed from its own hooks; zero cost when off. *)
 val setup :
   ?metrics:bool ->
   ?series_dt:float ->
@@ -41,8 +53,9 @@ val is_enabled : setup -> bool
 
 type t
 
-(** Install hooks per the setup.  [conns] pairs each connection id with
-    its connection; ids are used in metric names and trace tracks. *)
+(** Install hooks per the setup.  Call it before [Sim.run] (see
+    above).  [conns] pairs each connection id with its connection; ids
+    are used in metric names and trace tracks. *)
 val attach :
   setup -> net:Net.Network.t -> conns:(int * Tcp.Connection.t) list -> t
 

@@ -99,20 +99,6 @@ let of_result ~id ?(params = []) (r : Core.Runner.result) =
    output, so the encoding must be a pure function of the summary values:
    fixed key order, fixed float formatting, no timestamps. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_json f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
   else Printf.sprintf "%.9g" f
@@ -123,7 +109,8 @@ let to_json s =
   let params =
     String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (float_json v))
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\":%s" (Obs.Json.escape k) (float_json v))
          s.params)
   in
   let delivered =
@@ -132,7 +119,8 @@ let to_json s =
   let metrics =
     String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (float_json v))
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\":%s" (Obs.Json.escape k) (float_json v))
          s.metrics)
   in
   Printf.sprintf
@@ -143,9 +131,9 @@ let to_json s =
      \"q1_max\":%s,\"q2_max\":%s,\"effective_pipe\":%s,\
      \"jain\":%s,\"fct_p50\":%s,\"fct_p99\":%s,\
      \"metrics\":{%s}}"
-    (escape s.id) params (escape s.cc) (float_json s.util_fwd)
-    (float_json s.util_bwd)
-    s.drops_window s.drops_total delivered (escape s.phase)
+    (Obs.Json.escape s.id) params (Obs.Json.escape s.cc)
+    (float_json s.util_fwd) (float_json s.util_bwd)
+    s.drops_window s.drops_total delivered (Obs.Json.escape s.phase)
     (float_json s.phase_corr) s.epoch_count
     (opt_float_json s.mean_drops_per_epoch)
     (opt_float_json s.single_loser)

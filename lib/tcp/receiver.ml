@@ -11,6 +11,7 @@ type t = {
   mutable duplicates : int;
   mutable acks_sent : int;
   mutable dup_acks_sent : int;
+  mutable delayed_acks_sent : int;
   mutable last_ack : int;  (* last cumulative number ACKed, -1 if none *)
   mutable ack_hooks :
     (float -> ackno:int -> delayed:bool -> dup:bool -> unit) list;
@@ -33,6 +34,7 @@ let make net config =
     duplicates = 0;
     acks_sent = 0;
     dup_acks_sent = 0;
+    delayed_acks_sent = 0;
     last_ack = -1;
     ack_hooks = [];
   }
@@ -43,6 +45,7 @@ let out_of_order t = t.out_of_order
 let duplicates t = t.duplicates
 let acks_sent t = t.acks_sent
 let dup_acks_sent t = t.dup_acks_sent
+let delayed_acks_sent t = t.delayed_acks_sent
 let buffered t = Hashtbl.length t.above_hole
 let on_ack_sent t f = t.ack_hooks <- f :: t.ack_hooks
 
@@ -56,6 +59,7 @@ let send_ack t ~delayed =
   let dup = t.rcv_nxt = t.last_ack in
   t.acks_sent <- t.acks_sent + 1;
   if dup then t.dup_acks_sent <- t.dup_acks_sent + 1;
+  if delayed then t.delayed_acks_sent <- t.delayed_acks_sent + 1;
   t.last_ack <- t.rcv_nxt;
   (* ACKs travel dst -> src: the receiver's host is the data destination. *)
   let p =

@@ -29,6 +29,9 @@ val acks_sent : t -> int
 (** ACKs that did not advance the cumulative sequence number. *)
 val dup_acks_sent : t -> int
 
+(** ACKs released by the delayed-ACK timer. *)
+val delayed_acks_sent : t -> int
+
 (** Packets buffered above a hole right now. *)
 val buffered : t -> int
 

@@ -10,6 +10,3 @@ type t
 val attach : Net.Link.t -> now:float -> t
 val series : t -> Series.t
 val link : t -> Net.Link.t
-
-(** Maximum occupancy seen since attach. *)
-val peak : t -> int

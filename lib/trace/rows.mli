@@ -1,5 +1,5 @@
-(** Helpers shared by the per-packet logs ({!Dep_log}, {!Drop_log},
-    {!Sojourn_trace}), which keep one row per packet across {!Column}s
+(** Helpers shared by the per-packet logs ({!Dep_log}, {!Drop_log}),
+    which keep one row per packet across {!Column}s
     and build record lists only when asked. *)
 
 (** A packet's connection and kind in one int, so a log spends one int

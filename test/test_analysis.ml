@@ -56,7 +56,8 @@ let prop_sync_scale_invariant =
         Trace.Series.resample (series vs 1.) ~t0:0. ~t1 ~dt:0.5
       in
       QCheck.assume
-        (Stats.variance (grid vs_a) > 1e-6 && Stats.variance (grid vs_b) > 1e-6);
+        (Test_stats.variance (grid vs_a) > 1e-6
+        && Test_stats.variance (grid vs_b) > 1e-6);
       let phase, r = classify 1. in
       let phase', r' = classify scale in
       phase = phase' && Float.abs (r -. r') < 1e-6)
@@ -71,7 +72,7 @@ let test_sync_unclassified () =
 (* --- Clustering ------------------------------------------------------ *)
 
 let dep ?(kind = Net.Packet.Data) conn time =
-  { Trace.Dep_log.time; conn; kind; seq = 0 }
+  { Trace.Dep_log.time; conn; kind; seq = 0; sojourn = 0. }
 
 let test_clustering_complete () =
   let records = List.init 10 (fun i -> dep 1 (float_of_int i)) in

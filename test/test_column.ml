@@ -4,7 +4,7 @@
      doubling of chunk 0 and several chunk boundaries;
    - every Series query against a list-backed reference that re-states
      the flat-array implementation the columns replaced;
-   - the Dep_log / Drop_log / Sojourn_trace queries against reference
+   - the Dep_log / Drop_log queries against reference
      logs kept the old way (a record list per hook) on random packet
      streams through a live link.
 
@@ -268,7 +268,6 @@ let prop_series =
 type ref_logs = {
   mutable deps : Dep_log.record list;
   mutable drops : Drop_log.record list;
-  mutable sojourns : Sojourn_trace.record list;
 }
 
 type stream = {
@@ -305,8 +304,7 @@ let run_stream { discipline; sends; _ } =
   let dep = Dep_log.attach link in
   let drops = Drop_log.create () in
   Drop_log.watch drops link;
-  let soj = Sojourn_trace.attach link in
-  let r = { deps = []; drops = []; sojourns = [] } in
+  let r = { deps = []; drops = [] } in
   let entered = Hashtbl.create 64 in
   Net.Link.on_enqueue link (fun time (p : Net.Packet.t) _ ->
       Hashtbl.replace entered p.id time);
@@ -316,14 +314,16 @@ let run_stream { discipline; sends; _ } =
         { Drop_log.time; conn = p.conn; kind = p.kind; seq = p.seq; link = 4 }
         :: r.drops);
   Net.Link.on_depart link (fun time (p : Net.Packet.t) _ ->
-      r.deps <- { Dep_log.time; conn = p.conn; kind = p.kind; seq = p.seq } :: r.deps;
-      match Hashtbl.find_opt entered p.id with
-      | None -> ()
-      | Some t_in ->
-        Hashtbl.remove entered p.id;
-        r.sojourns <-
-          { Sojourn_trace.time; conn = p.conn; kind = p.kind; sojourn = time -. t_in }
-          :: r.sojourns);
+      let sojourn =
+        match Hashtbl.find_opt entered p.id with
+        | None -> Float.nan
+        | Some t_in ->
+          Hashtbl.remove entered p.id;
+          time -. t_in
+      in
+      r.deps <-
+        { Dep_log.time; conn = p.conn; kind = p.kind; seq = p.seq; sojourn }
+        :: r.deps);
   let tx = Net.Link.tx_time link ~bytes:500 in
   let _ =
     List.fold_left
@@ -342,29 +342,24 @@ let run_stream { discipline; sends; _ } =
   in
   Engine.Sim.run_to_completion sim;
   let horizon = Engine.Sim.now sim in
-  (dep, drops, soj, r, horizon)
+  (dep, drops, r, horizon)
 
 let same_dep (a : Dep_log.record) (b : Dep_log.record) =
   same_float a.time b.time && a.conn = b.conn && a.kind = b.kind && a.seq = b.seq
+  && same_float a.sojourn b.sojourn
 
 let same_drop (a : Drop_log.record) (b : Drop_log.record) =
   same_float a.time b.time && a.conn = b.conn && a.kind = b.kind
   && a.seq = b.seq && a.link = b.link
 
-let same_soj (a : Sojourn_trace.record) (b : Sojourn_trace.record) =
-  same_float a.time b.time && a.conn = b.conn && a.kind = b.kind
-  && same_float a.sojourn b.sojourn
-
 let logs_agree stream =
-  let dep, drops, soj, r, horizon = run_stream stream in
+  let dep, drops, r, horizon = run_stream stream in
   let deps = List.rev r.deps and drop_list = List.rev r.drops in
-  let sojourns = List.rev r.sojourns in
   let within t0 t1 time = time >= t0 && time < t1 in
   let ok = ref true in
   let check b = if not b then ok := false in
   check (same_list same_dep (Dep_log.records dep) deps);
   check (same_list same_drop (Drop_log.records drops) drop_list);
-  check (same_list same_soj (Sojourn_trace.records soj) sojourns);
   check (Dep_log.total dep = List.length deps);
   check (Drop_log.total drops = List.length drop_list);
   let count kind = List.length (List.filter (fun (d : Drop_log.record) -> d.kind = kind) drop_list) in
@@ -373,36 +368,38 @@ let logs_agree stream =
   List.iter
     (fun (a, b) ->
       let t0 = horizon *. Float.min a b and t1 = horizon *. Float.max a b in
-      check
-        (same_list same_dep (Dep_log.in_window dep ~t0 ~t1)
-           (List.filter (fun (d : Dep_log.record) -> within t0 t1 d.time) deps));
+      let dep_window =
+        List.filter (fun (d : Dep_log.record) -> within t0 t1 d.time) deps
+      in
+      check (same_list same_dep (Dep_log.in_window dep ~t0 ~t1) dep_window);
       check
         (same_list same_drop (Drop_log.in_window drops ~t0 ~t1)
            (List.filter (fun (d : Drop_log.record) -> within t0 t1 d.time) drop_list));
-      let soj_window =
-        List.filter (fun (s : Sojourn_trace.record) -> within t0 t1 s.time) sojourns
-      in
-      check (same_list same_soj (Sojourn_trace.in_window soj ~t0 ~t1) soj_window);
       List.iter
         (fun kind ->
           (* The pre-column mean: filter, then a left fold. *)
           let expected =
-            match List.filter (fun (s : Sojourn_trace.record) -> s.kind = kind) soj_window with
+            match
+              List.filter
+                (fun (d : Dep_log.record) ->
+                  d.kind = kind && not (Float.is_nan d.sojourn))
+                dep_window
+            with
             | [] -> None
             | matching ->
               let total =
-                List.fold_left (fun acc (s : Sojourn_trace.record) -> acc +. s.sojourn) 0. matching
+                List.fold_left (fun acc (d : Dep_log.record) -> acc +. d.sojourn) 0. matching
               in
               Some (total /. float_of_int (List.length matching))
           in
           check
-            (same_option same_float (Sojourn_trace.mean_sojourn soj ~kind ~t0 ~t1) expected))
+            (same_option same_float (Dep_log.mean_sojourn dep ~kind ~t0 ~t1) expected))
         [ Net.Packet.Data; Net.Packet.Ack ])
     stream.windows;
   !ok
 
 let prop_logs =
-  QCheck.Test.make ~name:"Dep_log/Drop_log/Sojourn_trace == record lists" ~count:40
+  QCheck.Test.make ~name:"Dep_log/Drop_log == record lists" ~count:40
     (QCheck.make
        ~print:(fun s -> Printf.sprintf "<%d sends>" (List.length s.sends))
        stream_gen)
@@ -423,7 +420,7 @@ let test_logs_cross_chunks () =
     { discipline = Net.Discipline.Fifo; sends;
       windows = [ (0., 1.); (0.2, 0.9); (0.5, 0.5); (0.99, 0.1) ] }
   in
-  let dep, _, _, _, _ = run_stream stream in
+  let dep, _, _, _ = run_stream stream in
   Alcotest.(check bool) "fourth chunk reached" true (Dep_log.total dep > 3 * chunk);
   Alcotest.(check bool) "logs agree" true (logs_agree stream)
 

@@ -1,4 +1,5 @@
-(* Sized flows, sojourn traces, and randomized whole-system robustness. *)
+(* Sized flows, departure-log sojourns, and randomized whole-system
+   robustness. *)
 
 open Engine
 open Net
@@ -82,7 +83,7 @@ let test_bad_flow_size () =
   in
   Alcotest.(check bool) "zero flow rejected" true raised
 
-(* --- Sojourn trace ----------------------------------------------------- *)
+(* --- Departure-log sojourns ---------------------------------------------- *)
 
 let test_sojourn_values () =
   let sim = Sim.create () in
@@ -91,7 +92,7 @@ let test_sojourn_values () =
       ~prop_delay:0. ~buffer:None
   in
   Link.set_deliver link (fun _ -> ());
-  let trace = Trace.Sojourn_trace.attach link in
+  let trace = Trace.Dep_log.attach link in
   let packet seq =
     {
       Packet.id = seq;
@@ -108,16 +109,16 @@ let test_sojourn_values () =
   ignore (Link.send link (packet 0) : [ `Ok | `Dropped ]);
   ignore (Link.send link (packet 1) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
-  (match Trace.Sojourn_trace.records trace with
+  (match Trace.Dep_log.records trace with
    | [ a; b ] ->
      (* first: serialization only (80 ms); second: waits behind it *)
-     Alcotest.(check (float 1e-9)) "head sojourn" 0.08 a.Trace.Sojourn_trace.sojourn;
-     Alcotest.(check (float 1e-9)) "queued sojourn" 0.16 b.Trace.Sojourn_trace.sojourn
+     Alcotest.(check (float 1e-9)) "head sojourn" 0.08 a.Trace.Dep_log.sojourn;
+     Alcotest.(check (float 1e-9)) "queued sojourn" 0.16 b.Trace.Dep_log.sojourn
    | _ -> Alcotest.fail "expected two records");
   Alcotest.(check (option (float 1e-9))) "mean data sojourn" (Some 0.12)
-    (Trace.Sojourn_trace.mean_sojourn trace ~kind:Packet.Data ~t0:0. ~t1:1.);
+    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Data ~t0:0. ~t1:1.);
   Alcotest.(check bool) "no acks crossed" true
-    (Trace.Sojourn_trace.mean_sojourn trace ~kind:Packet.Ack ~t0:0. ~t1:1. = None)
+    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Ack ~t0:0. ~t1:1. = None)
 
 let test_effective_pipe_from_acks () =
   let sim = Sim.create () in
@@ -126,7 +127,7 @@ let test_effective_pipe_from_acks () =
       ~prop_delay:0. ~buffer:None
   in
   Link.set_deliver link (fun _ -> ());
-  let trace = Trace.Sojourn_trace.attach link in
+  let trace = Trace.Dep_log.attach link in
   let data =
     {
       Packet.id = 0;
@@ -146,10 +147,48 @@ let test_effective_pipe_from_acks () =
   Sim.run sim ~until:1.;
   (* the ACK waited a full data transmission + its own 8 ms *)
   match
-    Trace.Sojourn_trace.effective_pipe_packets trace ~data_tx:0.08 ~t0:0. ~t1:1.
+    Trace.Dep_log.effective_pipe_packets trace ~data_tx:0.08 ~t0:0. ~t1:1.
   with
   | Some pipe -> Alcotest.(check (float 1e-6)) "1.1 data slots" 1.1 pipe
   | None -> Alcotest.fail "expected an ack sojourn"
+
+let test_sojourn_before_attach () =
+  (* A packet already in the buffer when the log attaches has no entry
+     time: it departs with a nan sojourn, stays in the log, and the mean
+     skips it. *)
+  let sim = Sim.create () in
+  let link =
+    Link.create sim ~id:0 ~name:"s" ~src:0 ~dst:1 ~bandwidth:50_000.
+      ~prop_delay:0. ~buffer:None
+  in
+  Link.set_deliver link (fun _ -> ());
+  let packet seq =
+    {
+      Packet.id = seq;
+      conn = 1;
+      kind = Packet.Data;
+      seq;
+      size = 500;
+      src = 0;
+      dst = 1;
+      born = 0.;
+      retransmit = false;
+    }
+  in
+  ignore (Link.send link (packet 0) : [ `Ok | `Dropped ]);
+  let trace = Trace.Dep_log.attach link in
+  ignore (Link.send link (packet 1) : [ `Ok | `Dropped ]);
+  Sim.run sim ~until:1.;
+  (match Trace.Dep_log.records trace with
+   | [ a; b ] ->
+     Alcotest.(check int) "early packet logged" 0 a.Trace.Dep_log.seq;
+     Alcotest.(check bool) "early packet has a nan sojourn" true
+       (Float.is_nan a.Trace.Dep_log.sojourn);
+     Alcotest.(check (float 1e-9)) "later packet waits behind it" 0.16
+       b.Trace.Dep_log.sojourn
+   | _ -> Alcotest.fail "expected two records");
+  Alcotest.(check (option (float 1e-9))) "mean skips the nan" (Some 0.16)
+    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Data ~t0:0. ~t1:1.)
 
 let test_runner_effective_pipe () =
   (* Two-way traffic queues ACKs; one-way barely does. *)
@@ -239,6 +278,8 @@ let suite =
         test_infinite_flow_never_completes;
       Alcotest.test_case "bad flow size" `Quick test_bad_flow_size;
       Alcotest.test_case "sojourn values" `Quick test_sojourn_values;
+      Alcotest.test_case "sojourn of a packet queued before attach" `Quick
+        test_sojourn_before_attach;
       Alcotest.test_case "effective pipe from acks" `Quick
         test_effective_pipe_from_acks;
       Alcotest.test_case "runner effective pipe" `Quick

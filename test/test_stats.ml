@@ -2,23 +2,20 @@ open Analysis
 
 let feq = Alcotest.(check (float 1e-9))
 
-let test_mean_variance () =
+(* Population variance, for the properties' non-degeneracy assumptions. *)
+let variance a =
+  let m = Stats.mean a in
+  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a
+  /. float_of_int (Array.length a)
+
+let test_mean () =
   feq "mean" 2.5 (Stats.mean [| 1.; 2.; 3.; 4. |]);
-  feq "variance" 1.25 (Stats.variance [| 1.; 2.; 3.; 4. |]);
-  feq "stddev" (sqrt 1.25) (Stats.stddev [| 1.; 2.; 3.; 4. |]);
-  feq "constant variance" 0. (Stats.variance [| 7.; 7.; 7. |])
+  feq "constant" 7. (Stats.mean [| 7.; 7.; 7. |])
 
 let test_median () =
   feq "odd" 3. (Stats.median [| 5.; 1.; 3. |]);
   feq "even" 2.5 (Stats.median [| 4.; 1.; 2.; 3. |]);
   feq "single" 9. (Stats.median [| 9. |])
-
-let test_percentile () =
-  let a = Array.init 100 (fun i -> float_of_int (i + 1)) in
-  feq "p50" 50. (Stats.percentile a ~p:50.);
-  feq "p90" 90. (Stats.percentile a ~p:90.);
-  feq "p0 -> min" 1. (Stats.percentile a ~p:0.);
-  feq "p100 -> max" 100. (Stats.percentile a ~p:100.)
 
 let test_pearson () =
   let x = [| 1.; 2.; 3.; 4.; 5. |] in
@@ -27,15 +24,6 @@ let test_pearson () =
   let z = Array.map (fun v -> -.v) x in
   feq "perfect negative" (-1.) (Stats.pearson x z);
   feq "constant input" 0. (Stats.pearson x [| 3.; 3.; 3.; 3.; 3. |])
-
-let test_min_max () =
-  feq "min" (-2.) (Stats.minimum [| 3.; -2.; 7. |]);
-  feq "max" 7. (Stats.maximum [| 3.; -2.; 7. |])
-
-let test_histogram () =
-  let counts = Stats.histogram [| 0.1; 0.2; 0.6; 0.9; 1.5; -3. |] ~bins:2 ~lo:0. ~hi:1. in
-  (* [0, .5): 0.1, 0.2, -3 (clamped); [.5, 1): 0.6, 0.9, 1.5 (clamped) *)
-  Alcotest.(check (array int)) "bins" [| 3; 3 |] counts
 
 let test_empty_rejected () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -73,7 +61,7 @@ let prop_pearson_affine_invariant =
          where scaling can flip the 0 fallback; the identity only holds
          away from it. *)
       QCheck.assume
-        (Stats.variance xs > 1e-6 && Stats.variance ys > 1e-6);
+        (variance xs > 1e-6 && variance ys > 1e-6);
       let xs' = Array.map (fun v -> (scale *. v) +. offset) xs in
       Float.abs (Stats.pearson xs' ys -. Stats.pearson xs ys) < 1e-6)
 
@@ -83,17 +71,15 @@ let prop_median_bounded =
     (fun xs ->
       let a = Array.of_list xs in
       let m = Stats.median a in
-      m >= Stats.minimum a && m <= Stats.maximum a)
+      m >= Array.fold_left Float.min a.(0) a
+      && m <= Array.fold_left Float.max a.(0) a)
 
 let suite =
   ( "stats",
     [
-      Alcotest.test_case "mean/variance" `Quick test_mean_variance;
+      Alcotest.test_case "mean" `Quick test_mean;
       Alcotest.test_case "median" `Quick test_median;
-      Alcotest.test_case "percentile" `Quick test_percentile;
       Alcotest.test_case "pearson" `Quick test_pearson;
-      Alcotest.test_case "min/max" `Quick test_min_max;
-      Alcotest.test_case "histogram" `Quick test_histogram;
       Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
       QCheck_alcotest.to_alcotest prop_pearson_bounded;
       QCheck_alcotest.to_alcotest prop_pearson_affine_invariant;

@@ -34,7 +34,6 @@ let test_queue_trace () =
   (* initial 0, enq->1, enq->2, dep->1, dep->0 *)
   Alcotest.(check (list (float 0.))) "occupancy history" [ 0.; 1.; 2.; 1.; 0. ]
     values;
-  Alcotest.(check int) "peak" 2 (Trace.Queue_trace.peak qt);
   Alcotest.(check int) "link accessor" 7 (Link.id (Trace.Queue_trace.link qt))
 
 let test_util_meter () =
@@ -156,24 +155,20 @@ let test_drop_log_window_boundaries () =
   Alcotest.(check int) "zero-width window empty" 0
     (List.length (Trace.Drop_log.in_window log ~t0:0. ~t1:0.))
 
-let test_sojourn_window_boundaries () =
+let test_mean_sojourn_window_boundaries () =
   let sim, link, packet = rig ~buffer:None () in
-  let soj = Trace.Sojourn_trace.attach link in
+  let dep = Trace.Dep_log.attach link in
   ignore (Link.send link (packet 0) : [ `Ok | `Dropped ]);
   ignore (Link.send link (packet 1) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
-  (* departures (= record times) at exactly 0.08 and 0.16 *)
-  let times ~t0 ~t1 =
-    List.map
-      (fun r -> r.Trace.Sojourn_trace.time)
-      (Trace.Sojourn_trace.in_window soj ~t0 ~t1)
-  in
-  Alcotest.(check (list (float 1e-9))) "record at t0 included" [ 0.08; 0.16 ]
-    (times ~t0:0.08 ~t1:1.);
-  Alcotest.(check (list (float 1e-9))) "record at t1 excluded" [ 0.08 ]
-    (times ~t0:0.08 ~t1:0.16);
-  Alcotest.(check (list (float 1e-9))) "zero-width window empty" []
-    (times ~t0:0.16 ~t1:0.16)
+  (* departures at exactly 0.08 and 0.16, sojourns 0.08 and 0.16 *)
+  let mean ~t0 ~t1 = Trace.Dep_log.mean_sojourn dep ~kind:Packet.Data ~t0 ~t1 in
+  Alcotest.(check (option (float 1e-9))) "record at t0 included" (Some 0.12)
+    (mean ~t0:0.08 ~t1:1.);
+  Alcotest.(check (option (float 1e-9))) "record at t1 excluded" (Some 0.08)
+    (mean ~t0:0.08 ~t1:0.16);
+  Alcotest.(check (option (float 1e-9))) "zero-width window empty" None
+    (mean ~t0:0.16 ~t1:0.16)
 
 let test_cwnd_trace () =
   let sim = Sim.create () in
@@ -209,7 +204,7 @@ let suite =
         test_dep_log_window_boundaries;
       Alcotest.test_case "drop log window boundaries" `Quick
         test_drop_log_window_boundaries;
-      Alcotest.test_case "sojourn window boundaries" `Quick
-        test_sojourn_window_boundaries;
+      Alcotest.test_case "mean sojourn window boundaries" `Quick
+        test_mean_sojourn_window_boundaries;
       Alcotest.test_case "cwnd trace" `Quick test_cwnd_trace;
     ] )
