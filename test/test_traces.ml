@@ -189,6 +189,110 @@ let test_cwnd_trace () =
       (Tcp.Connection.cwnd conn) v
   | None -> Alcotest.fail "no samples"
 
+(* ---------------- the queue series follows the model ---------------- *)
+
+(* Random two-way dumbbells with an outage on the forward bottleneck
+   (plus, sometimes, Bernoulli loss), across the three gateways.  An
+   outage flush empties the queue through drops alone, so this is where
+   a series fed only by enqueues and departures goes stale. *)
+type qspec = {
+  gateway : Discipline.kind;
+  buffer : int;
+  n_fwd : int;
+  n_rev : int;
+  outage : float * float;
+  loss : float option;
+}
+
+let qspec_gen =
+  let open QCheck.Gen in
+  let* gateway =
+    oneofl
+      [ Discipline.Fifo; Discipline.Random_drop { seed = 5 };
+        Discipline.Fair_queue ]
+  in
+  let* buffer = int_range 3 25 in
+  let* n_fwd = int_range 1 3 in
+  let* n_rev = int_range 0 2 in
+  let* start = float_range 3. 20. in
+  let* length = float_range 0.5 5. in
+  let* loss = oneof [ return None; map Option.some (float_range 0.005 0.05) ] in
+  return
+    { gateway; buffer; n_fwd; n_rev; outage = (start, start +. length); loss }
+
+let qspec_print s =
+  Printf.sprintf "{gateway=%s; buffer=%d; fwd=%d; rev=%d; outage=[%g,%g); loss=%s}"
+    (match s.gateway with
+     | Discipline.Fifo -> "fifo"
+     | Discipline.Random_drop _ -> "random-drop"
+     | Discipline.Fair_queue -> "fair-queue")
+    s.buffer s.n_fwd s.n_rev (fst s.outage) (snd s.outage)
+    (match s.loss with None -> "none" | Some p -> Printf.sprintf "%g" p)
+
+(* At every instant where a test hook on a bottleneck fired, the queue
+   series holds the [Link.queue_length] that hook read.  Readings are
+   compared after the run, against the last one at each instant (every
+   change of occupancy fires one of these hooks), so the order in which
+   the series' and the test's hooks fire does not matter. *)
+let prop_queue_series_follows_model =
+  QCheck.Test.make ~name:"queue series equals the link occupancy at every hook"
+    ~count:40 (QCheck.make ~print:qspec_print qspec_gen) (fun s ->
+      let sim = Sim.create () in
+      let d =
+        Topology.dumbbell sim
+          (Topology.params ~gateway:s.gateway ~tau:0.01 ~buffer:(Some s.buffer) ())
+      in
+      let conn i (src_host, dst_host) =
+        ignore
+          (Tcp.Connection.create d.net
+             (Tcp.Config.make ~conn:(i + 1) ~src_host ~dst_host
+                ~start_time:(0.3 *. float_of_int i) ())
+            : Tcp.Connection.t)
+      in
+      List.iteri conn
+        (List.init s.n_fwd (fun _ -> (d.host1, d.host2))
+        @ List.init s.n_rev (fun _ -> (d.host2, d.host1)));
+      ignore
+        (Faults.Plan.install d.net d.fwd ~seed:3
+           (Faults.Spec.make
+              ?loss:(Option.map (fun p -> Faults.Spec.Bernoulli p) s.loss)
+              ~outage:{ Faults.Spec.windows = [ s.outage ]; flap = None }
+              ())
+          : Faults.Plan.t);
+      let watch link =
+        let qt = Trace.Queue_trace.attach link ~now:0. in
+        let readings = ref [] in
+        let read time = readings := (time, Link.queue_length link) :: !readings in
+        Link.on_enqueue link (fun time _ _ -> read time);
+        Link.on_depart link (fun time _ _ -> read time);
+        Link.on_drop link (fun time _ -> read time);
+        (qt, readings)
+      in
+      let watched = [ watch d.fwd; watch d.bwd ] in
+      Sim.run sim ~until:30.;
+      List.iter
+        (fun (qt, readings) ->
+          let series = Trace.Queue_trace.series qt in
+          (* Newest first: the first reading of each instant is its last. *)
+          let prev = ref infinity in
+          List.iter
+            (fun (time, qlen) ->
+              if time <> !prev then begin
+                prev := time;
+                match Trace.Series.value_at series ~time with
+                | Some v when v = float_of_int qlen -> ()
+                | v ->
+                  QCheck.Test.fail_reportf
+                    "%s at t=%.17g: series holds %s, the link holds %d"
+                    (Link.name (Trace.Queue_trace.link qt))
+                    time
+                    (match v with None -> "nothing" | Some v -> string_of_float v)
+                    qlen
+              end)
+            !readings)
+        watched;
+      true)
+
 let suite =
   ( "traces",
     [
@@ -207,4 +311,5 @@ let suite =
       Alcotest.test_case "mean sojourn window boundaries" `Quick
         test_mean_sojourn_window_boundaries;
       Alcotest.test_case "cwnd trace" `Quick test_cwnd_trace;
+      QCheck_alcotest.to_alcotest prop_queue_series_follows_model;
     ] )
