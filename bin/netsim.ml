@@ -1051,6 +1051,14 @@ let read_whole_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Decoding stopped early: a torn tail (crash before the final flush) or
+   a corrupt record.  Either is a warning — every record before it is
+   still used. *)
+let warn_stop cmd file = function
+  | Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg) ->
+    Printf.eprintf "%s: %s: warning: %s\n" cmd file msg
+  | None -> ()
+
 let run_trace_export file format out =
   let data =
     try read_whole_file file
@@ -1058,31 +1066,36 @@ let run_trace_export file format out =
       prerr_endline ("trace export: " ^ msg);
       exit 2
   in
-  match Obs.Btrace.read data with
+  let export =
+    match format with
+    | `Jsonl -> Obs.Btrace.export_jsonl data
+    | `Perfetto -> Obs.Btrace.export_chrome data
+  in
+  let result =
+    match out with
+    | None | Some "-" ->
+      let r = export print_string in
+      flush stdout;
+      r
+    | Some path ->
+      (* Opened on the first write (or once the export succeeds), so a
+         non-trace input never creates [path]. *)
+      let oc = lazy (open_out_bin path) in
+      Fun.protect
+        ~finally:(fun () ->
+          if Lazy.is_val oc then
+            try close_out (Lazy.force oc) with Sys_error _ -> ())
+        (fun () ->
+          let r = export (fun s -> output_string (Lazy.force oc) s) in
+          if Result.is_ok r then ignore (Lazy.force oc : out_channel);
+          r)
+  in
+  match result with
   | Error msg ->
     Printf.eprintf "trace export: %s: %s\n" file msg;
     2
-  | Ok trace ->
-    (* A torn tail (crash before the final flush) is a warning, not a
-       failure: every complete record is still exported. *)
-    (match trace.torn with
-     | Some msg -> Printf.eprintf "trace export: %s: warning: %s\n" file msg
-     | None -> ());
-    let export sink =
-      match format with
-      | `Jsonl -> Obs.Btrace.export_jsonl trace.items sink
-      | `Perfetto -> Obs.Btrace.export_chrome trace.items sink
-    in
-    (match out with
-     | None | Some "-" ->
-       export print_string;
-       flush stdout
-     | Some path ->
-       let oc = open_out_bin path in
-       Fun.protect
-         ~finally:(fun () ->
-           try flush oc; close_out oc with Sys_error _ -> ())
-         (fun () -> export (output_string oc)));
+  | Ok (_version, stop) ->
+    warn_stop "trace export" file stop;
     0
 
 (* ---------------- trace stats ---------------- *)
@@ -1135,16 +1148,13 @@ let run_trace_stats file flow json =
       prerr_endline ("trace stats: " ^ msg);
       exit 2
   in
-  match Obs.Btrace.read data with
+  let fs = Obs.Flowstats.create () in
+  match Obs.Btrace.iter data (Obs.Flowstats.feed fs) with
   | Error msg ->
     Printf.eprintf "trace stats: %s: %s\n" file msg;
     2
-  | Ok trace ->
-    (match trace.torn with
-     | Some msg -> Printf.eprintf "trace stats: %s: warning: %s\n" file msg
-     | None -> ());
-    let fs = Obs.Flowstats.create () in
-    List.iter (Obs.Flowstats.feed fs) trace.items;
+  | Ok (_version, stop) ->
+    warn_stop "trace stats" file stop;
     (match flow with
      | Some conn -> (
        match Obs.Flowstats.stats fs ~conn with
@@ -1190,8 +1200,9 @@ let trace_cmd =
       (Cmd.info "export"
          ~doc:
            "Convert a binary event trace to JSONL or a Perfetto-loadable \
-            Chrome trace.  A torn trailing record (crashed run) is \
-            reported on stderr; every complete record is still exported.")
+            Chrome trace.  A torn trailing record (crashed run) or a \
+            corrupt record is reported on stderr; every record before it \
+            is still exported.")
       Term.(const run_trace_export $ file_arg $ format $ out)
   in
   let stats_cmd =
@@ -1293,7 +1304,7 @@ let tracecheck_cmd =
           object and timestamps never go backwards.  Binary: decodes, \
           checks every event references a declared connection, and \
           checks time monotonicity (a truncated tail is a warning, a \
-          dangling reference an error).")
+          corrupt record or a dangling reference an error).")
     Term.(const run_tracecheck $ file_arg $ key)
 
 (* ---------------- replay ---------------- *)

@@ -25,9 +25,10 @@
 
    The writer appends records to one preallocated segment buffer and
    hands it to the sink only when full (or on [flush]) — zero
-   formatting, zero per-event syscalls.  The reader is torn-tolerant: a
-   file cut mid-record (crash before the last flush) yields every
-   complete record plus a description of the torn tail. *)
+   formatting, zero per-event syscalls.  The one decoder, [iter], is
+   torn-tolerant — a file cut mid-record (crash before the last flush)
+   yields every complete record and a [Torn] note — and strict: bytes
+   the writer never produces stop it with a [Corrupt] note. *)
 
 let magic = "NSBT"
 
@@ -116,24 +117,6 @@ let plain_link l =
     bandwidth = Net.Link.bandwidth l;
   }
 
-let plain_ev ~link_of (ev : Event.t) =
-  match ev with
-  | Event.Inject p -> Inject (plain_pkt p)
-  | Event.Deliver p -> Deliver (plain_pkt p)
-  | Event.Enqueue { link; pkt; qlen } ->
-    Enqueue { link = link_of link; pkt = plain_pkt pkt; qlen }
-  | Event.Drop { link; pkt } ->
-    Drop { link = link_of link; pkt = plain_pkt pkt }
-  | Event.Depart { link; pkt; qlen } ->
-    Depart { link = link_of link; pkt = plain_pkt pkt; qlen }
-  | Event.Fault { link; label; pkt } ->
-    Fault { link = link_of link; label; pkt = plain_pkt pkt }
-  | Event.Send { conn; pkt } -> Send { conn; pkt = plain_pkt pkt }
-  | Event.Cwnd { conn; cwnd; ssthresh } -> Cwnd { conn; cwnd; ssthresh }
-  | Event.Loss { conn; reason } -> Loss { conn; reason }
-  | Event.Ack_tx { conn; ackno; delayed; dup } ->
-    Ack_tx { conn; ackno; delayed; dup }
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -145,6 +128,7 @@ type writer = {
   strings : (string, int) Hashtbl.t;
   mutable next_sid : int;
   mutable prev_bits : int64;
+  mutable events : int;
 }
 
 let flush w =
@@ -155,7 +139,7 @@ let flush w =
 
 (* Upper bound on one record's encoding: tag (1) + time varint (<= 10)
    + three int varints (<= 9 each) + packet (<= 37) + qlen (<= 9).
-   [event] reserves this once per record, so the field writers below
+   [start] reserves this once per record, so the field writers below
    skip per-byte capacity checks — and segments always hand off at
    record boundaries, which keeps crash truncation record-aligned. *)
 let max_record = 80
@@ -208,6 +192,7 @@ let writer ?(segment = 256 * 1024) sink =
       strings = Hashtbl.create 32;
       next_sid = 0;
       prev_bits = 0L;
+      events = 0;
     }
   in
   put_raw w magic;
@@ -291,260 +276,266 @@ let put_pkt seg pos (p : Net.Packet.t) =
   let pos = put_varint seg pos p.seq in
   put_varint seg pos p.size
 
-let event w ~time (ev : Event.t) =
+(* Every event record begins here: reserve [max_record] (after any
+   string interning, since a string-def may have moved [pos]), count the
+   record, and write its tag and time stamp.  Returns the payload
+   position. *)
+let start w tag time =
   ensure w max_record;
-  let seg = w.seg in
+  w.events <- w.events + 1;
+  put_time w w.seg (put_byte w.seg w.pos tag) time
+
+let link_start w tag time link =
+  put_varint w.seg (start w tag time) (Net.Link.id link)
+
+let conn_start w tag time conn = put_varint w.seg (start w tag time) conn
+
+let inject w ~time p = w.pos <- put_pkt w.seg (start w tag_inject time) p
+let deliver w ~time p = w.pos <- put_pkt w.seg (start w tag_deliver time) p
+
+let enqueue w ~time ~link ~pkt ~qlen =
+  let pos = put_pkt w.seg (link_start w tag_enqueue time link) pkt in
+  w.pos <- put_varint w.seg pos qlen
+
+let drop w ~time ~link ~pkt =
+  w.pos <- put_pkt w.seg (link_start w tag_drop time link) pkt
+
+let depart w ~time ~link ~pkt ~qlen =
+  let pos = put_pkt w.seg (link_start w tag_depart time link) pkt in
+  w.pos <- put_varint w.seg pos qlen
+
+let fault w ~time ~link ~label ~pkt =
+  let sid = intern w label in
+  let pos = put_varint w.seg (link_start w tag_fault time link) sid in
+  w.pos <- put_pkt w.seg pos pkt
+
+let send w ~time ~conn ~pkt =
+  w.pos <- put_pkt w.seg (conn_start w tag_send time conn) pkt
+
+let cwnd w ~time ~conn ~cwnd ~ssthresh =
+  let pos = put_f64 w.seg (conn_start w tag_cwnd time conn) cwnd in
+  w.pos <- put_f64 w.seg pos ssthresh
+
+let loss w ~time ~conn ~reason =
+  let sid = intern w reason in
+  w.pos <- put_varint w.seg (conn_start w tag_loss time conn) sid
+
+let ack_tx w ~time ~conn ~ackno ~delayed ~dup =
+  let pos = put_varint w.seg (conn_start w tag_ack_tx time conn) ackno in
   w.pos <-
-    (match ev with
-     | Event.Inject p ->
-       let pos = put_byte seg w.pos tag_inject in
-       let pos = put_time w seg pos time in
-       put_pkt seg pos p
-     | Event.Deliver p ->
-       let pos = put_byte seg w.pos tag_deliver in
-       let pos = put_time w seg pos time in
-       put_pkt seg pos p
-     | Event.Enqueue { link; pkt; qlen } ->
-       let pos = put_byte seg w.pos tag_enqueue in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos (Net.Link.id link) in
-       let pos = put_pkt seg pos pkt in
-       put_varint seg pos qlen
-     | Event.Drop { link; pkt } ->
-       let pos = put_byte seg w.pos tag_drop in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos (Net.Link.id link) in
-       put_pkt seg pos pkt
-     | Event.Depart { link; pkt; qlen } ->
-       let pos = put_byte seg w.pos tag_depart in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos (Net.Link.id link) in
-       let pos = put_pkt seg pos pkt in
-       put_varint seg pos qlen
-     | Event.Fault { link; label; pkt } ->
-       (* Interning may emit a string-def record, so resolve the id
-          before the event's own tag byte goes out — and re-reserve,
-          since the def may have moved [pos]. *)
-       let sid = intern w label in
-       ensure w max_record;
-       let pos = put_byte seg w.pos tag_fault in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos (Net.Link.id link) in
-       let pos = put_varint seg pos sid in
-       put_pkt seg pos pkt
-     | Event.Send { conn; pkt } ->
-       let pos = put_byte seg w.pos tag_send in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos conn in
-       put_pkt seg pos pkt
-     | Event.Cwnd { conn; cwnd; ssthresh } ->
-       let pos = put_byte seg w.pos tag_cwnd in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos conn in
-       let pos = put_f64 seg pos cwnd in
-       put_f64 seg pos ssthresh
-     | Event.Loss { conn; reason } ->
-       let sid = intern w reason in
-       ensure w max_record;
-       let pos = put_byte seg w.pos tag_loss in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos conn in
-       put_varint seg pos sid
-     | Event.Ack_tx { conn; ackno; delayed; dup } ->
-       let pos = put_byte seg w.pos tag_ack_tx in
-       let pos = put_time w seg pos time in
-       let pos = put_varint seg pos conn in
-       let pos = put_varint seg pos ackno in
-       put_byte seg pos ((if delayed then 1 else 0) lor if dup then 2 else 0))
+    put_byte w.seg pos ((if delayed then 1 else 0) lor if dup then 2 else 0)
+
+let events_written w = w.events
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-exception Torn of string
+type stop = Torn of string | Corrupt of string
 
-let read data =
-  let n = String.length data in
-  if n < 5 || String.sub data 0 4 <> magic then
+(* Decoding stops at the first record it cannot take: [Out_of_data]
+   when the bytes run out mid-record (a crash before the last flush),
+   [Malformed] when the bytes hold something the writer never writes. *)
+exception Out_of_data of string
+exception Malformed of string
+
+let header data =
+  if String.length data < 5 || String.sub data 0 4 <> magic then
     Error "not a netsim binary trace (bad magic)"
   else
-    let file_version = Char.code data.[4] in
-    if file_version < min_version || file_version > version then
+    let v = Char.code data.[4] in
+    if v < min_version || v > version then
       Error
-        (Printf.sprintf
-           "unsupported binary trace version %d (expected %d..%d)"
-           file_version min_version version)
-    else begin
-      let pos = ref 5 in
-      let torn msg = raise (Torn msg) in
-      let read_byte () =
-        if !pos >= n then torn "truncated";
-        let b = Char.code data.[!pos] in
-        incr pos;
-        b
+        (Printf.sprintf "unsupported binary trace version %d (expected %d..%d)"
+           v min_version version)
+    else Ok v
+
+let iter data f =
+  match header data with
+  | Error msg -> Error msg
+  | Ok file_version ->
+    let n = String.length data in
+    let pos = ref 5 in
+    let torn msg = raise (Out_of_data msg) in
+    let corrupt fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt in
+    let read_byte () =
+      if !pos >= n then torn "truncated";
+      let b = Char.code data.[!pos] in
+      incr pos;
+      b
+    in
+    let read_varint () =
+      let rec go shift acc =
+        let b = read_byte () in
+        let acc = acc lor ((b land 0x7f) lsl shift) in
+        if b < 0x80 then acc
+        else if shift >= 56 then corrupt "varint too long"
+        else go (shift + 7) acc
       in
-      let read_varint () =
-        let rec go shift acc =
-          let b = read_byte () in
-          let acc = acc lor ((b land 0x7f) lsl shift) in
-          if b < 0x80 then acc
-          else if shift >= 56 then torn "varint too long"
-          else go (shift + 7) acc
+      go 0 0
+    in
+    let read_varint64 () =
+      let rec go shift acc =
+        let b = read_byte () in
+        let acc =
+          Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7f)) shift)
         in
-        go 0 0
+        if b < 0x80 then acc
+        else if shift >= 63 then corrupt "varint too long"
+        else go (shift + 7) acc
       in
-      let read_varint64 () =
-        let rec go shift acc =
-          let b = read_byte () in
-          let acc =
-            Int64.logor acc
-              (Int64.shift_left (Int64.of_int (b land 0x7f)) shift)
-          in
-          if b < 0x80 then acc
-          else if shift >= 63 then torn "varint too long"
-          else go (shift + 7) acc
+      go 0 0L
+    in
+    (* The writer only writes ids it got from the model, never negative. *)
+    let read_id what =
+      let id = read_varint () in
+      if id < 0 then corrupt "negative %s id %d" what id;
+      id
+    in
+    let read_f64 what =
+      if !pos > n - 8 then torn "truncated";
+      let x = Int64.float_of_bits (String.get_int64_le data !pos) in
+      pos := !pos + 8;
+      if Float.is_finite x then x else corrupt "non-finite %s" what
+    in
+    let strings : (int, string) Hashtbl.t = Hashtbl.create 32 in
+    let links : (int, link) Hashtbl.t = Hashtbl.create 8 in
+    let string_of_sid sid =
+      match Hashtbl.find_opt strings sid with
+      | Some s -> s
+      | None -> corrupt "undefined string id %d" sid
+    in
+    let link_of_id id =
+      match Hashtbl.find_opt links id with
+      | Some l -> l
+      | None -> corrupt "undefined link id %d" id
+    in
+    let read_pkt () =
+      let id = read_varint () in
+      let conn = read_id "conn" in
+      let flags = read_byte () in
+      let seq = read_varint () in
+      let size = read_varint () in
+      {
+        id;
+        conn;
+        kind = (if flags land 1 = 0 then Net.Packet.Data else Net.Packet.Ack);
+        retransmit = flags land 2 <> 0;
+        seq;
+        size;
+      }
+    in
+    let prev_bits = ref 0L in
+    let read_time () =
+      let bits = Int64.add !prev_bits (unzigzag (read_varint64 ())) in
+      prev_bits := bits;
+      let time = Int64.float_of_bits bits in
+      if Float.is_finite time then time else corrupt "non-finite time"
+    in
+    let read_event tag =
+      let time = read_time () in
+      let ev =
+        if tag = tag_inject then Inject (read_pkt ())
+        else if tag = tag_deliver then Deliver (read_pkt ())
+        else if tag = tag_enqueue then begin
+          let link = link_of_id (read_varint ()) in
+          let pkt = read_pkt () in
+          Enqueue { link; pkt; qlen = read_varint () }
+        end
+        else if tag = tag_drop then begin
+          let link = link_of_id (read_varint ()) in
+          Drop { link; pkt = read_pkt () }
+        end
+        else if tag = tag_depart then begin
+          let link = link_of_id (read_varint ()) in
+          let pkt = read_pkt () in
+          Depart { link; pkt; qlen = read_varint () }
+        end
+        else if tag = tag_fault then begin
+          let link = link_of_id (read_varint ()) in
+          let label = string_of_sid (read_varint ()) in
+          Fault { link; label; pkt = read_pkt () }
+        end
+        else if tag = tag_send then begin
+          let conn = read_id "conn" in
+          Send { conn; pkt = read_pkt () }
+        end
+        else if tag = tag_cwnd then begin
+          let conn = read_id "conn" in
+          let cwnd = read_f64 "cwnd" in
+          Cwnd { conn; cwnd; ssthresh = read_f64 "ssthresh" }
+        end
+        else if tag = tag_loss then begin
+          let conn = read_id "conn" in
+          Loss { conn; reason = string_of_sid (read_varint ()) }
+        end
+        else begin
+          (* [record] lets only event tags through: this is [tag_ack_tx]. *)
+          let conn = read_id "conn" in
+          let ackno = read_varint () in
+          let flags = read_byte () in
+          let delayed = flags land 1 <> 0 and dup = flags land 2 <> 0 in
+          Ack_tx { conn; ackno; delayed; dup }
+        end
+      in
+      f (Event (time, ev))
+    in
+    (* One whole record; [f] sees it only once every byte decoded. *)
+    let record () =
+      let tag = read_byte () in
+      if tag = tag_string then begin
+        let sid = read_varint () in
+        let len = read_varint () in
+        if len < 0 then corrupt "negative string length %d" len;
+        if len > n - !pos then torn "truncated string";
+        Hashtbl.replace strings sid (String.sub data !pos len);
+        pos := !pos + len
+      end
+      else if tag = tag_link then begin
+        let link_id = read_id "link" in
+        let link_name = string_of_sid (read_varint ()) in
+        let l = { link_id; link_name; bandwidth = read_f64 "bandwidth" } in
+        Hashtbl.replace links link_id l;
+        f (Def_link l)
+      end
+      else if tag = tag_conn then f (Def_conn (read_id "conn"))
+      else if tag = tag_conn_meta then begin
+        let conn = read_id "conn" in
+        let start_time = read_f64 "start time" in
+        let flow_size =
+          match read_varint () with 0 -> None | n -> Some (n - 1)
         in
-        go 0 0L
-      in
-      let read_f64 () =
-        if !pos + 8 > n then torn "truncated";
-        let bits = String.get_int64_le data !pos in
-        pos := !pos + 8;
-        Int64.float_of_bits bits
-      in
-      let strings : (int, string) Hashtbl.t = Hashtbl.create 32 in
-      let links : (int, link) Hashtbl.t = Hashtbl.create 8 in
-      let string_of_sid sid =
-        match Hashtbl.find_opt strings sid with
-        | Some s -> s
-        | None -> torn (Printf.sprintf "undefined string id %d" sid)
-      in
-      let link_of_id id =
-        match Hashtbl.find_opt links id with
-        | Some l -> l
-        | None -> torn (Printf.sprintf "undefined link id %d" id)
-      in
-      let read_pkt () =
-        let id = read_varint () in
-        let conn = read_varint () in
-        let flags = read_byte () in
-        let seq = read_varint () in
-        let size = read_varint () in
-        {
-          id;
-          conn;
-          kind =
-            (if flags land 1 = 0 then Net.Packet.Data else Net.Packet.Ack);
-          retransmit = flags land 2 <> 0;
-          seq;
-          size;
-        }
-      in
-      let prev_bits = ref 0L in
-      let read_time () =
-        let bits = Int64.add !prev_bits (unzigzag (read_varint64 ())) in
-        prev_bits := bits;
-        Int64.float_of_bits bits
-      in
-      let items = ref [] in
-      let count = ref 0 in
-      let torn_msg = ref None in
-      (try
-         while !pos < n do
-           let start = !pos in
-           (try
-              let tag = read_byte () in
-              if tag = tag_string then begin
-                let sid = read_varint () in
-                let len = read_varint () in
-                if len < 0 || !pos + len > n then torn "truncated string";
-                Hashtbl.replace strings sid (String.sub data !pos len);
-                pos := !pos + len
-              end
-              else if tag = tag_link then begin
-                let link_id = read_varint () in
-                let link_name = string_of_sid (read_varint ()) in
-                let bandwidth = read_f64 () in
-                let l = { link_id; link_name; bandwidth } in
-                Hashtbl.replace links link_id l;
-                items := Def_link l :: !items
-              end
-              else if tag = tag_conn then
-                items := Def_conn (read_varint ()) :: !items
-              else if tag = tag_conn_meta then begin
-                let conn = read_varint () in
-                let start_time = read_f64 () in
-                let flow_size =
-                  match read_varint () with 0 -> None | n -> Some (n - 1)
-                in
-                items := Def_conn_meta { conn; start_time; flow_size } :: !items
-              end
-              else begin
-                let time = read_time () in
-                let ev =
-                  if tag = tag_inject then Inject (read_pkt ())
-                  else if tag = tag_deliver then Deliver (read_pkt ())
-                  else if tag = tag_enqueue then begin
-                    let link = link_of_id (read_varint ()) in
-                    let pkt = read_pkt () in
-                    Enqueue { link; pkt; qlen = read_varint () }
-                  end
-                  else if tag = tag_drop then begin
-                    let link = link_of_id (read_varint ()) in
-                    Drop { link; pkt = read_pkt () }
-                  end
-                  else if tag = tag_depart then begin
-                    let link = link_of_id (read_varint ()) in
-                    let pkt = read_pkt () in
-                    Depart { link; pkt; qlen = read_varint () }
-                  end
-                  else if tag = tag_fault then begin
-                    let link = link_of_id (read_varint ()) in
-                    let label = string_of_sid (read_varint ()) in
-                    Fault { link; label; pkt = read_pkt () }
-                  end
-                  else if tag = tag_send then begin
-                    let conn = read_varint () in
-                    Send { conn; pkt = read_pkt () }
-                  end
-                  else if tag = tag_cwnd then begin
-                    let conn = read_varint () in
-                    let cwnd = read_f64 () in
-                    Cwnd { conn; cwnd; ssthresh = read_f64 () }
-                  end
-                  else if tag = tag_loss then begin
-                    let conn = read_varint () in
-                    Loss { conn; reason = string_of_sid (read_varint ()) }
-                  end
-                  else if tag = tag_ack_tx then begin
-                    let conn = read_varint () in
-                    let ackno = read_varint () in
-                    let flags = read_byte () in
-                    Ack_tx
-                      {
-                        conn;
-                        ackno;
-                        delayed = flags land 1 <> 0;
-                        dup = flags land 2 <> 0;
-                      }
-                  end
-                  else torn (Printf.sprintf "unknown record tag 0x%02x" tag)
-                in
-                items := Event (time, ev) :: !items
-              end;
-              incr count
-            with Torn msg ->
-              torn_msg :=
-                Some
-                  (Printf.sprintf
-                     "torn record at byte %d: %s (%d complete records \
-                      recovered)"
-                     start msg !count);
-              raise Exit)
-         done
-       with Exit -> ());
-      Ok { file_version; items = List.rev !items; torn = !torn_msg }
-    end
+        f (Def_conn_meta { conn; start_time; flow_size })
+      end
+      else if tag < tag_inject || tag > tag_ack_tx then
+        corrupt "unknown record tag 0x%02x" tag
+      else read_event tag
+    in
+    let note kind start msg count =
+      Printf.sprintf "%s record at byte %d: %s (%d complete records recovered)"
+        kind start msg count
+    in
+    (* A loop, not a recursive function: a tail call out of a
+       [match ... with exception] allocates on every record. *)
+    let count = ref 0 and stop = ref None in
+    while Option.is_none !stop && !pos < n do
+      let start = !pos in
+      match record () with
+      | () -> incr count
+      | exception Out_of_data msg ->
+        stop := Some (Torn (note "torn" start msg !count))
+      | exception Malformed msg ->
+        stop := Some (Corrupt (note "corrupt" start msg !count))
+    done;
+    Ok (file_version, !stop)
+
+let read data =
+  let items = ref [] in
+  Result.map
+    (fun (file_version, stop) ->
+      let torn = Option.map (function Torn m | Corrupt m -> m) stop in
+      { file_version; items = List.rev !items; torn })
+    (iter data (fun item -> items := item :: !items))
 
 (* ------------------------------------------------------------------ *)
 (* Offline formatters                                                  *)
@@ -589,14 +580,12 @@ let jsonl_line ~time ev =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let export_jsonl items sink =
-  List.iter
-    (function
-      | Def_link _ | Def_conn _ | Def_conn_meta _ -> ()
-      | Event (time, ev) ->
-        sink (jsonl_line ~time ev);
-        sink "\n")
-    items
+let export_jsonl data sink =
+  iter data (function
+    | Def_link _ | Def_conn _ | Def_conn_meta _ -> ()
+    | Event (time, ev) ->
+      sink (jsonl_line ~time ev);
+      sink "\n")
 
 (* Chrome trace_event rendering: one process, one thread ("track" in
    Perfetto) per link and per connection; counter tracks (queue depth,
@@ -613,99 +602,102 @@ let pkt_name (p : pkt) =
     p.seq
     (if p.retransmit then " rexmt" else "")
 
-let export_chrome items sink =
-  sink "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let records = ref 0 in
-  let record s =
-    sink (if !records = 0 then "\n" else ",\n");
-    incr records;
-    sink s
-  in
-  let meta ~tid ~name =
+let export_chrome data sink =
+  match header data with
+  | Error msg -> Error msg
+  | Ok _ ->
+    sink "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    let records = ref 0 in
+    let record s =
+      sink (if !records = 0 then "\n" else ",\n");
+      incr records;
+      sink s
+    in
+    let meta ~tid ~name =
+      record
+        (Printf.sprintf
+           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
+            \"args\":{\"name\":\"%s\"}}"
+           pid tid (Json.escape name))
+    in
+    let instant ~time ~tid ~name =
+      record
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\
+            \"pid\":%d,\"tid\":%d}"
+           (Json.escape name) (1e6 *. time) pid tid)
+    in
+    let counter ~time ~name ~args =
+      record
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"args\":{%s}}"
+           (Json.escape name) (1e6 *. time) pid args)
+    in
+    let queue_counter ~time (l : link) qlen =
+      counter ~time
+        ~name:("queue " ^ l.link_name)
+        ~args:(Printf.sprintf "\"packets\":%d" qlen)
+    in
     record
       (Printf.sprintf
-         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
-          \"args\":{\"name\":\"%s\"}}"
-         pid tid (Json.escape name))
-  in
-  let instant ~time ~tid ~name =
-    record
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\
-          \"pid\":%d,\"tid\":%d}"
-         (Json.escape name) (1e6 *. time) pid tid)
-  in
-  let counter ~time ~name ~args =
-    record
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"args\":{%s}}"
-         (Json.escape name) (1e6 *. time) pid args)
-  in
-  let queue_counter ~time (l : link) qlen =
-    counter ~time
-      ~name:("queue " ^ l.link_name)
-      ~args:(Printf.sprintf "\"packets\":%d" qlen)
-  in
-  record
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\
-        \"args\":{\"name\":\"netsim\"}}"
-       pid);
-  List.iter
-    (function
-      | Def_link l -> meta ~tid:(link_tid l) ~name:("link " ^ l.link_name)
-      | Def_conn c -> meta ~tid:(conn_tid c) ~name:(Printf.sprintf "conn %d" c)
-      | Def_conn_meta { conn = c; _ } ->
-        meta ~tid:(conn_tid c) ~name:(Printf.sprintf "conn %d" c)
-      | Event (time, ev) -> (
-        match ev with
-        | Inject p ->
-          instant ~time ~tid:(conn_tid p.conn) ~name:("inject " ^ pkt_name p)
-        | Deliver p ->
-          instant ~time ~tid:(conn_tid p.conn) ~name:("deliver " ^ pkt_name p)
-        | Enqueue { link; pkt = _; qlen } -> queue_counter ~time link qlen
-        | Drop { link; pkt } ->
-          instant ~time ~tid:(link_tid link) ~name:("drop " ^ pkt_name pkt)
-        | Depart { link; pkt; qlen } ->
-          (* The departure marks the end of serialization: render the
-             whole serialization interval as a complete ("X") slice on
-             the link's track, so Perfetto shows the transmitter's duty
-             cycle directly. *)
-          let tx =
-            if link.bandwidth > 0. then
-              8. *. float_of_int pkt.size /. link.bandwidth
-            else 0.
-          in
-          record
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
-                \"pid\":%d,\"tid\":%d,\"args\":{\"conn\":%d,\"seq\":%d,\
-                \"id\":%d}}"
-               (Json.escape (pkt_name pkt))
-               (1e6 *. (time -. tx))
-               (1e6 *. tx) pid (link_tid link) pkt.conn pkt.seq pkt.id);
-          queue_counter ~time link qlen
-        | Fault { link; label; pkt } ->
-          instant ~time ~tid:(link_tid link)
-            ~name:(Printf.sprintf "fault:%s %s" label (pkt_name pkt))
-        | Send { conn; pkt } ->
-          instant ~time ~tid:(conn_tid conn) ~name:("send " ^ pkt_name pkt)
-        | Cwnd { conn; cwnd; ssthresh } ->
-          counter ~time
-            ~name:(Printf.sprintf "cwnd conn-%d" conn)
-            ~args:
-              (Printf.sprintf "\"cwnd\":%s,\"ssthresh\":%s"
-                 (Json.float_repr cwnd) (Json.float_repr ssthresh))
-        | Loss { conn; reason } ->
-          instant ~time ~tid:(conn_tid conn) ~name:("loss:" ^ reason)
-        | Ack_tx { conn; ackno; delayed; dup } ->
-          instant ~time ~tid:(conn_tid conn)
-            ~name:
-              (Printf.sprintf "ack %d%s%s" ackno
-                 (if delayed then " delayed" else "")
-                 (if dup then " dup" else ""))))
-    items;
-  sink "\n]}\n"
+         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\
+          \"args\":{\"name\":\"netsim\"}}"
+         pid);
+    let result =
+      iter data (function
+        | Def_link l -> meta ~tid:(link_tid l) ~name:("link " ^ l.link_name)
+        | Def_conn c | Def_conn_meta { conn = c; _ } ->
+          meta ~tid:(conn_tid c) ~name:(Printf.sprintf "conn %d" c)
+        | Event (time, ev) -> (
+          match ev with
+          | Inject p ->
+            instant ~time ~tid:(conn_tid p.conn) ~name:("inject " ^ pkt_name p)
+          | Deliver p ->
+            instant ~time ~tid:(conn_tid p.conn) ~name:("deliver " ^ pkt_name p)
+          | Enqueue { link; pkt = _; qlen } -> queue_counter ~time link qlen
+          | Drop { link; pkt } ->
+            instant ~time ~tid:(link_tid link) ~name:("drop " ^ pkt_name pkt)
+          | Depart { link; pkt; qlen } ->
+            (* The departure marks the end of serialization: render the
+               whole serialization interval as a complete ("X") slice on
+               the link's track, so Perfetto shows the transmitter's duty
+               cycle directly. *)
+            let tx =
+              if link.bandwidth > 0. then
+                8. *. float_of_int pkt.size /. link.bandwidth
+              else 0.
+            in
+            record
+              (Printf.sprintf
+                 "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
+                  \"pid\":%d,\"tid\":%d,\"args\":{\"conn\":%d,\"seq\":%d,\
+                  \"id\":%d}}"
+                 (Json.escape (pkt_name pkt))
+                 (1e6 *. (time -. tx))
+                 (1e6 *. tx) pid (link_tid link) pkt.conn pkt.seq pkt.id);
+            queue_counter ~time link qlen
+          | Fault { link; label; pkt } ->
+            instant ~time ~tid:(link_tid link)
+              ~name:(Printf.sprintf "fault:%s %s" label (pkt_name pkt))
+          | Send { conn; pkt } ->
+            instant ~time ~tid:(conn_tid conn) ~name:("send " ^ pkt_name pkt)
+          | Cwnd { conn; cwnd; ssthresh } ->
+            counter ~time
+              ~name:(Printf.sprintf "cwnd conn-%d" conn)
+              ~args:
+                (Printf.sprintf "\"cwnd\":%s,\"ssthresh\":%s"
+                   (Json.float_repr cwnd) (Json.float_repr ssthresh))
+          | Loss { conn; reason } ->
+            instant ~time ~tid:(conn_tid conn) ~name:("loss:" ^ reason)
+          | Ack_tx { conn; ackno; delayed; dup } ->
+            instant ~time ~tid:(conn_tid conn)
+              ~name:
+                (Printf.sprintf "ack %d%s%s" ackno
+                   (if delayed then " delayed" else "")
+                   (if dup then " dup" else ""))))
+    in
+    sink "\n]}\n";
+    result
 
 (* ------------------------------------------------------------------ *)
 (* Validation (tracecheck on the binary directly)                      *)
@@ -720,13 +712,6 @@ type audit = {
   audit_errors : string list;
 }
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-  in
-  n = 0 || go 0
-
 let ev_conn = function
   | Inject p | Deliver p -> p.conn
   | Enqueue { pkt; _ } | Drop { pkt; _ } | Depart { pkt; _ }
@@ -736,55 +721,54 @@ let ev_conn = function
   | Ack_tx { conn; _ } ->
     conn
 
-(* Decode and audit: every event must reference a declared connection
-   (link and string references are enforced by the decoder itself — an
-   undefined id stops the walk with a torn note naming it), and event
-   times must be non-decreasing.  A torn tail from a plain truncation is
-   reported but is not an error (crash traces are valid prefixes); a
-   torn note caused by a dangling reference or an unknown tag is. *)
+(* Audit inside the decoder's walk: every event must reference a
+   declared connection (link and string references, ids and floats are
+   enforced by the decoder itself — a violation stops the walk with a
+   [Corrupt] note), and event times must be non-decreasing.  A torn tail
+   from a plain truncation is reported but is not an error (crash traces
+   are valid prefixes); a corrupt record is. *)
 let validate data =
-  match read data with
-  | Error msg -> Error msg
-  | Ok { file_version; items; torn } ->
-    let conns = Hashtbl.create 8 in
-    let links = ref 0 in
-    let events = ref 0 in
-    let missing = Hashtbl.create 8 in
-    let errors = ref [] in
-    let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-    let prev_time = ref neg_infinity in
-    List.iter
-      (fun item ->
-        match item with
-        | Def_link _ -> incr links
-        | Def_conn c -> Hashtbl.replace conns c ()
-        | Def_conn_meta { conn; _ } -> Hashtbl.replace conns conn ()
-        | Event (time, ev) ->
-          incr events;
-          let c = ev_conn ev in
-          if not (Hashtbl.mem conns c) && not (Hashtbl.mem missing c) then begin
-            Hashtbl.add missing c ();
-            err "event %d (%s at t=%s) references undeclared conn %d"
-              !events (ev_label ev) (Json.float_repr time) c
-          end;
-          if time < !prev_time then
-            err "time goes backwards at event %d: %s -> %s" !events
-              (Json.float_repr !prev_time)
-              (Json.float_repr time);
-          prev_time := time)
-      items;
-    (match torn with
-     | Some msg
-       when contains_substring msg "undefined"
-            || contains_substring msg "unknown record tag" ->
-       err "torn tail reports a broken reference: %s" msg
-     | _ -> ());
-    Ok
+  let conns = Hashtbl.create 8 in
+  let links = ref 0 in
+  let events = ref 0 in
+  let missing = Hashtbl.create 8 in
+  let errors = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let prev_time = ref neg_infinity in
+  let audit = function
+    | Def_link _ -> incr links
+    | Def_conn c -> Hashtbl.replace conns c ()
+    | Def_conn_meta { conn; _ } -> Hashtbl.replace conns conn ()
+    | Event (time, ev) ->
+      incr events;
+      let c = ev_conn ev in
+      if not (Hashtbl.mem conns c) && not (Hashtbl.mem missing c) then begin
+        Hashtbl.add missing c ();
+        err "event %d (%s at t=%s) references undeclared conn %d" !events
+          (ev_label ev) (Json.float_repr time) c
+      end;
+      if time < !prev_time then
+        err "time goes backwards at event %d: %s -> %s" !events
+          (Json.float_repr !prev_time)
+          (Json.float_repr time);
+      prev_time := time
+  in
+  Result.map
+    (fun (audit_version, stop) ->
+      let audit_torn =
+        match stop with
+        | Some (Torn msg) -> Some msg
+        | Some (Corrupt msg) ->
+          err "%s" msg;
+          None
+        | None -> None
+      in
       {
-        audit_version = file_version;
+        audit_version;
         audit_events = !events;
         audit_links = !links;
         audit_conns = Hashtbl.length conns;
-        audit_torn = torn;
+        audit_torn;
         audit_errors = List.rev !errors;
-      }
+      })
+    (iter data audit)

@@ -1,5 +1,6 @@
-(** Compact binary trace format: the hot-path encoding behind {!Tracer}
-    plus the offline reader and JSONL / Chrome-trace formatters.
+(** Compact binary trace format: the one trace event type ({!ev}), the
+    writer the {!Probe} hooks call, the one decoder ({!iter}) every
+    reader folds over, and the JSONL / Chrome-trace formatters.
 
     {2 Format (version 2)}
 
@@ -28,24 +29,25 @@
 
     The {!writer} batches records into one preallocated segment buffer
     handed to the sink only when full or on {!flush}: zero formatting
-    and zero per-event syscalls on the hot path.  {!read} is
+    and zero per-event syscalls on the hot path.  {!iter} is
     torn-tolerant — a file cut mid-record (crash before the final
     flush) yields every complete record plus a note describing the torn
-    tail. *)
+    tail — and strict: it stops at the first record the writer cannot
+    produce and says so (see {!stop}). *)
 
 val magic : string
 val version : int
 
-(** Oldest file version {!read} still accepts. *)
+(** Oldest file version {!iter} still accepts. *)
 val min_version : int
 
 (** {2 Decoded plain data}
 
     Decoded events carry copies, never live model objects: packets are
-    recycled through free-lists, so archived records must not alias
-    them.  [ev] mirrors {!Event.t} field-for-field with links replaced
-    by their identity ([link_id] doubles as the Perfetto track id,
-    [bandwidth] reconstructs departure slice durations offline). *)
+    recycled through free-lists, so archived records (decoded ones and
+    the {!Flight} ring's) must not alias them.  A link is its identity:
+    [link_id] doubles as the Perfetto track id, [bandwidth]
+    reconstructs departure slice durations offline. *)
 
 type pkt = {
   id : int;
@@ -64,10 +66,11 @@ type ev =
   | Enqueue of { link : link; pkt : pkt; qlen : int }
   | Drop of { link : link; pkt : pkt }
   | Depart of { link : link; pkt : pkt; qlen : int }
+      (** serialization finished; [qlen] is the post-departure occupancy *)
   | Fault of { link : link; label : string; pkt : pkt }
   | Send of { conn : int; pkt : pkt }
   | Cwnd of { conn : int; cwnd : float; ssthresh : float }
-  | Loss of { conn : int; reason : string }
+  | Loss of { conn : int; reason : string }  (** ["timeout"] / ["dup_ack"] *)
   | Ack_tx of { conn : int; ackno : int; delayed : bool; dup : bool }
 
 type item =
@@ -80,19 +83,29 @@ type file = {
   file_version : int;
   items : item list;  (** complete records, in stream order *)
   torn : string option;
-      (** description of a torn trailing record, if the data ended
-          mid-record (all preceding complete records are in [items]) *)
+      (** the note of the {!stop}, if decoding stopped before the end
+          of the data (all preceding complete records are in [items]) *)
 }
+
+(** Why {!iter} stopped before the end of the data; every record before
+    the stop was delivered.  Each carries a note naming the byte offset
+    and the count of complete records. *)
+type stop =
+  | Torn of string
+      (** the data ends mid-record — a crash before the final flush; the
+          prefix is a valid trace *)
+  | Corrupt of string
+      (** a record the writer cannot produce: an unknown tag, an
+          undefined string or link id, a negative conn or link id, a
+          non-finite float or an over-long varint *)
 
 (** Short event-kind tag, e.g. ["enqueue"]; the JSONL ["ev"] value. *)
 val ev_label : ev -> string
 
+(** Plain copies of live model values. *)
 val plain_pkt : Net.Packet.t -> pkt
-val plain_link : Net.Link.t -> link
 
-(** Copy a live event to plain data.  [link_of] maps each live link to
-    its (shared) plain record — see {!Tracer}'s per-link cache. *)
-val plain_ev : link_of:(Net.Link.t -> link) -> Event.t -> ev
+val plain_link : Net.Link.t -> link
 
 (** {2 Writer} *)
 
@@ -117,18 +130,60 @@ val declare_conn : writer -> int -> unit
 val declare_conn_meta :
   writer -> int -> start_time:float -> flow_size:int option -> unit
 
-(** Append one event record to the segment buffer. *)
-val event : writer -> time:float -> Event.t -> unit
+(** {3 Event records}
+
+    One function per event kind, called straight from the model's hooks
+    with the live values they receive; each appends one record stamped
+    [time] (the hook's [Sim.now]) to the segment buffer.  Live packets
+    and links are read only during the call. *)
+
+val inject : writer -> time:float -> Net.Packet.t -> unit
+val deliver : writer -> time:float -> Net.Packet.t -> unit
+
+val enqueue :
+  writer -> time:float -> link:Net.Link.t -> pkt:Net.Packet.t -> qlen:int ->
+  unit
+
+val drop : writer -> time:float -> link:Net.Link.t -> pkt:Net.Packet.t -> unit
+
+val depart :
+  writer -> time:float -> link:Net.Link.t -> pkt:Net.Packet.t -> qlen:int ->
+  unit
+
+val fault :
+  writer -> time:float -> link:Net.Link.t -> label:string ->
+  pkt:Net.Packet.t -> unit
+
+val send : writer -> time:float -> conn:int -> pkt:Net.Packet.t -> unit
+
+val cwnd :
+  writer -> time:float -> conn:int -> cwnd:float -> ssthresh:float -> unit
+
+val loss : writer -> time:float -> conn:int -> reason:string -> unit
+
+val ack_tx :
+  writer -> time:float -> conn:int -> ackno:int -> delayed:bool -> dup:bool ->
+  unit
+
+(** Event records written so far (defs not included). *)
+val events_written : writer -> int
 
 (** Hand buffered bytes to the sink.  Call on every exit path (the
     writer never flushes on its own except when a segment fills). *)
 val flush : writer -> unit
 
-(** {2 Reader and offline formatters} *)
+(** {2 Decoder and offline formatters} *)
 
-(** Decode a complete in-memory trace.  [Error] means the data is not a
-    readable binary trace at all (bad magic or unsupported version); a
-    torn tail is NOT an error — see {!type-file}. *)
+(** [iter data f] decodes an in-memory trace, calling [f] on each
+    complete record in stream order (string-defs are resolved, not
+    delivered).  Returns the file version and why decoding stopped
+    early, if it did.  [Error] means the data is not a readable binary
+    trace at all (bad magic or unsupported version); [f] is then never
+    called. *)
+val iter : string -> (item -> unit) -> (int * stop option, string) result
+
+(** {!iter} collected into a list; [torn] carries the note of either
+    kind of {!stop}. *)
 val read : string -> (file, string) result
 
 (** One JSONL object (no trailing newline), byte-identical to the
@@ -136,14 +191,20 @@ val read : string -> (file, string) result
     round-trip floats. *)
 val jsonl_line : time:float -> ev -> string
 
-(** Render all events as JSONL lines (defs are skipped). *)
-val export_jsonl : item list -> (string -> unit) -> unit
+(** Decode and render every event as a JSONL line (defs are skipped), in
+    one pass.  Returns what {!iter} returns; on [Error] nothing was
+    written. *)
+val export_jsonl :
+  string -> (string -> unit) -> (int * stop option, string) result
 
-(** Render a Chrome [trace_event] JSON file (loadable in Perfetto /
-    [chrome://tracing]), byte-identical to the historical online chrome
-    sink: link/conn defs become thread-name metadata, departures become
-    complete slices spanning the serialization interval. *)
-val export_chrome : item list -> (string -> unit) -> unit
+(** Decode and render a Chrome [trace_event] JSON file (loadable in
+    Perfetto / [chrome://tracing]) in one pass, byte-identical to the
+    historical online chrome sink: link/conn defs become thread-name
+    metadata, departures become complete slices spanning the
+    serialization interval.  Returns what {!iter} returns; on [Error]
+    nothing was written. *)
+val export_chrome :
+  string -> (string -> unit) -> (int * stop option, string) result
 
 (** {2 Validation}
 
@@ -156,17 +217,15 @@ type audit = {
   audit_links : int;
   audit_conns : int;  (** distinct declared connections *)
   audit_torn : string option;
-      (** torn-tail note from the decoder, if any — a plain truncation
-          (crash before the final flush) is reported here but is not an
-          error *)
+      (** the {!Torn} note, if any — a plain truncation (crash before
+          the final flush) is reported here but is not an error *)
   audit_errors : string list;
       (** integrity violations: events referencing a connection never
           declared (by conn-def or conn-meta), event times going
-          backwards, or a torn note caused by a dangling string/link
-          reference or an unknown record tag *)
+          backwards, or the {!Corrupt} note *)
 }
 
-(** Decode and audit.  [Error] only when the data is not a readable
-    binary trace at all (same cases as {!read}); integrity violations
-    land in [audit_errors]. *)
+(** Decode and audit in one {!iter} pass.  [Error] only when the data is
+    not a readable binary trace at all (same cases as {!iter});
+    integrity violations land in [audit_errors]. *)
 val validate : string -> (audit, string) result

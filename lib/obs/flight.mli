@@ -9,7 +9,8 @@
     Entries are plain values copied in at record time; the ring never
     holds live model objects (packets are recycled through free-lists,
     so retaining one past the emitting hook would alias recycled
-    state).
+    state).  {!Probe} arms one with its own hooks, each recording the
+    event's time and plain {!Btrace.ev} copy.
 
     Slot selection uses an explicit wrapping cursor, never
     [total mod capacity]: [total] only reports how many entries were

@@ -12,7 +12,7 @@
    agree bit-for-bit:
 
      online   {!Probe} hooks during a live run
-     offline  {!feed} folding the decoded records of a binary trace
+     offline  {!feed} on each record {!Btrace.iter} decodes
 
    so the accounting mirrors the sender's own bookkeeping exactly — in
    particular Karn's algorithm for RTT sampling:

@@ -31,25 +31,25 @@ val register : t -> conn:int -> start_time:float -> flow_size:int option -> unit
 
     Events for unregistered connections are ignored. *)
 
-(** A data-packet transmission ({!Event.Send}).  A first transmission
+(** A data-packet transmission ({!Btrace.Send}).  A first transmission
     starts the RTT timer when none is running; a retransmission counts
     and clears it (Karn). *)
 val record_send :
   t -> time:float -> conn:int -> seq:int -> retransmit:bool -> unit
 
-(** A data packet reaching the receiver ({!Event.Deliver}, Data). *)
+(** A data packet reaching the receiver ({!Btrace.Deliver}, Data). *)
 val record_data_delivered : t -> conn:int -> bytes:int -> unit
 
-(** A cumulative ACK reaching the sender ({!Event.Deliver}, Ack; the
+(** A cumulative ACK reaching the sender ({!Btrace.Deliver}, Ack; the
     ackno travels in the packet's [seq] field).  Samples the RTT when
     the ACK covers the timed sequence, records completion when it
     covers a sized flow. *)
 val record_ack_delivered : t -> time:float -> conn:int -> ackno:int -> unit
 
-(** A loss signal ({!Event.Loss}): counts, and clears the RTT timer. *)
+(** A loss signal ({!Btrace.Loss}): counts, and clears the RTT timer. *)
 val record_loss : t -> conn:int -> unit
 
-(** A cwnd change ({!Event.Cwnd}): tracks the extrema. *)
+(** A cwnd change ({!Btrace.Cwnd}): tracks the extrema. *)
 val record_cwnd : t -> conn:int -> cwnd:float -> unit
 
 (** {2 Offline}
@@ -57,7 +57,8 @@ val record_cwnd : t -> conn:int -> cwnd:float -> unit
     Fold one decoded binary-trace record: conn-defs register flows
     (bare v1 conn-defs with [start_time = 0.], infinite size), events
     dispatch to the [record_*] functions above, everything else is
-    skipped. *)
+    skipped.  [Btrace.iter data (feed t)] accounts a whole trace in
+    one pass. *)
 val feed : t -> Btrace.item -> unit
 
 (** {2 Views} *)

@@ -1,9 +1,9 @@
 type setup = {
   metrics : bool;
   series_dt : float option;
-  btrace : Tracer.sink option;
+  btrace : (string -> unit) option;
   flight : int option;
-  flight_sink : Tracer.sink;
+  flight_sink : string -> unit;
   flowstats : bool;
 }
 
@@ -22,9 +22,10 @@ let is_enabled s =
 type t = {
   registry : Metrics.t option;
   recorder : Metrics.recorder option;
-  tr : Tracer.t option;
+  writer : Btrace.writer option;
+  ring : (float * Btrace.ev) Flight.t option;
   fs : Flowstats.t option;
-  flight_sink : Tracer.sink;
+  flight_sink : string -> unit;
   mutable flight_dumped : bool;
 }
 
@@ -90,49 +91,89 @@ let register_metrics reg ~net ~conns =
   List.iter (register_link reg ~sim) (Net.Network.links net);
   List.iter (register_conn reg) conns
 
-(* Tracer: every model event. *)
+(* Binary trace: every model event, written straight from the live
+   values each hook receives. *)
 
 let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_drop label -> label
   | Net.Link.Fault_duplicate -> "duplicate"
   | Net.Link.Fault_delay _ -> "delay"
 
-let trace_link tr link =
-  Tracer.declare_link tr link;
-  Net.Link.on_enqueue link (fun _time pkt qlen ->
-      Tracer.emit tr (Event.Enqueue { link; pkt; qlen }));
-  Net.Link.on_drop link (fun _time pkt ->
-      Tracer.emit tr (Event.Drop { link; pkt }));
-  Net.Link.on_depart link (fun _time pkt qlen ->
-      Tracer.emit tr (Event.Depart { link; pkt; qlen }));
-  Net.Link.on_fault link (fun _time fe pkt ->
-      Tracer.emit tr (Event.Fault { link; label = fault_label fe; pkt }))
+let loss_reason = function
+  | Tcp.Sender.Timeout -> "timeout"
+  | Tcp.Sender.Dup_ack -> "dup_ack"
 
-let trace_conn tr (cid, conn) =
-  let cfg = Tcp.Connection.config conn in
-  Tracer.declare_conn_meta tr cid ~start_time:cfg.Tcp.Config.start_time
+let write_link w link =
+  Btrace.declare_link w link;
+  Net.Link.on_enqueue link (fun time pkt qlen ->
+      Btrace.enqueue w ~time ~link ~pkt ~qlen);
+  Net.Link.on_drop link (fun time pkt -> Btrace.drop w ~time ~link ~pkt);
+  Net.Link.on_depart link (fun time pkt qlen ->
+      Btrace.depart w ~time ~link ~pkt ~qlen);
+  Net.Link.on_fault link (fun time fe pkt ->
+      Btrace.fault w ~time ~link ~label:(fault_label fe) ~pkt)
+
+let write_conn w (conn, c) =
+  let cfg = Tcp.Connection.config c in
+  Btrace.declare_conn_meta w conn ~start_time:cfg.Tcp.Config.start_time
     ~flow_size:cfg.Tcp.Config.flow_size;
-  let s = Tcp.Connection.sender conn in
-  Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh ->
-      Tracer.emit tr (Event.Cwnd { conn = cid; cwnd; ssthresh }));
-  Tcp.Sender.on_loss s (fun _time reason ->
-      let reason =
-        match reason with
-        | Tcp.Sender.Timeout -> "timeout"
-        | Tcp.Sender.Dup_ack -> "dup_ack"
-      in
-      Tracer.emit tr (Event.Loss { conn = cid; reason }));
-  Tcp.Sender.on_send s (fun _time pkt ->
-      Tracer.emit tr (Event.Send { conn = cid; pkt }));
-  Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver conn)
-    (fun _time ~ackno ~delayed ~dup ->
-      Tracer.emit tr (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
+  let s = Tcp.Connection.sender c in
+  Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
+      Btrace.cwnd w ~time ~conn ~cwnd ~ssthresh);
+  Tcp.Sender.on_loss s (fun time reason ->
+      Btrace.loss w ~time ~conn ~reason:(loss_reason reason));
+  Tcp.Sender.on_send s (fun time pkt -> Btrace.send w ~time ~conn ~pkt);
+  Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver c)
+    (fun time ~ackno ~delayed ~dup ->
+      Btrace.ack_tx w ~time ~conn ~ackno ~delayed ~dup)
 
-let trace tr ~net ~conns =
-  Net.Network.on_inject net (fun _time p -> Tracer.emit tr (Event.Inject p));
-  Net.Network.on_deliver net (fun _time p -> Tracer.emit tr (Event.Deliver p));
-  List.iter (trace_link tr) (Net.Network.links net);
-  List.iter (trace_conn tr) conns
+let write_events w ~net ~conns =
+  Net.Network.on_inject net (fun time p -> Btrace.inject w ~time p);
+  Net.Network.on_deliver net (fun time p -> Btrace.deliver w ~time p);
+  List.iter (write_link w) (Net.Network.links net);
+  List.iter (write_conn w) conns
+
+(* Flight ring: the same events as plain copies, since a live packet is
+   recycled as soon as its hook returns.  Each link's plain record is
+   built once, here. *)
+
+let ring_link f link =
+  let l = Btrace.plain_link link in
+  Net.Link.on_enqueue link (fun time p qlen ->
+      Flight.record f
+        (time, Btrace.Enqueue { link = l; pkt = Btrace.plain_pkt p; qlen }));
+  Net.Link.on_drop link (fun time p ->
+      Flight.record f
+        (time, Btrace.Drop { link = l; pkt = Btrace.plain_pkt p }));
+  Net.Link.on_depart link (fun time p qlen ->
+      Flight.record f
+        (time, Btrace.Depart { link = l; pkt = Btrace.plain_pkt p; qlen }));
+  Net.Link.on_fault link (fun time fe p ->
+      Flight.record f
+        ( time,
+          Btrace.Fault
+            { link = l; label = fault_label fe; pkt = Btrace.plain_pkt p } ))
+
+let ring_conn f (conn, c) =
+  let s = Tcp.Connection.sender c in
+  Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
+      Flight.record f (time, Btrace.Cwnd { conn; cwnd; ssthresh }));
+  Tcp.Sender.on_loss s (fun time reason ->
+      Flight.record f
+        (time, Btrace.Loss { conn; reason = loss_reason reason }));
+  Tcp.Sender.on_send s (fun time p ->
+      Flight.record f (time, Btrace.Send { conn; pkt = Btrace.plain_pkt p }));
+  Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver c)
+    (fun time ~ackno ~delayed ~dup ->
+      Flight.record f (time, Btrace.Ack_tx { conn; ackno; delayed; dup }))
+
+let ring_events f ~net ~conns =
+  Net.Network.on_inject net (fun time p ->
+      Flight.record f (time, Btrace.Inject (Btrace.plain_pkt p)));
+  Net.Network.on_deliver net (fun time p ->
+      Flight.record f (time, Btrace.Deliver (Btrace.plain_pkt p)));
+  List.iter (ring_link f) (Net.Network.links net);
+  List.iter (ring_conn f) conns
 
 (* Flowstats: per-flow sends, losses, cwnd extrema and deliveries. *)
 
@@ -150,7 +191,7 @@ let account_conn fs (cid, conn) =
         ~retransmit:pkt.Net.Packet.retransmit)
 
 let account fs ~net ~conns =
-  (* [time] is [Sim.now], the stamp the tracer writes, so the offline
+  (* [time] is [Sim.now], the stamp the trace writer uses, so the offline
      fold over the trace sees bit-identical times. *)
   Net.Network.on_deliver net (fun time p ->
       match p.Net.Packet.kind with
@@ -164,18 +205,15 @@ let account fs ~net ~conns =
 
 let attach setup ~net ~conns =
   let sim = Net.Network.sim net in
-  let tr =
-    if setup.btrace <> None || setup.flight <> None then
-      let flight =
-        Option.map (fun capacity -> Flight.create ~capacity) setup.flight
-      in
-      Some (Tracer.create ?btrace:setup.btrace ?flight sim)
-    else None
+  let writer = Option.map (fun sink -> Btrace.writer sink) setup.btrace in
+  let ring =
+    Option.map (fun capacity -> Flight.create ~capacity) setup.flight
   in
   let fs = if setup.flowstats then Some (Flowstats.create ()) else None in
   let registry = if setup.metrics then Some (Metrics.create ()) else None in
   Option.iter (fun reg -> register_metrics reg ~net ~conns) registry;
-  Option.iter (fun tr -> trace tr ~net ~conns) tr;
+  Option.iter (fun w -> write_events w ~net ~conns) writer;
+  Option.iter (fun f -> ring_events f ~net ~conns) ring;
   Option.iter (fun fs -> account fs ~net ~conns) fs;
   (* The recorder snapshots whatever is registered at creation time, so it
      must come after all of the wiring above. *)
@@ -184,23 +222,21 @@ let attach setup ~net ~conns =
     | Some reg, Some dt -> Some (Metrics.record reg sim ~dt)
     | _ -> None
   in
-  { registry; recorder; tr; fs; flight_sink = setup.flight_sink;
+  { registry; recorder; writer; ring; fs; flight_sink = setup.flight_sink;
     flight_dumped = false }
 
-let flight t = Option.bind t.tr Tracer.flight
+let render_flight (time, ev) = Btrace.jsonl_line ~time ev
 
 let dump_flight t ~reason =
-  match flight t with
-  | Some f ->
-    Flight.dump f ~reason ~render:Tracer.render_flight t.flight_sink
+  match t.ring with
+  | Some f -> Flight.dump f ~reason ~render:render_flight t.flight_sink
   | None -> ()
 
 let flight_text t ~reason =
-  match flight t with
+  match t.ring with
   | Some f ->
     let buf = Buffer.create 4096 in
-    Flight.dump f ~reason ~render:Tracer.render_flight
-      (Buffer.add_string buf);
+    Flight.dump f ~reason ~render:render_flight (Buffer.add_string buf);
     Some (Buffer.contents buf)
   | None -> None
 
@@ -215,10 +251,10 @@ let arm_report t report =
                v.Validate.Report.time v.Validate.Report.detail)
       end)
 
-let finish t = match t.tr with Some tr -> Tracer.finish tr | None -> ()
+let finish t = Option.iter Btrace.flush t.writer
 let metrics t = t.registry
-let tracer t = t.tr
 let flowstats t = t.fs
+let flight t = t.ring
 
 let final_metrics t =
   match t.registry with Some reg -> Metrics.snapshot reg | None -> []
@@ -232,4 +268,4 @@ let metrics_json t =
   match t.registry with Some reg -> Metrics.to_json reg | None -> "{}"
 
 let events_traced t =
-  match t.tr with Some tr -> Tracer.events_emitted tr | None -> 0
+  match t.writer with Some w -> Btrace.events_written w | None -> 0

@@ -1,5 +1,5 @@
-(** Probe: wires the observability pillars ({!Metrics}, {!Tracer},
-    {!Flight}, {!Flowstats}) into a live simulation.
+(** Probe: wires the observability pillars ({!Metrics}, the {!Btrace}
+    writer, the {!Flight} ring, {!Flowstats}) into a live simulation.
 
     A probe is configured with a {!setup} value and attached once, after
     the network and connections exist but {b before} [Sim.run].  Count
@@ -12,8 +12,12 @@
     Each consumer installs only the monitor hooks it needs:
     - the metrics registry, one [on_enqueue] per link (the queue-length
       histogram); every other metric is a gauge read at snapshot time;
-    - the tracer (binary trace or flight ring), every link, connection
-      and network hook;
+    - the binary trace writer, every link, connection and network
+      hook, each calling the {!Btrace} writer function for its record
+      kind with the live values it receives;
+    - the flight ring, the same hooks, each recording a plain
+      {!Btrace.ev} copy (a link's plain record is built once, when its
+      hooks are installed);
     - flowstats, [on_cwnd], [on_loss] and [on_send] per connection and
       [on_deliver] on the network.
 
@@ -29,8 +33,9 @@ type setup
       the simulator, every link, and every connection.
     - [series_dt]: additionally sample every metric each [series_dt]
       simulated seconds into step series (see {!Metrics.record}).
-    - [btrace]: binary trace sink (see {!Tracer.create}); convert
-      offline with {!Btrace} or [netsim trace export].
+    - [btrace]: binary trace sink, handed large batches of the
+      {!Btrace} stream ([output_string oc], [Buffer.add_string buf]);
+      convert offline with {!Btrace} or [netsim trace export].
     - [flight]: keep a flight-recorder ring of the last [n] events.
     - [flight_sink] (default stderr): where {!dump_flight} writes.
     - [flowstats] (default [false]): per-flow accounting registry
@@ -38,9 +43,9 @@ type setup
 val setup :
   ?metrics:bool ->
   ?series_dt:float ->
-  ?btrace:Tracer.sink ->
+  ?btrace:(string -> unit) ->
   ?flight:int ->
-  ?flight_sink:Tracer.sink ->
+  ?flight_sink:(string -> unit) ->
   ?flowstats:bool ->
   unit ->
   setup
@@ -75,9 +80,10 @@ val flight_text : t -> reason:string -> string option
 val finish : t -> unit
 
 val metrics : t -> Metrics.t option
-val tracer : t -> Tracer.t option
 val flowstats : t -> Flowstats.t option
-val flight : t -> Tracer.flight_record Flight.t option
+
+(** The flight ring: each event's time and plain copy, oldest first. *)
+val flight : t -> (float * Btrace.ev) Flight.t option
 
 (** Final scalar snapshot of every metric ([[]] without a registry). *)
 val final_metrics : t -> (string * float) list
@@ -89,5 +95,5 @@ val series : t -> (string * Trace.Series.t) list
     registry). *)
 val metrics_json : t -> string
 
-(** Events emitted to trace sinks (0 without a tracer). *)
+(** Event records the binary trace writer wrote (0 without [btrace]). *)
 val events_traced : t -> int

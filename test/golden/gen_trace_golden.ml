@@ -30,8 +30,8 @@ let () =
      prerr_endline (Validate.Report.to_string report);
      failwith "golden trace scenario violated an invariant"
    | _ -> ());
-  match Obs.Btrace.read (Buffer.contents buf) with
+  match Obs.Btrace.export_jsonl (Buffer.contents buf) print_string with
   | Error msg -> failwith ("golden binary trace unreadable: " ^ msg)
-  | Ok { Obs.Btrace.torn = Some msg; _ } ->
-    failwith ("golden binary trace has a torn tail: " ^ msg)
-  | Ok { Obs.Btrace.items; _ } -> Obs.Btrace.export_jsonl items print_string
+  | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg)) ->
+    failwith ("golden binary trace stopped early: " ^ msg)
+  | Ok (_, None) -> ()

@@ -44,50 +44,67 @@ let fixture () =
   in
   (net, fwd, bwd, pkt)
 
-(* Encode one of everything (awkward times included: 0.1 +. 0.2 needs 17
-   digits, 1e-9 exercises a large negative exponent jump) and return the
-   byte stream plus the expected decoded items. *)
+(* Encode one of everything through every per-kind writer function
+   (awkward times included: 0.1 +. 0.2 needs 17 digits, 1e-9 exercises
+   a large negative exponent jump) and return the byte stream plus the
+   expected decoded items. *)
 let encode_all () =
   let _net, fwd, bwd, pkt = fixture () in
   let p0 = pkt 0 in
   let p1 = pkt ~retransmit:true 1 in
   let ack = pkt ~kind:Net.Packet.Ack 2 in
-  let events =
-    [
-      (0., Obs.Event.Inject p0);
-      (1e-9, Obs.Event.Enqueue { link = fwd; pkt = p0; qlen = 3 });
-      (0.1, Obs.Event.Depart { link = fwd; pkt = p0; qlen = 2 });
-      (0.1 +. 0.2, Obs.Event.Drop { link = fwd; pkt = p1 });
-      (0.5, Obs.Event.Fault { link = bwd; label = "blackout"; pkt = ack });
-      (0.5, Obs.Event.Deliver p0);
-      (2.25, Obs.Event.Send { conn = 1; pkt = p1 });
-      (3., Obs.Event.Cwnd { conn = 1; cwnd = 2.5; ssthresh = 11.25 });
-      (3., Obs.Event.Loss { conn = 1; reason = "timeout" });
-      (4., Obs.Event.Loss { conn = 1; reason = "dup_ack" });
-      (5.5, Obs.Event.Ack_tx { conn = 1; ackno = 7; delayed = true; dup = false });
-    ]
-  in
   let buf = Buffer.create 1024 in
   let w = Obs.Btrace.writer ~segment:160 (Buffer.add_string buf) in
-  Obs.Btrace.declare_link w fwd;
-  Obs.Btrace.declare_link w bwd;
-  Obs.Btrace.declare_conn w 1;
-  Obs.Btrace.declare_conn_meta w 2 ~start_time:(0.1 +. 0.2)
-    ~flow_size:(Some 100);
-  Obs.Btrace.declare_conn_meta w 3 ~start_time:0. ~flow_size:None;
-  List.iter (fun (time, ev) -> Obs.Btrace.event w ~time ev) events;
-  Obs.Btrace.flush w;
-  let link_of l = Obs.Btrace.plain_link l in
+  let open Obs.Btrace in
+  let f = plain_link fwd and b = plain_link bwd and pp = plain_pkt in
+  (* Each writer call, at its time, with the event it must decode to. *)
+  let events =
+    [
+      (0., (fun time -> inject w ~time p0), Inject (pp p0));
+      ( 1e-9,
+        (fun time -> enqueue w ~time ~link:fwd ~pkt:p0 ~qlen:3),
+        Enqueue { link = f; pkt = pp p0; qlen = 3 } );
+      ( 0.1,
+        (fun time -> depart w ~time ~link:fwd ~pkt:p0 ~qlen:2),
+        Depart { link = f; pkt = pp p0; qlen = 2 } );
+      ( 0.1 +. 0.2,
+        (fun time -> drop w ~time ~link:fwd ~pkt:p1),
+        Drop { link = f; pkt = pp p1 } );
+      ( 0.5,
+        (fun time -> fault w ~time ~link:bwd ~label:"blackout" ~pkt:ack),
+        Fault { link = b; label = "blackout"; pkt = pp ack } );
+      (0.5, (fun time -> deliver w ~time p0), Deliver (pp p0));
+      ( 2.25,
+        (fun time -> send w ~time ~conn:1 ~pkt:p1),
+        Send { conn = 1; pkt = pp p1 } );
+      ( 3.,
+        (fun time -> cwnd w ~time ~conn:1 ~cwnd:2.5 ~ssthresh:11.25),
+        Cwnd { conn = 1; cwnd = 2.5; ssthresh = 11.25 } );
+      ( 3.,
+        (fun time -> loss w ~time ~conn:1 ~reason:"timeout"),
+        Loss { conn = 1; reason = "timeout" } );
+      ( 4.,
+        (fun time -> loss w ~time ~conn:1 ~reason:"dup_ack"),
+        Loss { conn = 1; reason = "dup_ack" } );
+      ( 5.5,
+        (fun time -> ack_tx w ~time ~conn:1 ~ackno:7 ~delayed:true ~dup:false),
+        Ack_tx { conn = 1; ackno = 7; delayed = true; dup = false } );
+    ]
+  in
+  declare_link w fwd;
+  declare_link w bwd;
+  declare_conn w 1;
+  declare_conn_meta w 2 ~start_time:(0.1 +. 0.2) ~flow_size:(Some 100);
+  declare_conn_meta w 3 ~start_time:0. ~flow_size:None;
+  List.iter (fun (time, write, _) -> write time) events;
+  Alcotest.(check int) "every event record counted" (List.length events)
+    (events_written w);
+  flush w;
   let expected =
-    Obs.Btrace.Def_link (Obs.Btrace.plain_link fwd)
-    :: Obs.Btrace.Def_link (Obs.Btrace.plain_link bwd)
-    :: Obs.Btrace.Def_conn 1
-    :: Obs.Btrace.Def_conn_meta
-         { conn = 2; start_time = 0.1 +. 0.2; flow_size = Some 100 }
-    :: Obs.Btrace.Def_conn_meta { conn = 3; start_time = 0.; flow_size = None }
-    :: List.map
-         (fun (t, ev) -> Obs.Btrace.Event (t, Obs.Btrace.plain_ev ~link_of ev))
-         events
+    Def_link f :: Def_link b :: Def_conn 1
+    :: Def_conn_meta { conn = 2; start_time = 0.1 +. 0.2; flow_size = Some 100 }
+    :: Def_conn_meta { conn = 3; start_time = 0.; flow_size = None }
+    :: List.map (fun (t, _, ev) -> Event (t, ev)) events
   in
   (Buffer.contents buf, expected)
 
@@ -118,22 +135,28 @@ let test_reject_non_traces () =
 (* Crash-safety: cut the stream at EVERY byte boundary.  Each prefix
    must decode to an exact prefix of the full record list — never an
    error, never a corrupted record — and a cut that lands mid-record
-   must say so. *)
+   must say so, as a torn tail and never as corruption. *)
 let test_every_truncation_recovers () =
   let data, expected = encode_all () in
   let full = Array.of_list expected in
   let saw_torn = ref 0 in
   for len = 5 to String.length data - 1 do
-    match Obs.Btrace.read (String.sub data 0 len) with
+    let items = ref [] in
+    match
+      Obs.Btrace.iter (String.sub data 0 len) (fun i -> items := i :: !items)
+    with
     | Error msg -> Alcotest.failf "prefix of %d bytes unreadable: %s" len msg
-    | Ok { Obs.Btrace.items; torn; _ } ->
-      (match torn with
-       | Some msg ->
+    | Ok (_, stop) ->
+      let items = List.rev !items in
+      (match stop with
+       | Some (Obs.Btrace.Torn msg) ->
          incr saw_torn;
          Alcotest.(check bool)
            (Printf.sprintf "torn note locates the cut (len %d)" len)
            true
            (contains msg "torn record at byte")
+       | Some (Obs.Btrace.Corrupt msg) ->
+         Alcotest.failf "cut at %d bytes reported as corruption: %s" len msg
        | None -> ());
       List.iteri
         (fun i got ->
@@ -173,7 +196,9 @@ let test_export_jsonl_matches_line_renderer () =
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok { Obs.Btrace.items; _ } ->
     let buf = Buffer.create 1024 in
-    Obs.Btrace.export_jsonl items (Buffer.add_string buf);
+    (match Obs.Btrace.export_jsonl data (Buffer.add_string buf) with
+     | Ok (_, None) -> ()
+     | Ok (_, Some _) | Error _ -> Alcotest.fail "export stopped early");
     let expected =
       List.filter_map
         (function
@@ -221,10 +246,8 @@ let test_validate_flags_undeclared_conn () =
   let buf = Buffer.create 256 in
   let w = Obs.Btrace.writer (Buffer.add_string buf) in
   Obs.Btrace.declare_conn w 1;
-  Obs.Btrace.event w ~time:1.
-    (Obs.Event.Cwnd { conn = 1; cwnd = 2.; ssthresh = 8. });
-  Obs.Btrace.event w ~time:2.
-    (Obs.Event.Loss { conn = 7; reason = "timeout" });
+  Obs.Btrace.cwnd w ~time:1. ~conn:1 ~cwnd:2. ~ssthresh:8.;
+  Obs.Btrace.loss w ~time:2. ~conn:7 ~reason:"timeout";
   Obs.Btrace.flush w;
   match Obs.Btrace.validate (Buffer.contents buf) with
   | Error msg -> Alcotest.failf "trace unreadable: %s" msg
@@ -238,10 +261,8 @@ let test_validate_flags_backwards_time () =
   let buf = Buffer.create 256 in
   let w = Obs.Btrace.writer (Buffer.add_string buf) in
   Obs.Btrace.declare_conn w 1;
-  Obs.Btrace.event w ~time:5.
-    (Obs.Event.Cwnd { conn = 1; cwnd = 2.; ssthresh = 8. });
-  Obs.Btrace.event w ~time:1.
-    (Obs.Event.Cwnd { conn = 1; cwnd = 3.; ssthresh = 8. });
+  Obs.Btrace.cwnd w ~time:5. ~conn:1 ~cwnd:2. ~ssthresh:8.;
+  Obs.Btrace.cwnd w ~time:1. ~conn:1 ~cwnd:3. ~ssthresh:8.;
   Obs.Btrace.flush w;
   match Obs.Btrace.validate (Buffer.contents buf) with
   | Error msg -> Alcotest.failf "trace unreadable: %s" msg
@@ -260,6 +281,165 @@ let test_validate_tolerates_plain_truncation () =
     Alcotest.(check bool) "torn note present" true
       (a.Obs.Btrace.audit_torn <> None);
     Alcotest.(check (list string)) "no errors" [] a.Obs.Btrace.audit_errors
+
+(* The decoder takes only what the writer can produce.  Each of these
+   15-17 byte files once crashed a trace command or passed tracecheck. *)
+let malformed =
+  [
+    (* a string-def whose length (max_int - 2) overruns the data *)
+    ( "huge string",
+      "NSBT\002\000\000\253\255\255\255\255\255\255\255\063",
+      `Torn );
+    (* a conn-def whose id decodes negative *)
+    ( "negative conn",
+      "NSBT\002\002\128\128\128\128\128\128\128\128\064",
+      `Corrupt );
+    (* an 11-byte varint *)
+    ( "long varint",
+      "NSBT\002\002\128\128\128\128\128\128\128\128\128\128\001",
+      `Corrupt );
+    (* a conn-meta with a NaN start time *)
+    ( "nan start",
+      "NSBT\002\003\001\000\000\000\000\000\000\248\127\000",
+      `Corrupt );
+  ]
+
+let test_malformed_stops_cleanly () =
+  List.iter
+    (fun (name, data, kind) ->
+      let items = ref 0 in
+      (match (Obs.Btrace.iter data (fun _ -> incr items), kind) with
+       | Ok (_, Some (Obs.Btrace.Torn _)), `Torn
+       | Ok (_, Some (Obs.Btrace.Corrupt _)), `Corrupt ->
+         ()
+       | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg)), _ ->
+         Alcotest.failf "%s: wrong kind of stop: %s" name msg
+       | Ok (_, None), _ -> Alcotest.failf "%s: decoded as a clean trace" name
+       | Error msg, _ -> Alcotest.failf "%s: rejected outright: %s" name msg);
+      Alcotest.(check int) (name ^ ": no record delivered") 0 !items;
+      match Obs.Btrace.validate data with
+      | Error msg -> Alcotest.failf "%s: unreadable: %s" name msg
+      | Ok a ->
+        Alcotest.(check bool)
+          (name ^ ": corruption is a validation error, truncation is not")
+          (kind = `Corrupt)
+          (a.Obs.Btrace.audit_errors <> []))
+    malformed
+
+(* ---------------- fuzzing every reader ---------------- *)
+
+(* A short real run with an outage, so fault records and interned
+   labels are in the stream. *)
+let real_trace =
+  lazy
+    (let buf = Buffer.create (1 lsl 16) in
+     let scenario =
+       Core.Scenario.make ~name:"btrace-fuzz" ~tau:0.01 ~buffer:(Some 10)
+         ~conns:
+           [
+             Core.Scenario.conn Core.Scenario.Forward;
+             Core.Scenario.conn ~start_time:0.5 Core.Scenario.Reverse;
+           ]
+         ~duration:4. ~warmup:1.
+         ~faults:
+           [
+             ( Core.Scenario.Fwd_bottleneck,
+               Faults.Spec.make
+                 ~outage:{ Faults.Spec.windows = [ (2., 2.5) ]; flap = None }
+                 () );
+           ]
+         ()
+     in
+     ignore
+       (Core.Runner.run
+          ~obs:
+            (Obs.Probe.setup ~metrics:false ~btrace:(Buffer.add_string buf) ())
+          scenario
+         : Core.Runner.result);
+     Buffer.contents buf)
+
+(* Run every reader over [data].  None may raise, and they must agree:
+   [read] holds what [iter] delivered, an export of a non-trace writes
+   nothing, and a corrupt record is a validation error. *)
+let readers_agree data =
+  let fs = Obs.Flowstats.create () in
+  let delivered = ref 0 in
+  let decoded =
+    Obs.Btrace.iter data (fun item ->
+        incr delivered;
+        Obs.Flowstats.feed fs item)
+  in
+  ignore (Obs.Flowstats.to_json fs : string);
+  let out = Buffer.create 1024 in
+  let jsonl = Obs.Btrace.export_jsonl data (Buffer.add_string out) in
+  let chrome = Obs.Btrace.export_chrome data (Buffer.add_string out) in
+  let read = Obs.Btrace.read data in
+  let audit = Obs.Btrace.validate data in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  if jsonl <> decoded || chrome <> decoded then
+    fail "an export decoded differently from iter";
+  match (decoded, read, audit) with
+  | Error _, Error _, Error _ ->
+    if Buffer.length out > 0 then fail "export of a non-trace wrote output";
+    true
+  | Ok (_, stop), Ok file, Ok a ->
+    if List.length file.Obs.Btrace.items <> !delivered then
+      fail "read kept %d items, iter delivered %d"
+        (List.length file.Obs.Btrace.items)
+        !delivered;
+    (match stop with
+     | Some (Obs.Btrace.Corrupt _) when a.Obs.Btrace.audit_errors = [] ->
+       fail "corrupt record passed validation"
+     | _ -> ());
+    true
+  | _ -> fail "readers disagree on whether this is a trace"
+
+let bytes_gen = QCheck.Gen.(string_size ~gen:char (int_range 0 48))
+
+(* Mostly well-tagged records with random payloads, so the walk gets
+   past the tag byte into every field decoder.  Payload bytes lean on
+   continuation and sign bits, so long and negative varints show up. *)
+let records_gen =
+  let open QCheck.Gen in
+  let tag =
+    oneof
+      [
+        map Char.chr (int_range 0x00 0x03);
+        map Char.chr (int_range 0x10 0x19);
+        char;
+      ]
+  in
+  let byte = frequency [ (1, char); (1, oneofl [ '\x80'; '\xff'; '\x40' ]) ] in
+  map (String.concat "")
+    (list_size (int_range 1 12)
+       (map2 (fun t payload -> String.make 1 t ^ payload) tag
+          (string_size ~gen:byte (int_range 0 20))))
+
+let header = Obs.Btrace.magic ^ "\002"
+
+let prop_fuzz name gen =
+  QCheck.Test.make ~name ~count:400
+    (QCheck.make ~print:String.escaped gen)
+    readers_agree
+
+let prop_fuzz_raw = prop_fuzz "readers survive arbitrary bytes" bytes_gen
+
+let prop_fuzz_after_header =
+  prop_fuzz "readers survive arbitrary records after a valid header"
+    QCheck.Gen.(
+      map (fun body -> header ^ body) (oneof [ bytes_gen; records_gen ]))
+
+(* Overwrite a stretch of a real run's trace with arbitrary bytes. *)
+let prop_fuzz_spliced =
+  prop_fuzz "readers survive bytes spliced into a real trace"
+    QCheck.Gen.(
+      let* junk = oneof [ bytes_gen; records_gen ] in
+      let data = Lazy.force real_trace in
+      let n = String.length data in
+      let* at = int_range 5 n in
+      let* cut = int_range 0 (min 16 (n - at)) in
+      return
+        (String.sub data 0 at ^ junk ^ String.sub data (at + cut) (n - at - cut)))
 
 let suite =
   ( "btrace",
@@ -284,4 +464,9 @@ let suite =
         test_validate_flags_backwards_time;
       Alcotest.test_case "validate tolerates plain truncation" `Quick
         test_validate_tolerates_plain_truncation;
+      Alcotest.test_case "malformed records stop the decoder cleanly" `Quick
+        test_malformed_stops_cleanly;
+      QCheck_alcotest.to_alcotest prop_fuzz_raw;
+      QCheck_alcotest.to_alcotest prop_fuzz_after_header;
+      QCheck_alcotest.to_alcotest prop_fuzz_spliced;
     ] )

@@ -66,6 +66,62 @@ let test_cli_stats_huge_conn_id () =
          (fun f -> Option.bind (Obs.Json.member "conn" f) Obs.Json.to_float)
          flows)
 
+(* The malformed traces of [Test_btrace.malformed] once crashed the
+   trace commands (exit 125) or passed tracecheck.  Every command must
+   now stop cleanly: a warning and exit 0, or an error and exit 1. *)
+let test_cli_malformed_traces () =
+  let path = Filename.temp_file "malformed" ".bin" in
+  let out = Filename.temp_file "malformed" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; Sys.remove out) @@ fun () ->
+  List.iter
+    (fun (name, data, kind) ->
+      let oc = open_out_bin path in
+      output_string oc data;
+      close_out oc;
+      let run args =
+        let code, out = Test_cc_conformance.run_netsim args in
+        if code <> 0 && code <> 1 then
+          Alcotest.failf "%s: netsim %s exited %d" name
+            (String.concat " " args) code;
+        (code, out)
+      in
+      let _, json = run [ "trace"; "stats"; path; "--json" ] in
+      (match Obs.Json.parse json with
+       | Ok _ -> ()
+       | Error msg -> Alcotest.failf "%s: stats JSON does not parse: %s" name msg);
+      ignore (run [ "trace"; "export"; path; "-o"; out ] : int * string);
+      ignore
+        (run [ "trace"; "export"; path; "--format"; "perfetto"; "-o"; out ]
+          : int * string);
+      let code, _ = run [ "tracecheck"; path ] in
+      Alcotest.(check int)
+        (name ^ ": tracecheck fails a corrupt trace, passes a torn one")
+        (if kind = `Corrupt then 1 else 0)
+        code)
+    Test_btrace.malformed
+
+let test_cli_export_rejects_non_trace () =
+  let path = Filename.temp_file "not-a-trace" ".txt" in
+  let out = Filename.temp_file "never-written" ".jsonl" in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove path;
+      if Sys.file_exists out then Sys.remove out)
+  @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc "{\"t\":0,\"ev\":\"inject\"}\n";
+  close_out oc;
+  List.iter
+    (fun format ->
+      if Sys.file_exists out then Sys.remove out;
+      let code, _ =
+        Test_cc_conformance.run_netsim
+          [ "trace"; "export"; path; "--format"; format; "-o"; out ]
+      in
+      Alcotest.(check int) (format ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (format ^ ": no output file") false
+        (Sys.file_exists out))
+    [ "jsonl"; "perfetto" ]
+
 let test_reregistration_keeps_counters () =
   (* A conn-meta record arriving after a bare conn-def refreshes the
      metadata without losing accumulated counts. *)
@@ -276,6 +332,10 @@ let suite =
         test_register_in_conn_order;
       Alcotest.test_case "cli: trace stats on a huge conn id" `Quick
         test_cli_stats_huge_conn_id;
+      Alcotest.test_case "cli: malformed traces stop cleanly" `Quick
+        test_cli_malformed_traces;
+      Alcotest.test_case "cli: export of a non-trace writes nothing" `Quick
+        test_cli_export_rejects_non_trace;
       Alcotest.test_case "registry: re-registration keeps counters" `Quick
         test_reregistration_keeps_counters;
       Alcotest.test_case "registry: unregistered events ignored" `Quick

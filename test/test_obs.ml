@@ -265,17 +265,16 @@ let test_trace_exports () =
    | _ -> ());
   (* The runner finished the probe, so the whole stream decodes with no
      torn tail; JSONL and chrome are rendered offline from the records. *)
-  let items =
-    match Obs.Btrace.read (Buffer.contents binary) with
+  let export f =
+    let buf = Buffer.create (1 lsl 16) in
+    match f (Buffer.contents binary) (Buffer.add_string buf) with
     | Error msg -> Alcotest.failf "binary trace unreadable: %s" msg
-    | Ok { Obs.Btrace.torn = Some msg; _ } ->
-      Alcotest.failf "flushed trace reports a torn tail: %s" msg
-    | Ok f -> f.Obs.Btrace.items
+    | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg)) ->
+      Alcotest.failf "flushed trace stopped early: %s" msg
+    | Ok (_, None) -> buf
   in
-  let jsonl = Buffer.create (1 lsl 16) in
-  Obs.Btrace.export_jsonl items (Buffer.add_string jsonl);
-  let chrome = Buffer.create (1 lsl 16) in
-  Obs.Btrace.export_chrome items (Buffer.add_string chrome);
+  let jsonl = export Obs.Btrace.export_jsonl in
+  let chrome = export Obs.Btrace.export_chrome in
   let text = Buffer.contents jsonl in
   (* Every line parses; timestamps never go backwards; the line count is
      exactly the number of events the tracer claims to have emitted. *)
@@ -554,6 +553,52 @@ let prop_counts_match_trace =
         r.Core.Runner.conns;
       true)
 
+(* The writer and the flight ring install separate hooks.  They must
+   still see the same events in the same order: the ring's rendered
+   lines are the tail of the JSONL export of the same run's trace. *)
+let prop_ring_is_trace_tail =
+  Test.make ~name:"flight ring holds the tail of the binary trace" ~count:20
+    (QCheck.make
+       ~print:(fun (s, n) -> Printf.sprintf "%s, ring %d" (spec_print s) n)
+       Gen.(pair spec_gen (int_range 1 400)))
+    (fun (s, n) ->
+      let binary = Buffer.create (1 lsl 16) in
+      let r =
+        Core.Runner.run
+          ~obs:
+            (Obs.Probe.setup ~metrics:false ~btrace:(Buffer.add_string binary)
+               ~flight:n ())
+          (scenario_of_spec s)
+      in
+      let probe = Option.get r.Core.Runner.obs in
+      let ring =
+        List.map
+          (fun (time, ev) -> Obs.Btrace.jsonl_line ~time ev)
+          (Obs.Flight.entries (Option.get (Obs.Probe.flight probe)))
+      in
+      let jsonl = Buffer.create (1 lsl 16) in
+      (match
+         Obs.Btrace.export_jsonl (Buffer.contents binary)
+           (Buffer.add_string jsonl)
+       with
+       | Ok (_, None) -> ()
+       | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg))
+       | Error msg ->
+         Test.fail_reportf "trace unreadable: %s" msg);
+      let lines =
+        List.filter (( <> ) "")
+          (String.split_on_char '\n' (Buffer.contents jsonl))
+      in
+      let total = List.length lines in
+      let tail = List.filteri (fun i _ -> i >= total - n) lines in
+      if List.length ring <> min n total then
+        Test.fail_reportf "ring holds %d events, expected min(%d, %d)"
+          (List.length ring) n total;
+      if ring <> tail then
+        Test.fail_reportf "ring differs from the trace's last %d events"
+          (List.length tail);
+      true)
+
 let suite =
   ( "obs",
     [
@@ -585,4 +630,5 @@ let suite =
         test_flight_dump_on_violation;
       QCheck_alcotest.to_alcotest prop_observation_transparent;
       QCheck_alcotest.to_alcotest prop_counts_match_trace;
+      QCheck_alcotest.to_alcotest prop_ring_is_trace_tail;
     ] )
