@@ -1,7 +1,9 @@
 (* Golden-trace generator: runs the canonical one-way and two-way
-   scenarios (validation on) and prints a digest of each — drop count,
-   both utilizations, final congestion windows, and an MD5 checksum over
-   the full bottleneck queue series.
+   scenarios and a faulted two-way one (validation on) and prints a
+   digest of each — drop count, both utilizations, final congestion
+   windows, and an MD5 checksum over the full bottleneck queue series;
+   the faulted scenario adds its fault ledgers and an MD5 checksum over
+   its drops in order.
 
    The output is diffed against the committed [golden.digest] by the
    [runtest] alias; an intentional behaviour change is accepted with
@@ -38,6 +40,21 @@ let digest (scenario : Core.Scenario.t) =
     (series_checksum (Trace.Queue_trace.series r.Core.Runner.q1));
   Printf.printf "queue_bwd_md5 = %s\n"
     (series_checksum (Trace.Queue_trace.series r.Core.Runner.q2));
+  if r.Core.Runner.fault_plans <> [] then begin
+    List.iter
+      (fun (_, plan) -> Printf.printf "faults = %s\n" (Faults.Plan.summary plan))
+      r.Core.Runner.fault_plans;
+    (* Drop order pins the order of outage flushes. *)
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun (d : Trace.Drop_log.record) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%.9g:%d:%d:%s:%d;" d.time d.link d.conn
+             (Net.Packet.kind_to_string d.kind) d.seq))
+      (Trace.Drop_log.records r.Core.Runner.drops);
+    Printf.printf "drops_md5 = %s\n"
+      (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  end;
   print_newline ()
 
 let () =
@@ -52,4 +69,23 @@ let () =
   digest
     (make ~name:"two-way" ~tau:0.01 ~buffer:(Some 20)
        ~conns:(stagger ~step:2. [ conn Forward; conn Reverse ])
-       ~duration:120. ~warmup:40. ~validate:true ())
+       ~duration:120. ~warmup:40. ~validate:true ());
+  (* Every fault kind on both bottlenecks of the long wire: with tau = 1 s
+     each outage cuts packets in propagation as well as in the queue, and
+     unordered jitter lets deliveries overtake each other. *)
+  let faults =
+    Faults.Spec.make
+      ~loss:
+        (Faults.Spec.Gilbert_elliott
+           { p_enter = 0.01; p_exit = 0.3; loss_in_burst = 0.5;
+             loss_outside = 0.002 })
+      ~outage:{ Faults.Spec.windows = [ (60., 64.); (90., 92.) ]; flap = None }
+      ~jitter:{ Faults.Spec.bound = 0.02; preserve_order = false }
+      ~duplicate:0.01 ()
+  in
+  digest
+    (make ~name:"two-way-faulted" ~tau:1.0 ~buffer:(Some 20)
+       ~conns:(stagger ~step:2. [ conn Forward; conn Reverse ])
+       ~duration:120. ~warmup:40. ~validate:true
+       ~faults:[ (Fwd_bottleneck, faults); (Bwd_bottleneck, faults) ]
+       ())
