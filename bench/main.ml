@@ -143,8 +143,7 @@ let bench_cc =
      included. *)
   Test.make ~name:"cc dispatch: 1k acks (newreno)"
     (Staged.stage (fun () ->
-         Tcp.Cc_zoo.ensure_registered ();
-         let c = Tcp.Cc.make (Tcp.Cc.spec "newreno") ~maxwnd:1000 in
+         let c = Tcp.Cc_zoo.make (Tcp.Cc.spec "newreno") ~maxwnd:1000 in
          let ackno = ref 0 in
          for i = 1 to 1000 do
            incr ackno;
@@ -775,12 +774,11 @@ let run_faults_overhead () =
 (* 5b. CC variant zoo timing                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock per registered congestion-control variant on the same
+(* Wall-clock per congestion-control variant on the same
    two-way 100 sim-second configuration the engine bench uses: a cheap
    way to spot a zoo entry whose hooks blow up the hot path. *)
 let run_cc_bench () =
   banner "CC VARIANT ZOO: wall-clock per variant, two-way 100 sim-seconds";
-  Tcp.Cc_zoo.ensure_registered ();
   let scenario cc =
     Core.Scenario.make ~name:"cc-bench" ~tau:0.01 ~buffer:(Some 20)
       ~conns:
@@ -807,7 +805,7 @@ let run_cc_bench () =
         best := Float.min !best (Unix.gettimeofday () -. t0)
       done;
       Printf.printf "%-18s %9.2f ms %12d\n" name (1000. *. !best) events)
-    (Tcp.Cc.names ());
+    Tcp.Cc_zoo.names;
   0
 
 (* ------------------------------------------------------------------ *)

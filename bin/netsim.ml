@@ -488,13 +488,13 @@ let metrics_file_json probe =
 let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
     gateway flow_size skew duration warmup csv_dir validate faults_cli
     obs_cli guard_cli =
-  (* [--cc list] prints the registry and exits (usable without any other
+  (* [--cc list] prints the zoo table and exits (usable without any other
      scenario flags). *)
   (match cc with
    | "list" | "help" ->
      List.iter
        (fun (id, describe) -> Printf.printf "%-18s %s\n" id describe)
-       (Tcp.Cc.zoo ());
+       Tcp.Cc_zoo.zoo;
      exit 0
    | _ -> ());
   if fwd + rev = 0 && fixed = None then begin
@@ -508,8 +508,8 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
       exit 2
     | Ok spec ->
       (* Trial-instantiate so an unknown name or bad parameter fails
-         here with the registry listing, not mid-scenario. *)
-      (try ignore (Tcp.Cc.make spec ~maxwnd:1000 : Tcp.Cc.t)
+         here with the known names listed, not mid-scenario. *)
+      (try ignore (Tcp.Cc_zoo.make spec ~maxwnd:1000 : Tcp.Cc.t)
        with Invalid_argument msg ->
          prerr_endline ("bad --cc: " ^ msg);
          exit 2);
@@ -675,10 +675,12 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
 
 let fixed_conv =
   let parse s =
+    let window w = Core.Args.parse_int ~what:"--fixed" ~min:1 w in
     match String.split_on_char ',' s with
-    | [ a; b ] ->
-      (try Ok (int_of_string (String.trim a), int_of_string (String.trim b))
-       with _ -> Error (`Msg "expected W1,W2"))
+    | [ a; b ] -> (
+      match (window a, window b) with
+      | Ok w1, Ok w2 -> Ok (w1, w2)
+      | Error msg, _ | _, Error msg -> Error (`Msg (msg ^ "; expected W1,W2")))
     | _ -> Error (`Msg "expected W1,W2")
   in
   let print ppf (a, b) = Format.fprintf ppf "%d,%d" a b in
@@ -725,9 +727,9 @@ let run_cmd =
       value & opt string "tahoe"
       & info [ "cc" ] ~docv:"NAME[:K=V,...]"
           ~doc:
-            "Congestion control from the registry, with optional \
+            "Congestion control from the zoo, with optional \
              parameters (e.g. newreno, aimd:a=1,b=0.7, fixed:w=30).  \
-             $(b,--cc list) prints the registered variants.")
+             $(b,--cc list) prints the variants.")
   in
   let pacing =
     Arg.(

@@ -9,7 +9,11 @@ type phase = { t0 : float; t1 : float; q1 : trend; q2 : trend }
 
 let duration p = p.t1 -. p.t0
 
-let classify_slopes series ~t0 ~t1 ~dt ~slope_threshold =
+(* Packets/s: well above any window-growth drift and well below the
+   ACK-rate edges. *)
+let slope_threshold = 30.
+
+let classify_slopes series ~t0 ~t1 ~dt =
   let xs = Trace.Series.resample series ~t0 ~t1 ~dt in
   let n = Array.length xs in
   Array.init (max 0 (n - 1)) (fun i ->
@@ -18,14 +22,11 @@ let classify_slopes series ~t0 ~t1 ~dt ~slope_threshold =
       else if slope < -.slope_threshold then Falling
       else Steady)
 
-let phases ?(dt = 0.04) ?(slope_threshold = 30.) ?min_duration q1_series
-    q2_series ~t0 ~t1 =
+let phases ?(dt = 0.04) q1_series q2_series ~t0 ~t1 =
   if dt <= 0. then invalid_arg "Chronology.phases: dt <= 0";
-  if slope_threshold <= 0. then
-    invalid_arg "Chronology.phases: slope_threshold <= 0";
-  let min_duration = Option.value ~default:(2. *. dt) min_duration in
-  let a = classify_slopes q1_series ~t0 ~t1 ~dt ~slope_threshold in
-  let b = classify_slopes q2_series ~t0 ~t1 ~dt ~slope_threshold in
+  let min_duration = 2. *. dt in
+  let a = classify_slopes q1_series ~t0 ~t1 ~dt in
+  let b = classify_slopes q2_series ~t0 ~t1 ~dt in
   let n = min (Array.length a) (Array.length b) in
   (* Merge equal consecutive classifications into raw segments. *)
   let raw = ref [] in

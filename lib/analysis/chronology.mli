@@ -21,18 +21,14 @@ type phase = {
 
 val duration : phase -> float
 
-(** [phases q1 q2 ~t0 ~t1 ~dt ~slope_threshold ~min_duration] — segment the
-    window into phases.  Slopes are measured over [dt] (default 0.04 s);
-    a queue is [Rising]/[Falling] when its slope exceeds
-    [slope_threshold] packets/s in magnitude (default 30, well above any
+(** [phases q1 q2 ~t0 ~t1 ~dt] — segment the window into phases.  Slopes
+    are measured over [dt] (default 0.04 s); a queue is [Rising]/[Falling]
+    when its slope exceeds 30 packets/s in magnitude (well above any
     window-growth drift and well below the ACK-rate edges); phases shorter
-    than [min_duration] (default [2 * dt]) are dissolved into their
-    neighbors.
-    @raise Invalid_argument if [dt <= 0] or [slope_threshold <= 0]. *)
+    than [2 * dt] are dissolved into their neighbors.
+    @raise Invalid_argument if [dt <= 0]. *)
 val phases :
   ?dt:float ->
-  ?slope_threshold:float ->
-  ?min_duration:float ->
   Trace.Series.t ->
   Trace.Series.t ->
   t0:float ->

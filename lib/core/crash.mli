@@ -1,11 +1,11 @@
 (** Crash bundles: self-contained, replayable postmortems.
 
     On a [Sim.run] exception, a validation violation or a watchdog kill,
-    {!Runner.run} (given a [bundle_dir]) writes a bundle directory via
-    {!Obs.Bundle}:
+    {!Runner.run} (given a [bundle_dir]) writes a bundle directory:
 
     {v
-    <bundle_dir>/<scenario-name>/meta.json      what happened
+    <bundle_dir>/<scenario-name>/meta.json      what happened, and the MD5
+                                                of scenario.bin
                                  scenario.bin   the full Scenario.t (Marshal)
                                  flight.txt     flight-recorder ring (if armed)
                                  metrics.json   final metrics snapshot (if any)
@@ -14,7 +14,8 @@
     [Scenario.t] is plain data carrying every seed and spec (CC, RTO,
     faults, discipline), so [scenario.bin] alone re-instantiates the run
     deterministically; [netsim replay <bundle>] does exactly that and
-    checks the outcome matches [meta.json].
+    checks the outcome matches [meta.json].  A bundle replays only on
+    the build that wrote it: [scenario.bin] is in OCaml's Marshal format.
 
     Bundle paths are deterministic ([<dir>/<scenario.name>], no
     timestamps); writing the same scenario's bundle twice overwrites. *)
@@ -31,6 +32,7 @@ type meta = {
   sim_now : float;
   max_events : int option;  (** budgets in force, for replay *)
   max_wall : float option;
+  scenario_md5 : string;  (** hex MD5 of [scenario.bin] *)
 }
 
 val kind_exception : string
@@ -70,5 +72,8 @@ val write :
   unit ->
   (string, string) result
 
-(** Load a bundle directory back into its scenario and meta. *)
+(** Load a bundle directory back into its scenario and meta.  A bundle
+    whose [scenario.bin] does not match the digest in [meta.json] (or
+    whose meta has none) is refused before anything is unmarshaled, so
+    corrupt bytes give [Error], never a crash. *)
 val load : string -> (Scenario.t * meta, string) result

@@ -873,7 +873,7 @@ let reno_table ?(speed = Full) () =
 (* ------------------------------------------------------------------ *)
 
 let cczoo_table ?(speed = Full) () =
-  (* Every adaptive registry entry through the small-pipe two-way
+  (* Every adaptive zoo entry through the small-pipe two-way
      configuration (fig-4 shape): the paper's phenomena should not be
      Tahoe-specific.  The oracle rides along as the loss-blind
      calibration point. *)

@@ -6,7 +6,6 @@ type spec = {
   duration : float;
   warmup : float;
   seed : int;
-  trunk_faults : (int * Faults.Spec.t) list;
 }
 
 let default_spec =
@@ -18,7 +17,6 @@ let default_spec =
     duration = 400.;
     warmup = 150.;
     seed = 42;
-    trunk_faults = [];
   }
 
 type result = {
@@ -31,7 +29,6 @@ type result = {
   drops : Trace.Drop_log.t;
   t0 : float;
   t1 : float;
-  fault_plans : (int * Faults.Plan.t) list;
 }
 
 (* Assign endpoints so path lengths cycle through 1, 2 and 3 trunk hops and
@@ -59,20 +56,6 @@ let run spec =
             ()
         in
         Tcp.Connection.create chain.cnet config)
-  in
-  (* Fault plans attach to the right-going side of the named trunk and
-     key their RNG streams off the spec seed (each link id still gets its
-     own stream, so plans never interfere). *)
-  let fault_plans =
-    List.map
-      (fun (trunk, fspec) ->
-        if trunk < 0 || trunk >= Array.length chain.Net.Topology.trunks then
-          invalid_arg
-            (Printf.sprintf "Multihop.run: no trunk %d in a %d-switch chain"
-               trunk spec.num_switches);
-        let fwd, _bwd = chain.Net.Topology.trunks.(trunk) in
-        (trunk, Faults.Plan.install chain.cnet fwd ~seed:spec.seed fspec))
-      spec.trunk_faults
   in
   let now = Engine.Sim.now sim in
   let trunk_queues =
@@ -135,7 +118,6 @@ let run spec =
     drops;
     t0 = spec.warmup;
     t1 = spec.duration;
-    fault_plans;
   }
 
 let hops result i =

@@ -11,10 +11,7 @@ type spec = {
   buffer : int option;
   duration : float;
   warmup : float;
-  seed : int;  (** start-time jitter, and the fault-plan RNG streams *)
-  trunk_faults : (int * Faults.Spec.t) list;
-      (** fault plans, one per trunk index (attached to the right-going
-          link of that trunk); default none *)
+  seed : int;  (** start-time jitter *)
 }
 
 val default_spec : spec
@@ -31,9 +28,6 @@ type result = {
   drops : Trace.Drop_log.t;
   t0 : float;
   t1 : float;
-  fault_plans : (int * Faults.Plan.t) list;
-      (** live plans (with injection ledgers), one per [trunk_faults]
-          entry *)
 }
 
 val run : spec -> result

@@ -75,15 +75,13 @@ let make ~name ~tau ~buffer ?(gateway = Net.Discipline.Fifo) ~conns
   { name; tau; buffer; gateway; conns; duration; warmup; sample_dt; validate;
     faults; fault_seed }
 
-let data_packet_size = 500
-
 let pipe t =
   Engine.Units.pipe_size
     ~rate_bps:(Engine.Units.kbps 50.)
-    ~delay:t.tau ~packet_bytes:data_packet_size
+    ~delay:t.tau ~packet_bytes:Tcp.Config.data_size
 
 let data_tx _t =
-  Engine.Units.transmission_time ~bytes:data_packet_size
+  Engine.Units.transmission_time ~bytes:Tcp.Config.data_size
     ~rate_bps:(Engine.Units.kbps 50.)
 
 let stagger ~step specs =

@@ -11,7 +11,7 @@ type direction = Forward | Reverse
 
 type conn_spec = {
   dir : direction;
-  cc : Tcp.Cc.spec;  (** congestion controller ({!Tcp.Cc} registry name) *)
+  cc : Tcp.Cc.spec;  (** congestion controller ({!Tcp.Cc_zoo} table name) *)
   start_time : float;
   delayed_ack : bool;
   ack_size : int;  (** bytes; 0 for the zero-length-ACK system *)
@@ -26,7 +26,7 @@ type conn_spec = {
 
 (** Connection with paper defaults (Tahoe, modified CA, immediate ACKs,
     50-byte ACKs, started at [start_time], default 0).  [?cc] picks any
-    {!Tcp.Cc} registry entry. *)
+    {!Tcp.Cc_zoo} entry. *)
 val conn :
   ?cc:Tcp.Cc.spec ->
   ?start_time:float ->

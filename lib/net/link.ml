@@ -24,11 +24,8 @@ type fault_plan = {
 
 (* The per-packet pipeline is closure-free: the transmitter is one
    persistent [Engine.Sim.Timer] re-armed per serialization, and
-   propagation deliveries come from a free-list of [deliv] cells, each
-   owning its own persistent timer and a packet slot.  Idle slots hold
-   [Packet.none] (physical-equality sentinel) rather than an option so
-   the steady state allocates nothing.  The busy meter lives in a flat
-   float array because assigning a float field of a mixed record boxes. *)
+   propagation is a {!Delay_line}.  The busy meter lives in a flat float
+   array because assigning a float field of a mixed record boxes. *)
 type t = {
   sim : Engine.Sim.t;
   id : int;
@@ -39,31 +36,18 @@ type t = {
   prop_delay : float;
   queue : Discipline.t;
   mutable in_service : Packet.t;  (* == Packet.none when idle *)
-  mutable deliver : Packet.t -> unit;
+  prop : Delay_line.t;
   meter : float array;  (* 0: busy_since; 1: busy_accum *)
   counters : counters;
   mutable enqueue_hooks : (float -> Packet.t -> int -> unit) list;
   mutable drop_hooks : (float -> Packet.t -> unit) list;
   mutable depart_hooks : (float -> Packet.t -> int -> unit) list;
   (* Fault injection (lib/faults).  [faults = None] is the default and the
-     hot path: a single option check per send/departure.  When a plan is
-     installed the link additionally tracks packets in propagation
-     ([in_prop]) so an outage can kill everything in flight; faulted
-     departures take the closure-per-packet path since they may carry
-     per-packet extra delay. *)
+     hot path: a single option check per send/departure. *)
   mutable faults : fault_plan option;
   mutable fault_hooks : (float -> fault_event -> Packet.t -> unit) list;
   mutable down : bool;
   tx_timer : Engine.Sim.Timer.timer;
-  mutable free_deliv : deliv;  (* free-list head; deliv_nil terminates *)
-  deliv_nil : deliv;
-  in_prop : (int, Packet.t * Engine.Sim.handle) Hashtbl.t;
-}
-
-and deliv = {
-  d_timer : Engine.Sim.Timer.timer;
-  mutable d_pkt : Packet.t;  (* == Packet.none when the cell is free *)
-  mutable d_next : deliv;  (* next free cell; the nil cell points to itself *)
 }
 
 let nop () = ()
@@ -76,10 +60,6 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
   (match buffer with
    | Some b when b <= 0 -> invalid_arg "Link.create: buffer must be positive"
    | _ -> ());
-  let nil_timer = Engine.Sim.Timer.create sim nop in
-  let rec deliv_nil =
-    { d_timer = nil_timer; d_pkt = Packet.none; d_next = deliv_nil }
-  in
   {
     sim;
     id;
@@ -90,7 +70,7 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
     prop_delay;
     queue = Discipline.create discipline ~capacity:buffer;
     in_service = Packet.none;
-    deliver = (fun _ -> failwith "Link: deliver callback not set");
+    prop = Delay_line.create sim;
     meter = [| 0.; 0. |];
     counters =
       {
@@ -110,12 +90,9 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
     fault_hooks = [];
     down = false;
     tx_timer = Engine.Sim.Timer.create sim nop;
-    free_deliv = deliv_nil;
-    deliv_nil;
-    in_prop = Hashtbl.create 16;
   }
 
-let set_deliver t f = t.deliver <- f
+let set_deliver t f = Delay_line.set_deliver t.prop f
 let id t = t.id
 let name t = t.name
 let src t = t.src
@@ -188,28 +165,6 @@ let count_drop t (p : Packet.t) =
   | Packet.Data -> t.counters.drop_data <- t.counters.drop_data + 1
   | Packet.Ack -> t.counters.drop_ack <- t.counters.drop_ack + 1
 
-(* Take a delivery cell from the free-list, growing the pool on demand
-   (the pool high-water mark is the peak number of packets concurrently
-   in propagation). *)
-let alloc_deliv t =
-  let d = t.free_deliv in
-  if d != t.deliv_nil then begin
-    t.free_deliv <- d.d_next;
-    d.d_next <- t.deliv_nil;
-    d
-  end
-  else begin
-    let tm = Engine.Sim.Timer.create t.sim nop in
-    let d = { d_timer = tm; d_pkt = Packet.none; d_next = t.deliv_nil } in
-    Engine.Sim.Timer.set_action tm (fun () ->
-        let p = d.d_pkt in
-        d.d_pkt <- Packet.none;
-        d.d_next <- t.free_deliv;
-        t.free_deliv <- d;
-        t.deliver p);
-    d
-  end
-
 let rec maybe_start t =
   if t.in_service == Packet.none then
     match Discipline.dequeue t.queue with
@@ -232,21 +187,11 @@ and finish t =
   t.counters.dep_bytes <- t.counters.dep_bytes + p.Packet.size;
   fire_depart t p;
   (match t.faults with
-   | None ->
-     let d = alloc_deliv t in
-     d.d_pkt <- p;
-     Engine.Sim.Timer.set d.d_timer ~delay:t.prop_delay
+   | None -> Delay_line.push t.prop p ~delay:t.prop_delay
    | Some plan ->
      let extra = plan.extra_delay p in
      if extra > 0. then fire_fault t (Fault_delay extra) p;
-     let key = p.Packet.id in
-     let deliver = t.deliver in
-     let h =
-       Engine.Sim.schedule t.sim ~delay:(t.prop_delay +. extra) (fun () ->
-           Hashtbl.remove t.in_prop key;
-           deliver p)
-     in
-     Hashtbl.replace t.in_prop key (p, h));
+     Delay_line.push t.prop p ~delay:(t.prop_delay +. extra));
   maybe_start t
 
 (* A fault discard never touched the buffer; it is still a drop as far as
@@ -334,17 +279,7 @@ let set_down t flag =
         | None -> ()
       in
       drain ();
-      let propagating =
-        Hashtbl.fold (fun _ (p, h) acc -> (p, h) :: acc) t.in_prop []
-        |> List.sort (fun (a, _) (b, _) ->
-               compare a.Packet.id b.Packet.id)
-      in
-      Hashtbl.reset t.in_prop;
-      List.iter
-        (fun (p, h) ->
-          Engine.Sim.cancel h;
-          fault_discard t p ~label:"outage")
-        propagating
+      Delay_line.flush t.prop (fun p -> fault_discard t p ~label:"outage")
     end
     else maybe_start t
   end

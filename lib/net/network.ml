@@ -10,17 +10,6 @@ type node = {
   endpoints : (int, Packet.t -> unit) Hashtbl.t;
 }
 
-(* Host processing delays are modeled with a free-list of arrival cells,
-   each owning a persistent timer plus packet/handler slots, so per-packet
-   host processing schedules no closure and no handle (see Link's delivery
-   free-list for the same pattern on propagation). *)
-type arrival = {
-  a_timer : Engine.Sim.Timer.timer;
-  mutable a_pkt : Packet.t;  (* == Packet.none when the cell is free *)
-  mutable a_handler : Packet.t -> unit;
-  mutable a_next : arrival;  (* next free cell; the nil cell points to itself *)
-}
-
 type t = {
   sim : Engine.Sim.t;
   mutable nodes : node list;  (* reverse order of creation *)
@@ -33,23 +22,11 @@ type t = {
   mutable delivered : int;
   mutable inject_hooks : (float -> Packet.t -> unit) list;
   mutable deliver_hooks : (float -> Packet.t -> unit) list;
-  mutable free_arrivals : arrival;  (* free-list head; arrival_nil ends it *)
-  arrival_nil : arrival;
+  proc : Delay_line.t;  (* packets inside host processing *)
 }
 
-let nop () = ()
-let no_handler (_ : Packet.t) = ()
-
-let create sim =
-  let nil_timer = Engine.Sim.Timer.create sim nop in
-  let rec arrival_nil =
-    {
-      a_timer = nil_timer;
-      a_pkt = Packet.none;
-      a_handler = no_handler;
-      a_next = arrival_nil;
-    }
-  in
+(* Builds the record; [create] below ties the host-processing knot. *)
+let make sim =
   {
     sim;
     nodes = [];
@@ -62,8 +39,7 @@ let create sim =
     delivered = 0;
     inject_hooks = [];
     deliver_hooks = [];
-    free_arrivals = arrival_nil;
-    arrival_nil;
+    proc = Delay_line.create sim;
   }
 
 let sim t = t.sim
@@ -146,36 +122,23 @@ let register_endpoint t ~host ~conn handler =
   if n.kind <> Host then invalid_arg "Network.register_endpoint: not a host";
   Hashtbl.replace n.endpoints conn handler
 
-(* Take an arrival cell from the free-list, growing the pool on demand
-   (the high-water mark is the peak number of packets concurrently inside
-   host processing). *)
-let alloc_arrival t =
-  let a = t.free_arrivals in
-  if a != t.arrival_nil then begin
-    t.free_arrivals <- a.a_next;
-    a.a_next <- t.arrival_nil;
-    a
-  end
-  else begin
-    let tm = Engine.Sim.Timer.create t.sim nop in
-    let a =
-      {
-        a_timer = tm;
-        a_pkt = Packet.none;
-        a_handler = no_handler;
-        a_next = t.arrival_nil;
-      }
-    in
-    Engine.Sim.Timer.set_action tm (fun () ->
-        let p = a.a_pkt and h = a.a_handler in
-        a.a_pkt <- Packet.none;
-        a.a_handler <- no_handler;
-        a.a_next <- t.free_arrivals;
-        t.free_arrivals <- a;
-        fire_deliver t p;
-        h p);
-    a
-  end
+(* Hand a packet to its transport endpoint, once the destination host's
+   processing delay (if any) has elapsed. *)
+let hand_over t (p : Packet.t) =
+  let n = node t p.dst in
+  match Hashtbl.find n.endpoints p.conn with
+  | handler ->
+    fire_deliver t p;
+    handler p
+  | exception Not_found ->
+    failwith
+      (Printf.sprintf "Network: no endpoint for conn %d at host %s" p.conn
+         n.name)
+
+let create sim =
+  let t = make sim in
+  Delay_line.set_deliver t.proc (hand_over t);
+  t
 
 (* Packet arrival at a node, after the link's propagation delay. *)
 let rec arrive t node_id (p : Packet.t) =
@@ -187,24 +150,8 @@ let rec arrive t node_id (p : Packet.t) =
       failwith
         (Printf.sprintf "Network: host %s received packet for node %d" n.name
            p.dst);
-    let handler =
-      match Hashtbl.find_opt n.endpoints p.conn with
-      | Some h -> h
-      | None ->
-        failwith
-          (Printf.sprintf "Network: no endpoint for conn %d at host %s" p.conn
-             n.name)
-    in
-    if n.proc_delay > 0. then begin
-      let a = alloc_arrival t in
-      a.a_pkt <- p;
-      a.a_handler <- handler;
-      Engine.Sim.Timer.set a.a_timer ~delay:n.proc_delay
-    end
-    else begin
-      fire_deliver t p;
-      handler p
-    end
+    if n.proc_delay > 0. then Delay_line.push t.proc p ~delay:n.proc_delay
+    else hand_over t p
 
 and forward _t n (p : Packet.t) =
   match Hashtbl.find_opt n.routes p.dst with

@@ -208,7 +208,7 @@ let buffers =
 
 let cc_zoo_taus = [ 0.01; 1.0 ]
 
-(* Row-major over variant then tau (one row per registry entry). *)
+(* Row-major over variant then tau (one row per adaptive zoo entry). *)
 let cc_zoo_points ~quick =
   let duration, warmup = if quick then (200., 80.) else (400., 150.) in
   List.concat_map

@@ -18,9 +18,8 @@
 
     Because all workers share one heap, [f] must not mutate global
     state.  Everything a sweep point touches in this codebase is either
-    per-task (scenario-seeded RNGs, per-sim free-lists, per-probe
-    metrics registries) or initialized before any domain can exist (the
-    [Tcp.Cc] registry, populated at module-load time); the
+    per-task (scenario-seeded RNGs, per-sim delay lines, per-probe
+    metrics registries) or immutable (the [Tcp.Cc_zoo] table); the
     [test_domain_safety] suite pins this by diffing domain-parallel
     output against sequential bytes. *)
 

@@ -74,29 +74,6 @@ module type S = sig
 end
 
 (* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let registry : (string, (module S)) Hashtbl.t = Hashtbl.create 16
-let order : string list ref = ref []
-
-let register (module M : S) =
-  if Hashtbl.mem registry M.id then
-    invalid_arg (Printf.sprintf "Cc.register: duplicate entry %S" M.id);
-  Hashtbl.replace registry M.id (module M : S);
-  order := M.id :: !order
-
-let find name = Hashtbl.find_opt registry name
-let names () = List.rev !order
-
-let zoo () =
-  List.map
-    (fun name ->
-      let (module M : S) = Hashtbl.find registry name in
-      (M.id, M.describe))
-    (names ())
-
-(* ------------------------------------------------------------------ *)
 (* Packed instances                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -142,15 +119,6 @@ let instantiate (module M : S) ~maxwnd ~params =
     in_recovery = (fun () -> M.in_recovery st);
     reset = (fun () -> M.reset st);
   }
-
-let make spec ~maxwnd =
-  match find spec.name with
-  | Some m -> instantiate m ~maxwnd ~params:spec.params
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Cc.make: unknown congestion control %S (registered: %s)" spec.name
-         (String.concat ", " (names ())))
 
 let spec_of t = t.spec
 let name t = t.spec.name

@@ -2,12 +2,12 @@
 
     The congestion controller is a first-class module: every algorithm
     implements {!S} (window arithmetic only — the sender owns
-    retransmission, timers and pacing) and registers itself under a
-    string key.  {!Sender} drives whatever instance its {!Config} names,
-    so scenarios, sweeps and the CLI can swap algorithms without
-    touching the transport machinery.
+    retransmission, timers and pacing) and is listed under a string key
+    in {!Cc_zoo}'s table.  {!Sender} drives whatever instance its
+    {!Config} names, so scenarios, sweeps and the CLI can swap
+    algorithms without touching the transport machinery.
 
-    A controller is named by a {!spec}: a registry key plus optional
+    A controller is named by a {!spec}: a table key plus optional
     [k=v] float parameters, written ["name"] or ["name:k=v,k=v"]
     (e.g. ["aimd:a=1,b=0.7"]).  Unknown names and unknown parameter
     keys are rejected at instantiation, so a typo fails the run up
@@ -28,7 +28,7 @@ type spec = { name : string; params : (string * float) list }
 val spec : ?params:(string * float) list -> string -> spec
 
 (** Parse ["name"] or ["name:k=v,k=v"].  Purely syntactic — the name
-    and keys are checked against the registry by {!make}. *)
+    and keys are checked by {!Cc_zoo.make}. *)
 val spec_of_string : string -> (spec, string) result
 
 (** Inverse of {!spec_of_string}: parameters in order, each value in
@@ -41,7 +41,7 @@ val spec_to_string : spec -> string
 module type S = sig
   type t
 
-  (** Registry key ("tahoe", "newreno", ...). *)
+  (** Table key ("tahoe", "newreno", ...). *)
   val id : string
 
   (** One-line description for the zoo table. *)
@@ -99,12 +99,6 @@ type t
     parameter value, and whatever the module's [create] raises. *)
 val instantiate : (module S) -> maxwnd:int -> params:(string * float) list -> t
 
-(** Look the spec's name up in the registry and instantiate it.
-    Raises [Invalid_argument] (listing the registered names) for an
-    unknown name, and whatever {!instantiate} raises for bad
-    parameters. *)
-val make : spec -> maxwnd:int -> t
-
 val spec_of : t -> spec
 val name : t -> string
 val maxwnd : t -> int
@@ -119,19 +113,6 @@ val ssthresh : t -> float
 val in_slow_start : t -> bool
 val in_recovery : t -> bool
 val reset : t -> unit
-
-(** {1 Registry} *)
-
-(** Raises [Invalid_argument] on a duplicate key. *)
-val register : (module S) -> unit
-
-val find : string -> (module S) option
-
-(** Registered keys, in registration order. *)
-val names : unit -> string list
-
-(** [(id, describe)] rows, in registration order. *)
-val zoo : unit -> (string * string) list
 
 (** {1 Parameter helpers for implementations} *)
 

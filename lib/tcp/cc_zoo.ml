@@ -1,4 +1,4 @@
-(* The built-in congestion-control variants behind the Cc registry.
+(* The built-in congestion-control variants and the table that names them.
 
    The classic entries (tahoe and reno families, fixed) are held step
    for step to frozen trajectories (test/cc_vectors.txt, replayed by
@@ -384,37 +384,43 @@ module Fixed = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Registration                                                         *)
+(* The table                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let adaptive =
   [ "tahoe"; "tahoe-unmodified"; "reno"; "reno-unmodified"; "newreno";
     "aimd"; "compound" ]
 
-let registered =
-  lazy
-    (List.iter Cc.register
-       [
-         classic_module ~id_:"tahoe"
-           ~describe_:"4.3-Tahoe, modified CA increment (the paper's machine)"
-           ~modified_ca:true ~fast_recovery:false ~newreno:false;
-         classic_module ~id_:"tahoe-unmodified"
-           ~describe_:"4.3-Tahoe with the original 1/cwnd CA increment"
-           ~modified_ca:false ~fast_recovery:false ~newreno:false;
-         classic_module ~id_:"reno"
-           ~describe_:"4.3-Reno fast recovery, modified CA increment"
-           ~modified_ca:true ~fast_recovery:true ~newreno:false;
-         classic_module ~id_:"reno-unmodified"
-           ~describe_:"4.3-Reno with the original 1/cwnd CA increment"
-           ~modified_ca:false ~fast_recovery:true ~newreno:false;
-         classic_module ~id_:"newreno"
-           ~describe_:"Reno + partial-ACK recovery (RFC 6582 style)"
-           ~modified_ca:true ~fast_recovery:true ~newreno:true;
-         (module Aimd : Cc.S);
-         (module Compound : Cc.S);
-         (module Oracle : Cc.S);
-         (module Fixed : Cc.S);
-       ])
+let variants =
+  [
+    classic_module ~id_:"tahoe"
+      ~describe_:"4.3-Tahoe, modified CA increment (the paper's machine)"
+      ~modified_ca:true ~fast_recovery:false ~newreno:false;
+    classic_module ~id_:"tahoe-unmodified"
+      ~describe_:"4.3-Tahoe with the original 1/cwnd CA increment"
+      ~modified_ca:false ~fast_recovery:false ~newreno:false;
+    classic_module ~id_:"reno"
+      ~describe_:"4.3-Reno fast recovery, modified CA increment"
+      ~modified_ca:true ~fast_recovery:true ~newreno:false;
+    classic_module ~id_:"reno-unmodified"
+      ~describe_:"4.3-Reno with the original 1/cwnd CA increment"
+      ~modified_ca:false ~fast_recovery:true ~newreno:false;
+    classic_module ~id_:"newreno"
+      ~describe_:"Reno + partial-ACK recovery (RFC 6582 style)"
+      ~modified_ca:true ~fast_recovery:true ~newreno:true;
+    (module Aimd : Cc.S);
+    (module Compound : Cc.S);
+    (module Oracle : Cc.S);
+    (module Fixed : Cc.S);
+  ]
 
-let ensure_registered () = Lazy.force registered
-let () = ensure_registered ()
+let zoo = List.map (fun (module M : Cc.S) -> (M.id, M.describe)) variants
+let names = List.map fst zoo
+
+let make (spec : Cc.spec) ~maxwnd =
+  match List.find_opt (fun (module M : Cc.S) -> M.id = spec.name) variants with
+  | Some m -> Cc.instantiate m ~maxwnd ~params:spec.params
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Cc_zoo.make: unknown congestion control %S (known: %s)"
+         spec.name (String.concat ", " names))

@@ -1,6 +1,5 @@
-(** The congestion-control variant zoo.
-
-    Registers the built-in {!Cc} entries:
+(** The congestion-control variant zoo: the one table that maps a
+    {!Cc.spec} name to its code.  It lists, in this order:
 
     - ["tahoe"], ["tahoe-unmodified"] — the paper's 4.3-Tahoe machine
       (§2.1): slow start, then the modified (1/floor cwnd) or original
@@ -26,10 +25,19 @@
       rate x min-RTT (the ideal BDP window), deaf to loss.
     - ["fixed"] — the paper's fixed-window flow control (Figures 8-9).
 
-    Registration happens at module initialization; [ensure_registered]
-    forces linkage from code that only touches the registry. *)
+    The table is a static list, so a new variant joins {!make}, {!names},
+    {!zoo} and the conformance battery by being listed. *)
 
-val ensure_registered : unit -> unit
+(** Look the spec's name up in the table and instantiate it.
+    Raises [Invalid_argument] (listing the known names) for an unknown
+    name, and whatever {!Cc.instantiate} raises for bad parameters. *)
+val make : Cc.spec -> maxwnd:int -> Cc.t
+
+(** Every key, in table order. *)
+val names : string list
+
+(** [(id, describe)] rows, in table order. *)
+val zoo : (string * string) list
 
 (** The adaptive entries (everything except ["fixed"] and ["oracle"]),
     for sweep grids and the cross-variant experiment. *)

@@ -1,15 +1,16 @@
+let data_size = 500
+let delack_timeout = 0.2
+let dupack_threshold = 3
+
 type t = {
   conn : int;
   src_host : int;
   dst_host : int;
-  data_size : int;
   ack_size : int;
   maxwnd : int;
   cc : Cc.spec;
   start_time : float;
   delayed_ack : bool;
-  delack_timeout : float;
-  dupack_threshold : int;
   loss_detection : bool;
   rto_params : Rto.params;
   pacing : float option;
@@ -17,16 +18,12 @@ type t = {
   rtt_skew : float;
 }
 
-let make ~conn ~src_host ~dst_host ?(data_size = 500) ?(ack_size = 50)
-    ?(maxwnd = 1000) ?(cc = Cc.spec "tahoe") ?(start_time = 0.)
-    ?(delayed_ack = false) ?(delack_timeout = 0.2) ?(dupack_threshold = 3)
+let make ~conn ~src_host ~dst_host ?(ack_size = 50) ?(maxwnd = 1000)
+    ?(cc = Cc.spec "tahoe") ?(start_time = 0.) ?(delayed_ack = false)
     ?(loss_detection = true) ?(rto_params = Rto.default_params)
     ?(pacing = None) ?(flow_size = None) ?(rtt_skew = 0.) () =
-  if data_size <= 0 then invalid_arg "Config.make: data_size must be positive";
   if ack_size < 0 then invalid_arg "Config.make: negative ack_size";
   if start_time < 0. then invalid_arg "Config.make: negative start_time";
-  if dupack_threshold < 1 then
-    invalid_arg "Config.make: dupack_threshold must be >= 1";
   (match pacing with
    | Some interval when interval <= 0. ->
      invalid_arg "Config.make: pacing interval must be positive"
@@ -37,20 +34,16 @@ let make ~conn ~src_host ~dst_host ?(data_size = 500) ?(ack_size = 50)
   if rtt_skew < 0. then invalid_arg "Config.make: negative rtt_skew";
   (* Instantiate once now so a bad spec (unknown name, bad parameter,
      maxwnd < 2) fails the run up front rather than at sender creation. *)
-  Cc_zoo.ensure_registered ();
-  ignore (Cc.make cc ~maxwnd : Cc.t);
+  ignore (Cc_zoo.make cc ~maxwnd : Cc.t);
   {
     conn;
     src_host;
     dst_host;
-    data_size;
     ack_size;
     maxwnd;
     cc;
     start_time;
     delayed_ack;
-    delack_timeout;
-    dupack_threshold;
     loss_detection;
     rto_params;
     pacing;

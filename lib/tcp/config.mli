@@ -6,18 +6,24 @@
     the fixed-window experiments, where retransmission logic is out of
     scope (infinite buffers, no drops). *)
 
+(** Data packet size in bytes (the paper's 500). *)
+val data_size : int
+
+(** Delayed-ACK timer, s. *)
+val delack_timeout : float
+
+(** Duplicate ACKs that trigger a fast retransmit. *)
+val dupack_threshold : int
+
 type t = {
   conn : int;  (** connection id, unique per network *)
   src_host : int;  (** data source host *)
   dst_host : int;  (** data sink host *)
-  data_size : int;  (** bytes *)
   ack_size : int;  (** bytes; 0 models the §4.3.3 zero-length-ACK system *)
   maxwnd : int;
-  cc : Cc.spec;  (** congestion controller, resolved via the {!Cc} registry *)
+  cc : Cc.spec;  (** congestion controller, resolved via {!Cc_zoo} *)
   start_time : float;
   delayed_ack : bool;
-  delack_timeout : float;  (** s *)
-  dupack_threshold : int;
   loss_detection : bool;
   rto_params : Rto.params;
   pacing : float option;
@@ -43,14 +49,11 @@ val make :
   conn:int ->
   src_host:int ->
   dst_host:int ->
-  ?data_size:int ->
   ?ack_size:int ->
   ?maxwnd:int ->
   ?cc:Cc.spec ->
   ?start_time:float ->
   ?delayed_ack:bool ->
-  ?delack_timeout:float ->
-  ?dupack_threshold:int ->
   ?loss_detection:bool ->
   ?rto_params:Rto.params ->
   ?pacing:float option ->

@@ -93,7 +93,7 @@ let ack_in_order t =
   else if t.delack_pending then ack_now t
   else begin
     t.delack_pending <- true;
-    Engine.Sim.Timer.set t.delack_timer ~delay:t.config.Config.delack_timeout
+    Engine.Sim.Timer.set t.delack_timer ~delay:Config.delack_timeout
   end
 
 let on_data t (p : Net.Packet.t) =

@@ -1,9 +1,5 @@
 type loss_reason = Dup_ack | Timeout
 
-(* Referencing the zoo here forces its registration side effects to be
-   linked into every program that links the sender. *)
-let () = Cc_zoo.ensure_registered ()
-
 type t = {
   net : Net.Network.t;
   sim : Engine.Sim.t;
@@ -39,7 +35,7 @@ let make net config =
     net;
     sim;
     config;
-    cc = Cc.make config.Config.cc ~maxwnd:config.Config.maxwnd;
+    cc = Cc_zoo.make config.Config.cc ~maxwnd:config.Config.maxwnd;
     rto = Rto.create config.Config.rto_params;
     snd_una = 0;
     snd_nxt = 0;
@@ -182,7 +178,7 @@ and send_one t seq =
   Cc.on_send t.cc ~seq ~retransmit;
   let p =
     Net.Network.make_packet t.net ~conn:t.config.Config.conn ~kind:Net.Packet.Data
-      ~seq ~size:t.config.Config.data_size ~src:t.config.Config.src_host
+      ~seq ~size:Config.data_size ~src:t.config.Config.src_host
       ~dst:t.config.Config.dst_host ~retransmit
   in
   let time = now t in
@@ -251,11 +247,11 @@ let on_ack t (p : Net.Packet.t) =
   else if ackno = t.snd_una && t.snd_nxt > t.snd_una then begin
     t.dup_acks <- t.dup_acks + 1;
     if t.config.Config.loss_detection then begin
-      if t.dup_acks = t.config.Config.dupack_threshold then begin
+      if t.dup_acks = Config.dupack_threshold then begin
         t.fast_retransmits <- t.fast_retransmits + 1;
         handle_loss t Dup_ack
       end
-      else if t.dup_acks > t.config.Config.dupack_threshold
+      else if t.dup_acks > Config.dupack_threshold
               && Cc.in_recovery t.cc
       then begin
         (* Reno: every further duplicate means a packet left the network;

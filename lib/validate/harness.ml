@@ -9,8 +9,8 @@ type t = {
   mutable finalized : bool;
 }
 
-let attach ?max_kept net ~conns =
-  let report = Report.create ?max_kept () in
+let attach net ~conns =
+  let report = Report.create () in
   let sim = Net.Network.sim net in
   let clock = Clock.attach report sim in
   let conservation = Conservation.attach report net in

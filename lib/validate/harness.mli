@@ -18,10 +18,10 @@
 
 type t
 
-(** [attach net ~conns] creates a report and wires every applicable
-    checker.  [max_kept] bounds the violations kept verbatim in the
-    report (default {!Report.default_max_kept}). *)
-val attach : ?max_kept:int -> Net.Network.t -> conns:Tcp.Connection.t list -> t
+(** [attach net ~conns] creates a report (keeping the first
+    {!Report.default_max_kept} violations verbatim) and wires every
+    applicable checker. *)
+val attach : Net.Network.t -> conns:Tcp.Connection.t list -> t
 
 (** The (possibly still accumulating) report. *)
 val report : t -> Report.t

@@ -101,6 +101,7 @@ let flag_table =
     ("--ack-size", Int 0, "50");
     ("--flight-recorder", Int 0, "64");
     ("--width", Int 8, "96");
+    ("--fixed", Int 1, "30");
   ]
 
 let test_per_flag_rejection () =
@@ -144,6 +145,8 @@ let test_cli_int_flags_exit_2 () =
       [ "run"; "--buffer=-3" ];
       [ "run"; "--flight-recorder=-4" ];
       [ "run"; "--max-events"; "0" ];
+      [ "run"; "--fixed"; "0,5" ];
+      [ "run"; "--fixed"; "5" ];
       [ "plot"; "fig8"; "--width"; "0" ];
       [ "sweep"; "smoke"; "--jobs"; "0" ];
       [ "sweep"; "smoke"; "--jobs=-3" ];

@@ -3,9 +3,8 @@
 
 open Tcp
 
-let () = Cc_zoo.ensure_registered ()
 let make ?(maxwnd = 1000) ?(params = []) name =
-  Cc.make (Cc.spec ~params name) ~maxwnd
+  Cc_zoo.make (Cc.spec ~params name) ~maxwnd
 
 (* The classic entries read [ackno] only inside a NewReno recovery. *)
 let ack c = ignore (Cc.on_ack c ~ackno:0 ~newly:1 : bool)

@@ -1,6 +1,6 @@
 (* Cross-variant conformance battery: one parameterized suite run over
-   EVERY entry in the Cc registry, so a new zoo variant inherits the
-   whole battery just by registering itself.
+   EVERY entry in the Cc_zoo table, so a new zoo variant inherits the
+   whole battery just by being listed.
 
    The invariants are the ones the sender and the validate harness rely
    on: the usable window stays in [1, maxwnd], ssthresh never drops
@@ -10,8 +10,7 @@
 
 open Tcp
 
-let () = Cc_zoo.ensure_registered ()
-let all_names = Cc.names ()
+let all_names = Cc_zoo.names
 
 (* ---------------- random event sequences ---------------- *)
 
@@ -86,8 +85,8 @@ let settle c ~ackno ~highest =
 let test_instantiates name () =
   List.iter
     (fun maxwnd ->
-      let c = Cc.make (Cc.spec name) ~maxwnd in
-      Alcotest.(check string) "registry name round-trips" name (Cc.name c);
+      let c = Cc_zoo.make (Cc.spec name) ~maxwnd in
+      Alcotest.(check string) "table name round-trips" name (Cc.name c);
       Alcotest.(check int) "maxwnd recorded" maxwnd (Cc.maxwnd c);
       ignore (healthy name c ~maxwnd : bool))
     [ 2; 8; 1000 ]
@@ -105,7 +104,7 @@ let test_rejects_unknown_param name () =
            | _ -> "none")))
     (fun () ->
       ignore
-        (Cc.make
+        (Cc_zoo.make
            (Cc.spec ~params:[ ("no-such-param", 1.) ] name)
            ~maxwnd:100
           : Cc.t))
@@ -117,7 +116,7 @@ let prop_window_bounds name =
     (fun events ->
       List.for_all
         (fun maxwnd ->
-          let c = Cc.make (Cc.spec name) ~maxwnd in
+          let c = Cc_zoo.make (Cc.spec name) ~maxwnd in
           let ackno = ref 0 and highest = ref 0 in
           List.for_all
             (fun e ->
@@ -132,7 +131,7 @@ let prop_timeout_never_grows name =
     ~count:100 arb_events
     (fun events ->
       let maxwnd = 50 in
-      let c = Cc.make (Cc.spec name) ~maxwnd in
+      let c = Cc_zoo.make (Cc.spec name) ~maxwnd in
       let ackno = ref 0 and highest = ref 0 in
       List.iter (apply c ~ackno ~highest) events;
       let before = Cc.window c in
@@ -154,7 +153,7 @@ let prop_loss_settles_no_higher name =
     ~count:100 arb_events
     (fun events ->
       let maxwnd = 50 in
-      let c = Cc.make (Cc.spec name) ~maxwnd in
+      let c = Cc_zoo.make (Cc.spec name) ~maxwnd in
       let ackno = ref 0 and highest = ref 0 in
       List.iter (apply c ~ackno ~highest) events;
       settle c ~ackno ~highest;
@@ -177,7 +176,7 @@ let prop_slow_start_exit_monotone name =
     ~count:50
     QCheck.(int_range 2 60)
     (fun maxwnd ->
-      let c = Cc.make (Cc.spec name) ~maxwnd in
+      let c = Cc_zoo.make (Cc.spec name) ~maxwnd in
       let ackno = ref 0 and exited = ref false in
       for _ = 1 to 3 * maxwnd do
         incr ackno;
@@ -189,7 +188,7 @@ let prop_slow_start_exit_monotone name =
       true)
 
 let test_reset_restores name () =
-  let c = Cc.make (Cc.spec name) ~maxwnd:40 in
+  let c = Cc_zoo.make (Cc.spec name) ~maxwnd:40 in
   let w0 = Cc.window c and cw0 = Cc.cwnd c and ss0 = Cc.ssthresh c in
   let ackno = ref 0 and highest = ref 0 in
   List.iter
@@ -219,7 +218,7 @@ let battery name =
     QCheck_alcotest.to_alcotest (prop_slow_start_exit_monotone name);
   ]
 
-(* ---------------- registry + spec parsing ---------------- *)
+(* ---------------- zoo table + spec parsing ---------------- *)
 
 let test_registry_populated () =
   Alcotest.(check bool)
@@ -228,18 +227,18 @@ let test_registry_populated () =
     (List.length all_names >= 6);
   List.iter
     (fun required ->
-      Alcotest.(check bool) ("registered: " ^ required) true
+      Alcotest.(check bool) ("listed: " ^ required) true
         (List.mem required all_names))
     [ "tahoe"; "tahoe-unmodified"; "reno"; "newreno"; "aimd"; "compound";
       "oracle"; "fixed" ];
   List.iter
     (fun (id, describe) ->
       Alcotest.(check bool) (id ^ " has a description") true (describe <> ""))
-    (Cc.zoo ());
-  (* adaptive is a subset of the registry, minus the non-adaptive pair *)
+    Cc_zoo.zoo;
+  (* adaptive is a subset of the table, minus the non-adaptive pair *)
   List.iter
     (fun name ->
-      Alcotest.(check bool) ("adaptive is registered: " ^ name) true
+      Alcotest.(check bool) ("adaptive is listed: " ^ name) true
         (List.mem name all_names))
     Cc_zoo.adaptive;
   Alcotest.(check bool) "fixed is not adaptive" false
@@ -248,18 +247,14 @@ let test_registry_populated () =
     (List.mem "oracle" Cc_zoo.adaptive)
 
 let test_registry_rejects () =
-  (match Cc.find "tahoe" with
-   | Some m ->
-     Alcotest.check_raises "duplicate registration"
-       (Invalid_argument "Cc.register: duplicate entry \"tahoe\"") (fun () ->
-         Cc.register m)
-   | None -> Alcotest.fail "tahoe not registered");
+  Alcotest.(check int) "table ids are distinct" (List.length all_names)
+    (List.length (List.sort_uniq compare all_names));
   let raised =
     try
-      ignore (Cc.make (Cc.spec "no-such-cc") ~maxwnd:100 : Cc.t);
+      ignore (Cc_zoo.make (Cc.spec "no-such-cc") ~maxwnd:100 : Cc.t);
       false
     with Invalid_argument msg ->
-      (* the error must list the registered names for discoverability *)
+      (* the error must list the known names for discoverability *)
       let contains needle =
         let n = String.length needle and h = String.length msg in
         let rec go i =
@@ -269,11 +264,11 @@ let test_registry_rejects () =
       in
       contains "no-such-cc" && contains "newreno"
   in
-  Alcotest.(check bool) "unknown name raises with the registry listing" true
+  Alcotest.(check bool) "unknown name raises with the known names listed" true
     raised;
   Alcotest.check_raises "maxwnd < 2"
     (Invalid_argument "Cc.instantiate: maxwnd must be >= 2") (fun () ->
-      ignore (Cc.make (Cc.spec "tahoe") ~maxwnd:1 : Cc.t))
+      ignore (Cc_zoo.make (Cc.spec "tahoe") ~maxwnd:1 : Cc.t))
 
 let spec_testable =
   Alcotest.testable
@@ -332,14 +327,14 @@ let test_duplicate_param_rejected () =
   Alcotest.check_raises "duplicate key"
     (Invalid_argument "aimd: duplicate parameter") (fun () ->
       ignore
-        (Cc.make (Cc.spec ~params:[ ("a", 1.); ("a", 2.) ] "aimd") ~maxwnd:10
+        (Cc_zoo.make (Cc.spec ~params:[ ("a", 1.); ("a", 2.) ] "aimd") ~maxwnd:10
           : Cc.t))
 
 let test_bad_param_values () =
   let rejects name params =
     let raised =
       try
-        ignore (Cc.make (Cc.spec ~params name) ~maxwnd:100 : Cc.t);
+        ignore (Cc_zoo.make (Cc.spec ~params name) ~maxwnd:100 : Cc.t);
         false
       with Invalid_argument _ -> true
     in
@@ -369,7 +364,7 @@ let test_bad_param_values () =
       Alcotest.check_raises (name ^ " never sees a NaN")
         (Invalid_argument (name ^ ": parameter x must be finite"))
         (fun () ->
-          ignore (Cc.make (Cc.spec ~params:[ ("x", nan) ] name) ~maxwnd:100
+          ignore (Cc_zoo.make (Cc.spec ~params:[ ("x", nan) ] name) ~maxwnd:100
             : Cc.t)))
     all_names
 
@@ -418,7 +413,7 @@ let test_newreno_partial_ack () =
   (* Only NewReno answers true (retransmit the hole) to a partial ACK;
      every other entry always answers false. *)
   let drive name =
-    let c = Cc.make (Cc.spec name) ~maxwnd:100 in
+    let c = Cc_zoo.make (Cc.spec name) ~maxwnd:100 in
     let ackno = ref 0 in
     for _ = 1 to 9 do
       incr ackno;

@@ -1,14 +1,12 @@
 (* Differential tests for the Cc port.
 
-   The classic registry entries (tahoe and reno families, fixed) must
+   The classic zoo entries (tahoe and reno families, fixed) must
    reproduce frozen trajectories of the window machine they replaced,
    bit for bit after every step.  Finally, the AIMD entry earns its
    place in the zoo with the classic convergence property: two AIMD
    flows sharing a bottleneck drift toward fair shares. *)
 
 open Tcp
-
-let () = Cc_zoo.ensure_registered ()
 
 (* ---------------- frozen trajectories ---------------- *)
 
@@ -30,7 +28,7 @@ let classic_specs =
    advances a cumulative counter by one packet; losses pass that counter
    as [highest_sent] (only NewReno reads it, and it is not replayed). *)
 let replay spec ~maxwnd events =
-  let cc = Cc.make spec ~maxwnd in
+  let cc = Cc_zoo.make spec ~maxwnd in
   let ackno = ref 0 in
   let state () =
     Printf.sprintf "%h %h %d %b %b" (Cc.cwnd cc) (Cc.ssthresh cc)
@@ -114,7 +112,7 @@ let frozen_vector_cases =
 (* 4.3-Reno fast recovery, step by step: halve, inflate by the three
    duplicates, inflate per further duplicate, deflate on new data. *)
 let test_reno_pins_via_cc () =
-  let c = Cc.make (Cc.spec "reno") ~maxwnd:1000 in
+  let c = Cc_zoo.make (Cc.spec "reno") ~maxwnd:1000 in
   let ackno = ref 0 in
   let ack () =
     incr ackno;

@@ -7,7 +7,6 @@ let small_spec =
     duration = 60.;
     warmup = 20.;
     seed = 7;
-    trunk_faults = [];
   }
 
 let test_structure () =

@@ -20,8 +20,7 @@ let harness ?(delayed_ack = false) () =
       : Link.t * Link.t);
   Routing.compute net;
   let config =
-    Config.make ~conn:1 ~src_host:h1 ~dst_host:h2 ~delayed_ack
-      ~delack_timeout:0.2 ()
+    Config.make ~conn:1 ~src_host:h1 ~dst_host:h2 ~delayed_ack ()
   in
   let receiver = Receiver.create net config in
   let acks = ref [] in

@@ -8,7 +8,7 @@ open Tcp
 (* The fast-recovery arithmetic itself is pinned by
    test_cc_differential's Reno pins; here, a timeout inside a recovery. *)
 let test_reno_timeout_still_collapses () =
-  let c = Cc.make (Cc.spec "reno") ~maxwnd:1000 in
+  let c = Cc_zoo.make (Cc.spec "reno") ~maxwnd:1000 in
   for ackno = 1 to 19 do ignore (Cc.on_ack c ~ackno ~newly:1 : bool) done;
   Cc.on_loss c Cc.Fast_retransmit ~highest_sent:20;
   Alcotest.(check bool) "in recovery" true (Cc.in_recovery c);
