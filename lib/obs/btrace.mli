@@ -96,8 +96,8 @@ type stop =
           prefix is a valid trace *)
   | Corrupt of string
       (** a record the writer cannot produce: an unknown tag, an
-          undefined string or link id, a negative conn or link id, a
-          non-finite float or an over-long varint *)
+          undefined string or link id, a negative conn, link or string
+          id, a non-finite float or an over-long varint *)
 
 (** Short event-kind tag, e.g. ["enqueue"]; the JSONL ["ev"] value. *)
 val ev_label : ev -> string
