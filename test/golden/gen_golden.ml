@@ -1,7 +1,8 @@
 (* Golden-trace generator: runs the canonical one-way and two-way
-   scenarios and a faulted two-way one (validation on) and prints a
-   digest of each — drop count, both utilizations, final congestion
-   windows, and an MD5 checksum over the full bottleneck queue series;
+   scenarios, a faulted two-way one and a timer-heavy two-way one
+   (validation on) and prints a digest of each — drop count, both
+   utilizations, final congestion windows, and an MD5 checksum over the
+   full bottleneck queue series;
    the faulted scenario adds its fault ledgers and an MD5 checksum over
    its drops in order.
 
@@ -88,4 +89,17 @@ let () =
        ~conns:(stagger ~step:2. [ conn Forward; conn Reverse ])
        ~duration:120. ~warmup:40. ~validate:true
        ~faults:[ (Fwd_bottleneck, faults); (Bwd_bottleneck, faults) ]
-       ())
+       ());
+  (* The scheduler paths the other scenarios leave cold: a skewed sender
+     makes one one-shot [Sim.schedule] per data packet (so one-shot
+     events churn through the queue all run long), a delayed-ACK
+     receiver arms and cancels its timer per packet, and a paced sender
+     drives the pacer. *)
+  digest
+    (make ~name:"two-way-timers" ~tau:0.01 ~buffer:(Some 20)
+       ~conns:
+         (stagger ~step:2.
+            [ conn ~rtt_skew:0.05 Forward;
+              conn ~delayed_ack:true Reverse;
+              conn ~pacing:(Some 0.1) Forward ])
+       ~duration:120. ~warmup:40. ~validate:true ())
