@@ -1,19 +1,27 @@
-(* The scheduler is an *indexed* binary min-heap over parallel arrays:
+(* The scheduler is an *indexed* binary min-heap of timer slots over
+   parallel arrays:
 
      times : float array     primary key (flat, unboxed)
      seqs  : int array       tie-break key (insertion counter)
-     heap  : timer array     payloads; [heap.(i).pos = i] always
+     heap  : int array       payloads: slot numbers
+     index : int array       slot -> its heap position, -1 when not queued
+     slots : timer array     slot -> its timer
 
    Every scheduled obligation — a one-shot closure from [schedule]/[at]
-   or a reusable [Timer] — is a [timer] record that knows its own heap
-   index, so cancel and re-arm are O(log n) in-place operations that
-   produce no garbage: no closure, no handle record, no heap entry is
-   allocated on the per-event hot path.  Re-arming assigns a fresh
-   sequence number at the call site, exactly as cancel+schedule used to,
-   so (time, seq) delivery order — and with it every golden trace — is
-   unchanged.  Cancelled timers leave the heap immediately, which also
-   retires the old lazy-compaction machinery: [queue_length] is now the
-   exact live event count.
+   or a reusable [Timer] — is a [timer] record that owns a slot, so
+   cancel and re-arm are O(log n) in-place operations that produce no
+   garbage on the per-event hot path.  The heap moves slot numbers, not
+   timer pointers: sifting stores only ints and floats and never runs
+   the write barrier.  A [Timer.create] timer keeps its slot for the
+   simulator's life; a one-shot event takes a slot from the [free]
+   stack and gives it back when it fires or is cancelled, resetting
+   the slot's cell to [sentinel] so the closure it carried is
+   collectable at once.
+
+   Re-arming assigns a fresh sequence number at the call site, exactly
+   as cancel+schedule would, so (time, seq) delivery order — and with
+   it every golden trace — does not depend on the heap's layout.
+   [queue_length] is the exact live event count.
 
    The clock lives in a 1-element float array rather than a mutable
    float field: a float field of a mixed record is boxed, so assigning
@@ -24,19 +32,23 @@ type t = {
   mutable executed : int;
   mutable times : float array;
   mutable seqs : int array;
-  mutable heap : timer array;
+  mutable heap : int array;
   mutable size : int;
   mutable next_seq : int;
+  mutable slots : timer array;
+  mutable index : int array;
+  mutable nslots : int;  (* slots handed out so far *)
+  mutable free : int array;  (* released one-shot slots, a stack *)
+  mutable nfree : int;
   mutable observers : (float -> unit) list;  (* in registration order *)
-  sentinel : timer;
-      (* fills vacated heap slots so popped timers (and the closures they
-         carry) are collectable immediately, not when the slot is reused *)
+  sentinel : timer;  (* fills the cell of every free slot *)
 }
 
 and timer = {
   owner : t;
   mutable action : unit -> unit;
-  mutable pos : int;  (* index into the heap arrays, or -1 when disarmed *)
+  mutable slot : int;  (* -1 once a one-shot has fired or been cancelled *)
+  oneshot : bool;
 }
 
 type handle = timer
@@ -53,10 +65,15 @@ let create () =
       heap = [||];
       size = 0;
       next_seq = 0;
+      slots = [||];
+      index = [||];
+      nslots = 0;
+      free = [||];
+      nfree = 0;
       observers = [];
       sentinel;
     }
-  and sentinel = { owner = t; action = nop; pos = -1 } in
+  and sentinel = { owner = t; action = nop; slot = -1; oneshot = true } in
   t
 
 let[@inline] now t = t.clock.(0)
@@ -69,131 +86,165 @@ let queue_length t = t.size
 let on_event t f = t.observers <- t.observers @ [ f ]
 
 (* ------------------------------------------------------------------ *)
-(* Indexed heap plumbing                                               *)
+(* Slots                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let initial_capacity = 64
 
+(* Every array has one capacity.  A queued entry holds a slot, so the
+   heap never outgrows the slot count, nor the free stack. *)
 let grow t =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then initial_capacity else 2 * cap in
-    let times = Array.make ncap 0. in
-    let seqs = Array.make ncap 0 in
-    let heap = Array.make ncap t.sentinel in
-    Array.blit t.times 0 times 0 t.size;
-    Array.blit t.seqs 0 seqs 0 t.size;
-    Array.blit t.heap 0 heap 0 t.size;
-    t.times <- times;
-    t.seqs <- seqs;
-    t.heap <- heap
+  let cap = Array.length t.slots in
+  let ncap = if cap = 0 then initial_capacity else 2 * cap in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.heap <- extend t.heap 0;
+  t.slots <- extend t.slots t.sentinel;
+  t.index <- extend t.index (-1);
+  t.free <- extend t.free 0
+
+(* A released one-shot's slot if there is one, else a fresh slot. *)
+let take_slot t =
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
   end
+  else begin
+    if t.nslots = Array.length t.slots then grow t;
+    t.nslots <- t.nslots + 1;
+    t.nslots - 1
+  end
+
+let new_timer t action ~oneshot =
+  let tm = { owner = t; action; slot = take_slot t; oneshot } in
+  t.slots.(tm.slot) <- tm;
+  tm
+
+(* Give a fired or cancelled one-shot's slot back. *)
+let release t tm =
+  let s = tm.slot in
+  tm.slot <- -1;
+  t.slots.(s) <- t.sentinel;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+(* ------------------------------------------------------------------ *)
+(* Indexed heap plumbing                                               *)
+(* ------------------------------------------------------------------ *)
 
 let[@inline] entry_before t i j =
   let ti = t.times.(i) and tj = t.times.(j) in
   ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
-let[@inline] swap t i j =
-  let ti = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- ti;
-  let si = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- si;
-  let hi = t.heap.(i) and hj = t.heap.(j) in
-  t.heap.(i) <- hj;
-  t.heap.(j) <- hi;
-  hj.pos <- i;
-  hi.pos <- j
+(* Move entry [src] to position [dst], keeping its slot's index. *)
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  let slot = t.heap.(src) in
+  t.heap.(dst) <- slot;
+  t.index.(slot) <- dst
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Write an entry where a sift stopped. *)
+let[@inline] place t i ~time ~seq ~slot =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.heap.(i) <- slot;
+  t.index.(slot) <- i
+
+(* Both sifts place the entry at [src] by moving a hole from [hole]:
+   the entry is read once, each entry it passes moves one level, and it
+   is written once where it stops. *)
+let sift_up t ~hole ~src =
+  let time = t.times.(src) and seq = t.seqs.(src) and slot = t.heap.(src) in
+  let i = ref hole and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = t.times.(p) in
+    if time < tp || (time = tp && seq < t.seqs.(p)) then begin
+      move t ~src:p ~dst:!i;
+      i := p
     end
-  end
+    else moving := false
+  done;
+  place t !i ~time ~seq ~slot
 
-let rec sift_down t i =
-  let left = (2 * i) + 1 in
-  if left < t.size then begin
-    let smallest = if entry_before t left i then left else i in
-    let right = left + 1 in
-    let smallest =
-      if right < t.size && entry_before t right smallest then right
-      else smallest
-    in
-    if smallest <> i then begin
-      swap t smallest i;
-      sift_down t smallest
+let sift_down t ~hole ~src =
+  let time = t.times.(src) and seq = t.seqs.(src) and slot = t.heap.(src) in
+  let i = ref hole and moving = ref true in
+  while !moving do
+    let left = (2 * !i) + 1 in
+    if left >= t.size then moving := false
+    else begin
+      let c =
+        if left + 1 < t.size && entry_before t (left + 1) left then left + 1
+        else left
+      in
+      let tc = t.times.(c) in
+      if tc < time || (tc = time && t.seqs.(c) < seq) then begin
+        move t ~src:c ~dst:!i;
+        i := c
+      end
+      else moving := false
     end
-  end
+  done;
+  place t !i ~time ~seq ~slot
 
-(* Insert a disarmed timer with a fresh sequence number. *)
-let arm t tm ~time =
-  grow t;
+(* Queue a slot that is not queued, with a fresh sequence number.
+   Inlined so that the caller's unboxed [time] is never boxed. *)
+let[@inline] arm t slot ~time =
   let i = t.size in
   t.size <- i + 1;
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
+  place t i ~time ~seq:t.next_seq ~slot;
   t.next_seq <- t.next_seq + 1;
-  t.heap.(i) <- tm;
-  tm.pos <- i;
-  sift_up t i
+  sift_up t ~hole:i ~src:i
 
-(* Re-key an armed timer in place.  The fresh seq is larger than every
+(* Re-key a queued slot in place.  The fresh seq is larger than every
    seq already in the heap, so when the time does not strictly decrease
    the entry can only sink; when it strictly decreases it can only
    rise (its new key is then strictly below both children's). *)
-let rekey t tm ~time =
-  let i = tm.pos in
+let[@inline] rekey t slot ~time =
+  let i = t.index.(slot) in
   let old_time = t.times.(i) in
   t.times.(i) <- time;
   t.seqs.(i) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  if time < old_time then sift_up t i else sift_down t i
+  if time < old_time then sift_up t ~hole:i ~src:i
+  else sift_down t ~hole:i ~src:i
 
-(* Remove an armed timer: classic indexed-heap deletion (move the last
-   entry into the hole, then restore the heap property in whichever
-   direction it is violated). *)
-let remove t tm =
-  let i = tm.pos in
-  tm.pos <- -1;
+(* Fill position [i], which the caller has just vacated, with the last
+   entry, sifting it in whichever direction the heap property needs. *)
+let fill_hole t i =
   let last = t.size - 1 in
   t.size <- last;
   if i < last then begin
-    t.times.(i) <- t.times.(last);
-    t.seqs.(i) <- t.seqs.(last);
-    let moved = t.heap.(last) in
-    t.heap.(i) <- moved;
-    moved.pos <- i;
-    t.heap.(last) <- t.sentinel;
-    if i > 0 && entry_before t i ((i - 1) / 2) then sift_up t i
-    else sift_down t i
+    if i > 0 && entry_before t last ((i - 1) / 2) then
+      sift_up t ~hole:i ~src:last
+    else sift_down t ~hole:i ~src:last
   end
-  else t.heap.(last) <- t.sentinel
 
-(* Remove and return the root.  The caller has already read its time. *)
+(* Unqueue a queued slot. *)
+let remove t slot =
+  let i = t.index.(slot) in
+  t.index.(slot) <- -1;
+  fill_hole t i
+
+(* Remove and return the root's timer, releasing a one-shot's slot.
+   The caller has already read its time. *)
 let pop_min t =
-  let tm = t.heap.(0) in
-  tm.pos <- -1;
-  let last = t.size - 1 in
-  t.size <- last;
-  if last > 0 then begin
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    let moved = t.heap.(last) in
-    t.heap.(0) <- moved;
-    moved.pos <- 0;
-    t.heap.(last) <- t.sentinel;
-    sift_down t 0
-  end
-  else t.heap.(last) <- t.sentinel;
+  let slot = t.heap.(0) in
+  let tm = t.slots.(slot) in
+  t.index.(slot) <- -1;
+  fill_hole t 0;
+  if tm.oneshot then release t tm;
   tm
 
 (* ------------------------------------------------------------------ *)
-(* One-shot scheduling (legacy closure API, built on the same timers)   *)
+(* One-shot scheduling (closure API, built on the same slots)           *)
 (* ------------------------------------------------------------------ *)
 
 let at t ~time f =
@@ -202,8 +253,8 @@ let at t ~time f =
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is before current time %g" time
          t.clock.(0));
-  let tm = { owner = t; action = f; pos = -1 } in
-  arm t tm ~time;
+  let tm = new_timer t f ~oneshot:true in
+  arm t tm.slot ~time;
   tm
 
 let schedule t ~delay f =
@@ -212,8 +263,14 @@ let schedule t ~delay f =
     invalid_arg (Printf.sprintf "Sim.schedule: negative delay %g" delay);
   at t ~time:(t.clock.(0) +. delay) f
 
-let cancel tm = if tm.pos >= 0 then remove tm.owner tm
-let pending tm = tm.pos >= 0
+let pending tm = tm.slot >= 0 && tm.owner.index.(tm.slot) >= 0
+
+let cancel tm =
+  if pending tm then begin
+    let t = tm.owner in
+    remove t tm.slot;
+    if tm.oneshot then release t tm
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reusable timers                                                     *)
@@ -222,7 +279,8 @@ let pending tm = tm.pos >= 0
 module Timer = struct
   type timer = handle
 
-  let create owner action = { owner; action; pos = -1 }
+  let create owner action = new_timer owner action ~oneshot:false
+
   let set_action tm f = tm.action <- f
 
   let set_at tm ~time =
@@ -232,7 +290,8 @@ module Timer = struct
       invalid_arg
         (Printf.sprintf "Sim.Timer.set_at: time %g is before current time %g"
            time t.clock.(0));
-    if tm.pos >= 0 then rekey t tm ~time else arm t tm ~time
+    if t.index.(tm.slot) >= 0 then rekey t tm.slot ~time
+    else arm t tm.slot ~time
 
   let set tm ~delay =
     let t = tm.owner in
@@ -240,7 +299,8 @@ module Timer = struct
     if delay < 0. then
       invalid_arg (Printf.sprintf "Sim.Timer.set: negative delay %g" delay);
     let time = t.clock.(0) +. delay in
-    if tm.pos >= 0 then rekey t tm ~time else arm t tm ~time
+    if t.index.(tm.slot) >= 0 then rekey t tm.slot ~time
+    else arm t tm.slot ~time
 
   let cancel = cancel
   let pending = pending
@@ -260,6 +320,7 @@ let execute t tm =
   tm.action ()
 
 let step t ~until =
+  if Float.is_nan until then invalid_arg "Sim.step: NaN horizon";
   if t.size = 0 then false
   else begin
     let time = t.times.(0) in

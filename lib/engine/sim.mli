@@ -151,5 +151,6 @@ val run_guarded :
   stop_reason
 
 (** Execute a single event if one is pending at or before [until].
-    Returns [false] when nothing was run. *)
+    Returns [false] when nothing was run.
+    @raise Invalid_argument if [until] is NaN. *)
 val step : t -> until:float -> bool

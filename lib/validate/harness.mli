@@ -12,9 +12,11 @@
     Attach after the topology and connections are built and before the
     simulation runs; links or connections added later are not watched.
     Call {!finalize} once the run ends to perform the end-of-run audits
-    and obtain the report.  Overhead is roughly 20-30% of runtime
-    ([dune exec bench/main.exe -- overhead]), so the harness is off by
-    default in {!Core.Runner}-driven runs and enabled per scenario. *)
+    and obtain the report.  The harness adds about 70% to a run's time
+    per event (the validate row of the [bench/e2e] ledger over its
+    runner row on longrun-fig3, median of five runs on a 2-vCPU Intel
+    Xeon VM), so it is off by default in {!Core.Runner}-driven runs and
+    enabled per scenario. *)
 
 type t
 

@@ -91,7 +91,14 @@ let test_nan_rejected () =
     (fun () ->
       ignore (Sim.at sim ~time:Float.nan (fun () -> ()) : Sim.handle));
   Alcotest.check_raises "NaN horizon" (Invalid_argument "Sim.run: NaN horizon")
-    (fun () -> Sim.run sim ~until:Float.nan)
+    (fun () -> Sim.run sim ~until:Float.nan);
+  (* A NaN horizon compares false with every time, so an unchecked step
+     would run this event. *)
+  ignore (Sim.at sim ~time:100. (fun () -> ()) : Sim.handle);
+  Alcotest.check_raises "NaN step horizon"
+    (Invalid_argument "Sim.step: NaN horizon") (fun () ->
+      ignore (Sim.step sim ~until:Float.nan : bool));
+  Alcotest.(check int) "step ran nothing" 0 (Sim.events_run sim)
 
 let test_at_past_rejected () =
   let sim = Sim.create () in
@@ -326,6 +333,56 @@ let test_timer_errors () =
     (Invalid_argument "Sim.Timer.set_at: time 1 is before current time 5")
     (fun () -> Sim.Timer.set_at tm ~time:1.)
 
+(* One-shot events return their slots when they fire or are cancelled,
+   and the next events take them.  The old handles must stay dead: a
+   stale cancel must not remove the events that now hold their slots. *)
+let test_stale_handles () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let fired = Sim.schedule sim ~delay:1. (note "fired") in
+  let cancelled = Sim.schedule sim ~delay:2. (note "cancelled") in
+  Sim.cancel cancelled;
+  Sim.run sim ~until:1.5;
+  let a = Sim.schedule sim ~delay:1. (note "a") in
+  let b = Sim.schedule sim ~delay:2. (note "b") in
+  Sim.cancel fired;
+  Sim.cancel cancelled;
+  Alcotest.(check bool) "fired handle not pending" false (Sim.pending fired);
+  Alcotest.(check bool) "cancelled handle not pending" false
+    (Sim.pending cancelled);
+  Alcotest.(check bool) "new events pending" true
+    (Sim.pending a && Sim.pending b);
+  Alcotest.(check int) "stale cancels removed nothing" 2
+    (Sim.queue_length sim);
+  Sim.run_to_completion sim;
+  Alcotest.(check (list string)) "new events fire" [ "fired"; "a"; "b" ]
+    (List.rev !log)
+
+(* Re-arming a persistent timer must not allocate: arm and re-key are
+   inlined into [Timer.set], so the new time is never boxed (it was, 2
+   words an event).  The constant delay is a static float, so the call
+   itself boxes nothing either.  A bound rather than an exact count:
+   CI builds on OCaml 4.14 and 5.1. *)
+let test_timer_rearm_allocation () =
+  let sim = Sim.create () in
+  let timers = 16 and events = 100_000 in
+  let fired = ref 0 in
+  for i = 0 to timers - 1 do
+    let tm = Sim.Timer.create sim ignore in
+    Sim.Timer.set_action tm (fun () ->
+        incr fired;
+        if !fired <= events - timers then Sim.Timer.set tm ~delay:1.0);
+    Sim.Timer.set_at tm ~time:(float_of_int i /. float_of_int timers)
+  done;
+  let before = Gc.minor_words () in
+  Sim.run_to_completion sim;
+  let words = (Gc.minor_words () -. before) /. float_of_int events in
+  Alcotest.(check int) "every event ran" events (Sim.events_run sim);
+  if words > 0.5 then
+    Alcotest.failf "re-arming allocates %.2f minor words per event (bound 0.5)"
+      words
+
 (* Observational equivalence: a Timer driven by arbitrary set/cancel/
    advance interleavings behaves exactly like the closure-based
    cancel-then-reschedule pattern it replaces — same fire times, same
@@ -397,7 +454,9 @@ let prop_timer_equivalence =
    three timers, 8-9 [step].  Times are clamped into [now, 5], so at
    most six distinct instants exist and same-time ties are common.  The
    model orders by (time, seq); a re-arm takes a fresh seq, exactly
-   like a new schedule. *)
+   like a new schedule.  After every operation the queue length and
+   the [pending] answer of every handle and timer must match the
+   model, so a handle whose slot was reused cannot pass for live. *)
 let prop_model =
   QCheck.Test.make
     ~name:"model: schedule/at/cancel/Timer.set/step vs sorted list" ~count:300
@@ -458,7 +517,15 @@ let prop_model =
                  model := rest
                else ok := false
              | _ -> ok := false);
-          if Sim.queue_length sim <> List.length !model then ok := false)
+          if Sim.queue_length sim <> List.length !model then ok := false;
+          let queued id = List.exists (fun (_, _, x) -> x = id) !model in
+          Array.iter
+            (fun (id, h) -> if Sim.pending h <> queued id then ok := false)
+            !handles;
+          Array.iteri
+            (fun i tm ->
+              if Sim.Timer.pending tm <> queued (-(i + 1)) then ok := false)
+            timers)
         ops;
       !ok)
 
@@ -535,6 +602,10 @@ let suite =
       Alcotest.test_case "timer re-arm storm" `Quick test_timer_rearm_storm;
       Alcotest.test_case "timer set_action" `Quick test_timer_set_action;
       Alcotest.test_case "timer error messages" `Quick test_timer_errors;
+      Alcotest.test_case "stale handles after slot reuse" `Quick
+        test_stale_handles;
+      Alcotest.test_case "timer re-arm allocation" `Quick
+        test_timer_rearm_allocation;
       QCheck_alcotest.to_alcotest prop_cancel_semantics;
       QCheck_alcotest.to_alcotest prop_cancel_bounded;
       QCheck_alcotest.to_alcotest prop_timer_equivalence;
