@@ -91,10 +91,10 @@ let () =
        ~faults:[ (Fwd_bottleneck, faults); (Bwd_bottleneck, faults) ]
        ());
   (* The scheduler paths the other scenarios leave cold: a skewed sender
-     makes one one-shot [Sim.schedule] per data packet (so one-shot
-     events churn through the queue all run long), a delayed-ACK
-     receiver arms and cancels its timer per packet, and a paced sender
-     drives the pacer. *)
+     makes one one-shot [Sim.schedule] per data packet, so one-shot
+     events come and go for the whole run; a delayed-ACK receiver arms
+     and cancels its timer per packet; and a paced sender drives the
+     pacer. *)
   digest
     (make ~name:"two-way-timers" ~tau:0.01 ~buffer:(Some 20)
        ~conns:

@@ -360,10 +360,10 @@ let test_stale_handles () =
     (List.rev !log)
 
 (* Re-arming a persistent timer must not allocate: arm and re-key are
-   inlined into [Timer.set], so the new time is never boxed (it was, 2
-   words an event).  The constant delay is a static float, so the call
-   itself boxes nothing either.  A bound rather than an exact count:
-   CI builds on OCaml 4.14 and 5.1. *)
+   inlined into [Timer.set], so the new time is never boxed.  The
+   constant delay is a static float, so the call itself boxes nothing
+   either.  A bound rather than an exact count: CI builds on OCaml 4.14
+   and 5.1. *)
 let test_timer_rearm_allocation () =
   let sim = Sim.create () in
   let timers = 16 and events = 100_000 in
