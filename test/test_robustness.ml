@@ -89,6 +89,138 @@ let test_guarded_bad_horizon () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "NaN horizon accepted"
 
+(* The boundaries where a budget, a stop request and the horizon meet. *)
+let test_guarded_edges () =
+  (* 10 events at 0.5 .. 5.0; a budget of exactly the 8 events at or
+     before the horizon 4.0 is not exhausted. *)
+  let sim = Engine.Sim.create () in
+  cascade sim ~dt:0.5 ~count:10;
+  Alcotest.check stop_reason "budget equal to the events due completes"
+    Engine.Sim.Completed
+    (Engine.Sim.run_guarded sim ~until:4. ~max_events:8 ());
+  Alcotest.(check int) "every due event ran" 8 (Engine.Sim.events_run sim);
+  Alcotest.(check (float 0.)) "clock on the horizon" 4. (Engine.Sim.now sim);
+  (* Nothing is due before the horizon, so the predicate is never asked. *)
+  let sim = Engine.Sim.create () in
+  cascade sim ~dt:5. ~count:3;
+  Alcotest.check stop_reason "always-true stop, nothing due"
+    Engine.Sim.Completed
+    (Engine.Sim.run_guarded sim ~until:4. ~stop:(fun () -> true) ());
+  Alcotest.(check (float 0.)) "clock on the horizon too" 4.
+    (Engine.Sim.now sim);
+  let sim = Engine.Sim.create () in
+  cascade sim ~dt:0. ~count:3;
+  Alcotest.check stop_reason "zero budget with an event pending"
+    (Engine.Sim.Event_budget 0)
+    (Engine.Sim.run_guarded sim ~until:1. ~max_events:0 ());
+  Alcotest.(check (float 0.)) "clock still at zero" 0. (Engine.Sim.now sim);
+  Alcotest.(check int) "event still queued" 1 (Engine.Sim.queue_length sim);
+  (* Polls at 0, 1024 and 2048 events run. *)
+  let sim = Engine.Sim.create () in
+  cascade sim ~dt:0.001 ~count:5000;
+  let calls = ref 0 in
+  let stop () =
+    incr calls;
+    !calls >= 3
+  in
+  Alcotest.check stop_reason "stop true on its third call"
+    Engine.Sim.Stop_requested
+    (Engine.Sim.run_guarded sim ~until:1e9 ~stop ());
+  Alcotest.(check int) "stopped at the third poll" 2048
+    (Engine.Sim.events_run sim)
+
+(* One watchdog case: [chains] interleaved event chains sharing
+   [count] events, each delay a multiple of 0.25 s so that timestamps
+   (and the horizon) tie exactly.  Returns each event's time. *)
+let schedule_chains sim rng ~count ~chains =
+  let delays =
+    Array.init count (fun _ ->
+        0.25 *. float_of_int (Engine.Rng.int rng ~bound:3))
+  in
+  let times = Array.copy delays in
+  for k = chains to count - 1 do
+    times.(k) <- times.(k - chains) +. delays.(k)
+  done;
+  let rec fire k () =
+    let next = k + chains in
+    if next < count then
+      ignore (Engine.Sim.schedule sim ~delay:delays.(next) (fire next)
+              : Engine.Sim.handle)
+  in
+  for k = 0 to min chains count - 1 do
+    ignore (Engine.Sim.schedule sim ~delay:delays.(k) (fire k)
+            : Engine.Sim.handle)
+  done;
+  times
+
+(* Everything observable about one guarded run and its resumption. *)
+let watchdog_case rng =
+  let pick n = Engine.Rng.int rng ~bound:n in
+  let sim = Engine.Sim.create () in
+  let count = 1 + pick 3000 in
+  let times = schedule_chains sim rng ~count ~chains:(1 + pick 4) in
+  let last = Array.fold_left Float.max 0. times in
+  let until =
+    match pick 3 with
+    | 0 -> times.(pick count)
+    | 1 -> times.(pick count) +. 0.125
+    | _ -> last +. 1.
+  in
+  let due =
+    Array.fold_left (fun n t -> if t <= until then n + 1 else n) 0 times
+  in
+  let max_events =
+    match pick 4 with
+    | 0 -> None
+    | 1 -> Some 0
+    | 2 -> Some (pick (count + 1))
+    | _ -> Some due
+  in
+  let stop_calls = ref 0 in
+  let stop =
+    match pick 3 with
+    | 0 -> None
+    | 1 -> Some (fun () -> incr stop_calls; false)
+    | _ ->
+      let j = 1 + pick 4 in
+      Some (fun () -> incr stop_calls; !stop_calls >= j)
+  in
+  (* +1 ms per read; a budget of (j - 1.5) ms trips on the j-th read,
+     the first read being the start mark. *)
+  let reads = ref 0 in
+  let wall_clock () =
+    incr reads;
+    0.001 *. float_of_int !reads
+  in
+  let max_wall =
+    if pick 2 = 0 then None
+    else Some (0.001 *. (float_of_int (2 + pick 4) -. 1.5))
+  in
+  let reason =
+    Engine.Sim.run_guarded sim ~until ?max_events ?max_wall ~wall_clock ?stop ()
+  in
+  let state () =
+    Printf.sprintf "%d %h %d" (Engine.Sim.events_run sim) (Engine.Sim.now sim)
+      (Engine.Sim.queue_length sim)
+  in
+  let guarded =
+    Printf.sprintf "%s %s %d %d"
+      (Engine.Sim.stop_reason_to_string reason)
+      (state ()) !stop_calls !reads
+  in
+  Engine.Sim.run sim ~until;
+  Printf.sprintf "%d %h %s | %s | %s" count until
+    (match max_events with None -> "-" | Some m -> string_of_int m)
+    guarded (state ())
+
+let watchdog_vectors = "aca89e01d54cbe14399cc3f3ea264082"
+
+let test_guarded_frozen_vectors () =
+  let rng = Engine.Rng.create ~seed:20 in
+  let lines = List.init 200 (fun _ -> watchdog_case rng) in
+  Alcotest.(check string) "200 watchdog cases as pinned" watchdog_vectors
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 (* ---------------- Runner budgets ---------------- *)
 
 let scenario ?(name = "robustness") ?(validate = false) () =
@@ -115,6 +247,24 @@ let test_runner_event_budget () =
     (r.Core.Runner.t1 < 30.);
   Alcotest.(check bool) "no bundle without --bundle-dir" true
     (r.Core.Runner.bundle = None)
+
+let test_runner_wall_budget () =
+  let s =
+    Core.Scenario.make ~name:"wall" ~tau:0.01 ~buffer:(Some 20)
+      ~conns:[ Core.Scenario.conn Core.Scenario.Forward;
+               Core.Scenario.conn Core.Scenario.Reverse ]
+      ~duration:3600. ~warmup:200. ()
+  in
+  let r =
+    Core.Runner.run ~budget:(Core.Runner.budget ~max_wall:1e-9 ()) s
+  in
+  (match r.Core.Runner.stop with
+   | Engine.Sim.Wall_budget _ -> ()
+   | st ->
+     Alcotest.failf "expected Wall_budget, got %s"
+       (Engine.Sim.stop_reason_to_string st));
+  Alcotest.(check bool) "partial window ends before the horizon" true
+    (r.Core.Runner.t1 < 3600.)
 
 let test_runner_stop_before_warmup () =
   let r = Core.Runner.run ~stop:(fun () -> true) (scenario ()) in
@@ -460,7 +610,12 @@ let suite =
       Alcotest.test_case "stop request" `Quick test_guarded_stop_request;
       Alcotest.test_case "bad horizons rejected" `Quick
         test_guarded_bad_horizon;
+      Alcotest.test_case "budget, stop and horizon edges" `Quick
+        test_guarded_edges;
+      Alcotest.test_case "watchdog frozen vectors" `Quick
+        test_guarded_frozen_vectors;
       Alcotest.test_case "runner event budget" `Quick test_runner_event_budget;
+      Alcotest.test_case "runner wall budget" `Quick test_runner_wall_budget;
       Alcotest.test_case "runner stop before warmup" `Quick
         test_runner_stop_before_warmup;
       Alcotest.test_case "untripped budget is invisible" `Quick
