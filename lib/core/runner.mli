@@ -4,11 +4,9 @@
 (** Watchdog budgets enforced from inside the event loop (see
     {!Engine.Sim.run_guarded}).  [max_events] bounds the number of events
     executed; [max_wall] bounds wall-clock seconds (measured with
-    [Unix.gettimeofday], polled every 1024 events). *)
+    [Unix.gettimeofday], polled every 1024 events).  [budget ()] sets
+    neither. *)
 type budget = { max_events : int option; max_wall : float option }
-
-(** No budgets: the run uses the plain [Sim.run] hot path. *)
-val no_budget : budget
 
 val budget : ?max_events:int -> ?max_wall:float -> unit -> budget
 
@@ -60,13 +58,12 @@ type result = {
     raises, in which case the flight ring is dumped first and the
     exception re-raised.
 
-    [budget] (default {!no_budget}) and [stop] (an externally-settable
-    cancel predicate, e.g. a SIGINT flag) switch the run onto
-    {!Engine.Sim.run_guarded}: the run then ends either at the horizon
-    or at the first exceeded budget / observed stop request, returning a
-    partial result tagged with its {!Engine.Sim.stop_reason} instead of
-    raising.  A run stopped before warm-up reports zero utilization and
-    deliveries.
+    Every run goes through {!Engine.Sim.run_guarded}.  [budget]
+    (default: none) and [stop] (an externally-settable cancel predicate,
+    e.g. a SIGINT flag) end it either at the horizon or at the first
+    exceeded budget / observed stop request, returning a partial result
+    tagged with its {!Engine.Sim.stop_reason} instead of raising.  A run
+    stopped before warm-up reports zero utilization and deliveries.
 
     [bundle_dir] arms crash bundles: on a [Sim.run] exception, a
     validation violation, or an early watchdog stop, a self-contained

@@ -319,42 +319,40 @@ let execute t tm =
      List.iter (fun f -> f time) obs);
   tm.action ()
 
-let step t ~until =
-  if Float.is_nan until then invalid_arg "Sim.step: NaN horizon";
-  if t.size = 0 then false
-  else begin
+(* The one event loop: pop and execute at most [n] events at or before
+   [until], returning how many ran.  Every entry point below is a few
+   lines over it. *)
+let run_events t ~until ~n =
+  let ran = ref 0 in
+  while !ran < n && t.size > 0 && t.times.(0) <= until do
     let time = t.times.(0) in
-    if time > until then false
-    else begin
-      let tm = pop_min t in
-      t.clock.(0) <- time;
-      execute t tm;
-      true
-    end
-  end
+    let tm = pop_min t in
+    t.clock.(0) <- time;
+    execute t tm;
+    incr ran
+  done;
+  !ran
 
-let run t ~until =
-  if Float.is_nan until then invalid_arg "Sim.run: NaN horizon";
+let check_horizon fn t until =
+  if Float.is_nan until then invalid_arg (fn ^ ": NaN horizon");
   if until < t.clock.(0) then
     invalid_arg
-      (Printf.sprintf "Sim.run: horizon %g is before current time %g" until
-         t.clock.(0));
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 then continue := false
-    else begin
-      let time = t.times.(0) in
-      if time > until then continue := false
-      else begin
-        let tm = pop_min t in
-        t.clock.(0) <- time;
-        execute t tm
-      end
-    end
-  done;
+      (Printf.sprintf "%s: horizon %g is before current time %g" fn until
+         t.clock.(0))
+
+let step t ~until =
+  if Float.is_nan until then invalid_arg "Sim.step: NaN horizon";
+  run_events t ~until ~n:1 = 1
+
+let run t ~until =
+  check_horizon "Sim.run" t until;
+  ignore (run_events t ~until ~n:max_int : int);
   (* The queue is drained of events at or before [until]; the clock always
      lands exactly on the horizon. *)
   t.clock.(0) <- until
+
+let run_to_completion t =
+  ignore (run_events t ~until:Float.infinity ~n:max_int : int)
 
 (* ------------------------------------------------------------------ *)
 (* Guarded execution (watchdogs)                                       *)
@@ -372,67 +370,38 @@ let stop_reason_to_string = function
   | Wall_budget s -> Printf.sprintf "wall-clock budget exhausted (%.3gs)" s
   | Stop_requested -> "stop requested"
 
-(* Wall clock and stop predicate are polled once per [guard_mask + 1]
-   events (~0.2 ms of hot-path work); the event budget is a single int
-   compare so it is checked every iteration.  This loop is deliberately
-   separate from [run]: unbudgeted runs keep the untouched hot path. *)
-let guard_mask = 1023
+(* The stop predicate and the wall clock are polled before each block of
+   [poll_every] events (~0.2 ms of hot-path work), and only when an event
+   is due; the event budget caps each block.  With nothing to poll the
+   run is one block. *)
+let poll_every = 1024
 
-let run_guarded t ~until ?max_events ?max_wall ?(wall_clock = Sys.time)
-    ?(stop = fun () -> false) () =
-  if Float.is_nan until then invalid_arg "Sim.run_guarded: NaN horizon";
-  if until < t.clock.(0) then
-    invalid_arg
-      (Printf.sprintf "Sim.run_guarded: horizon %g is before current time %g"
-         until t.clock.(0));
-  let wall0 = match max_wall with Some _ -> wall_clock () | None -> 0. in
-  let executed0 = t.executed in
-  let reason = ref Completed in
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 then continue := false
-    else begin
-      let time = t.times.(0) in
-      if time > until then continue := false
-      else begin
-        let ran = t.executed - executed0 in
-        (match max_events with
-         | Some m when ran >= m ->
-           reason := Event_budget ran;
-           continue := false
-         | _ -> ());
-        if !continue && ran land guard_mask = 0 then
-          if stop () then begin
-            reason := Stop_requested;
-            continue := false
-          end
-          else (
-            match max_wall with
-            | Some w ->
-              let elapsed = wall_clock () -. wall0 in
-              if elapsed > w then begin
-                reason := Wall_budget elapsed;
-                continue := false
-              end
-            | None -> ());
-        if !continue then begin
-          let tm = pop_min t in
-          t.clock.(0) <- time;
-          execute t tm
-        end
-      end
+let run_guarded t ~until ?max_events ?max_wall ?(wall_clock = Sys.time) ?stop
+    () =
+  check_horizon "Sim.run_guarded" t until;
+  let budget = Option.value max_events ~default:max_int in
+  let limit = Option.value max_wall ~default:Float.infinity in
+  let wall0 = if Option.is_none max_wall then 0. else wall_clock () in
+  let block =
+    if Option.is_none stop && Option.is_none max_wall then max_int
+    else poll_every
+  in
+  let stop = Option.value stop ~default:(fun () -> false) in
+  let rec go ran =
+    if t.size = 0 || t.times.(0) > until then begin
+      (* As in [run], the clock lands exactly on the horizon; an early
+         stop leaves it at the last executed event, so the partial state
+         is consistent and the run can be resumed. *)
+      t.clock.(0) <- until;
+      Completed
     end
-  done;
-  (* On completion the clock lands exactly on the horizon, as in [run];
-     on an early stop it stays at the last executed event so the partial
-     state is internally consistent and the run can be resumed. *)
-  if !reason = Completed then t.clock.(0) <- until;
-  !reason
-
-let run_to_completion t =
-  while t.size > 0 do
-    let time = t.times.(0) in
-    let tm = pop_min t in
-    t.clock.(0) <- time;
-    execute t tm
-  done
+    else if ran >= budget then Event_budget ran
+    else if stop () then Stop_requested
+    else
+      let elapsed =
+        if Option.is_none max_wall then 0. else wall_clock () -. wall0
+      in
+      if elapsed > limit then Wall_budget elapsed
+      else go (ran + run_events t ~until ~n:(min block (budget - ran)))
+  in
+  go 0

@@ -109,8 +109,10 @@ val run_to_completion : t -> unit
 
     [run_guarded] is [run] with budgets enforced from inside the event
     loop, so a runaway simulation terminates gracefully instead of
-    hanging its process.  It is a separate loop: unbudgeted callers of
-    {!run} keep the untouched allocation-free hot path. *)
+    hanging its process.  It runs the same loop as {!run}, {!step} and
+    {!run_to_completion}, in blocks: the stop predicate and the wall
+    clock are polled between blocks of 1024 events, and the event budget
+    caps each block. *)
 
 (** Why a guarded run returned. *)
 type stop_reason =
