@@ -152,6 +152,32 @@ let test_cli_int_flags_exit_2 () =
       [ "sweep"; "smoke"; "--jobs=-3" ];
     ]
 
+(* So is a path netsim cannot read or write.  Outputs are opened before
+   the first simulation, so none of these runs anything. *)
+let test_cli_bad_paths_exit_2 () =
+  let trace = Filename.temp_file "netsim-args" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let run = [ "run"; "--rev"; "1"; "--duration"; "20"; "--warmup"; "5" ] in
+  let code, _ =
+    Test_cc_conformance.run_netsim (run @ [ "--trace-out"; trace ])
+  in
+  Alcotest.(check int) "trace written" 0 code;
+  let bad = "/nonexistent/x" in
+  List.iter
+    (fun args ->
+      let code, _ = Test_cc_conformance.run_netsim args in
+      Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 code)
+    [
+      [ "tracecheck"; bad ];
+      [ "trace"; "export"; trace; "-o"; bad ];
+      run @ [ "--trace-out"; bad ];
+      run @ [ "--metrics-out"; bad ];
+      run @ [ "--flowstats-out"; bad ];
+      run @ [ "--csv"; bad ];
+      [ "sweep"; "smoke"; "--quick"; "--out"; bad ];
+      [ "dump"; "--quick"; "--dir"; bad ];
+    ]
+
 let suite =
   ( "args",
     [
@@ -164,4 +190,6 @@ let suite =
         test_per_flag_rejection;
       Alcotest.test_case "netsim int flags out of range exit 2" `Quick
         test_cli_int_flags_exit_2;
+      Alcotest.test_case "netsim bad file paths exit 2" `Quick
+        test_cli_bad_paths_exit_2;
     ] )
