@@ -95,27 +95,20 @@ let plot_run title (r : Core.Runner.result) ~span =
          ~t0:r.t0 ~t1:r.t1)
   end
 
+(* Seconds of queue series to show: a few cycles of each figure. *)
+let gallery_span = function
+  | "fig2" | "fig67" -> 120.
+  | "fig8" | "fig9" -> 20.
+  | _ -> 30.
+
 let run_gallery () =
   banner "FIGURE GALLERY: the series the paper plots";
-  let speed = Core.Experiments.Full in
-  plot_run "Figure 2: one-way, 3 connections, tau=1s"
-    (Core.Runner.run (Core.Experiments.scenario_fig2 speed))
-    ~span:120.;
-  plot_run "Figure 3: two-way, 5+5 connections, tau=0.01s"
-    (Core.Runner.run (Core.Experiments.scenario_fig3 speed))
-    ~span:30.;
-  plot_run "Figures 4-5: two-way, 1+1, tau=0.01s (out-of-phase)"
-    (Core.Runner.run (Core.Experiments.scenario_fig45 speed))
-    ~span:30.;
-  plot_run "Figures 6-7: two-way, 1+1, tau=1s (in-phase)"
-    (Core.Runner.run (Core.Experiments.scenario_fig67 speed))
-    ~span:120.;
-  plot_run "Figure 8: fixed windows 30/25, tau=0.01s"
-    (Core.Runner.run (Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 speed))
-    ~span:20.;
-  plot_run "Figure 9: fixed windows 30/25, tau=1s"
-    (Core.Runner.run (Core.Experiments.scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 speed))
-    ~span:20.
+  List.iter
+    (fun (f : Core.Experiments.figure) ->
+      plot_run f.caption
+        (Core.Runner.run (f.scenario Core.Experiments.Full))
+        ~span:(gallery_span f.fig))
+    Core.Experiments.figures
 
 (* ------------------------------------------------------------------ *)
 (* 3. Micro-benchmarks (bechamel)                                      *)

@@ -9,31 +9,17 @@
 
    Run with:  dune exec examples/buffer_sizing.exe *)
 
-let one_way buffer =
-  let scenario =
-    Core.Scenario.make ~name:"oneway" ~tau:1.0 ~buffer:(Some buffer)
-      ~conns:
-        (Core.Scenario.stagger ~step:1.0
-           (List.init 3 (fun _ -> Core.Scenario.conn Core.Scenario.Forward)))
-      ~duration:600. ~warmup:200. ()
-  in
-  (Core.Runner.run scenario).util_fwd
+(* TAB-UTIL's rows at paper scale; two-way runs get longer horizons for
+   bigger buffers, because the window increase-decrease cycle stretches
+   with B. *)
+let run ~two_way buffer =
+  Core.Runner.run
+    (Core.Experiments.scenario_buffer ~two_way ~buffer Core.Experiments.Full)
+
+let one_way buffer = (run ~two_way:false buffer).util_fwd
 
 let two_way buffer =
-  (* Longer horizons for bigger buffers: the window increase-decrease
-     cycle stretches with B. *)
-  let scale = float_of_int (max 1 (buffer / 20)) in
-  let scenario =
-    Core.Scenario.make ~name:"twoway" ~tau:0.01 ~buffer:(Some buffer)
-      ~conns:
-        (Core.Scenario.stagger ~step:1.0
-           [
-             Core.Scenario.conn Core.Scenario.Forward;
-             Core.Scenario.conn Core.Scenario.Reverse;
-           ])
-      ~duration:(600. *. scale) ~warmup:(200. *. scale) ()
-  in
-  let r = Core.Runner.run scenario in
+  let r = run ~two_way:true buffer in
   Float.max r.util_fwd r.util_bwd
 
 let () =

@@ -28,7 +28,7 @@ let () =
   let windows = Sweep.Grids.phase_diagram_windows in
   let pipe =
     Engine.Units.pipe_size
-      ~rate_bps:(Engine.Units.kbps 50.)
+      ~rate_bps:Net.Topology.bottleneck_bw
       ~delay:Sweep.Grids.phase_diagram_tau ~packet_bytes:500
   in
   let points = Sweep.Grids.phase_diagram.points ~quick:false in

@@ -14,7 +14,10 @@ let autocorrelation xs ~max_lag =
         done;
         !acc /. denom)
 
-let estimate ?(threshold = 0.2) series ~t0 ~t1 ~dt ~max_period =
+(* The least autocorrelation a credible peak has. *)
+let threshold = 0.2
+
+let estimate series ~t0 ~t1 ~dt ~max_period =
   if dt <= 0. then invalid_arg "Period.estimate: dt <= 0";
   if max_period <= 2. *. dt then invalid_arg "Period.estimate: max_period too small";
   let xs = Trace.Series.resample series ~t0 ~t1 ~dt in

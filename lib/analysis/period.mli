@@ -4,13 +4,12 @@
     with a period of roughly 34 seconds"); we estimate them from a step
     series via the autocorrelation function: resample on a grid, remove
     the mean, and return the lag of the first autocorrelation peak that is
-    both a local maximum and above [threshold] (default 0.2). *)
+    both a local maximum and at least 0.2. *)
 
 (** [estimate series ~t0 ~t1 ~dt ~max_period] returns the period in
     seconds, or [None] when no credible peak exists (aperiodic signal).
     @raise Invalid_argument if [dt <= 0] or [max_period <= 2 * dt]. *)
 val estimate :
-  ?threshold:float ->
   Trace.Series.t ->
   t0:float ->
   t1:float ->

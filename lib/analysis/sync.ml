@@ -5,7 +5,10 @@ let phase_to_string = function
   | Out_of_phase -> "out-of-phase"
   | Unclassified -> "unclassified"
 
-let classify ?(threshold = 0.2) a b ~t0 ~t1 ~dt =
+(* |r| below this is neither phase. *)
+let threshold = 0.2
+
+let classify a b ~t0 ~t1 ~dt =
   let xs = Trace.Series.resample a ~t0 ~t1 ~dt in
   let ys = Trace.Series.resample b ~t0 ~t1 ~dt in
   let r = Stats.pearson xs ys in

@@ -11,11 +11,10 @@ type phase = In_phase | Out_of_phase | Unclassified
 
 val phase_to_string : phase -> string
 
-(** [classify a b ~t0 ~t1 ~dt ~threshold] correlates the two series over
-    the window.  Returns the phase and the raw correlation.
-    Default [threshold] is [0.2]. *)
+(** [classify a b ~t0 ~t1 ~dt] correlates the two series over the window.
+    Returns the phase and the raw correlation: in-phase at [r >= 0.2],
+    out-of-phase at [r <= -0.2], unclassified between. *)
 val classify :
-  ?threshold:float ->
   Trace.Series.t ->
   Trace.Series.t ->
   t0:float ->

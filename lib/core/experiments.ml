@@ -72,14 +72,54 @@ let scenario_fixed ?(ack_size = 50) ~tau ~w1 ~w2 speed =
   Scenario.make
     ~name:(fmt "fixed-w%d-w%d" w1 w2)
     ~tau ~buffer:None
-    ~conns:
-      [
-        Scenario.fixed_conn ~window:w1 ~ack_size ~start_time:0.37
-          Scenario.Forward;
-        Scenario.fixed_conn ~window:w2 ~ack_size ~start_time:1.91
-          Scenario.Reverse;
-      ]
+    ~conns:(Scenario.fixed_pair ~ack_size ~w1 ~w2 ())
     ~duration ~warmup ~sample_dt:0.05 ()
+
+(* A TAB-UTIL row.  Larger buffers stretch the two-way window
+   increase-decrease cycle (the paper: cycle length grows with B), so
+   big-buffer two-way runs get proportionally more simulated time
+   before measuring. *)
+let scenario_buffer ~two_way ~buffer speed =
+  let duration, warmup = horizon speed in
+  if two_way then
+    let scale = float_of_int (max 1 (buffer / 20)) in
+    Scenario.make ~name:(fmt "buf-twoway-%d" buffer) ~tau:0.01
+      ~buffer:(Some buffer)
+      ~conns:
+        (Scenario.stagger ~step:1.0
+           [ Scenario.conn Scenario.Forward; Scenario.conn Scenario.Reverse ])
+      ~duration:(duration *. scale) ~warmup:(warmup *. scale) ()
+  else
+    Scenario.make ~name:(fmt "buf-oneway-%d" buffer) ~tau:1.0
+      ~buffer:(Some buffer)
+      ~conns:
+        (Scenario.stagger ~step:1.0
+           (List.init 3 (fun _ -> Scenario.conn Scenario.Forward)))
+      ~duration ~warmup ()
+
+type figure = {
+  fig : string;
+  caption : string;
+  scenario : speed -> Scenario.t;
+}
+
+let figures =
+  let fixed ~tau = scenario_fixed ~tau ~w1:30 ~w2:25 in
+  [
+    { fig = "fig2"; caption = "Figure 2: one-way, 3 connections, tau=1s";
+      scenario = scenario_fig2 };
+    { fig = "fig3"; caption = "Figure 3: two-way, 5+5 connections, tau=0.01s";
+      scenario = scenario_fig3 };
+    { fig = "fig45";
+      caption = "Figures 4-5: two-way, 1+1, tau=0.01s (out-of-phase)";
+      scenario = scenario_fig45 };
+    { fig = "fig67"; caption = "Figures 6-7: two-way, 1+1, tau=1s (in-phase)";
+      scenario = scenario_fig67 };
+    { fig = "fig8"; caption = "Figure 8: fixed windows 30/25, tau=0.01s";
+      scenario = fixed ~tau:0.01 };
+    { fig = "fig9"; caption = "Figure 9: fixed windows 30/25, tau=1s";
+      scenario = fixed ~tau:1.0 };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared measurement helpers                                          *)
@@ -257,22 +297,10 @@ let fig3 ?(speed = Full) () =
 (* FIG4/5: two-way, small pipe: out-of-phase mode                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Larger buffers stretch the window increase-decrease cycle (the paper:
-   cycle length grows with B), so give big-buffer runs proportionally more
-   simulated time before measuring. *)
-let scenario_fig45_scaled ~buffer speed =
-  let duration, warmup = horizon speed in
-  let scale = float_of_int (max 1 (buffer / 20)) in
-  Scenario.make ~name:"fig45-buf" ~tau:0.01 ~buffer:(Some buffer)
-    ~conns:
-      (Scenario.stagger ~step:1.0
-         [ Scenario.conn Scenario.Forward; Scenario.conn Scenario.Reverse ])
-    ~duration:(duration *. scale) ~warmup:(warmup *. scale) ()
-
 let fig45 ?(speed = Full) () =
   let r = Runner.run (scenario_fig45 speed) in
-  let r60 = Runner.run (scenario_fig45_scaled ~buffer:60 speed) in
-  let r120 = Runner.run (scenario_fig45_scaled ~buffer:120 speed) in
+  let r60 = Runner.run (scenario_buffer ~two_way:true ~buffer:60 speed) in
+  let r120 = Runner.run (scenario_buffer ~two_way:true ~buffer:120 speed) in
   let epochs = Runner.epochs r in
   let qphase, qcorr = Runner.queue_phase r in
   let cphase, ccorr = Runner.cwnd_phase r 0 1 in
@@ -564,19 +592,10 @@ let conjecture_table ?(speed = Full) () =
 (* ------------------------------------------------------------------ *)
 
 let buffer_table ?(speed = Full) () =
-  let duration, warmup = horizon speed in
-  let oneway buffer =
-    Runner.run
-      (Scenario.make ~name:"buf-oneway" ~tau:1.0 ~buffer:(Some buffer)
-         ~conns:
-           (Scenario.stagger ~step:1.0
-              [
-                Scenario.conn Scenario.Forward; Scenario.conn Scenario.Forward;
-                Scenario.conn Scenario.Forward;
-              ])
-         ~duration ~warmup ())
+  let row ~two_way buffer =
+    Runner.run (scenario_buffer ~two_way ~buffer speed)
   in
-  let twoway buffer = Runner.run (scenario_fig45_scaled ~buffer speed) in
+  let oneway = row ~two_way:false and twoway = row ~two_way:true in
   (* One task list across both columns so a single worker pool covers
      all six simulations; workers reduce results to marshalable tuples
      before they cross the pipe. *)

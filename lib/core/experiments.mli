@@ -29,7 +29,24 @@ val scenario_fig67 : speed -> Scenario.t
 
 val scenario_fixed :
   ?ack_size:int -> tau:float -> w1:int -> w2:int -> speed -> Scenario.t
-(** Fixed windows [w1] (forward) and [w2] (reverse), infinite buffers. *)
+(** {!Scenario.fixed_pair} of windows [w1] and [w2], infinite buffers. *)
+
+val scenario_buffer : two_way:bool -> buffer:int -> speed -> Scenario.t
+(** A TAB-UTIL row at buffer [buffer], named [buf-oneway-B] or
+    [buf-twoway-B]: one-way is 3 connections at tau = 1 s; two-way is
+    1 + 1 at tau = 0.01 s, its horizon scaled by [max 1 (B / 20)]. *)
+
+(** A figure the paper plots: its name (["fig2"] ... ["fig9"]), a
+    caption, and its scenario. *)
+type figure = {
+  fig : string;
+  caption : string;
+  scenario : speed -> Scenario.t;
+}
+
+val figures : figure list
+(** The six plotted figures in paper order, as [netsim plot], [netsim
+    dump] and the bench gallery use them. *)
 
 (** {1 Experiments} *)
 

@@ -1,23 +1,12 @@
-type params = {
-  bottleneck_bw : float;
-  tau : float;
-  host_bw : float;
-  host_delay : float;
-  proc_delay : float;
-  buffer : int option;
-  gateway : Discipline.kind;
-}
+let bottleneck_bw = Engine.Units.kbps 50.
+let host_bw = Engine.Units.mbps 10.
+let host_delay = Engine.Units.ms 0.1
+let proc_delay = Engine.Units.ms 0.1
+
+type params = { tau : float; buffer : int option; gateway : Discipline.kind }
 
 let params ?(gateway = Discipline.Fifo) ~tau ~buffer () =
-  {
-    bottleneck_bw = Engine.Units.kbps 50.;
-    tau;
-    host_bw = Engine.Units.mbps 10.;
-    host_delay = Engine.Units.ms 0.1;
-    proc_delay = Engine.Units.ms 0.1;
-    buffer;
-    gateway;
-  }
+  { tau; buffer; gateway }
 
 type dumbbell = {
   net : Network.t;
@@ -29,11 +18,11 @@ type dumbbell = {
   bwd : Link.t;
 }
 
-let attach_host net p ~name ~switch =
-  let host = Network.add_host net ~name ~proc_delay:p.proc_delay in
+let attach_host net ~name ~switch =
+  let host = Network.add_host net ~name ~proc_delay in
   let _ =
-    Network.add_duplex net ~src:host ~dst:switch ~bandwidth:p.host_bw
-      ~prop_delay:p.host_delay ~buffer:None
+    Network.add_duplex net ~src:host ~dst:switch ~bandwidth:host_bw
+      ~prop_delay:host_delay ~buffer:None
   in
   host
 
@@ -43,10 +32,10 @@ let dumbbell sim p =
   let switch2 = Network.add_switch net ~name:"sw2" in
   let fwd, bwd =
     Network.add_duplex ~discipline:p.gateway net ~src:switch1 ~dst:switch2
-      ~bandwidth:p.bottleneck_bw ~prop_delay:p.tau ~buffer:p.buffer
+      ~bandwidth:bottleneck_bw ~prop_delay:p.tau ~buffer:p.buffer
   in
-  let host1 = attach_host net p ~name:"host1" ~switch:switch1 in
-  let host2 = attach_host net p ~name:"host2" ~switch:switch2 in
+  let host1 = attach_host net ~name:"host1" ~switch:switch1 in
+  let host2 = attach_host net ~name:"host2" ~switch:switch2 in
   Routing.compute net;
   { net; host1; host2; switch1; switch2; fwd; bwd }
 
@@ -67,12 +56,12 @@ let chain sim p ~num_switches =
   let trunks =
     Array.init (num_switches - 1) (fun i ->
         Network.add_duplex ~discipline:p.gateway net ~src:switches.(i)
-          ~dst:switches.(i + 1) ~bandwidth:p.bottleneck_bw ~prop_delay:p.tau
+          ~dst:switches.(i + 1) ~bandwidth:bottleneck_bw ~prop_delay:p.tau
           ~buffer:p.buffer)
   in
   let hosts =
     Array.init num_switches (fun i ->
-        attach_host net p
+        attach_host net
           ~name:(Printf.sprintf "host%d" (i + 1))
           ~switch:switches.(i))
   in

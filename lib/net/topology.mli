@@ -1,23 +1,31 @@
 (** Topology builders for the paper's network configurations (§2.2).
 
-    Defaults follow the paper: bottleneck 50 Kbps with propagation delay
+    The links are the paper's: bottleneck 50 Kbps with propagation delay
     [tau]; host links 10 Mbps with 0.1 ms propagation; host processing
     0.1 ms per packet; bottleneck buffers of [buffer] packets per outgoing
     port ([None] = infinite); host-side and switch-to-host buffers are
     infinite (they never congest). *)
 
+(** Bottleneck bandwidth, bits/s: 50 Kbps. *)
+val bottleneck_bw : float
+
+(** Host-link bandwidth, bits/s: 10 Mbps. *)
+val host_bw : float
+
+(** Host-link propagation delay, s: 0.1 ms. *)
+val host_delay : float
+
+(** Per-packet host processing delay, s: 0.1 ms. *)
+val proc_delay : float
+
+(** What varies between the paper's configurations. *)
 type params = {
-  bottleneck_bw : float;  (** bits/s; paper: 50 Kbps *)
   tau : float;  (** bottleneck propagation delay, s *)
-  host_bw : float;  (** bits/s; paper: 10 Mbps *)
-  host_delay : float;  (** host-link propagation, s; paper: 0.1 ms *)
-  proc_delay : float;  (** per-packet host processing, s; paper: 0.1 ms *)
   buffer : int option;  (** bottleneck buffer, packets *)
   gateway : Discipline.kind;  (** bottleneck queueing discipline *)
 }
 
-(** Paper defaults with the given bottleneck delay and buffer; [gateway]
-    defaults to drop-tail FIFO (the paper's switches). *)
+(** [gateway] defaults to drop-tail FIFO (the paper's switches). *)
 val params :
   ?gateway:Discipline.kind -> tau:float -> buffer:int option -> unit -> params
 

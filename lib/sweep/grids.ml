@@ -25,12 +25,6 @@ type spec = {
    window. *)
 let fixed_window_point ~tau ~quick buffer =
   let duration, warmup = if quick then (150., 60.) else (400., 150.) in
-  let conn ~window ~start_time dir =
-    let spec =
-      Core.Scenario.fixed_conn ~window ~ack_size:50 ~start_time dir
-    in
-    { spec with Core.Scenario.loss_detection = buffer <> None }
-  in
   let id =
     match buffer with
     | None -> fmt "fixed-t%g-binf" tau
@@ -39,10 +33,9 @@ let fixed_window_point ~tau ~quick buffer =
   let scenario =
     Core.Scenario.make ~name:id ~tau ~buffer
       ~conns:
-        [
-          conn ~window:30 ~start_time:0.37 Core.Scenario.Forward;
-          conn ~window:25 ~start_time:1.91 Core.Scenario.Reverse;
-        ]
+        (List.map
+           (fun c -> { c with Core.Scenario.loss_detection = buffer <> None })
+           (Core.Scenario.fixed_pair ~w1:30 ~w2:25 ()))
       ~duration ~warmup ~sample_dt:0.05 ()
   in
   let params =
@@ -92,13 +85,7 @@ let phase_diagram_points ~quick =
             Core.Scenario.make
               ~name:(fmt "pd-%d-%d" w1 w2)
               ~tau:phase_diagram_tau ~buffer:None
-              ~conns:
-                [
-                  Core.Scenario.fixed_conn ~window:w1 ~ack_size:0
-                    ~start_time:0.37 Core.Scenario.Forward;
-                  Core.Scenario.fixed_conn ~window:w2 ~ack_size:0
-                    ~start_time:1.91 Core.Scenario.Reverse;
-                ]
+              ~conns:(Core.Scenario.fixed_pair ~ack_size:0 ~w1 ~w2 ())
               ~duration ~warmup ()
           in
           Driver.point
@@ -157,43 +144,18 @@ let mode_atlas =
 (* Utilization vs buffer (the TAB-UTIL axes)                            *)
 (* ------------------------------------------------------------------ *)
 
+(* TAB-UTIL's own rows (see {!Core.Experiments.scenario_buffer}). *)
 let buffers_points ~quick =
-  let duration, warmup = if quick then (300., 120.) else (600., 200.) in
-  let oneway buffer =
-    let scenario =
-      Core.Scenario.make
-        ~name:(fmt "buf-oneway-%d" buffer)
-        ~tau:1.0 ~buffer:(Some buffer)
-        ~conns:
-          (Core.Scenario.stagger ~step:1.0
-             (List.init 3 (fun _ -> Core.Scenario.conn Core.Scenario.Forward)))
-        ~duration ~warmup ()
-    in
+  let speed = if quick then Core.Experiments.Quick else Core.Experiments.Full in
+  let row ~two_way buffer =
     Driver.point
-      ~params:[ ("two_way", 0.); ("buffer", float_of_int buffer) ]
-      scenario
+      ~params:
+        [ ("two_way", if two_way then 1. else 0.);
+          ("buffer", float_of_int buffer) ]
+      (Core.Experiments.scenario_buffer ~two_way ~buffer speed)
   in
-  let twoway buffer =
-    (* Larger buffers stretch the cycle; scale the horizon like
-       TAB-UTIL does so the window covers whole cycles. *)
-    let scale = float_of_int (max 1 (buffer / 20)) in
-    let scenario =
-      Core.Scenario.make
-        ~name:(fmt "buf-twoway-%d" buffer)
-        ~tau:0.01 ~buffer:(Some buffer)
-        ~conns:
-          (Core.Scenario.stagger ~step:1.0
-             [
-               Core.Scenario.conn Core.Scenario.Forward;
-               Core.Scenario.conn Core.Scenario.Reverse;
-             ])
-        ~duration:(duration *. scale) ~warmup:(warmup *. scale) ()
-    in
-    Driver.point
-      ~params:[ ("two_way", 1.); ("buffer", float_of_int buffer) ]
-      scenario
-  in
-  List.map oneway [ 20; 40; 80 ] @ List.map twoway [ 20; 60; 120 ]
+  List.map (row ~two_way:false) [ 20; 40; 80 ]
+  @ List.map (row ~two_way:true) [ 20; 60; 120 ]
 
 let buffers =
   {

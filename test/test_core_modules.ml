@@ -203,10 +203,10 @@ let test_export_roundtrip () =
 
 let test_topology_params () =
   let p = Net.Topology.params ~tau:0.5 ~buffer:(Some 7) () in
-  Alcotest.(check (float 1e-9)) "bottleneck bw" 50_000. p.Net.Topology.bottleneck_bw;
+  Alcotest.(check (float 1e-9)) "bottleneck bw" 50_000. Net.Topology.bottleneck_bw;
   Alcotest.(check (float 1e-9)) "tau" 0.5 p.Net.Topology.tau;
   Alcotest.(check (option int)) "buffer" (Some 7) p.Net.Topology.buffer;
-  Alcotest.(check (float 1e-9)) "host proc" 0.0001 p.Net.Topology.proc_delay
+  Alcotest.(check (float 1e-9)) "host proc" 0.0001 Net.Topology.proc_delay
 
 let test_dumbbell_structure () =
   let sim = Engine.Sim.create () in
