@@ -53,8 +53,8 @@ let tag_loss = 0x18
 let tag_ack_tx = 0x19
 
 (* ------------------------------------------------------------------ *)
-(* Plain decoded data: no live model objects (packets are recycled
-   through free-lists, so a decoded/archived event must copy fields).   *)
+(* Plain decoded data, no live model objects: the flight ring records
+   the same values the decoder yields, so one JSONL renderer serves both. *)
 (* ------------------------------------------------------------------ *)
 
 type pkt = {

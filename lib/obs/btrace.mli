@@ -43,9 +43,9 @@ val min_version : int
 
 (** {2 Decoded plain data}
 
-    Decoded events carry copies, never live model objects: packets are
-    recycled through free-lists, so archived records (decoded ones and
-    the {!Flight} ring's) must not alias them.  A link is its identity:
+    Decoded events carry copies, never live model objects: the {!Flight}
+    ring records the same plain values the decoder yields, so one JSONL
+    renderer serves both.  A link is its identity:
     [link_id] doubles as the Perfetto track id, [bandwidth]
     reconstructs departure slice durations offline. *)
 

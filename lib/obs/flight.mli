@@ -6,11 +6,10 @@
     the failure can be dumped as a postmortem instead of being lost
     with the process.
 
-    Entries are plain values copied in at record time; the ring never
-    holds live model objects (packets are recycled through free-lists,
-    so retaining one past the emitting hook would alias recycled
-    state).  {!Probe} arms one with its own hooks, each recording the
-    event's time and plain {!Btrace.ev} copy.
+    Entries are plain values copied in at record time.  {!Probe} arms
+    one with its own hooks, each recording the event's time and a plain
+    {!Btrace.ev} copy: the values the trace decoder yields, so one JSONL
+    renderer serves the ring and a decoded trace.
 
     Slot selection uses an explicit wrapping cursor, never
     [total mod capacity]: [total] only reports how many entries were

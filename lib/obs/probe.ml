@@ -133,9 +133,9 @@ let write_events w ~net ~conns =
   List.iter (write_link w) (Net.Network.links net);
   List.iter (write_conn w) conns
 
-(* Flight ring: the same events as plain copies, since a live packet is
-   recycled as soon as its hook returns.  Each link's plain record is
-   built once, here. *)
+(* Flight ring: the same events as plain [Btrace.ev] copies, the values
+   the trace decoder yields, so one JSONL renderer serves both.  Each
+   link's plain record is built once, here. *)
 
 let ring_link f link =
   let l = Btrace.plain_link link in
