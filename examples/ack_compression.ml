@@ -10,8 +10,7 @@
 
 let () =
   let scenario =
-    Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25
-      Core.Experiments.Full
+    Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 ()
   in
   let r = Core.Runner.run scenario in
   Printf.printf

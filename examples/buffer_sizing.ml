@@ -13,8 +13,7 @@
    bigger buffers, because the window increase-decrease cycle stretches
    with B. *)
 let run ~two_way buffer =
-  Core.Runner.run
-    (Core.Experiments.scenario_buffer ~two_way ~buffer Core.Experiments.Full)
+  Core.Runner.run (Core.Experiments.scenario_buffer ~two_way ~buffer)
 
 let one_way buffer = (run ~two_way:false buffer).util_fwd
 

@@ -174,8 +174,8 @@ let test_cli_bad_paths_exit_2 () =
       run @ [ "--metrics-out"; bad ];
       run @ [ "--flowstats-out"; bad ];
       run @ [ "--csv"; bad ];
-      [ "sweep"; "smoke"; "--quick"; "--out"; bad ];
-      [ "dump"; "--quick"; "--dir"; bad ];
+      [ "sweep"; "smoke"; "--out"; bad ];
+      [ "dump"; "--dir"; bad ];
     ]
 
 let suite =
