@@ -22,11 +22,11 @@ val prediction_to_string : prediction -> string
 val predict : w1:int -> w2:int -> pipe:float -> prediction
 
 (** Classify a measured run by its two line utilizations, the robust
-    observable the conjecture couples to the phase ([full_threshold]
-    defaults to 0.99): exactly one line full → [Out_of_phase_one_full];
-    neither full → [In_phase_neither_full]; both full → [Boundary]. *)
-val observe :
-  ?full_threshold:float -> util1:float -> util2:float -> unit -> prediction
+    observable the conjecture couples to the phase (a line is full at
+    utilization 0.985 or more): exactly one line full →
+    [Out_of_phase_one_full]; neither full → [In_phase_neither_full];
+    both full → [Boundary]. *)
+val observe : util1:float -> util2:float -> prediction
 
 (** Does the observation match the prediction?  [Boundary] predictions
     accept anything. *)
