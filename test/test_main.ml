@@ -39,6 +39,7 @@ let () =
       Test_flowstats.suite;
       Test_args.suite;
       Test_experiments.suite;
+      Test_oracles.suite;
       (* Last: spawns domains, and the OCaml 5 runtime forbids
          Unix.fork in a process that has ever had more than one
          domain — every fork-based test must precede this suite. *)
