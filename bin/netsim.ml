@@ -538,9 +538,10 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
         ("unknown gateway " ^ other ^ " (fifo|random-drop|fair-queue)");
       exit 2
   in
+  let buffer = if buffer <= 0 then None else Some buffer in
   let conns =
     match fixed with
-    | Some (w1, w2) -> Core.Scenario.fixed_pair ~ack_size ~w1 ~w2 ()
+    | Some (w1, w2) -> Core.Scenario.fixed_pair ~ack_size ~buffer ~w1 ~w2 ()
     | None ->
       Core.Scenario.stagger ~step:1.0
         (List.init fwd (fun i ->
@@ -551,7 +552,6 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
               Core.Scenario.conn ~cc ~pacing ~delayed_ack:delack
                 ~ack_size ~flow_size Core.Scenario.Reverse))
   in
-  let buffer = if buffer <= 0 then None else Some buffer in
   let scenario =
     Core.Scenario.make ~name:"custom" ~tau ~buffer ~gateway ~conns ~duration
       ~warmup ~validate
@@ -716,7 +716,10 @@ let run_cmd =
       value
       & opt (some fixed_conv) None
       & info [ "fixed" ] ~docv:"W1,W2"
-          ~doc:"Use two fixed-window connections instead of TCP.")
+          ~doc:
+            "Use two fixed-window connections instead of TCP.  At a \
+             finite $(b,--buffer) they detect loss and retransmit, as \
+             the fig8 and fig9 grid points do.")
   in
   let delack =
     Arg.(value & flag & info [ "delack" ] ~doc:"Enable the delayed-ACK option.")

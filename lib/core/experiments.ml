@@ -64,7 +64,7 @@ let scenario_fixed ?(ack_size = 50) ~tau ~w1 ~w2 () =
   Scenario.make
     ~name:(fmt "fixed-w%d-w%d" w1 w2)
     ~tau ~buffer:None
-    ~conns:(Scenario.fixed_pair ~ack_size ~w1 ~w2 ())
+    ~conns:(Scenario.fixed_pair ~ack_size ~buffer:None ~w1 ~w2 ())
     ~duration:400. ~warmup:150. ~sample_dt:0.05 ()
 
 (* A TAB-UTIL row.  Larger buffers stretch the two-way window

@@ -47,11 +47,12 @@ let fixed_conn ?(start_time = 0.) ~window dir =
     flow_size = None;
   }
 
-let fixed_pair ?(ack_size = 50) ~w1 ~w2 () =
-  [
-    { (fixed_conn ~window:w1 ~start_time:0.37 Forward) with ack_size };
-    { (fixed_conn ~window:w2 ~start_time:1.91 Reverse) with ack_size };
-  ]
+let fixed_pair ?(ack_size = 50) ~buffer ~w1 ~w2 () =
+  let loss_detection = buffer <> None in
+  let conn window start_time dir =
+    { (fixed_conn ~window ~start_time dir) with ack_size; loss_detection }
+  in
+  [ conn w1 0.37 Forward; conn w2 1.91 Reverse ]
 
 type fault_site = Fwd_bottleneck | Bwd_bottleneck
 

@@ -48,8 +48,13 @@ val fixed_conn : ?start_time:float -> window:int -> direction -> conn_spec
 (** The paper's fixed-window pair (Figures 8-9, 4.3.3): a forward
     connection of window [w1] starting at 0.37 s and a reverse one of
     window [w2] starting at 1.91 s, both with [ack_size]-byte ACKs
-    (default 50). *)
-val fixed_pair : ?ack_size:int -> w1:int -> w2:int -> unit -> conn_spec list
+    (default 50), for a bottleneck of [buffer] packets.  Loss detection
+    is on exactly when [buffer] is finite: a fixed window never backs
+    off, so without go-back-N retransmission its first drop would wedge
+    the run. *)
+val fixed_pair :
+  ?ack_size:int -> buffer:int option -> w1:int -> w2:int -> unit ->
+  conn_spec list
 
 (** Where a fault plan attaches on the dumbbell: the bottleneck link
     carrying forward data (and reverse ACKs), or the one carrying

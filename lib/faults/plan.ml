@@ -159,7 +159,6 @@ let spec t = t.spec
 let seed t = t.seed
 let losses t = t.counts.losses
 let outage_drops t = t.counts.outage_drops
-let fault_drops t = t.counts.losses + t.counts.outage_drops
 let duplicates t = t.counts.duplicates
 let delayed t = t.counts.delayed
 let max_delay t = t.counts.max_delay

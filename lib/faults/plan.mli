@@ -40,9 +40,6 @@ val losses : t -> int
     on a cut). *)
 val outage_drops : t -> int
 
-(** [losses + outage_drops]. *)
-val fault_drops : t -> int
-
 (** Fault-injected copies offered to the buffer. *)
 val duplicates : t -> int
 

@@ -69,9 +69,6 @@ let burst ?(loss_outside = 0.) ~p_enter ~p_exit ~loss_in_burst () =
 
 let scheduled_outage windows = make ~outage:{ windows; flap = None } ()
 
-let flapping ~mean_up ~mean_down =
-  make ~outage:{ windows = []; flap = Some (mean_up, mean_down) } ()
-
 let jitter ?(preserve_order = true) bound =
   make ~jitter:{ bound; preserve_order } ()
 

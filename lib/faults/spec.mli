@@ -78,7 +78,6 @@ val burst :
   t
 
 val scheduled_outage : (float * float) list -> t
-val flapping : mean_up:float -> mean_down:float -> t
 val jitter : ?preserve_order:bool -> float -> t
 val duplicate : float -> t
 

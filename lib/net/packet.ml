@@ -28,9 +28,3 @@ let none =
   }
 
 let kind_to_string = function Data -> "data" | Ack -> "ack"
-
-let pp ppf p =
-  Format.fprintf ppf "#%d conn=%d %s seq=%d %dB %d->%d" p.id p.conn
-    (kind_to_string p.kind) p.seq p.size p.src p.dst
-
-let is_data p = p.kind = Data

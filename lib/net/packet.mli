@@ -26,7 +26,3 @@ type t = {
 val none : t
 
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit
-
-(** Is this packet of [Data] kind? *)
-val is_data : t -> bool

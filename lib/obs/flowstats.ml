@@ -35,8 +35,6 @@
    through the binary trace bit-exactly, the offline fold reproduces the
    online summary byte for byte. *)
 
-let alpha = Sketch.default_alpha
-
 type flow = {
   conn : int;
   mutable start_time : float;
@@ -87,7 +85,7 @@ let fresh_flow conn ~start_time ~flow_size =
     rtt_sum = 0.;
     rtt_min = infinity;
     rtt_max = neg_infinity;
-    rtt = Sketch.create ~alpha ();
+    rtt = Sketch.create ();
     cwnd_min = infinity;
     cwnd_max = neg_infinity;
     completed_at = nan;
@@ -286,7 +284,7 @@ let jain t =
         /. (float_of_int (Array.length shares) *. squares))
 
 let fct_sketch t =
-  let sk = Sketch.create ~alpha () in
+  let sk = Sketch.create () in
   List.iter
     (fun f ->
       if not (Float.is_nan f.completed_at) then
@@ -295,7 +293,7 @@ let fct_sketch t =
   sk
 
 let throughput_sketch t =
-  let sk = Sketch.create ~alpha () in
+  let sk = Sketch.create () in
   List.iter
     (fun f ->
       match (stats_of_flow f).s_throughput with
@@ -305,12 +303,11 @@ let throughput_sketch t =
   sk
 
 let rtt_sketch t =
-  let sk = Sketch.create ~alpha () in
+  let sk = Sketch.create () in
   List.iter (fun f -> Sketch.merge ~into:sk f.rtt) (flows t);
   sk
 
 let fct_quantile t q = Sketch.quantile (fct_sketch t) q
-let rtt_quantile t q = Sketch.quantile (rtt_sketch t) q
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

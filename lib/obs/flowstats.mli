@@ -18,10 +18,6 @@ type t
 
 val create : unit -> t
 
-(** Relative-error bound of every reported percentile
-    ({!Sketch.default_alpha}). *)
-val alpha : float
-
 (** Start accounting for [conn].  Registering an already-registered
     conn only refreshes the metadata (counters are kept).
     @raise Invalid_argument on a negative conn id. *)
@@ -95,11 +91,8 @@ val all : t -> stats list
     flows; 1.0 when nothing was delivered at all). *)
 val jain : t -> float option
 
-(** Cross-flow distribution quantiles (completed flows for FCT; every
-    RTT sample of every flow for RTT). *)
+(** Cross-flow quantile of the completion times of completed flows. *)
 val fct_quantile : t -> float -> float option
-
-val rtt_quantile : t -> float -> float option
 
 (** {2 JSON}
 

@@ -22,9 +22,6 @@
    which the byte-identical online/offline flow summaries rely on. *)
 
 type t = {
-  alpha : float;
-  gamma : float;
-  log_gamma : float;
   max_buckets : int;
   buckets : (int, int) Hashtbl.t;
   mutable underflow : int;  (* values <= min_value *)
@@ -40,17 +37,13 @@ type t = {
    near it. *)
 let min_value = 1e-12
 
-let default_alpha = 0.01
+let alpha = 0.01
+let gamma = (1. +. alpha) /. (1. -. alpha)
+let log_gamma = log gamma
 
-let create ?(alpha = default_alpha) ?(max_buckets = 2048) () =
-  if not (alpha > 0. && alpha < 1.) then
-    invalid_arg "Sketch.create: alpha must be in (0, 1)";
+let create ?(max_buckets = 2048) () =
   if max_buckets < 2 then invalid_arg "Sketch.create: max_buckets < 2";
-  let gamma = (1. +. alpha) /. (1. -. alpha) in
   {
-    alpha;
-    gamma;
-    log_gamma = log gamma;
     max_buckets;
     buckets = Hashtbl.create 64;
     underflow = 0;
@@ -61,13 +54,11 @@ let create ?(alpha = default_alpha) ?(max_buckets = 2048) () =
     collapsed = false;
   }
 
-let alpha t = t.alpha
 let count t = t.count
 let sum t = t.sum
 let is_empty t = t.count = 0
 let collapsed t = t.collapsed
 let min t = if t.count = 0 then None else Some t.min_v
-let max t = if t.count = 0 then None else Some t.max_v
 
 let mean t = if t.count = 0 then None else Some (t.sum /. float_of_int t.count)
 
@@ -96,11 +87,11 @@ let bump t key by =
      if Hashtbl.length t.buckets > t.max_buckets then collapse_lowest t);
   t.count <- t.count + by
 
-let key_of t v = int_of_float (Float.ceil (log v /. t.log_gamma))
+let key_of v = int_of_float (Float.ceil (log v /. log_gamma))
 
 let add t v =
   if Float.is_nan v then invalid_arg "Sketch.add: nan";
-  if v > min_value && v < infinity then bump t (key_of t v) 1
+  if v > min_value && v < infinity then bump t (key_of v) 1
   else begin
     t.underflow <- t.underflow + 1;
     t.count <- t.count + 1
@@ -110,8 +101,6 @@ let add t v =
   if v > t.max_v then t.max_v <- v
 
 let merge ~into src =
-  if into.alpha <> src.alpha then
-    invalid_arg "Sketch.merge: sketches built with different alpha";
   Hashtbl.iter (fun k c -> bump into k c) src.buckets;
   into.underflow <- into.underflow + src.underflow;
   into.count <- into.count + src.underflow;
@@ -149,7 +138,7 @@ let quantile t q =
       | None -> Some t.max_v  (* unreachable: counts sum to [count] *)
       | Some k ->
         let est =
-          2. *. exp (float_of_int k *. t.log_gamma) /. (t.gamma +. 1.)
+          2. *. exp (float_of_int k *. log_gamma) /. (gamma +. 1.)
         in
         Some (clamp t est)
     end

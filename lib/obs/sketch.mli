@@ -22,27 +22,23 @@
 
 type t
 
-val default_alpha : float
+val alpha : float
 (** 0.01: one-percent relative error. *)
 
-val create : ?alpha:float -> ?max_buckets:int -> unit -> t
-(** @raise Invalid_argument unless [alpha] is in (0, 1) and
-    [max_buckets >= 2]. *)
+val create : ?max_buckets:int -> unit -> t
+(** @raise Invalid_argument unless [max_buckets >= 2]. *)
 
 val add : t -> float -> unit
 (** @raise Invalid_argument on nan. *)
 
 val merge : into:t -> t -> unit
-(** Add every sample of the second sketch into [into].
-    @raise Invalid_argument when the two sketches differ in [alpha]. *)
+(** Add every sample of the second sketch into [into]. *)
 
-val alpha : t -> float
 val count : t -> int
 val is_empty : t -> bool
 val sum : t -> float
 val mean : t -> float option
 val min : t -> float option
-val max : t -> float option
 
 val collapsed : t -> bool
 (** The bucket cap forced low-tail collapsing: low quantiles may exceed

@@ -20,9 +20,8 @@ type spec = {
 (* The paper runs Figures 8-9 with infinite buffers; sweeping the buffer
    maps how the two-way fixed-window cycle degrades once the switch can
    no longer hold the full w1 + w2 burst (Q1 reaches 55 packets in the
-   paper's Figure 8).  Finite-buffer points enable loss detection so a
-   drop triggers go-back-N retransmission instead of wedging the fixed
-   window. *)
+   paper's Figure 8).  {!Core.Scenario.fixed_pair} turns loss detection
+   on at finite buffers. *)
 let fixed_window_point ~tau buffer =
   let id =
     match buffer with
@@ -31,10 +30,7 @@ let fixed_window_point ~tau buffer =
   in
   let scenario =
     Core.Scenario.make ~name:id ~tau ~buffer
-      ~conns:
-        (List.map
-           (fun c -> { c with Core.Scenario.loss_detection = buffer <> None })
-           (Core.Scenario.fixed_pair ~w1:30 ~w2:25 ()))
+      ~conns:(Core.Scenario.fixed_pair ~buffer ~w1:30 ~w2:25 ())
       ~duration:400. ~warmup:150. ~sample_dt:0.05 ()
   in
   let params =
@@ -79,7 +75,7 @@ let phase_diagram_points () =
             Core.Scenario.make
               ~name:(fmt "pd-%d-%d" w1 w2)
               ~tau:phase_diagram_tau ~buffer:None
-              ~conns:(Core.Scenario.fixed_pair ~ack_size:0 ~w1 ~w2 ())
+              ~conns:(Core.Scenario.fixed_pair ~ack_size:0 ~buffer:None ~w1 ~w2 ())
               ~duration:150. ~warmup:60. ()
           in
           Driver.point

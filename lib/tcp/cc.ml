@@ -120,7 +120,6 @@ let instantiate (module M : S) ~maxwnd ~params =
     reset = (fun () -> M.reset st);
   }
 
-let spec_of t = t.spec
 let name t = t.spec.name
 let maxwnd t = t.maxwnd
 let on_ack t ~ackno ~newly = t.ack ~ackno ~newly

@@ -99,7 +99,6 @@ type t
     parameter value, and whatever the module's [create] raises. *)
 val instantiate : (module S) -> maxwnd:int -> params:(string * float) list -> t
 
-val spec_of : t -> spec
 val name : t -> string
 val maxwnd : t -> int
 val on_ack : t -> ackno:int -> newly:int -> bool

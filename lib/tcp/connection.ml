@@ -20,7 +20,6 @@ let create net config =
   { config; sender; receiver }
 
 let config t = t.config
-let id t = t.config.Config.conn
 let sender t = t.sender
 let receiver t = t.receiver
 let cwnd t = Sender.cwnd t.sender

@@ -11,7 +11,6 @@ type t
 val create : Net.Network.t -> Config.t -> t
 
 val config : t -> Config.t
-val id : t -> int
 val sender : t -> Sender.t
 val receiver : t -> Receiver.t
 

@@ -178,6 +178,49 @@ let test_cli_bad_paths_exit_2 () =
       [ "dump"; "--dir"; bad ];
     ]
 
+(* A fixed window never backs off, so at a finite buffer it must detect
+   loss or its first drop wedges the run.  `run --fixed` follows the
+   same rule as the fig8 grid's fixed-window points and reports the
+   grid point's numbers (the phase is not compared: the grid samples
+   at 0.05 s). *)
+let test_cli_fixed_finite_buffer () =
+  let parse text =
+    match Obs.Json.parse (String.trim text) with
+    | Ok json -> json
+    | Error msg -> Alcotest.failf "not JSON: %s" msg
+  in
+  let numbers json key =
+    match Obs.Json.member key json with
+    | Some (Obs.Json.List l) -> List.filter_map Obs.Json.to_float l
+    | Some v -> Option.to_list (Obs.Json.to_float v)
+    | None -> []
+  in
+  let code, out =
+    Test_cc_conformance.run_netsim
+      [ "run"; "--fixed"; "30,25"; "--buffer"; "24"; "--duration"; "400";
+        "--warmup"; "150"; "--json" ]
+  in
+  Alcotest.(check int) "exit" 0 code;
+  let cli = parse out in
+  let grid =
+    List.find
+      (fun (p : Sweep.Driver.point) -> p.id = "fixed-t0.01-b24")
+      (Sweep.Grids.fig8.points ())
+    |> Sweep.Driver.run_point |> Sweep.Summary.to_json |> parse
+  in
+  List.iter
+    (fun (key, pinned) ->
+      let got = numbers cli key in
+      Alcotest.(check (list (float 0.))) (key ^ " = the grid point's")
+        (numbers grid key) got;
+      Alcotest.(check (list (float 0.))) (key ^ " pinned") pinned got)
+    [
+      ("util_fwd", [ 0.8224896 ]);
+      ("util_bwd", [ 0.44476248 ]);
+      ("drops_total", [ 3316. ]);
+      ("delivered", [ 1747.; 844. ]);
+    ]
+
 let suite =
   ( "args",
     [
@@ -192,4 +235,6 @@ let suite =
         test_cli_int_flags_exit_2;
       Alcotest.test_case "netsim bad file paths exit 2" `Quick
         test_cli_bad_paths_exit_2;
+      Alcotest.test_case "run --fixed at a finite buffer detects loss" `Quick
+        test_cli_fixed_finite_buffer;
     ] )
