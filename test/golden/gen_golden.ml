@@ -1,10 +1,10 @@
 (* Golden-trace generator: runs the canonical one-way and two-way
    scenarios, a faulted two-way one and a timer-heavy two-way one
    (validation on) and prints a digest of each — drop count, both
-   utilizations, final congestion windows, and an MD5 checksum over the
-   full bottleneck queue series;
-   the faulted scenario adds its fault ledgers and an MD5 checksum over
-   its drops in order.
+   utilizations, final congestion windows, an MD5 checksum over the full
+   bottleneck queue series and one over each bottleneck's departure log
+   (order, times and sojourns); the faulted scenario adds its fault
+   ledgers and an MD5 checksum over its drops in order.
 
    The output is diffed against the committed [golden.digest] by the
    [runtest] alias; an intentional behaviour change is accepted with
@@ -17,6 +17,17 @@ let series_checksum s =
   let buf = Buffer.create 4096 in
   Trace.Series.iter s ~f:(fun ~time ~value ->
       Buffer.add_string buf (Printf.sprintf "%.9g:%.9g;" time value));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Every departure in order, times and sojourns bit-exact (%h). *)
+let deps_checksum dep =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (d : Trace.Dep_log.record) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%h:%d:%s:%d:%h;" d.time d.conn
+           (Net.Packet.kind_to_string d.kind) d.seq d.sojourn))
+    (Trace.Dep_log.records dep);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let digest (scenario : Core.Scenario.t) =
@@ -41,6 +52,8 @@ let digest (scenario : Core.Scenario.t) =
     (series_checksum (Trace.Queue_trace.series r.Core.Runner.q1));
   Printf.printf "queue_bwd_md5 = %s\n"
     (series_checksum (Trace.Queue_trace.series r.Core.Runner.q2));
+  Printf.printf "deps_fwd_md5 = %s\n" (deps_checksum r.Core.Runner.dep_fwd);
+  Printf.printf "deps_bwd_md5 = %s\n" (deps_checksum r.Core.Runner.dep_bwd);
   if r.Core.Runner.fault_plans <> [] then begin
     List.iter
       (fun (_, plan) -> Printf.printf "faults = %s\n" (Faults.Plan.summary plan))
