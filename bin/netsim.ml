@@ -635,11 +635,20 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
   let drops = Core.Runner.drops_in_window r in
   Printf.printf "drops in window: %d\n" (List.length drops);
   let epochs = Core.Runner.epochs r in
-  (match Analysis.Epochs.mean_drops epochs with
-   | Some m ->
-     Printf.printf "congestion epochs: %d (mean %.2f drops each)\n"
-       (List.length epochs) m
-   | None -> print_endline "congestion epochs: none");
+  let gap = Core.Runner.epoch_gap in
+  (match epochs with
+   | [ e ] when e.start -. r.t0 < gap && r.t1 -. e.stop < gap ->
+     (* One epoch from edge to edge of the window: the drops never
+        paused for the gap, so its count would be meaningless. *)
+     Printf.printf
+       "congestion epochs: none distinguishable (drops never pause for %g s)\n"
+       gap
+   | _ -> (
+     match Analysis.Epochs.mean_drops epochs with
+     | Some m ->
+       Printf.printf "congestion epochs: %d (mean %.2f drops each)\n"
+         (List.length epochs) m
+     | None -> print_endline "congestion epochs: none"));
   let qphase, qcorr = Core.Runner.queue_phase r in
   Printf.printf "queue synchronization: %s (r=%.2f)\n"
     (Analysis.Sync.phase_to_string qphase)

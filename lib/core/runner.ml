@@ -278,7 +278,8 @@ let goodput_dir r dir =
 
 let drops_in_window r = Trace.Drop_log.in_window r.drops ~t0:r.t0 ~t1:r.t1
 
-let epochs ?(gap = 5.) r = Analysis.Epochs.detect ~gap (drops_in_window r)
+let epoch_gap = 5.
+let epochs ?(gap = epoch_gap) r = Analysis.Epochs.detect ~gap (drops_in_window r)
 
 let classify r a b =
   if empty_window r then (Analysis.Sync.Unclassified, Float.nan)

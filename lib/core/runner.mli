@@ -96,7 +96,10 @@ val goodput_dir : result -> Scenario.direction -> float
 (** Drops within the measurement window, chronological. *)
 val drops_in_window : result -> Trace.Drop_log.record list
 
-(** Congestion epochs within the window (gap defaults to 5 s). *)
+(** The default gap between congestion epochs, 5 s. *)
+val epoch_gap : float
+
+(** Congestion epochs within the window (gap defaults to {!epoch_gap}). *)
 val epochs : ?gap:float -> result -> Analysis.Epochs.t list
 
 (** Phase classification of the two bottleneck queue series;

@@ -7,8 +7,58 @@ let kind_to_string = function
 
 type outcome = Accepted | Rejected | Evicted of Packet.t
 
+(* FIFO store: a growable ring of packets ([Packet.none] in empty
+   slots), so a push or pop allocates nothing once the array has grown
+   to the largest backlog.  The array is made on the first push, so a
+   link that never carries a packet costs no slots. *)
+type ring = {
+  mutable slots : Packet.t array;  (* length 0 or a power of two *)
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring_create () = { slots = [||]; head = 0; len = 0 }
+
+(* Slot of the [i]-th stored packet, oldest first. *)
+let slot r i = (r.head + i) land (Array.length r.slots - 1)
+
+let ring_grow r =
+  let cap = Array.length r.slots in
+  let slots = Array.make (max 16 (2 * cap)) Packet.none in
+  for i = 0 to r.len - 1 do
+    slots.(i) <- r.slots.(slot r i)
+  done;
+  r.slots <- slots;
+  r.head <- 0
+
+let ring_push r p =
+  if r.len = Array.length r.slots then ring_grow r;
+  r.slots.(slot r r.len) <- p;
+  r.len <- r.len + 1
+
+let ring_take r =
+  if r.len = 0 then Packet.none
+  else begin
+    let p = r.slots.(r.head) in
+    r.slots.(r.head) <- Packet.none;
+    r.head <- slot r 1;
+    r.len <- r.len - 1;
+    p
+  end
+
+(* Remove the [idx]-th stored packet, shifting the younger ones up one
+   slot so service order is kept. *)
+let ring_remove r idx =
+  let victim = r.slots.(slot r idx) in
+  for i = idx to r.len - 2 do
+    r.slots.(slot r i) <- r.slots.(slot r (i + 1))
+  done;
+  r.slots.(slot r (r.len - 1)) <- Packet.none;
+  r.len <- r.len - 1;
+  victim
+
 type state =
-  | Single of Packet.t Queue.t * Engine.Rng.t option
+  | Single of ring * Engine.Rng.t option
       (* Fifo when rng is None, Random_drop otherwise *)
   | Classes of {
       queues : (int, Packet.t Queue.t) Hashtbl.t;
@@ -25,9 +75,9 @@ let create kind ~capacity =
    | _ -> ());
   let state =
     match kind with
-    | Fifo -> Single (Queue.create (), None)
+    | Fifo -> Single (ring_create (), None)
     | Random_drop { seed } ->
-      Single (Queue.create (), Some (Engine.Rng.create ~seed))
+      Single (ring_create (), Some (Engine.Rng.create ~seed))
     | Fair_queue ->
       Classes { queues = Hashtbl.create 16; round = Queue.create (); stored = 0 }
   in
@@ -38,7 +88,7 @@ let capacity t = t.capacity
 
 let length t =
   match t.state with
-  | Single (q, _) -> Queue.length q
+  | Single (r, _) -> r.len
   | Classes c -> c.stored
 
 let is_empty t = length t = 0
@@ -48,7 +98,7 @@ let full t ~in_service =
   | None -> false
   | Some c -> length t + in_service >= c
 
-(* Remove the element at position [idx] from a queue (O(n)). *)
+(* Remove the element at position [idx] from a class queue (O(n)). *)
 let remove_at queue idx =
   let keep = Queue.create () in
   let victim = ref None in
@@ -95,9 +145,9 @@ let class_queue c conn =
 
 let enqueue t p ~in_service =
   match t.state with
-  | Single (q, rng) ->
+  | Single (r, rng) ->
     if not (full t ~in_service) then begin
-      Queue.push p q;
+      ring_push r p;
       Accepted
     end
     else begin
@@ -105,12 +155,12 @@ let enqueue t p ~in_service =
       | None -> Rejected  (* drop-tail *)
       | Some rng ->
         (* Random Drop: victim uniform over queued packets + the arrival. *)
-        let n = Queue.length q in
+        let n = r.len in
         let victim_idx = Engine.Rng.int rng ~bound:(n + 1) in
         if victim_idx = n then Rejected
         else begin
-          let victim = remove_at q victim_idx in
-          Queue.push p q;
+          let victim = ring_remove r victim_idx in
+          ring_push r p;
           Evicted victim
         end
     end
@@ -146,10 +196,10 @@ let enqueue t p ~in_service =
 
 let rec dequeue t =
   match t.state with
-  | Single (q, _) -> Queue.take_opt q
+  | Single (r, _) -> ring_take r
   | Classes c ->
     (match Queue.take_opt c.round with
-     | None -> None
+     | None -> Packet.none
      | Some conn ->
        (match Hashtbl.find_opt c.queues conn with
         | None -> dequeue t
@@ -159,11 +209,11 @@ let rec dequeue t =
            | Some p ->
              c.stored <- c.stored - 1;
              if not (Queue.is_empty q) then Queue.push conn c.round;
-             Some p)))
+             p)))
 
 let contents t =
   match t.state with
-  | Single (q, _) -> List.of_seq (Queue.to_seq q)
+  | Single (r, _) -> List.init r.len (fun i -> r.slots.(slot r i))
   | Classes c ->
     (* Round order, then each class front-to-back. *)
     let seen = Hashtbl.create 8 in

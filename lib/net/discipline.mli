@@ -41,8 +41,9 @@ type outcome =
     occupy the transmitter (0 or 1) and count against the buffer. *)
 val enqueue : t -> Packet.t -> in_service:int -> outcome
 
-(** Next packet to transmit, removed from the buffer. *)
-val dequeue : t -> Packet.t option
+(** Next packet to transmit, removed from the buffer; {!Packet.none}
+    when the buffer is empty. *)
+val dequeue : t -> Packet.t
 
 (** Stored packets (excluding any packet in service). *)
 val length : t -> int

@@ -6,8 +6,8 @@ type node = {
   kind : node_kind;
   proc_delay : float;
   mutable out : Link.t list;
-  routes : (int, Link.t) Hashtbl.t;
-  endpoints : (int, Packet.t -> unit) Hashtbl.t;
+  routes : Link.t Engine.Int_tbl.t;  (* dst host -> outgoing link *)
+  endpoints : (Packet.t -> unit) Engine.Int_tbl.t;  (* conn -> handler *)
 }
 
 type t = {
@@ -91,8 +91,8 @@ let add_node t ~name ~kind ~proc_delay =
       kind;
       proc_delay;
       out = [];
-      routes = Hashtbl.create 8;
-      endpoints = Hashtbl.create 8;
+      routes = Engine.Int_tbl.create 8;
+      endpoints = Engine.Int_tbl.create 8;
     }
   in
   t.nodes <- n :: t.nodes;
@@ -114,19 +114,21 @@ let node_kind t id = (node t id).kind
 let links t = List.rev t.all_links
 let out_links t id = List.rev (node t id).out
 
-let set_route t ~node:n ~dst ~link = Hashtbl.replace (node t n).routes dst link
-let route t ~node:n ~dst = Hashtbl.find_opt (node t n).routes dst
+let set_route t ~node:n ~dst ~link =
+  Engine.Int_tbl.replace (node t n).routes dst link
+
+let route t ~node:n ~dst = Engine.Int_tbl.find_opt (node t n).routes dst
 
 let register_endpoint t ~host ~conn handler =
   let n = node t host in
   if n.kind <> Host then invalid_arg "Network.register_endpoint: not a host";
-  Hashtbl.replace n.endpoints conn handler
+  Engine.Int_tbl.replace n.endpoints conn handler
 
 (* Hand a packet to its transport endpoint, once the destination host's
    processing delay (if any) has elapsed. *)
 let hand_over t (p : Packet.t) =
   let n = node t p.dst in
-  match Hashtbl.find n.endpoints p.conn with
+  match Engine.Int_tbl.find n.endpoints p.conn with
   | handler ->
     fire_deliver t p;
     handler p
@@ -153,12 +155,13 @@ let rec arrive t node_id (p : Packet.t) =
     if n.proc_delay > 0. then Delay_line.push t.proc p ~delay:n.proc_delay
     else hand_over t p
 
+(* Per-hop lookups use [find], not [find_opt]: no option per packet. *)
 and forward _t n (p : Packet.t) =
-  match Hashtbl.find_opt n.routes p.dst with
-  | None ->
+  match Engine.Int_tbl.find n.routes p.dst with
+  | link -> ignore (Link.send link p : [ `Ok | `Dropped ])
+  | exception Not_found ->
     failwith
       (Printf.sprintf "Network: switch %s has no route to node %d" n.name p.dst)
-  | Some link -> ignore (Link.send link p : [ `Ok | `Dropped ])
 
 let add_link ?(discipline = Discipline.Fifo) t ~src ~dst ~bandwidth
     ~prop_delay ~buffer =
@@ -189,13 +192,13 @@ let add_duplex ?(discipline = Discipline.Fifo) t ~src ~dst ~bandwidth
 let send_from_host t ~host (p : Packet.t) =
   let n = node t host in
   if n.kind <> Host then invalid_arg "Network.send_from_host: not a host";
-  match Hashtbl.find_opt n.routes p.dst with
-  | None ->
-    failwith
-      (Printf.sprintf "Network: host %s has no route to node %d" n.name p.dst)
-  | Some link ->
+  match Engine.Int_tbl.find n.routes p.dst with
+  | link ->
     fire_inject t p;
     ignore (Link.send link p : [ `Ok | `Dropped ])
+  | exception Not_found ->
+    failwith
+      (Printf.sprintf "Network: host %s has no route to node %d" n.name p.dst)
 
 let fresh_packet_id t =
   let id = t.next_packet_id in
@@ -211,6 +214,5 @@ let make_packet t ~conn ~kind ~seq ~size ~src ~dst ~retransmit =
     size;
     src;
     dst;
-    born = Engine.Sim.now t.sim;
     retransmit;
   }

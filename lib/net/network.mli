@@ -85,7 +85,7 @@ val delivered : t -> int
 (** Fresh unique packet id. *)
 val fresh_packet_id : t -> int
 
-(** Build a packet stamped with a fresh id and the current time. *)
+(** Build a packet stamped with a fresh id. *)
 val make_packet :
   t ->
   conn:int ->

@@ -8,12 +8,12 @@ type t = {
   size : int;
   src : int;
   dst : int;
-  born : float;
   retransmit : bool;
 }
 
-(* Sentinel for pooled slots (link transmitters, delivery free-lists):
-   compared with (==), never offered to a link or counted anywhere. *)
+(* Sentinel for empty slots (link transmitters, delivery free-lists,
+   FIFO rings) and for "no packet" results: compared with (==), never
+   offered to a link or counted anywhere. *)
 let none =
   {
     id = -1;
@@ -23,7 +23,6 @@ let none =
     size = 0;
     src = -1;
     dst = -1;
-    born = neg_infinity;
     retransmit = false;
   }
 

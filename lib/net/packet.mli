@@ -17,12 +17,12 @@ type t = {
   size : int;  (** bytes, including headers *)
   src : int;  (** source host node id *)
   dst : int;  (** destination host node id *)
-  born : float;  (** creation time *)
   retransmit : bool;  (** true if this data packet is a retransmission *)
 }
 
-(** Sentinel packet for pooled slots (physical-equality comparisons only).
-    Never transmit it or count it in any statistic. *)
+(** Sentinel packet for empty slots and "no packet" results (such as
+    {!Discipline.dequeue} on an empty buffer); compare it with [(==)]
+    only.  Never transmit it or count it in any statistic. *)
 val none : t
 
 val kind_to_string : kind -> string

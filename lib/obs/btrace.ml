@@ -121,13 +121,19 @@ let plain_link l =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The previous event's time, in a record of floats only, so storing
+   it writes the float flat; a float or int64 field of a mixed record
+   would box a fresh copy on every event.  The writer and the decoder
+   both keep one. *)
+type clock = { mutable prev : float }
+
 type writer = {
   sink : string -> unit;
   seg : Bytes.t;
   mutable pos : int;
   strings : (string, int) Hashtbl.t;
   mutable next_sid : int;
-  mutable prev_bits : int64;
+  clock : clock;
   mutable events : int;
 }
 
@@ -191,7 +197,7 @@ let writer ?(segment = 256 * 1024) sink =
       pos = 0;
       strings = Hashtbl.create 32;
       next_sid = 0;
-      prev_bits = 0L;
+      clock = { prev = 0. };
       events = 0;
     }
   in
@@ -248,16 +254,19 @@ let unzigzag z =
    share sign and exponent, so the bit deltas are small.  The native
    zigzag (sign bit is bit 62) produces the exact same bytes as the
    int64 zigzag for any delta in (-2^61, 2^61); only the first event
-   after [prev_bits = 0] and exponent-crossing jumps take the boxed
-   int64 path.  Without flambda every Int64 intermediate is a heap
-   allocation, so this halves the per-event allocation count. *)
+   (the clock starts at 0.) and exponent-crossing jumps take the boxed
+   int64 path.  Without flambda every Int64 intermediate that escapes a
+   function is a heap allocation; here both [bits_of_float] values stay
+   in registers and the clock stores a flat float, so a time stamp
+   allocates nothing. *)
 let native_min = Int64.neg 0x2000000000000000L
 let native_max = 0x2000000000000000L
 
 let put_time w seg pos time =
-  let bits = Int64.bits_of_float time in
-  let delta = Int64.sub bits w.prev_bits in
-  w.prev_bits <- bits;
+  let delta =
+    Int64.sub (Int64.bits_of_float time) (Int64.bits_of_float w.clock.prev)
+  in
+  w.clock.prev <- time;
   if Int64.compare delta native_min > 0 && Int64.compare delta native_max < 0
   then begin
     let d = Int64.to_int delta in
@@ -349,11 +358,6 @@ let header data =
         (Printf.sprintf "unsupported binary trace version %d (expected %d..%d)"
            v min_version version)
     else Ok v
-
-(* The previous event's time, in a record of floats only, so storing
-   it writes the float flat; a float or int64 field of a mixed record
-   would box a fresh copy on every event. *)
-type clock = { mutable prev : float }
 
 (* The decoder is top-level functions over one cursor rather than
    closures inside [iter]: without flambda, a local recursive function

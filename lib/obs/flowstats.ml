@@ -1,14 +1,16 @@
 (* Per-flow accounting registry.
 
-   One mutable record per connection, in a hash table keyed by conn id,
-   so memory follows the number of flows, never the largest id (a trace
+   One mutable record per connection, in an int-keyed hash table, so
+   memory follows the number of flows, never the largest id (a trace
    may declare any conn id).  The steady-state accounting path allocates
-   nothing: the lookup is [Tbl.find] with a [Not_found] handler (no
-   option box), and every update is an int/float store into an existing
-   record (the only amortized allocation is a new quantile-sketch bucket
-   on first use).
+   nothing: a per-connection probe hook holds the record it found at
+   attach time, the by-conn lookup is [Int_tbl.find] with a [Not_found]
+   handler (no option box), and every update is an int/float store into
+   an existing record.  The exceptions are once per round trip or rarer:
+   an RTT sample boxes its float sums, and a quantile-sketch bucket is
+   made on first use.
 
-   The same record_* functions are driven from two sources that must
+   The same accounting functions are driven from two sources that must
    agree bit-for-bit:
 
      online   {!Probe} hooks during a live run
@@ -57,16 +59,9 @@ type flow = {
   mutable completed_at : float;  (* nan = not (yet) complete *)
 }
 
-module Tbl = Hashtbl.Make (struct
-  type t = int
+type t = flow Engine.Int_tbl.t
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-type t = flow Tbl.t
-
-let create () : t = Tbl.create 16
+let create () : t = Engine.Int_tbl.create 16
 
 let fresh_flow conn ~start_time ~flow_size =
   {
@@ -93,83 +88,100 @@ let fresh_flow conn ~start_time ~flow_size =
 
 let register t ~conn ~start_time ~flow_size =
   if conn < 0 then invalid_arg "Flowstats.register: negative conn id";
-  match Tbl.find t conn with
+  match Engine.Int_tbl.find t conn with
   | f ->
     (* Re-registration only refreshes metadata (a conn-meta record after
        a bare conn-def); accumulated counters are kept. *)
     f.start_time <- start_time;
     f.flow_size <- flow_size
   | exception Not_found ->
-    Tbl.replace t conn (fresh_flow conn ~start_time ~flow_size)
+    Engine.Int_tbl.replace t conn (fresh_flow conn ~start_time ~flow_size)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting (shared by the online hooks and the offline trace fold)  *)
 (* ------------------------------------------------------------------ *)
 
-let record_send t ~time ~conn ~seq ~retransmit =
-  match Tbl.find t conn with
-  | exception Not_found -> ()
-  | f ->
-    if retransmit then begin
-      f.retransmits <- f.retransmits + 1;
+(* Each accounting rule exists once, on a flow record.  The online
+   per-connection hooks call it on the record they hold; [record_*]
+   (the network-wide deliver hook, [feed], tests) look the record up by
+   conn and ignore unregistered ones. *)
+
+let flow t ~conn = Engine.Int_tbl.find t conn
+
+let flow_send f ~time ~seq ~retransmit =
+  if retransmit then begin
+    f.retransmits <- f.retransmits + 1;
+    f.timing_seq <- -1
+  end
+  else begin
+    f.data_sends <- f.data_sends + 1;
+    if f.timing_seq < 0 then begin
+      f.timing_seq <- seq;
+      f.timing_sent <- time
+    end
+  end
+
+let flow_loss f =
+  f.loss_events <- f.loss_events + 1;
+  f.timing_seq <- -1
+
+let flow_cwnd f ~cwnd =
+  if cwnd < f.cwnd_min then f.cwnd_min <- cwnd;
+  if cwnd > f.cwnd_max then f.cwnd_max <- cwnd
+
+let data_delivered f ~bytes =
+  f.delivered_pkts <- f.delivered_pkts + 1;
+  f.delivered_bytes <- f.delivered_bytes + bytes
+
+let ack_delivered f ~time ~ackno =
+  if ackno > f.snd_una then begin
+    if f.timing_seq >= 0 && ackno > f.timing_seq then begin
+      let rtt = time -. f.timing_sent in
+      f.rtt_samples <- f.rtt_samples + 1;
+      f.rtt_sum <- f.rtt_sum +. rtt;
+      if rtt < f.rtt_min then f.rtt_min <- rtt;
+      if rtt > f.rtt_max then f.rtt_max <- rtt;
+      Sketch.add f.rtt rtt;
       f.timing_seq <- -1
-    end
-    else begin
-      f.data_sends <- f.data_sends + 1;
-      if f.timing_seq < 0 then begin
-        f.timing_seq <- seq;
-        f.timing_sent <- time
-      end
-    end
+    end;
+    f.snd_una <- ackno;
+    match f.flow_size with
+    | Some n when f.snd_una >= n && Float.is_nan f.completed_at ->
+      f.completed_at <- time
+    | _ -> ()
+  end
+
+let record_send t ~time ~conn ~seq ~retransmit =
+  match Engine.Int_tbl.find t conn with
+  | f -> flow_send f ~time ~seq ~retransmit
+  | exception Not_found -> ()
 
 let record_data_delivered t ~conn ~bytes =
-  match Tbl.find t conn with
+  match Engine.Int_tbl.find t conn with
+  | f -> data_delivered f ~bytes
   | exception Not_found -> ()
-  | f ->
-    f.delivered_pkts <- f.delivered_pkts + 1;
-    f.delivered_bytes <- f.delivered_bytes + bytes
 
 let record_ack_delivered t ~time ~conn ~ackno =
-  match Tbl.find t conn with
+  match Engine.Int_tbl.find t conn with
+  | f -> ack_delivered f ~time ~ackno
   | exception Not_found -> ()
-  | f ->
-    if ackno > f.snd_una then begin
-      if f.timing_seq >= 0 && ackno > f.timing_seq then begin
-        let rtt = time -. f.timing_sent in
-        f.rtt_samples <- f.rtt_samples + 1;
-        f.rtt_sum <- f.rtt_sum +. rtt;
-        if rtt < f.rtt_min then f.rtt_min <- rtt;
-        if rtt > f.rtt_max then f.rtt_max <- rtt;
-        Sketch.add f.rtt rtt;
-        f.timing_seq <- -1
-      end;
-      f.snd_una <- ackno;
-      match f.flow_size with
-      | Some n when f.snd_una >= n && Float.is_nan f.completed_at ->
-        f.completed_at <- time
-      | _ -> ()
-    end
 
 let record_loss t ~conn =
-  match Tbl.find t conn with
+  match Engine.Int_tbl.find t conn with
+  | f -> flow_loss f
   | exception Not_found -> ()
-  | f ->
-    f.loss_events <- f.loss_events + 1;
-    f.timing_seq <- -1
 
 let record_cwnd t ~conn ~cwnd =
-  match Tbl.find t conn with
+  match Engine.Int_tbl.find t conn with
+  | f -> flow_cwnd f ~cwnd
   | exception Not_found -> ()
-  | f ->
-    if cwnd < f.cwnd_min then f.cwnd_min <- cwnd;
-    if cwnd > f.cwnd_max then f.cwnd_max <- cwnd
 
 (* ------------------------------------------------------------------ *)
 (* Offline: fold decoded binary-trace records                          *)
 (* ------------------------------------------------------------------ *)
 
 let ensure t conn =
-  if not (Tbl.mem t conn) then
+  if not (Engine.Int_tbl.mem t conn) then
     register t ~conn ~start_time:0. ~flow_size:None
 
 let feed t (item : Btrace.item) =
@@ -260,11 +272,11 @@ let stats_of_flow f =
 let flows t =
   List.sort
     (fun a b -> compare a.conn b.conn)
-    (List.of_seq (Tbl.to_seq_values t))
+    (List.of_seq (Engine.Int_tbl.to_seq_values t))
 
 let all t = List.map stats_of_flow (flows t)
 
-let stats t ~conn = Option.map stats_of_flow (Tbl.find_opt t conn)
+let stats t ~conn = Option.map stats_of_flow (Engine.Int_tbl.find_opt t conn)
 
 let jain t =
   match flows t with

@@ -37,8 +37,10 @@ let histogram t name ~bounds =
   h
 
 (* Linear scan: bucket counts are small (a handful of bounds), so this
-   beats binary search and stays branch-predictable. *)
-let observe h v =
+   beats binary search and stays branch-predictable.  The count arrives
+   as an int and is converted here, so no float is boxed per call. *)
+let observe h count =
+  let v = float_of_int count in
   let n = Array.length h.bounds in
   let i = ref 0 in
   while !i < n && v > h.bounds.(!i) do

@@ -59,8 +59,7 @@ let register_link reg ~sim link =
   count reg (pfx ^ ".dep_bytes") (fun () -> c.dep_bytes);
   count reg (pfx ^ ".faults") (fun () -> c.faults);
   let h = Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds in
-  Net.Link.on_enqueue link (fun _time _pkt qlen ->
-      Metrics.observe h (float_of_int qlen))
+  Net.Link.on_enqueue link (fun _time _pkt qlen -> Metrics.observe h qlen)
 
 let register_conn reg (cid, conn) =
   let s = Tcp.Connection.sender conn in
@@ -181,13 +180,14 @@ let account_conn fs (cid, conn) =
   let cfg = Tcp.Connection.config conn in
   Flowstats.register fs ~conn:cid ~start_time:cfg.Tcp.Config.start_time
     ~flow_size:cfg.Tcp.Config.flow_size;
+  (* The sender's hooks hold the flow record: no lookup per event. *)
+  let f = Flowstats.flow fs ~conn:cid in
   let s = Tcp.Connection.sender conn in
   Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh:_ ->
-      Flowstats.record_cwnd fs ~conn:cid ~cwnd);
-  Tcp.Sender.on_loss s (fun _time _reason ->
-      Flowstats.record_loss fs ~conn:cid);
+      Flowstats.flow_cwnd f ~cwnd);
+  Tcp.Sender.on_loss s (fun _time _reason -> Flowstats.flow_loss f);
   Tcp.Sender.on_send s (fun time pkt ->
-      Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
+      Flowstats.flow_send f ~time ~seq:pkt.Net.Packet.seq
         ~retransmit:pkt.Net.Packet.retransmit)
 
 let account fs ~net ~conns =

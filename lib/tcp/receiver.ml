@@ -3,7 +3,7 @@ type t = {
   sim : Engine.Sim.t;
   config : Config.t;
   mutable rcv_nxt : int;
-  above_hole : (int, unit) Hashtbl.t;  (* out-of-order packets held back *)
+  above_hole : unit Engine.Int_tbl.t;  (* out-of-order packets held back *)
   mutable delack_pending : bool;
   delack_timer : Engine.Sim.Timer.timer;  (* persistent; re-armed in place *)
   mutable data_received : int;
@@ -26,7 +26,7 @@ let make net config =
     sim;
     config;
     rcv_nxt = 0;
-    above_hole = Hashtbl.create 64;
+    above_hole = Engine.Int_tbl.create 64;
     delack_pending = false;
     delack_timer = Engine.Sim.Timer.create sim nop;
     data_received = 0;
@@ -46,8 +46,16 @@ let duplicates t = t.duplicates
 let acks_sent t = t.acks_sent
 let dup_acks_sent t = t.dup_acks_sent
 let delayed_acks_sent t = t.delayed_acks_sent
-let buffered t = Hashtbl.length t.above_hole
+let buffered t = Engine.Int_tbl.length t.above_hole
 let on_ack_sent t f = t.ack_hooks <- f :: t.ack_hooks
+
+(* A direct walk, not [List.iter] over a closure built per ACK. *)
+let rec call_ack hooks now ackno delayed dup =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+    f now ~ackno ~delayed ~dup;
+    call_ack rest now ackno delayed dup
 
 let cancel_delack t =
   Engine.Sim.Timer.cancel t.delack_timer;
@@ -71,9 +79,7 @@ let send_ack t ~delayed =
   Net.Network.send_from_host t.net ~host:t.config.Config.dst_host p;
   match t.ack_hooks with
   | [] -> ()
-  | hooks ->
-    let now = Engine.Sim.now t.sim in
-    List.iter (fun f -> f now ~ackno:t.rcv_nxt ~delayed ~dup) hooks
+  | hooks -> call_ack hooks (Engine.Sim.now t.sim) t.rcv_nxt delayed dup
 
 let create net config =
   let t = make net config in
@@ -100,16 +106,16 @@ let on_data t (p : Net.Packet.t) =
   t.data_received <- t.data_received + 1;
   if p.seq = t.rcv_nxt then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
-    while Hashtbl.mem t.above_hole t.rcv_nxt do
-      Hashtbl.remove t.above_hole t.rcv_nxt;
+    while Engine.Int_tbl.mem t.above_hole t.rcv_nxt do
+      Engine.Int_tbl.remove t.above_hole t.rcv_nxt;
       t.rcv_nxt <- t.rcv_nxt + 1
     done;
     ack_in_order t
   end
   else if p.seq > t.rcv_nxt then begin
     t.out_of_order <- t.out_of_order + 1;
-    if not (Hashtbl.mem t.above_hole p.seq) then
-      Hashtbl.add t.above_hole p.seq ();
+    if not (Engine.Int_tbl.mem t.above_hole p.seq) then
+      Engine.Int_tbl.add t.above_hole p.seq ();
     ack_now t  (* duplicate ACK, sent immediately even with delayed ACK *)
   end
   else begin

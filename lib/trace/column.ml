@@ -65,11 +65,22 @@ struct
     Array.unsafe_get t.chunks c
 end
 
-module Float = Make (struct
-  type elt = float
+module Float = struct
+  include Make (struct
+    type elt = float
 
-  let zero = 0.
-end)
+    let zero = 0.
+  end)
+
+  (* The conversion happens here, where [cur] is known to be a float
+     array, so the store is flat: a float argument crossing a module
+     boundary would be boxed first. *)
+  let push_int t n =
+    if t.pos = Array.length t.cur then grow t;
+    Array.unsafe_set t.cur t.pos (float_of_int n);
+    t.pos <- t.pos + 1;
+    t.len <- t.len + 1
+end
 
 module Int = Make (struct
   type elt = int

@@ -28,6 +28,10 @@ module Float : sig
   val length : t -> int
   val push : t -> float -> unit
 
+  (** [push_int t n] is [push t (float_of_int n)] without boxing the
+      float on the way in. *)
+  val push_int : t -> int -> unit
+
   (** @raise Invalid_argument if the index is out of range. *)
   val get : t -> int -> float
 

@@ -6,39 +6,43 @@ type record = {
   sojourn : float;
 }
 
-(* One row per departure, column-wise; [code] packs conn and kind. *)
+(* One row per departure, column-wise; [code] packs conn and kind.  The
+   hook stores the enqueue time it was handed (already boxed) and the
+   sojourn is subtracted on read: the same IEEE subtraction, so every
+   sojourn is bit-identical to one computed at departure, and no float
+   is boxed per departure. *)
 type t = {
   link : Net.Link.t;
-  entered : (int, float) Hashtbl.t;  (* packet id -> enqueue time *)
+  pending : float Engine.Int_tbl.t;  (* packet id -> enqueue time *)
   time : Column.Float.t;
   code : Column.Int.t;
   seq : Column.Int.t;
-  sojourn : Column.Float.t;
+  entered : Column.Float.t;  (* nan: queued before the log attached *)
 }
 
 let attach link =
   let t =
-    { link; entered = Hashtbl.create 64; time = Column.Float.create ();
+    { link; pending = Engine.Int_tbl.create 64; time = Column.Float.create ();
       code = Column.Int.create (); seq = Column.Int.create ();
-      sojourn = Column.Float.create () }
+      entered = Column.Float.create () }
   in
   Net.Link.on_enqueue link (fun time (p : Net.Packet.t) _qlen ->
-      Hashtbl.replace t.entered p.id time);
+      Engine.Int_tbl.replace t.pending p.id time);
   Net.Link.on_drop link (fun _time (p : Net.Packet.t) ->
       (* A random-drop or FQ eviction can remove an already-entered packet. *)
-      Hashtbl.remove t.entered p.id);
+      Engine.Int_tbl.remove t.pending p.id);
   Net.Link.on_depart link (fun time (p : Net.Packet.t) _qlen ->
-      let sojourn =
-        match Hashtbl.find t.entered p.id with
+      let entered =
+        match Engine.Int_tbl.find t.pending p.id with
         | entered ->
-          Hashtbl.remove t.entered p.id;
-          time -. entered
+          Engine.Int_tbl.remove t.pending p.id;
+          entered
         | exception Not_found -> Float.nan
       in
       Column.Float.push t.time time;
       Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
       Column.Int.push t.seq p.seq;
-      Column.Float.push t.sojourn sojourn);
+      Column.Float.push t.entered entered);
   t
 
 let link t = t.link
@@ -46,9 +50,10 @@ let total t = Column.Float.length t.time
 
 let record t i =
   let code = Column.Int.get t.code i in
-  { time = Column.Float.get t.time i; conn = Rows.conn code;
-    kind = Rows.kind code; seq = Column.Int.get t.seq i;
-    sojourn = Column.Float.get t.sojourn i }
+  let time = Column.Float.get t.time i in
+  { time; conn = Rows.conn code; kind = Rows.kind code;
+    seq = Column.Int.get t.seq i;
+    sojourn = time -. Column.Float.get t.entered i }
 
 let records t = Rows.all (total t) (record t)
 let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)
@@ -61,10 +66,11 @@ let mean_sojourn t ~kind ~t0 ~t1 =
   let sum = ref 0. and count = ref 0 in
   for c = 0 to Column.chunk_count n - 1 do
     let ts = Column.Float.chunk t.time c in
-    let ss = Column.Float.chunk t.sojourn c in
+    let es = Column.Float.chunk t.entered c in
     let cs = Column.Int.chunk t.code c in
     for k = 0 to Column.chunk_length n c - 1 do
-      let tm = Array.unsafe_get ts k and s = Array.unsafe_get ss k in
+      let tm = Array.unsafe_get ts k in
+      let s = tm -. Array.unsafe_get es k in
       if tm >= t0 && tm < t1 && Rows.kind (Array.unsafe_get cs k) = kind
          && not (Float.is_nan s)
       then begin

@@ -4,7 +4,7 @@ let attach link ~now =
   let t = { link; series = Series.create (); last = 0 } in
   let record time qlen =
     t.last <- qlen;
-    Series.add t.series ~time ~value:(float_of_int qlen)
+    Series.add_int t.series ~time qlen
   in
   record now (Net.Link.queue_length link);
   Net.Link.on_enqueue link (fun time _p qlen -> record time qlen);

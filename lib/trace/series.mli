@@ -11,6 +11,11 @@ val create : unit -> t
     sample. *)
 val add : t -> time:float -> value:float -> unit
 
+(** [add_int t ~time n] is [add t ~time ~value:(float_of_int n)]; the
+    conversion happens inside, so a count recorded per event (a queue
+    length) is not boxed on its way in. *)
+val add_int : t -> time:float -> int -> unit
+
 val length : t -> int
 val is_empty : t -> bool
 

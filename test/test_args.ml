@@ -221,6 +221,29 @@ let test_cli_fixed_finite_buffer () =
       ("delivered", [ 1747.; 844. ]);
     ]
 
+(* At tau = 0.01 and B = 20 the drops never pause for the epoch gap, so
+   the one epoch spans the whole window: `run` names that condition
+   instead of printing its drop count.  Epochs that do pause still
+   print their count. *)
+let test_cli_degenerate_epochs () =
+  let epoch_line args =
+    let code, out = Test_cc_conformance.run_netsim ("run" :: args) in
+    Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 code;
+    match
+      List.find_opt
+        (fun l -> contains l "congestion epochs")
+        (String.split_on_char '\n' out)
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no epoch line in: %s" out
+  in
+  Alcotest.(check string) "one edge-to-edge epoch"
+    "congestion epochs: none distinguishable (drops never pause for 5 s)"
+    (epoch_line [ "--fwd"; "5"; "--rev"; "5"; "--duration"; "600" ]);
+  Alcotest.(check string) "pausing drops keep their count"
+    "congestion epochs: 13 (mean 3.00 drops each)"
+    (epoch_line [ "--fwd"; "3"; "--tau"; "1"; "--duration"; "600" ])
+
 let suite =
   ( "args",
     [
@@ -235,6 +258,8 @@ let suite =
         test_cli_int_flags_exit_2;
       Alcotest.test_case "netsim bad file paths exit 2" `Quick
         test_cli_bad_paths_exit_2;
+      Alcotest.test_case "run names a degenerate epoch count" `Quick
+        test_cli_degenerate_epochs;
       Alcotest.test_case "run --fixed at a finite buffer detects loss" `Quick
         test_cli_fixed_finite_buffer;
     ] )

@@ -331,7 +331,7 @@ let run_stream { discipline; sends; _ } =
         let time = time +. (gap *. tx) in
         let p =
           { Net.Packet.id; conn; kind; seq; size = 500; src = 0; dst = 1;
-            born = time; retransmit = false }
+            retransmit = false }
         in
         ignore
           (Engine.Sim.at sim ~time (fun () ->

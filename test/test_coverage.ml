@@ -62,7 +62,6 @@ let rig () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in
@@ -117,7 +116,6 @@ let test_link_with_random_drop () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in
@@ -151,7 +149,6 @@ let test_link_with_fair_queue () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in

@@ -17,7 +17,6 @@ let packet ?(id = 0) ?(conn = 1) ?(kind = Packet.Data) ?(seq = 0) ?(size = 500)
     size;
     src = 0;
     dst = 1;
-    born = 0.;
     retransmit = false;
   }
 

@@ -102,7 +102,6 @@ let test_sojourn_values () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in
@@ -137,7 +136,6 @@ let test_effective_pipe_from_acks () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in
@@ -171,7 +169,6 @@ let test_sojourn_before_attach () =
       size = 500;
       src = 0;
       dst = 1;
-      born = 0.;
       retransmit = false;
     }
   in

@@ -16,7 +16,6 @@ let packet ?(id = 0) ?(conn = 1) ?(kind = Packet.Data) ?(seq = 0) ?(size = 500)
     size;
     src = 0;
     dst = 1;
-    born = 0.;
     retransmit = false;
   }
 
@@ -116,6 +115,39 @@ let test_hooks () =
   Alcotest.(check (list int)) "depart qlens" [ 0 ] (List.rev !dep);
   Alcotest.(check int) "drop hook" 1 !dropped
 
+(* Minor words per packet through a FIFO link, measured on a second
+   batch so that the ring and the event heap have already grown. *)
+let words_per_packet ~hooked =
+  let sim = Sim.create () in
+  let link = make_link ~prop_delay:0.001 ~buffer:None sim in
+  Link.set_deliver link (fun _ -> ());
+  if hooked then begin
+    Link.on_enqueue link (fun _t _p _qlen -> ());
+    Link.on_depart link (fun _t _p _qlen -> ())
+  end;
+  let n = 1000 in
+  let batch = Array.init n (fun i -> packet ~id:i ~seq:i ()) in
+  let send_batch () =
+    Array.iter (fun p -> ignore (Link.send link p : [ `Ok | `Dropped ])) batch;
+    Sim.run_to_completion sim
+  in
+  send_batch ();
+  let before = Gc.minor_words () in
+  send_batch ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* A hook fire boxes the current time once (2 words) and allocates
+   nothing else, so an enqueue and a depart hook add at most 4 words a
+   packet.  A closure built per fire and a [Queue] cell and [Some] per
+   queued packet took it to 16 more. *)
+let test_hook_allocation () =
+  let bare = words_per_packet ~hooked:false in
+  let hooked = words_per_packet ~hooked:true in
+  if hooked -. bare > 4. then
+    Alcotest.failf
+      "hooks add %.2f minor words per packet (%.2f against %.2f; bound 4)"
+      (hooked -. bare) hooked bare
+
 let test_contents () =
   let sim = Sim.create () in
   let link = make_link ~prop_delay:0. ~buffer:None sim in
@@ -205,6 +237,8 @@ let suite =
       Alcotest.test_case "busy time" `Quick test_busy_time;
       Alcotest.test_case "counters by kind" `Quick test_counters_by_kind;
       Alcotest.test_case "hooks" `Quick test_hooks;
+      Alcotest.test_case "a hook fire allocates only the boxed time" `Quick
+        test_hook_allocation;
       Alcotest.test_case "contents" `Quick test_contents;
       Alcotest.test_case "tx time" `Quick test_tx_time;
       Alcotest.test_case "create validation" `Quick test_create_validation;

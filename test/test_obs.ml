@@ -59,7 +59,7 @@ let test_metrics_duplicate_name () =
 let test_metrics_histogram () =
   let reg = Obs.Metrics.create () in
   let h = Obs.Metrics.histogram reg "q" ~bounds:[| 1.; 4.; 16. |] in
-  List.iter (Obs.Metrics.observe h) [ 0.; 1.; 2.; 5.; 100. ];
+  List.iter (Obs.Metrics.observe h) [ 0; 1; 2; 5; 100 ];
   Alcotest.(check (list (pair string (float 0.))))
     "cumulative buckets"
     [

@@ -35,7 +35,6 @@ let harness ?(delayed_ack = false) () =
       size = 500;
       src = h1;
       dst = h2;
-      born = Sim.now sim;
       retransmit = false;
     }
   in

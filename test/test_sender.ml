@@ -35,7 +35,6 @@ let harness ?(rto_params = Rto.default_params) () =
         size = 50;
         src = h2;
         dst = h1;
-        born = Sim.now sim;
         retransmit = false;
       };
     flush ()

@@ -18,7 +18,6 @@ let rig ?(buffer = Some 3) () =
       size = (match kind with Packet.Data -> 500 | Packet.Ack -> 50);
       src = 0;
       dst = 1;
-      born = Sim.now sim;
       retransmit = false;
     }
   in

@@ -14,7 +14,6 @@ let pkt ?(kind = Net.Packet.Data) ?(retransmit = false) ?(conn = 1) ~id ~seq ()
     size = 1024;
     src = 0;
     dst = 3;
-    born = 0.;
     retransmit;
   }
 
