@@ -47,7 +47,12 @@ val min_version : int
     ring records the same plain values the decoder yields, so one JSONL
     renderer serves both.  A link is its identity:
     [link_id] doubles as the Perfetto track id, [bandwidth]
-    reconstructs departure slice durations offline. *)
+    reconstructs departure slice durations offline.
+
+    The values are immutable, and the decoder hands out one value where
+    records repeat one: items may share a physically equal [pkt] (the
+    same packet's enqueue, departure and delivery), time or [link].
+    Compare them with [=], never with [==]. *)
 
 type pkt = {
   id : int;
@@ -182,7 +187,8 @@ val flush : writer -> unit
     called. *)
 val iter : string -> (item -> unit) -> (int * stop option, string) result
 
-(** {!iter} collected into a list; [torn] carries the note of either
+(** Every item {!iter} would deliver, as a list in stream order, built
+    as it decodes (no reversed copy); [torn] carries the note of either
     kind of {!stop}. *)
 val read : string -> (file, string) result
 
