@@ -1,10 +1,11 @@
 (* Golden-trace generator: runs the canonical one-way and two-way
-   scenarios, a faulted two-way one and a timer-heavy two-way one
-   (validation on) and prints a digest of each — drop count, both
-   utilizations, final congestion windows, an MD5 checksum over the full
-   bottleneck queue series and one over each bottleneck's departure log
-   (order, times and sojourns); the faulted scenario adds its fault
-   ledgers and an MD5 checksum over its drops in order.
+   scenarios, a faulted two-way one, a timer-heavy two-way one and a
+   many-flow two-way one (validation on) and prints a digest of each —
+   drop count, both utilizations, final congestion windows, an MD5
+   checksum over the full bottleneck queue series and one over each
+   bottleneck's departure log (order, times and sojourns); the faulted
+   scenario adds its fault ledgers and an MD5 checksum over its drops in
+   order.
 
    The output is diffed against the committed [golden.digest] by the
    [runtest] alias; an intentional behaviour change is accepted with
@@ -115,4 +116,15 @@ let () =
             [ conn ~rtt_skew:0.05 Forward;
               conn ~delayed_ack:true Reverse;
               conn ~pacing:(Some 0.1) Forward ])
-       ~duration:120. ~warmup:40. ~validate:true ())
+       ~duration:120. ~warmup:40. ~validate:true ());
+  (* Fig-3's two-way Tahoe at 25+25: fifty retransmission timers, each
+     re-armed on every ACK, share the queue with packet events and tie
+     with them at the same instants, so the order in which the
+     scheduler merges the two kinds shows in every departure. *)
+  digest
+    (make ~name:"many-flows" ~tau:0.01 ~buffer:(Some 20)
+       ~conns:
+         (stagger ~step:0.5
+            (List.init 50 (fun i ->
+                 conn (if i < 25 then Forward else Reverse))))
+       ~duration:300. ~warmup:100. ~validate:true ())

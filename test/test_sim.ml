@@ -450,27 +450,37 @@ let prop_timer_equivalence =
 (* ------------------------------------------------------------------ *)
 
 (* Opcodes 0-2 [schedule], 3-4 [at], 5 [cancel] (of any handle ever
-   made, so fired and cancelled ones too), 6-7 [Timer.set] on one of
-   three timers, 8-9 [step].  Times are clamped into [now, 5], so at
-   most six distinct instants exist and same-time ties are common.  The
-   model orders by (time, seq); a re-arm takes a fresh seq, exactly
-   like a new schedule.  After every operation the queue length and
-   the [pending] answer of every handle and timer must match the
-   model, so a handle whose slot was reused cannot pass for live. *)
+   made, so fired and cancelled ones too), 6-7 [Timer.set], 10
+   [Timer.cancel] and 11 [Timer.set_at] on one of three timers, 8-9
+   [step] and 12 [run_guarded] with an event budget of 0 to 3.  Times
+   are clamped into [now, 5], so at most six distinct instants exist
+   and same-time ties are common: a timer re-armed while pending,
+   cancelled and armed again from idle meets one-shots at the same
+   instants.  The model orders by (time, seq); an arm or re-arm takes a
+   fresh seq, exactly like a new schedule.  Every event that runs must
+   be the model's next one, at its time, and a guarded run must stop
+   for the model's reason; after every operation the queue length and
+   the [pending] answer of every handle and timer must match the model,
+   so a handle whose slot was reused cannot pass for live. *)
 let prop_model =
   QCheck.Test.make
     ~name:"model: schedule/at/cancel/Timer.set/step vs sorted list" ~count:300
     QCheck.(
       list_of_size Gen.(int_range 0 200)
-        (triple (int_bound 9) (int_bound 5) small_nat))
+        (triple (int_bound 12) (int_bound 5) small_nat))
     (fun ops ->
       let sim = Sim.create () in
-      let fired = ref [] in
+      let ok = ref true in
       let model = ref [] and seq = ref 0 and next_id = ref 0 in
+      (* Each event that runs must be the model's head. *)
+      let fire id () =
+        match !model with
+        | (mt, _, x) :: rest when x = id && Sim.now sim = mt -> model := rest
+        | _ -> ok := false
+      in
       let handles = ref [||] in
       let timers =
-        Array.init 3 (fun i ->
-            Sim.Timer.create sim (fun () -> fired := -(i + 1) :: !fired))
+        Array.init 3 (fun i -> Sim.Timer.create sim (fire (-(i + 1))))
       in
       let insert ~time id =
         model :=
@@ -480,7 +490,9 @@ let prop_model =
         incr seq
       in
       let remove id = model := List.filter (fun (_, _, x) -> x <> id) !model in
-      let ok = ref true in
+      let due until =
+        List.length (List.filter (fun (mt, _, _) -> mt <= until) !model)
+      in
       List.iter
         (fun (op, t, k) ->
           let now = Sim.now sim in
@@ -488,10 +500,9 @@ let prop_model =
           (if op <= 4 then begin
              let id = !next_id in
              incr next_id;
-             let action () = fired := id :: !fired in
              let h =
-               if op <= 2 then Sim.schedule sim ~delay:(time -. now) action
-               else Sim.at sim ~time action
+               if op <= 2 then Sim.schedule sim ~delay:(time -. now) (fire id)
+               else Sim.at sim ~time (fire id)
              in
              handles := Array.append !handles [| (id, h) |];
              insert ~time id
@@ -509,14 +520,38 @@ let prop_model =
              Sim.Timer.set timers.(i) ~delay:(time -. now);
              insert ~time (-(i + 1))
            end
-           else
-             match (Sim.step sim ~until:5., !model) with
-             | false, [] -> ()
-             | true, (mt, _, id) :: rest ->
-               if !fired <> [] && List.hd !fired = id && Sim.now sim = mt then
-                 model := rest
-               else ok := false
-             | _ -> ok := false);
+           else if op <= 9 then begin
+             let before = List.length !model and expect = due 5. > 0 in
+             let ran = Sim.step sim ~until:5. in
+             if ran <> expect || List.length !model <> before - Bool.to_int ran
+             then ok := false
+           end
+           else if op = 10 then begin
+             let i = k mod 3 in
+             Sim.Timer.cancel timers.(i);
+             remove (-(i + 1))
+           end
+           else if op = 11 then begin
+             let i = k mod 3 in
+             Sim.Timer.set_at timers.(i) ~time;
+             insert ~time (-(i + 1))
+           end
+           else begin
+             let budget = k mod 4 and before = List.length !model in
+             let expect = min budget (due time) in
+             let reason =
+               Sim.run_guarded sim ~until:time ~max_events:budget ()
+             in
+             let ran = before - List.length !model in
+             let complete = due time = 0 in
+             (match reason with
+              | Sim.Completed ->
+                if not complete || Sim.now sim <> time then ok := false
+              | Sim.Event_budget n ->
+                if complete || n <> budget then ok := false
+              | _ -> ok := false);
+             if ran <> expect then ok := false
+           end);
           if Sim.queue_length sim <> List.length !model then ok := false;
           let queued id = List.exists (fun (_, _, x) -> x = id) !model in
           Array.iter
