@@ -4,10 +4,16 @@
     simulated time.  The clock only moves when the next event is dequeued;
     within a single instant events run in the order they were scheduled.
 
-    Internally every scheduled obligation is a slot in an indexed binary
-    heap: cancelling removes it immediately and re-arming a {!Timer}
-    re-keys it in place, so the per-event hot path performs no
-    allocation (see DESIGN.md, "hot-path allocation model").
+    Internally every scheduled obligation is a slot in one of two
+    indexed binary heaps over one slot table: cancelling removes it
+    immediately and re-arming a {!Timer} re-keys it in place, so the
+    per-event hot path performs no allocation (see DESIGN.md, "hot-path
+    allocation model").  A timer that has been re-armed while pending
+    (a TCP retransmission timer, restarted on every ACK) queues in the
+    second heap from then on, so packet events do not sift past its
+    far-off deadline.  The loop takes whichever heap's next event comes
+    first by (time, scheduling order), so the split changes no delivery
+    order.
 
     {2 Error conventions}
 
@@ -30,8 +36,8 @@ val now : t -> float
 (** Number of events executed so far. *)
 val events_run : t -> int
 
-(** Number of live events currently in the queue.  Cancelled events are
-    removed from the heap immediately, so this is an exact count. *)
+(** Number of live events currently queued, in both heaps.  Cancelled
+    events are removed immediately, so this is an exact count. *)
 val queue_length : t -> int
 
 (** [on_event t f] registers an observer called with the clock value each
@@ -61,13 +67,16 @@ val pending : handle -> bool
 
     A [Timer.timer] is allocated once per owner (a TCP connection's
     retransmission timer, a link's transmitter) and re-armed in place for
-    the rest of the run: [Timer.set] on an armed timer mutates its heap
-    slot — new time, fresh sequence number — instead of minting a new
-    closure and handle, so per-ACK RTO churn allocates nothing.
+    the rest of the run: [Timer.set] on an armed timer gives its heap
+    entry a new time and a fresh sequence number instead of minting a
+    new closure and handle, so per-ACK RTO churn allocates nothing.  The
+    first such re-arm while pending moves the timer's entry to the
+    scheduler's second heap, where all its later armings go; that heap's
+    arrays are made on first use and grow with its own entries.
 
     Re-arming takes a fresh sequence number at the call site, exactly as
     a cancel + schedule pair would, so same-instant delivery order is
-    identical to the closure API's. *)
+    identical to the closure API's, whichever heap holds the entry. *)
 module Timer : sig
   type timer
 

@@ -20,18 +20,18 @@ let pp_time ppf t =
 (* Shortest decimal representation that round-trips through
    [float_of_string].  %.9g (the historical trace format) is tried
    first so values it already encodes exactly keep their old spelling;
-   %.17g always round-trips IEEE doubles, so the fallback terminates. *)
+   %.17g always round-trips IEEE doubles, so the fallback terminates.
+   The attempts call the runtime formatter that [Printf]'s %g ends in
+   directly, with the same format strings, so the spellings are
+   Printf's without parsing a format per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
-  let try_prec p =
-    let s = Printf.sprintf "%.*g" p f in
-    if float_of_string s = f then Some s else None
-  in
-  match try_prec 9 with
-  | Some s -> s
-  | None -> (
-    match try_prec 12 with
-    | Some s -> s
-    | None -> (
-      match try_prec 15 with
-      | Some s -> s
-      | None -> Printf.sprintf "%.17g" f))
+  let s = format_float "%.9g" f in
+  if float_of_string s = f then s
+  else
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s
+    else
+      let s = format_float "%.15g" f in
+      if float_of_string s = f then s else format_float "%.17g" f

@@ -641,51 +641,100 @@ let read data =
 (* Offline formatters                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The JSONL renderer runs once per trace event, so it appends to a
+   buffer without [Printf]'s per-call format interpretation, and writes
+   ints as digits. *)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then Buffer.add_string buf (Int.to_string n) else add_digits buf n
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
 let add_pkt buf (p : pkt) =
-  Printf.bprintf buf ",\"id\":%d,\"conn\":%d,\"kind\":\"%s\",\"seq\":%d" p.id
-    p.conn
-    (Net.Packet.kind_to_string p.kind)
-    p.seq;
+  Buffer.add_string buf ",\"id\":";
+  add_int buf p.id;
+  Buffer.add_string buf ",\"conn\":";
+  add_int buf p.conn;
+  Buffer.add_string buf ",\"kind\":\"";
+  Buffer.add_string buf (Net.Packet.kind_to_string p.kind);
+  Buffer.add_string buf "\",\"seq\":";
+  add_int buf p.seq;
   if p.retransmit then Buffer.add_string buf ",\"rexmt\":true"
 
-let add_link buf (l : link) =
-  Printf.bprintf buf ",\"link\":\"%s\"" (Json.escape l.link_name)
+(* A link's rendered [,"link":"..."] field. *)
+let link_field (l : link) = ",\"link\":\"" ^ Json.escape l.link_name ^ "\""
 
-let jsonl_line ~time ev =
-  let buf = Buffer.create 96 in
-  Printf.bprintf buf "{\"t\":%s,\"ev\":\"%s\"" (Json.float_repr time)
-    (ev_label ev);
+(* One JSONL object, no newline; [link] renders a link's field. *)
+let add_jsonl buf ~link ~time ev =
+  Buffer.add_string buf "{\"t\":";
+  Buffer.add_string buf (Json.float_repr time);
+  Buffer.add_string buf ",\"ev\":\"";
+  Buffer.add_string buf (ev_label ev);
+  Buffer.add_char buf '"';
   (match ev with
    | Inject p | Deliver p -> add_pkt buf p
-   | Enqueue { link; pkt; qlen } | Depart { link; pkt; qlen } ->
-     add_link buf link;
+   | Enqueue { link = l; pkt; qlen } | Depart { link = l; pkt; qlen } ->
+     Buffer.add_string buf (link l);
      add_pkt buf pkt;
-     Printf.bprintf buf ",\"qlen\":%d" qlen
-   | Drop { link; pkt } ->
-     add_link buf link;
+     Buffer.add_string buf ",\"qlen\":";
+     add_int buf qlen
+   | Drop { link = l; pkt } ->
+     Buffer.add_string buf (link l);
      add_pkt buf pkt
-   | Fault { link; label; pkt } ->
-     add_link buf link;
-     Printf.bprintf buf ",\"fault\":\"%s\"" (Json.escape label);
+   | Fault { link = l; label; pkt } ->
+     Buffer.add_string buf (link l);
+     Buffer.add_string buf ",\"fault\":\"";
+     Buffer.add_string buf (Json.escape label);
+     Buffer.add_char buf '"';
      add_pkt buf pkt
    | Send { conn = _; pkt } -> add_pkt buf pkt
    | Cwnd { conn; cwnd; ssthresh } ->
-     Printf.bprintf buf ",\"conn\":%d,\"cwnd\":%s,\"ssthresh\":%s" conn
-       (Json.float_repr cwnd) (Json.float_repr ssthresh)
+     Buffer.add_string buf ",\"conn\":";
+     add_int buf conn;
+     Buffer.add_string buf ",\"cwnd\":";
+     Buffer.add_string buf (Json.float_repr cwnd);
+     Buffer.add_string buf ",\"ssthresh\":";
+     Buffer.add_string buf (Json.float_repr ssthresh)
    | Loss { conn; reason } ->
-     Printf.bprintf buf ",\"conn\":%d,\"reason\":\"%s\"" conn (Json.escape reason)
+     Buffer.add_string buf ",\"conn\":";
+     add_int buf conn;
+     Buffer.add_string buf ",\"reason\":\"";
+     Buffer.add_string buf (Json.escape reason);
+     Buffer.add_char buf '"'
    | Ack_tx { conn; ackno; delayed; dup } ->
-     Printf.bprintf buf ",\"conn\":%d,\"ackno\":%d,\"delayed\":%b,\"dup\":%b"
-       conn ackno delayed dup);
-  Buffer.add_char buf '}';
+     Buffer.add_string buf ",\"conn\":";
+     add_int buf conn;
+     Buffer.add_string buf ",\"ackno\":";
+     add_int buf ackno;
+     Buffer.add_string buf ",\"delayed\":";
+     add_bool buf delayed;
+     Buffer.add_string buf ",\"dup\":";
+     add_bool buf dup);
+  Buffer.add_char buf '}'
+
+let jsonl_line ~time ev =
+  let buf = Buffer.create 96 in
+  add_jsonl buf ~link:link_field ~time ev;
   Buffer.contents buf
 
+(* One buffer for every line, handed to [sink] with its newline; each
+   link's field is rendered once, when its def is read. *)
 let export_jsonl data sink =
+  let buf = Buffer.create 128 in
+  let fields = Engine.Int_tbl.create 8 in
+  let link (l : link) = Engine.Int_tbl.find fields l.link_id in
   iter data (function
-    | Def_link _ | Def_conn _ | Def_conn_meta _ -> ()
+    | Def_link l -> Engine.Int_tbl.replace fields l.link_id (link_field l)
+    | Def_conn _ | Def_conn_meta _ -> ()
     | Event (time, ev) ->
-      sink (jsonl_line ~time ev);
-      sink "\n")
+      Buffer.clear buf;
+      add_jsonl buf ~link ~time ev;
+      Buffer.add_char buf '\n';
+      sink (Buffer.contents buf))
 
 (* Chrome trace_event rendering: one process, one thread ("track" in
    Perfetto) per link and per connection; counter tracks (queue depth,

@@ -198,8 +198,8 @@ val read : string -> (file, string) result
 val jsonl_line : time:float -> ev -> string
 
 (** Decode and render every event as a JSONL line (defs are skipped), in
-    one pass.  Returns what {!iter} returns; on [Error] nothing was
-    written. *)
+    one pass; [sink] gets one call per line, newline included.  Returns
+    what {!iter} returns; on [Error] nothing was written. *)
 val export_jsonl :
   string -> (string -> unit) -> (int * stop option, string) result
 
