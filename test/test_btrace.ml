@@ -485,22 +485,35 @@ let prefixes_md5 data =
   done;
   Digest.to_hex (Digest.string (Buffer.contents digests))
 
+(* The MD5 of [export_chrome]'s whole output. *)
+let chrome_md5 data =
+  let out = Buffer.create 65536 in
+  ignore (Obs.Btrace.export_chrome data (Buffer.add_string out));
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
 (* Pinned from the decoder that boxed an [Int64] per time byte, before
    the cursor rewrite; the rewrite must reproduce its output exactly.
    A real trace's first times need 9- and 10-byte deltas, so both time
    paths are covered.  [real_trace] is simulated afresh, so its bytes
    are pinned first: a model change fails that check, not the
    decoder's, and its decoder pin must then be re-taken with a decoder
-   that passes the [encode_all] pin. *)
+   that passes the [encode_all] pin.  The Perfetto export's pins were
+   taken from its [Printf.sprintf] renderer, before it rendered into
+   one buffer; [encode_all] has every event kind and [real_trace] the
+   fault records of a real outage. *)
 let test_frozen_prefix_outputs () =
   let data, _ = encode_all () in
   Alcotest.(check string) "every prefix of encode_all's stream"
     "08f22bc90b900ab0522d6495f53f1ca4" (prefixes_md5 data);
+  Alcotest.(check string) "perfetto export of encode_all's stream"
+    "5bd8f4c3e1ce5ddc6b7df63131bc3c4c" (chrome_md5 data);
   let real = Lazy.force real_trace in
   Alcotest.(check string) "the real trace's bytes, which only the model moves"
     "1cc4cd90a7ecfa0b93b729c03a8abe01" (Digest.to_hex (Digest.string real));
   Alcotest.(check string) "every prefix of a real trace"
-    "99c0900020bc1d5e4d4797872f044e98" (prefixes_md5 real)
+    "99c0900020bc1d5e4d4797872f044e98" (prefixes_md5 real);
+  Alcotest.(check string) "perfetto export of a real trace"
+    "a688176b668ccfbb591e202033f44c85" (chrome_md5 real)
 
 (* ---------------- allocation guards ---------------- *)
 
