@@ -18,20 +18,22 @@ let pp_time ppf t =
   else Format.fprintf ppf "%.1fus" (t *. 1e6)
 
 (* Shortest decimal representation that round-trips through
-   [float_of_string].  %.9g (the historical trace format) is tried
-   first so values it already encodes exactly keep their old spelling;
-   %.17g always round-trips IEEE doubles, so the fallback terminates.
-   The attempts call the runtime formatter that [Printf]'s %g ends in
-   directly, with the same format strings, so the spellings are
-   Printf's without parsing a format per call. *)
+   [float_of_string], among %.9g (the historical trace format, so values
+   it already encodes exactly keep their old spelling), %.12g, %.15g and
+   %.17g, which always round-trips IEEE doubles.  %.15g is tried first:
+   the set of 15-digit decimals contains every 9- and 12-digit one, so
+   when %.15g misses, the shorter two miss too, and most simulated times
+   need %.17g.  The attempts call the runtime formatter that [Printf]'s
+   %g ends in directly, with the same format strings, so the spellings
+   are Printf's without parsing a format per call. *)
 external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr f =
-  let s = format_float "%.9g" f in
-  if float_of_string s = f then s
+  let s15 = format_float "%.15g" f in
+  if float_of_string s15 <> f then format_float "%.17g" f
   else
-    let s = format_float "%.12g" f in
+    let s = format_float "%.9g" f in
     if float_of_string s = f then s
     else
-      let s = format_float "%.15g" f in
-      if float_of_string s = f then s else format_float "%.17g" f
+      let s = format_float "%.12g" f in
+      if float_of_string s = f then s else s15

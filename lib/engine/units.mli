@@ -23,6 +23,6 @@ val pp_time : Format.formatter -> float -> unit
 
 (** Shortest decimal representation of [f] that parses back to exactly
     the same double: [%.9g] when that round-trips (keeping historical
-    trace spellings stable), widening through [%.12g] / [%.15g] to
-    [%.17g], which always round-trips. *)
+    trace spellings stable), else [%.12g], [%.15g] or [%.17g], which
+    always round-trips. *)
 val float_repr : float -> string
