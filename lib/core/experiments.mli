@@ -46,8 +46,8 @@ type figure = {
 }
 
 val figures : figure list
-(** The six plotted figures in paper order, as [netsim plot], [netsim
-    dump] and the bench gallery use them. *)
+(** The six plotted figures in paper order, as [netsim plot] and
+    [netsim dump] use them. *)
 
 (** {1 Experiments} *)
 
