@@ -372,7 +372,7 @@ let test_bad_param_values () =
 
 (* [netsim ARGS] -> (exit code, stdout); stderr is discarded. *)
 let run_netsim args =
-  match Test_domain_safety.netsim with
+  match Test_sweep.netsim with
   | None -> Alcotest.fail "netsim.exe not built"
   | Some exe ->
     let out = Filename.temp_file "netsim-cc" ".out" in
@@ -389,7 +389,7 @@ let run_netsim args =
     let code =
       match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
     in
-    (code, Test_domain_safety.read_file out)
+    (code, Test_sweep.read_file out)
 
 let short_run = [ "--fwd"; "1"; "--duration"; "10"; "--warmup"; "1" ]
 
@@ -407,7 +407,7 @@ let test_cli_reports_spec_losslessly () =
   in
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check bool) "summary names the spec as given" true
-    (Test_domain_safety.contains out {|"cc":"fixed:w=1234567"|})
+    (Test_sweep.contains out {|"cc":"fixed:w=1234567"|})
 
 let test_newreno_partial_ack () =
   (* Only NewReno answers true (retransmit the hole) to a partial ACK;

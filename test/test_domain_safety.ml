@@ -1,15 +1,11 @@
 (* Domain-backend coverage: the OCaml 5 shared-memory executor must be
-   observationally identical to the sequential and fork backends — same
-   values, same order, same JSON bytes for any job count — and must
-   honour cooperative stop and SIGINT with a clean partial outcome.
+   observationally identical to the sequential and fork backends and
+   must honour cooperative stop and SIGINT with a clean partial outcome.
 
-   Ordering matters twice over.  Once a domain has been spawned, the
-   OCaml 5 runtime forbids Unix.fork for the rest of the process, so
-   (a) test_main.ml registers this suite after Test_sweep, whose
-   fork-backend tests must already have run, and (b) within this suite
-   the tests that fork — the netsim SIGINT subprocess test and the
-   fork-backend reference runs of the byte-identity test — come first,
-   before the first Domain.spawn.
+   Once a domain has been spawned, the OCaml 5 runtime forbids Unix.fork
+   for the rest of the process, so test_main.ml registers this suite
+   last.  The byte-identity check across backends, the random-grid
+   property and the netsim SIGINT test live in test_sweep.ml.
 
    On 4.14 builds Domain requests degrade to the fork executor, so the
    backend-agnostic tests still run and still hold; the tests whose
@@ -17,117 +13,6 @@
    signals) are registered only when the domain backend exists. *)
 
 let dom = Sweep_pool.Domain
-
-(* ---------------- netsim SIGINT: exit 130, partial table ----------------
-   Forks netsim, so this must be the first test in the suite. *)
-
-(* Under `dune runtest` the cwd is _build/default/test; under
-   `dune exec test/test_main.exe` it is the workspace root. *)
-let netsim =
-  List.find_opt Sys.file_exists
-    [
-      Filename.concat (Filename.concat ".." "bin") "netsim.exe";
-      "_build/default/bin/netsim.exe";
-    ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-  in
-  go 0
-
-(* One attempt: spawn a sweep, SIGINT it after [delay] seconds.
-   [`Exit_130 stdout] is success; [`Too_late] means the sweep finished
-   before the signal (retry with a shorter delay); [`Too_early] means
-   the signal landed before the handler was installed and killed the
-   process (retry with a longer delay). *)
-let sigint_attempt ~netsim ~delay =
-  let out = Filename.temp_file "netsim-sigint" ".out" in
-  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-  @@ fun () ->
-  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let fd_err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process netsim
-      [| netsim; "sweep"; "phase-diagram"; "--jobs"; "2" |]
-      Unix.stdin fd_out fd_err
-  in
-  Unix.close fd_out;
-  Unix.close fd_err;
-  Unix.sleepf delay;
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | p, _ when p = pid -> `Too_late
-  | _ ->
-    Unix.kill pid Sys.sigint;
-    (match Unix.waitpid [] pid with
-     | _, Unix.WEXITED 130 -> `Exit_130 (read_file out)
-     | _, Unix.WEXITED c -> `Exit c
-     | _, Unix.WSIGNALED s when s = Sys.sigint -> `Too_early
-     | _, Unix.WSIGNALED s -> `Signaled s
-     | _, Unix.WSTOPPED _ -> `Exit (-1))
-
-let test_cli_sigint_exit_130 () =
-  let netsim =
-    match netsim with
-    | Some p when Sys.os_type = "Unix" -> p
-    | _ -> Alcotest.skip ()
-  in
-  (* The grid takes a fraction of a second, so the right delay depends
-     on the machine: walk a ladder of delays instead of guessing one. *)
-  let rec try_delays = function
-    | [] ->
-      Alcotest.fail
-        "could not land SIGINT mid-sweep at any delay (machine too \
-         fast/slow?)"
-    | delay :: rest -> (
-      match sigint_attempt ~netsim ~delay with
-      | `Exit_130 stdout ->
-        Alcotest.(check bool)
-          "partial table printed (header reaches stdout)" true
-          (contains stdout "point");
-        Alcotest.(check bool)
-          "interrupted summary line printed" true
-          (contains stdout "interrupted:")
-      | `Too_late | `Too_early -> try_delays rest
-      | `Exit c ->
-        Alcotest.fail (Printf.sprintf "expected exit 130, got exit %d" c)
-      | `Signaled s ->
-        Alcotest.fail (Printf.sprintf "expected exit 130, got signal %d" s))
-  in
-  try_delays [ 0.15; 0.05; 0.25; 0.02; 0.4; 0.1; 0.05; 0.02 ]
-
-(* ---------------- Byte-identity across backends and job counts --------
-   The tentpole guarantee: {seq, fork, domain} x jobs {1, 2, 4} all
-   produce byte-identical sweep JSON.  Fork runs precede domain runs
-   (fork-after-domain is forbidden, see header). *)
-
-let test_backend_bytes_identical () =
-  let points = Sweep.Grids.smoke.points () in
-  let json backend jobs =
-    Sweep.Driver.to_json
-      (Sweep_pool.map ~backend ~jobs (fun p -> Sweep.Driver.run_point p) points)
-  in
-  let reference = json Sweep_pool.Seq 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "fork jobs=%d matches sequential bytes" jobs)
-        reference
-        (json Sweep_pool.Fork jobs))
-    [ 1; 2; 4 ];
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "domain jobs=%d matches sequential bytes" jobs)
-        reference (json dom jobs))
-    [ 1; 2; 4 ]
 
 (* ---------------- Pool semantics under the domain backend ------------- *)
 
@@ -257,25 +142,9 @@ let test_domain_sigint_stop () =
   Alcotest.(check (list Alcotest.reject)) "no spurious point failures" []
     o.point_failures
 
-(* ---------------- Random grids ----------------
-   The qcheck property: for random task grids and job counts, the
-   domain pool is exactly List.map — order, values, length. *)
-
-let prop_domain_matches_map =
-  QCheck.Test.make ~name:"domain pool equals List.map on random grids"
-    ~count:40
-    QCheck.(pair (small_list small_int) (int_range 1 6))
-    (fun (xs, jobs) ->
-      let f x = ((5 * x) - 7, string_of_int x) in
-      Sweep_pool.map ~backend:dom ~jobs f xs = List.map f xs)
-
 let suite =
   ( "domain-safety",
     [
-      Alcotest.test_case "netsim sweep SIGINT exits 130" `Slow
-        test_cli_sigint_exit_130;
-      Alcotest.test_case "byte-identical across backends x jobs" `Slow
-        test_backend_bytes_identical;
       Alcotest.test_case "domain pool matches map" `Quick
         test_domain_matches_map;
       Alcotest.test_case "domain task exception" `Quick
@@ -289,5 +158,4 @@ let suite =
            Alcotest.test_case "domain SIGINT stop" `Quick
              test_domain_sigint_stop;
          ]
-       else [])
-    @ [ QCheck_alcotest.to_alcotest prop_domain_matches_map ] )
+       else []) )

@@ -42,6 +42,7 @@ let () =
       Test_oracles.suite;
       (* Last: spawns domains, and the OCaml 5 runtime forbids
          Unix.fork in a process that has ever had more than one
-         domain — every fork-based test must precede this suite. *)
+         domain.  Test_sweep's last case spawns domains too, so no
+         suite between the two may fork. *)
       Test_domain_safety.suite;
     ]

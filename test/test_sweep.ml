@@ -1,8 +1,23 @@
 (* lib/sweep + lib/sweep/pool: the parallel fan-out must be invisible in
    the results — same values, same order, same bytes — for any executor
    and any job count.  The dead-worker and stop tests pin
-   [~backend:Fork]: worker processes only exist there.  Domain-executor
-   coverage lives in test_domain_safety.ml. *)
+   [~backend:Fork]: worker processes only exist there.  The five
+   domain-only cases live in test_domain_safety.ml. *)
+
+(* Under `dune runtest` the cwd is _build/default/test; under
+   `dune exec test/test_main.exe` it is the workspace root. *)
+let netsim =
+  List.find_opt Sys.file_exists
+    [
+      Filename.concat (Filename.concat ".." "bin") "netsim.exe";
+      "_build/default/bin/netsim.exe";
+    ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -14,9 +29,10 @@ let contains haystack needle =
 (* Seq and Fork only: on OCaml 5 the runtime permanently forbids
    Unix.fork once any domain has ever been spawned in the process, so
    every fork-backend test in this binary must run before the first
-   domain-backend test.  This suite therefore stays domain-free; the
-   Domain equivalents of these checks live in test_domain_safety.ml,
-   registered after this suite in test_main.ml. *)
+   domain-backend test.  This suite spawns no domain before its last
+   case, the byte-identity check; the Domain equivalents of these
+   checks live in test_domain_safety.ml, registered last in
+   test_main.ml. *)
 let backends = [ ("seq", Sweep_pool.Seq); ("fork", Sweep_pool.Fork) ]
 
 let test_pool_matches_sequential () =
@@ -230,6 +246,98 @@ let test_driver_jobs_identical () =
   in
   Alcotest.(check string) "jobs 1 vs 2 byte-identical JSON" j1 j2
 
+(* The smoke grid under every executor at jobs 1, 2 and 4 gives the
+   sequential run's bytes.  Domain runs last: no fork after them. *)
+let test_backend_bytes_identical () =
+  let points = Sweep.Grids.smoke.points () in
+  let json backend jobs =
+    Sweep.Driver.to_json
+      (Sweep_pool.map ~backend ~jobs (fun p -> Sweep.Driver.run_point p) points)
+  in
+  let reference = json Sweep_pool.Seq 1 in
+  List.iter
+    (fun (label, backend) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d matches sequential bytes" label jobs)
+            reference (json backend jobs))
+        [ 1; 2; 4 ])
+    [ ("seq", Sweep_pool.Seq); ("fork", Sweep_pool.Fork);
+      ("domain", Sweep_pool.Domain) ]
+
+(* For random task grids and job counts, the fork pool is exactly
+   List.map — order, values, length. *)
+let prop_fork_matches_map =
+  QCheck.Test.make ~name:"fork pool equals List.map on random grids"
+    ~count:40
+    QCheck.(pair (small_list small_int) (int_range 1 6))
+    (fun (xs, jobs) ->
+      let f x = ((5 * x) - 7, string_of_int x) in
+      Sweep_pool.map ~backend:Sweep_pool.Fork ~jobs f xs = List.map f xs)
+
+(* ---------------- netsim sweep SIGINT: exit 130, partial table -------- *)
+
+(* One attempt: spawn a sweep, SIGINT it after [delay] seconds.
+   [`Exit_130 stdout] is success; [`Too_late] means the sweep finished
+   before the signal (retry with a shorter delay); [`Too_early] means
+   the signal landed before the handler was installed and killed the
+   process (retry with a longer delay). *)
+let sigint_attempt ~netsim ~delay =
+  let out = Filename.temp_file "netsim-sigint" ".out" in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+  @@ fun () ->
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let fd_err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process netsim
+      [| netsim; "sweep"; "phase-diagram"; "--jobs"; "2" |]
+      Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  Unix.sleepf delay;
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | p, _ when p = pid -> `Too_late
+  | _ ->
+    Unix.kill pid Sys.sigint;
+    (match Unix.waitpid [] pid with
+     | _, Unix.WEXITED 130 -> `Exit_130 (read_file out)
+     | _, Unix.WEXITED c -> `Exit c
+     | _, Unix.WSIGNALED s when s = Sys.sigint -> `Too_early
+     | _, Unix.WSIGNALED s -> `Signaled s
+     | _, Unix.WSTOPPED _ -> `Exit (-1))
+
+let test_cli_sigint_exit_130 () =
+  let netsim =
+    match netsim with
+    | Some p when Sys.os_type = "Unix" -> p
+    | _ -> Alcotest.skip ()
+  in
+  (* The grid takes a fraction of a second, so the right delay depends
+     on the machine: walk a ladder of delays instead of guessing one. *)
+  let rec try_delays = function
+    | [] ->
+      Alcotest.fail
+        "could not land SIGINT mid-sweep at any delay (machine too \
+         fast/slow?)"
+    | delay :: rest -> (
+      match sigint_attempt ~netsim ~delay with
+      | `Exit_130 stdout ->
+        Alcotest.(check bool)
+          "partial table printed (header reaches stdout)" true
+          (contains stdout "point");
+        Alcotest.(check bool)
+          "interrupted summary line printed" true
+          (contains stdout "interrupted:")
+      | `Too_late | `Too_early -> try_delays rest
+      | `Exit c ->
+        Alcotest.fail (Printf.sprintf "expected exit 130, got exit %d" c)
+      | `Signaled s ->
+        Alcotest.fail (Printf.sprintf "expected exit 130, got signal %d" s))
+  in
+  try_delays [ 0.15; 0.05; 0.25; 0.02; 0.4; 0.1; 0.05; 0.02 ]
+
 (* ---------------- Summary JSON ---------------- *)
 
 let test_json_special_floats () =
@@ -311,4 +419,11 @@ let suite =
         test_driver_jobs_identical;
       Alcotest.test_case "json special floats" `Quick test_json_special_floats;
       Alcotest.test_case "grids registry" `Quick test_grids_registry;
+      QCheck_alcotest.to_alcotest prop_fork_matches_map;
+      Alcotest.test_case "netsim sweep SIGINT exits 130" `Slow
+        test_cli_sigint_exit_130;
+      (* Last: spawns domains, after which the OCaml 5 runtime forbids
+         Unix.fork in this process. *)
+      Alcotest.test_case "byte-identical across backends x jobs" `Slow
+        test_backend_bytes_identical;
     ] )
