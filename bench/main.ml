@@ -273,15 +273,15 @@ let obs () =
             overhead ~cap:trace_overhead_limit_pct 4 ]);
   }
 
-(* sweep: the full Fig-8 buffer grid through Sweep.Driver under every
-   backend this build has (fork everywhere, domains on OCaml 5) at jobs
-   2 and 4, the number of those runs whose JSON differs from the
-   sequential run's (nonzero fails the gate in every mode), and each
-   backend's raw per-point dispatch cost on trivial tasks.  The
-   in-process dispatch cost and the jobs=1 wall clock are what a code
-   change moves on any machine, so those two are gated (25% band); the
-   multi-job rows also depend on the core count, so they are recorded,
-   with [cores_available] and [parallel_ok], but not gated. *)
+(* sweep: the full Fig-8 buffer grid through Sweep.Driver under the
+   fork executor at jobs 2 and 4, the number of those runs whose JSON
+   differs from the sequential run's (nonzero fails the gate in every
+   mode), and the in-process and fork per-point dispatch costs on
+   trivial tasks.  The in-process dispatch cost and the jobs=1 wall
+   clock are what a code change moves on any machine, so those two are
+   gated (25% band); the multi-job rows also depend on the core count,
+   so they are recorded, with [cores_available] and [parallel_ok], but
+   not gated. *)
 
 let sweep_grid = Sweep.Grids.fig8
 
@@ -298,43 +298,29 @@ let sweep () =
   let json backend jobs = Sweep.Driver.to_json (run backend jobs) in
   (* Raw dispatch: trivial tasks make the per-point overhead visible.
      Fork pays one Marshal value, a pipe write and a trip through the
-     select loop per point, while domains pay one atomic fetch per index
-     chunk. *)
+     select loop per point. *)
   let tasks = List.init 512 (fun i -> i) in
   let dispatch backend jobs =
     let map () = Sweep_pool.map ~backend ~jobs (fun x -> x) tasks in
     ignore (map () : int list);
     1e6 *. best_of reps map /. float_of_int (List.length tasks)
   in
-  (* Order is load-bearing: OCaml 5 forbids Unix.fork in a process that
-     has ever spawned a domain.  Sequential reference first ... *)
   let jobs1 = time Sweep_pool.Seq 1 in
   let reference = json Sweep_pool.Seq 1 in
   let inprocess_us = dispatch Sweep_pool.Seq 1 in
-  (* One backend at jobs 2 and 4: its timings, and how many of its
-     outputs differ from the reference. *)
-  let scale backend name =
-    let jobs = [ 2; 4 ] in
-    ( List.map (fun j -> (name, j, time backend j)) jobs,
-      List.length (List.filter (fun j -> json backend j <> reference) jobs) )
+  (* Fork at jobs 2 and 4: its timings, and how many of its outputs
+     differ from the reference. *)
+  let jobs = [ 2; 4 ] in
+  let runs = List.map (fun j -> (j, time Sweep_pool.Fork j)) jobs in
+  let differing =
+    List.length (List.filter (fun j -> json Sweep_pool.Fork j <> reference) jobs)
   in
-  (* ... then every fork measurement ... *)
-  let fork_runs, fork_differing = scale Sweep_pool.Fork "fork" in
   let fork_us = dispatch Sweep_pool.Fork 2 in
-  (* ... and only now domains: no fork beyond this point. *)
-  let domain_runs, domain_differing, domain_us =
-    if Sweep_pool.domain_backend_available then
-      let runs, differing = scale Sweep_pool.Domain "domain" in
-      (runs, differing, Some (dispatch Sweep_pool.Domain 2))
-    else ([], 0, None)
-  in
-  let runs = fork_runs @ domain_runs in
-  let differing = fork_differing + domain_differing in
   let cores = Sweep_pool.available_cores () in
   (* Speedup rows above the usable core count measure scheduling
      overhead, not parallelism; say so next to them rather than leaving
      a puzzling sub-1x figure in the report. *)
-  let max_jobs = List.fold_left (fun m (_, j, _) -> max m j) 1 runs in
+  let max_jobs = List.fold_left max 1 jobs in
   let note =
     if max_jobs <= cores then []
     else
@@ -343,11 +329,11 @@ let sweep () =
                    beyond jobs=%d measure scheduling overhead, not parallelism"
                 max_jobs cores cores)) ]
   in
-  let run_row (b, j, t) =
+  let run_row (j, t) =
     fmt
-      "    {\"backend\": \"%s\", \"jobs\": %d, \"seconds\": %.4f, \
+      "    {\"backend\": \"fork\", \"jobs\": %d, \"seconds\": %.4f, \
        \"speedup\": %.3f}"
-      b j t (jobs1 /. t)
+      j t (jobs1 /. t)
   in
   {
     fields =
@@ -366,8 +352,6 @@ let sweep () =
             fmt "[\n%s\n  ]" (String.concat ",\n" (List.map run_row runs)) );
           ("inprocess_dispatch_us_per_point", fmt "%.4f" inprocess_us);
           ("fork_dispatch_us_per_point", fmt "%.3f" fork_us);
-          ( "domain_dispatch_us_per_point",
-            Option.fold ~none:"null" ~some:(fmt "%.4f") domain_us );
           ("byte_identical", string_of_bool (differing = 0));
         ];
     checks =
@@ -385,7 +369,7 @@ let gates =
   [ ("engine", ("ENGINE HOT PATH: ns and minor words / event", engine));
     ("trace", ("RECORDER STORAGE: retained bytes, minor words / event", trace));
     ("obs", ("OBSERVABILITY OVERHEAD: lib/obs probe configurations", obs));
-    ("sweep", ("SWEEP POOL: fig8 grid through the pool backends", sweep)) ]
+    ("sweep", ("SWEEP POOL: fig8 grid through the pool executors", sweep)) ]
 
 let baseline file =
   let ic = open_in_bin file in

@@ -807,36 +807,29 @@ let run_cmd =
 let grid_names = List.map (fun (g : Sweep.Grids.spec) -> g.name) Sweep.Grids.all
 
 (* Live progress/ETA line on stderr ("\r"-rewritten, so stdout JSON
-   stays byte-deterministic).  Under the domain backend the callback
-   fires concurrently from worker domains; an atomic test-and-set
-   serializes the writers without a threads dependency (a contended
-   update is simply skipped — the next completion repaints), and a
-   ~0.2 s throttle keeps fast grids from flooding the terminal.  The
-   final point always paints so the line ends at 100%. *)
+   stays byte-deterministic).  The pool calls it in this process, in
+   order; a ~0.2 s throttle keeps fast grids from flooding the
+   terminal, and the final point always paints so the line ends at
+   100%. *)
 let progress_reporter ~total ~started =
-  let busy = Atomic.make false in
   let last_paint = ref 0. in
   fun (p : Sweep_pool.progress) ->
-    if Atomic.compare_and_set busy false true then begin
-      let now = Unix.gettimeofday () in
-      if p.prog_done >= total || now -. !last_paint >= 0.2 then begin
-        last_paint := now;
-        let elapsed = now -. started in
-        let eta =
-          if p.prog_done > 0 && p.prog_done < total then
-            Printf.sprintf ", ETA %.0fs"
-              (elapsed /. float_of_int p.prog_done
-              *. float_of_int (total - p.prog_done))
-          else ""
-        in
-        Printf.eprintf
-          "\rsweep: %d/%d points (%d%%), %d running, %.1fs elapsed%s \
-           \027[K%!"
-          p.prog_done total
-          (100 * p.prog_done / max 1 total)
-          p.prog_running elapsed eta
-      end;
-      Atomic.set busy false
+    let now = Unix.gettimeofday () in
+    if p.prog_done >= total || now -. !last_paint >= 0.2 then begin
+      last_paint := now;
+      let elapsed = now -. started in
+      let eta =
+        if p.prog_done > 0 && p.prog_done < total then
+          Printf.sprintf ", ETA %.0fs"
+            (elapsed /. float_of_int p.prog_done
+            *. float_of_int (total - p.prog_done))
+        else ""
+      in
+      Printf.eprintf
+        "\rsweep: %d/%d points (%d%%), %d running, %.1fs elapsed%s \027[K%!"
+        p.prog_done total
+        (100 * p.prog_done / max 1 total)
+        p.prog_running elapsed eta
     end
 
 let run_sweep grid_name jobs out list_grids progress guard_cli =
@@ -926,9 +919,9 @@ let sweep_cmd =
       & opt (checked_int ~what:"--jobs" ~min:1) (Sweep_pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Parallel workers: domains where this build has them (OCaml \
-             5), else forked processes (default $(b,NETSIM_JOBS) or 1). \
-             Results are bit-identical for every N.")
+            "Parallel workers, run as forked processes (default \
+             $(b,NETSIM_JOBS) or 1).  Results are bit-identical for every \
+             N.")
   in
   let out =
     Arg.(

@@ -44,8 +44,8 @@ val run :
     flag).  [stop] is polled between points — when it returns [true]
     the sweep finishes its in-flight points and returns a partial
     outcome with [interrupted = true].  [on_progress] fires after every
-    accounted point (see {!Sweep_pool.map_collect}: domain-safe, stderr
-    only). *)
+    accounted point, in order, in the calling process (see
+    {!Sweep_pool.map_collect}; stderr only). *)
 val run_collect :
   ?jobs:int ->
   ?on_progress:(Sweep_pool.progress -> unit) ->

@@ -1,22 +1,21 @@
-(* Deterministic parallel task pool with three executors (see DESIGN.md
+(* Deterministic parallel task pool with two executors (see DESIGN.md
    §6j):
 
      Seq     plain in-process loop
      Fork    forked worker processes streaming Marshal values back over
-             pipes (this file) — the fallback for builds without domains
-     Domain  shared-memory OCaml 5 domains ({!Domain_backend}; on 4.14
-             the stub reports [available = false])
+             pipes
+     Domain  runs Fork: an alias kept for callers that still name it
 
-   [map ~jobs f xs] computes [List.map f xs] under every executor.
-   Results are bit-identical regardless of the executor and the job
-   count because the assignment of work never affects a result: task [i]
-   is always [f xs.(i)] (computed in a fork-time copy of the parent heap,
-   in a domain sharing it, or in the parent itself), every per-task RNG
-   in this codebase is seeded from the task itself (the scenario), and
-   results are reassembled by task index, not arrival order.
+   [map ~jobs f xs] computes [List.map f xs] under both.  Results are
+   bit-identical regardless of the executor and the job count because
+   the assignment of work never affects a result: task [i] is always
+   [f xs.(i)] (computed in a fork-time copy of the parent heap or in the
+   parent itself), every per-task RNG in this codebase is seeded from
+   the task itself (the scenario), and results are reassembled by task
+   index, not arrival order.
 
    The fork executor is deliberately plain: a task that raises is a
-   point failure (as under every executor), a worker that dies turns its
+   point failure (as under Seq), a worker that dies turns its
    unreturned tasks into point failures naming its wait status, and
    nothing is respawned or re-run.  Points are pure OCaml, and runaway
    points are stopped in-process by [Sim.run_guarded]'s budgets. *)
@@ -84,18 +83,11 @@ let available_cores () =
 
 type backend = Seq | Fork | Domain
 
-let domain_backend_available = Domain_backend.available
-
-(* The executor actually used: [jobs <= 1] is always sequential, domains
-   when built in, else forked workers, else (non-Unix) sequential.  An
-   explicit request degrades the same way — never to different results,
-   only to a different executor. *)
-let executor ?(backend = Domain) ~jobs () =
-  let b = if jobs <= 1 then Seq else backend in
-  let b = if b = Domain && not Domain_backend.available then Fork else b in
-  if b = Fork && Sys.os_type <> "Unix" then
-    if Domain_backend.available then Domain else Seq
-  else b
+(* Whether forked workers run the tasks: only for [jobs > 1] on a Unix
+   host, unless [Seq] is requested ([Domain] asks for [Fork]).  A
+   degraded request changes the executor, never the results. *)
+let forks ?(backend = Fork) ~jobs () =
+  jobs > 1 && backend <> Seq && Sys.os_type = "Unix"
 
 type point_failure = { point : int; exn_text : string; backtrace : string }
 type error = { message : string; point_failures : point_failure list }
@@ -185,134 +177,119 @@ let map_collect ?backend ?(jobs = 1)
   let results = Array.make n None in
   let failures = ref [] in
   let interrupted = ref false in
-  (* Atomic because Domain workers report completions concurrently;
-     [fetch_and_add] gives each report its own count. *)
-  let done_count = Atomic.make 0 in
+  let done_count = ref 0 in
   let notify running =
-    let d = 1 + Atomic.fetch_and_add done_count 1 in
-    on_progress { prog_done = d; prog_total = n; prog_running = running }
+    incr done_count;
+    on_progress
+      { prog_done = !done_count; prog_total = n; prog_running = running }
   in
   let fail point exn_text backtrace =
     failures := { point; exn_text; backtrace } :: !failures
   in
   let jobs = min jobs n in
-  (match executor ?backend ~jobs () with
-   | Seq ->
-     Array.iteri
-       (fun i x ->
-         if stop () then interrupted := true
-         else begin
-           (match f x with
-            | r -> results.(i) <- Some r
-            | exception e ->
-              fail i (Printexc.to_string e) (Printexc.get_backtrace ()));
-           notify 0
-         end)
-       tasks
-   | Domain ->
-     (* No worker processes, so a crash takes the whole process down;
-        a task exception is a point failure as in the sequential path. *)
-     let task_failures, stopped =
-       Domain_backend.run ~jobs ~stop
-         ~on_result:(fun _ ->
-           notify (max 0 (min jobs (n - 1 - Atomic.get done_count))))
-         f tasks results
-     in
-     List.iter
-       (fun (tf : Domain_backend.task_failure) ->
-         fail tf.index tf.exn_text tf.backtrace)
-       task_failures;
-     interrupted := stopped
-   | Fork ->
-     (* Anything buffered before a fork would be flushed once per
-        process; push it out first. *)
-     flush stdout;
-     flush stderr;
-     let children = ref [] in
-     let accounted = Array.make n false in
-     let account i =
-       accounted.(i) <- true;
-       notify (List.length !children)
-     in
-     let bank ((i, r) : _ message) =
-       (match r with
-        | Ok v -> results.(i) <- Some v
-        | Error (text, bt) -> fail i text bt);
-       account i
-     in
-     (* Every index of [share] that never came back fails with [why]. *)
-     let lose share why =
-       List.iter
-         (fun i ->
-           if not accounted.(i) then begin
-             fail i why "";
-             account i
-           end)
-         share
-     in
-     (* Worker [w] owns w, w+jobs, w+2*jobs, ...: striding balances grids
-        whose points get slower along one axis. *)
-     for w = 0 to jobs - 1 do
-       let share = List.filter (fun i -> i mod jobs = w) (List.init n Fun.id) in
-       match Unix.pipe () with
-       | exception Unix.Unix_error (e, _, _) ->
-         lose share ("pipe: " ^ Unix.error_message e)
-       | rd, wr -> (
-         match Unix.fork () with
-         | exception Unix.Unix_error (e, _, _) ->
-           Unix.close rd;
-           Unix.close wr;
-           lose share ("fork: " ^ Unix.error_message e)
-         | 0 ->
-           Unix.close rd;
-           List.iter (fun c -> Unix.close c.fd) !children;
-           worker ~wr ~f ~tasks ~share ~stop
-         | pid ->
-           Unix.close wr;
-           let c = { slot = w; pid; fd = rd; share; pending = "" } in
-           children := c :: !children)
-     done;
-     (* Peel every complete Marshal value off [s] from [pos]; return the
-        incomplete tail. *)
-     let rec drain s pos =
-       let avail = String.length s - pos in
-       let size =
-         if avail < Marshal.header_size then max_int
-         else Marshal.total_size (Bytes.unsafe_of_string s) pos
-       in
-       if size > avail then String.sub s pos avail
-       else begin
-         bank (Marshal.from_string s pos);
-         drain s (pos + size)
-       end
-     in
-     (* A worker that exited cleanly under a stop request skipped the rest
-        of its share on purpose. *)
-     let reap c =
-       Unix.close c.fd;
-       let status = waitpid c.pid in
-       children := List.filter (fun c' -> c' != c) !children;
-       if not (status = Unix.WEXITED 0 && stop ()) then
-         lose c.share
-           (Printf.sprintf "worker %d (pid %d) %s before returning it" c.slot
-              c.pid (status_to_string status))
-     in
-     let chunk = Bytes.create 65536 in
-     while !children <> [] do
-       match Unix.select (List.map (fun c -> c.fd) !children) [] [] (-1.) with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | ready, _, _ ->
-         List.iter
-           (fun c ->
-             if List.mem c.fd ready then
-               match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-               | 0 -> reap c
-               | k ->
-                 c.pending <- drain (c.pending ^ Bytes.sub_string chunk 0 k) 0)
-           !children
-     done;
-     interrupted := stop ());
+  if not (forks ?backend ~jobs ()) then
+    Array.iteri
+      (fun i x ->
+        if stop () then interrupted := true
+        else begin
+          (match f x with
+           | r -> results.(i) <- Some r
+           | exception e ->
+             fail i (Printexc.to_string e) (Printexc.get_backtrace ()));
+          notify 0
+        end)
+      tasks
+  else begin
+    (* Anything buffered before a fork would be flushed once per
+       process; push it out first. *)
+    flush stdout;
+    flush stderr;
+    let children = ref [] in
+    let accounted = Array.make n false in
+    let account i =
+      accounted.(i) <- true;
+      notify (List.length !children)
+    in
+    let bank ((i, r) : _ message) =
+      (match r with
+       | Ok v -> results.(i) <- Some v
+       | Error (text, bt) -> fail i text bt);
+      account i
+    in
+    (* Every index of [share] that never came back fails with [why]. *)
+    let lose share why =
+      List.iter
+        (fun i ->
+          if not accounted.(i) then begin
+            fail i why "";
+            account i
+          end)
+        share
+    in
+    (* Worker [w] owns w, w+jobs, w+2*jobs, ...: striding balances grids
+       whose points get slower along one axis. *)
+    for w = 0 to jobs - 1 do
+      let share = List.filter (fun i -> i mod jobs = w) (List.init n Fun.id) in
+      match Unix.pipe () with
+      | exception Unix.Unix_error (e, _, _) ->
+        lose share ("pipe: " ^ Unix.error_message e)
+      | rd, wr -> (
+        match Unix.fork () with
+        | exception Unix.Unix_error (e, _, _) ->
+          Unix.close rd;
+          Unix.close wr;
+          lose share ("fork: " ^ Unix.error_message e)
+        | 0 ->
+          Unix.close rd;
+          List.iter (fun c -> Unix.close c.fd) !children;
+          worker ~wr ~f ~tasks ~share ~stop
+        | pid ->
+          Unix.close wr;
+          let c = { slot = w; pid; fd = rd; share; pending = "" } in
+          children := c :: !children)
+    done;
+    (* Peel every complete Marshal value off [s] from [pos]; return the
+       incomplete tail. *)
+    let rec drain s pos =
+      let avail = String.length s - pos in
+      let size =
+        if avail < Marshal.header_size then max_int
+        else Marshal.total_size (Bytes.unsafe_of_string s) pos
+      in
+      if size > avail then String.sub s pos avail
+      else begin
+        bank (Marshal.from_string s pos);
+        drain s (pos + size)
+      end
+    in
+    (* A worker that exited cleanly under a stop request skipped the rest
+       of its share on purpose. *)
+    let reap c =
+      Unix.close c.fd;
+      let status = waitpid c.pid in
+      children := List.filter (fun c' -> c' != c) !children;
+      if not (status = Unix.WEXITED 0 && stop ()) then
+        lose c.share
+          (Printf.sprintf "worker %d (pid %d) %s before returning it" c.slot
+             c.pid (status_to_string status))
+    in
+    let chunk = Bytes.create 65536 in
+    while !children <> [] do
+      match Unix.select (List.map (fun c -> c.fd) !children) [] [] (-1.) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | ready, _, _ ->
+        List.iter
+          (fun c ->
+            if List.mem c.fd ready then
+              match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | 0 -> reap c
+              | k ->
+                c.pending <- drain (c.pending ^ Bytes.sub_string chunk 0 k) 0)
+          !children
+    done;
+    interrupted := stop ()
+  end;
   {
     results;
     point_failures =

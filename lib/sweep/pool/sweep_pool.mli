@@ -1,32 +1,28 @@
 (** Deterministic parallel task pool — the execution layer of the
-    scenario-sweep subsystem ({!Sweep}) — with three executors:
-    in-process sequential, OCaml 5 shared-memory domains, and forked
-    worker processes (the fallback for builds without domains).
+    scenario-sweep subsystem ({!Sweep}) — with two executors: an
+    in-process loop and forked worker processes.
 
     [map ~jobs f xs] returns exactly [List.map f xs] for any [jobs] and
-    any executor: task [i] is always computed as [f xs.(i)] and results
-    are reassembled by task index.  As long as [f] itself is
+    either executor: task [i] is always computed as [f xs.(i)] and
+    results are reassembled by task index.  As long as [f] itself is
     deterministic (every RNG in this repo is seeded from its scenario,
-    never from the process, domain or worker), the results are
-    bit-identical regardless of the executor or the job count.
+    never from the process or worker), the results are bit-identical
+    regardless of the executor or the job count.
 
     The executor is picked from what the pool can observe: [jobs <= 1]
-    runs {!Seq}; otherwise {!Domain} where this build has domains, else
-    {!Fork}, else (non-Unix) {!Seq}.  [?backend] requests one executor
-    (tests and benchmarks compare them) and degrades the same way.
+    runs {!Seq}; otherwise {!Fork}, or {!Seq} on a non-Unix host.
+    [?backend] requests one executor (tests and benchmarks compare
+    them) and degrades the same way.
 
-    A task whose [f] raises is a {!point_failure} under every executor.
+    A task whose [f] raises is a {!point_failure} under both executors.
     Under {!Fork}, a worker that dies (killed, or exiting without
     returning its share) turns each of its unreturned tasks into a
     {!point_failure} naming its wait status; nothing is respawned or
     re-run. *)
 
-(** Which executor runs the tasks; see the module comment. *)
+(** Which executor runs the tasks; see the module comment.  [Domain]
+    runs {!Fork}: it is an alias kept for callers that still name it. *)
 type backend = Seq | Fork | Domain
-
-(** [true] iff this build can run the {!Domain} executor (OCaml >= 5.0);
-    when [false], {!Domain} requests degrade to {!Fork}. *)
-val domain_backend_available : bool
 
 (** A task that raised (exception text and backtrace) or whose worker
     died before returning it (the text names the wait status, e.g.
@@ -47,8 +43,8 @@ val error_to_string : error -> string
 (** [map ~jobs f xs] is [List.map f xs], computed by up to [jobs]
     workers (default 1).  Under {!Fork}, worker [w] computes tasks
     [w, w+jobs, ...] and ['b] must be marshalable plain data — no
-    closures, no custom blocks; do not fork with other threads or
-    domains running.
+    closures, no custom blocks; do not fork with other threads running,
+    nor after spawning a domain (OCaml 5 then refuses [Unix.fork]).
     @raise Error when a task failed or remained unaccounted for. *)
 val map : ?backend:backend -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
@@ -57,7 +53,7 @@ val map : ?backend:backend -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 type progress = {
   prog_done : int;  (** tasks accounted for (completed or failed) *)
   prog_total : int;
-  prog_running : int;  (** live workers (approximate under Domain) *)
+  prog_running : int;  (** live workers; 0 under {!Seq} *)
 }
 
 (** Everything {!map} learned, without raising. *)
@@ -75,14 +71,12 @@ type 'b outcome = {
     kept), the rest are skipped, and the outcome has
     [interrupted = true].  Forked workers poll their own copy of [stop],
     so it must observe state the workers share with the parent — e.g. a
-    flag flipped by an inherited signal handler.  Under {!Domain} it is
-    polled from worker domains and must be domain-safe.
+    flag flipped by an inherited signal handler.
 
-    [on_progress] fires once per accounted task, with [prog_done]
-    running 1..n.  Under {!Seq} and {!Fork} it runs in the calling
-    process, in order; under {!Domain} it fires from worker domains and
-    must be domain-safe.  It must not write to stdout in
-    deterministic-output contexts — progress belongs on stderr. *)
+    [on_progress] fires once per accounted task, in the calling
+    process, in order, with [prog_done] running 1..n.  It must not
+    write to stdout in deterministic-output contexts — progress belongs
+    on stderr. *)
 val map_collect :
   ?backend:backend ->
   ?jobs:int ->

@@ -1,8 +1,7 @@
 (* lib/sweep + lib/sweep/pool: the parallel fan-out must be invisible in
    the results — same values, same order, same bytes — for any executor
    and any job count.  The dead-worker and stop tests pin
-   [~backend:Fork]: worker processes only exist there.  The five
-   domain-only cases live in test_domain_safety.ml. *)
+   [~backend:Fork]: worker processes only exist there. *)
 
 (* Under `dune runtest` the cwd is _build/default/test; under
    `dune exec test/test_main.exe` it is the workspace root. *)
@@ -26,14 +25,10 @@ let contains haystack needle =
 
 (* ---------------- Sweep_pool ---------------- *)
 
-(* Seq and Fork only: on OCaml 5 the runtime permanently forbids
-   Unix.fork once any domain has ever been spawned in the process, so
-   every fork-backend test in this binary must run before the first
-   domain-backend test.  This suite spawns no domain before its last
-   case, the byte-identity check; the Domain equivalents of these
-   checks live in test_domain_safety.ml, registered last in
-   test_main.ml. *)
-let backends = [ ("seq", Sweep_pool.Seq); ("fork", Sweep_pool.Fork) ]
+(* [Domain] is an alias of [Fork]; every pool test checks it too. *)
+let backends =
+  [ ("seq", Sweep_pool.Seq); ("fork", Sweep_pool.Fork);
+    ("domain", Sweep_pool.Domain) ]
 
 let test_pool_matches_sequential () =
   let xs = List.init 17 (fun i -> i) in
@@ -220,6 +215,24 @@ let test_pool_progress () =
         !seen)
     backends
 
+(* [Domain] at jobs 2 runs forked workers: some progress report counts a
+   live worker, which the in-process loop never does. *)
+let test_pool_domain_forks () =
+  let running backend =
+    let seen = ref [] in
+    ignore
+      (Sweep_pool.map_collect ~backend ~jobs:2
+         ~on_progress:(fun p -> seen := p.Sweep_pool.prog_running :: !seen)
+         Fun.id (List.init 8 Fun.id)
+        : int Sweep_pool.outcome);
+    !seen
+  in
+  Alcotest.(check bool) "domain: a worker was running" true
+    (List.exists (fun r -> r >= 1) (running Sweep_pool.Domain));
+  Alcotest.(check (list int)) "seq: no worker ever running"
+    (List.init 8 (fun _ -> 0))
+    (running Sweep_pool.Seq)
+
 (* Cooperative stop: map_collect returns a partial outcome flagged
    interrupted instead of finishing the grid. *)
 let test_pool_stop_interrupts () =
@@ -247,7 +260,7 @@ let test_driver_jobs_identical () =
   Alcotest.(check string) "jobs 1 vs 2 byte-identical JSON" j1 j2
 
 (* The smoke grid under every executor at jobs 1, 2 and 4 gives the
-   sequential run's bytes.  Domain runs last: no fork after them. *)
+   sequential run's bytes. *)
 let test_backend_bytes_identical () =
   let points = Sweep.Grids.smoke.points () in
   let json backend jobs =
@@ -263,8 +276,7 @@ let test_backend_bytes_identical () =
             (Printf.sprintf "%s jobs=%d matches sequential bytes" label jobs)
             reference (json backend jobs))
         [ 1; 2; 4 ])
-    [ ("seq", Sweep_pool.Seq); ("fork", Sweep_pool.Fork);
-      ("domain", Sweep_pool.Domain) ]
+    backends
 
 (* For random task grids and job counts, the fork pool is exactly
    List.map — order, values, length. *)
@@ -412,6 +424,8 @@ let suite =
       Alcotest.test_case "pool dead worker" `Quick test_pool_dead_worker;
       Alcotest.test_case "pool large results" `Quick test_pool_large_results;
       Alcotest.test_case "pool progress" `Quick test_pool_progress;
+      Alcotest.test_case "pool domain alias forks" `Quick
+        test_pool_domain_forks;
       Alcotest.test_case "pool cooperative stop" `Quick
         test_pool_stop_interrupts;
       Alcotest.test_case "pool stop mid-share" `Quick test_pool_stop_mid_share;
@@ -422,8 +436,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fork_matches_map;
       Alcotest.test_case "netsim sweep SIGINT exits 130" `Slow
         test_cli_sigint_exit_130;
-      (* Last: spawns domains, after which the OCaml 5 runtime forbids
-         Unix.fork in this process. *)
       Alcotest.test_case "byte-identical across backends x jobs" `Slow
         test_backend_bytes_identical;
     ] )
