@@ -11,7 +11,7 @@ type counts = {
   data_duplicates : (int, int) Hashtbl.t;
 }
 
-type t = { link : Net.Link.t; spec : Spec.t; seed : int; counts : counts }
+type t = { link : Net.Link.t; spec : Spec.t; counts : counts }
 
 (* Independent splitmix64 streams per (seed, link, fault kind): a link's
    fault sequence depends only on the plan seed and its own traffic, and
@@ -152,11 +152,8 @@ let install net link ~seed spec =
   Net.Link.install_faults link ~ingress ~extra_delay ~clone;
   Net.Link.on_fault link (fun time event p -> observe counts time event p);
   schedule_outages spec ~sim ~link ~rng:(stream ~seed ~link_id ~kind:2);
-  { link; spec; seed; counts }
+  { link; spec; counts }
 
-let link t = t.link
-let spec t = t.spec
-let seed t = t.seed
 let losses t = t.counts.losses
 let outage_drops t = t.counts.outage_drops
 let duplicates t = t.counts.duplicates

@@ -27,10 +27,6 @@ type t
     past. *)
 val install : Net.Network.t -> Net.Link.t -> seed:int -> Spec.t -> t
 
-val link : t -> Net.Link.t
-val spec : t -> Spec.t
-val seed : t -> int
-
 (** {2 Ledger} — counts of faults actually injected so far *)
 
 (** Packets discarded by the loss model (Bernoulli or Gilbert–Elliott). *)

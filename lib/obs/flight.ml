@@ -16,7 +16,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
   { ring = Array.make capacity None; cursor = 0; filled = 0; total = 0 }
 
-let capacity t = Array.length t.ring
 let length t = t.filled
 let total t = t.total
 

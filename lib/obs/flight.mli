@@ -21,8 +21,6 @@ type 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 val create : capacity:int -> 'a t
 
-val capacity : 'a t -> int
-
 (** Entries currently held (at most [capacity]). *)
 val length : 'a t -> int
 

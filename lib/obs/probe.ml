@@ -252,7 +252,6 @@ let arm_report t report =
       end)
 
 let finish t = Option.iter Btrace.flush t.writer
-let metrics t = t.registry
 let flowstats t = t.fs
 let flight t = t.ring
 

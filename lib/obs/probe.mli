@@ -79,7 +79,6 @@ val flight_text : t -> reason:string -> string option
     on both success and exception paths of {!Core.Runner.run}. *)
 val finish : t -> unit
 
-val metrics : t -> Metrics.t option
 val flowstats : t -> Flowstats.t option
 
 (** The flight ring: each event's time and plain copy, oldest first. *)

@@ -6,7 +6,6 @@ type t = {
   above_hole : unit Engine.Int_tbl.t;  (* out-of-order packets held back *)
   mutable delack_pending : bool;
   delack_timer : Engine.Sim.Timer.timer;  (* persistent; re-armed in place *)
-  mutable data_received : int;
   mutable out_of_order : int;
   mutable duplicates : int;
   mutable acks_sent : int;
@@ -29,7 +28,6 @@ let make net config =
     above_hole = Engine.Int_tbl.create 64;
     delack_pending = false;
     delack_timer = Engine.Sim.Timer.create sim nop;
-    data_received = 0;
     out_of_order = 0;
     duplicates = 0;
     acks_sent = 0;
@@ -40,7 +38,6 @@ let make net config =
   }
 
 let rcv_nxt t = t.rcv_nxt
-let data_received t = t.data_received
 let out_of_order t = t.out_of_order
 let duplicates t = t.duplicates
 let acks_sent t = t.acks_sent
@@ -103,7 +100,6 @@ let ack_in_order t =
   end
 
 let on_data t (p : Net.Packet.t) =
-  t.data_received <- t.data_received + 1;
   if p.seq = t.rcv_nxt then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
     while Engine.Int_tbl.mem t.above_hole t.rcv_nxt do

@@ -18,7 +18,6 @@ val on_data : t -> Net.Packet.t -> unit
 (** Next expected packet = packets delivered in order so far. *)
 val rcv_nxt : t -> int
 
-val data_received : t -> int
 val out_of_order : t -> int
 
 (** Data packets that had already been delivered (spurious retransmits). *)

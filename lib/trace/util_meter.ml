@@ -1,7 +1,6 @@
 type t = { link : Net.Link.t; t0 : float; busy0 : float }
 
 let start link ~now = { link; t0 = now; busy0 = Net.Link.busy_time link ~now }
-let link t = t.link
 
 let busy_time t ~now =
   if now < t.t0 then invalid_arg "Util_meter: negative measurement window";

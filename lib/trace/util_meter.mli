@@ -9,8 +9,6 @@ type t
 (** Start measuring [link] at time [now]. *)
 val start : Net.Link.t -> now:float -> t
 
-val link : t -> Net.Link.t
-
 (** Busy fraction between [start] and [now]; 0 over a zero-width window
     ([now] equal to the start time).
     @raise Invalid_argument if [now] is before the start time. *)
