@@ -297,8 +297,8 @@ let sweep () =
   in
   let json backend jobs = Sweep.Driver.to_json (run backend jobs) in
   (* Raw dispatch: trivial tasks make the per-point overhead visible.
-     Fork pays one Marshal value, a pipe write and a trip through the
-     select loop per point. *)
+     Fork pays one Marshal value, a socket write, a zero-timeout select
+     and a trip through the parent's select loop per point. *)
   let tasks = List.init 512 (fun i -> i) in
   let dispatch backend jobs =
     let map () = Sweep_pool.map ~backend ~jobs (fun x -> x) tasks in

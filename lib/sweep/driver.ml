@@ -11,9 +11,9 @@ let point ?id ?(params = []) scenario =
   { id; params; scenario }
 
 (* Sweep points always carry a metrics registry (counters and gauges are
-   cheap); the snapshot rides the summary across the worker pipe as plain
-   data.  Tracing stays off — sinks are closures and could not cross the
-   pipe anyway. *)
+   cheap); the snapshot rides the summary across the worker socket as
+   plain data.  Tracing stays off — sinks are closures and could not
+   cross it anyway. *)
 let run_point ?budget ?bundle_dir p =
   Summary.of_result ~id:p.id ~params:p.params
     (Core.Runner.run ~obs:(Obs.Probe.setup ()) ?budget ?bundle_dir p.scenario)

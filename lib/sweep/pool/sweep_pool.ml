@@ -3,7 +3,7 @@
 
      Seq     plain in-process loop
      Fork    forked worker processes streaming Marshal values back over
-             pipes
+             sockets
      Domain  runs Fork: an alias kept for callers that still name it
 
    [map ~jobs f xs] computes [List.map f xs] under both.  Results are
@@ -131,18 +131,26 @@ type 'b outcome = {
   interrupted : bool;
 }
 
-(* One message per point on a worker's pipe. *)
+(* One message per point on a worker's socket. *)
 type 'b message = int * ('b, string * string) result
 
 (* Runs in the forked child; never returns.  [_exit], not [exit]: the
-   child must not run the parent's [at_exit] handlers a second time. *)
-let worker ~wr ~f ~tasks ~share ~stop =
-  let oc = Unix.out_channel_of_descr wr in
+   child must not run the parent's [at_exit] handlers a second time.
+   The parent never writes to [fd]; it turns readable (end of file)
+   when the parent stops the sweep. *)
+let worker ~fd ~f ~tasks ~share ~stop =
+  let oc = Unix.out_channel_of_descr fd in
+  let halted () =
+    match Unix.select [ fd ] [] [] 0. with
+    | [], _, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  in
   let send i r =
     let m =
       try Marshal.to_string ((i, r) : _ message) []
       with e ->
-        (* A result that cannot cross the pipe fails only its point. *)
+        (* A result that cannot cross the socket fails only its point. *)
         let why = "unmarshalable result: " ^ Printexc.to_string e in
         Marshal.to_string ((i, Error (why, "")) : _ message) []
     in
@@ -154,7 +162,8 @@ let worker ~wr ~f ~tasks ~share ~stop =
     | r -> Ok r
     | exception e -> Error (Printexc.to_string e, Printexc.get_backtrace ())
   in
-  match List.iter (fun i -> if not (stop ()) then send i (run i)) share with
+  let stopped () = stop () || halted () in
+  match List.iter (fun i -> if not (stopped ()) then send i (run i)) share with
   | () -> Unix._exit 0
   | exception _ -> Unix._exit 1
 
@@ -230,22 +239,22 @@ let map_collect ?backend ?(jobs = 1)
        whose points get slower along one axis. *)
     for w = 0 to jobs - 1 do
       let share = List.filter (fun i -> i mod jobs = w) (List.init n Fun.id) in
-      match Unix.pipe () with
+      match Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (e, _, _) ->
-        lose share ("pipe: " ^ Unix.error_message e)
-      | rd, wr -> (
+        lose share ("socketpair: " ^ Unix.error_message e)
+      | mine, theirs -> (
         match Unix.fork () with
         | exception Unix.Unix_error (e, _, _) ->
-          Unix.close rd;
-          Unix.close wr;
+          Unix.close mine;
+          Unix.close theirs;
           lose share ("fork: " ^ Unix.error_message e)
         | 0 ->
-          Unix.close rd;
+          Unix.close mine;
           List.iter (fun c -> Unix.close c.fd) !children;
-          worker ~wr ~f ~tasks ~share ~stop
+          worker ~fd:theirs ~f ~tasks ~share ~stop
         | pid ->
-          Unix.close wr;
-          let c = { slot = w; pid; fd = rd; share; pending = "" } in
+          Unix.close theirs;
+          let c = { slot = w; pid; fd = mine; share; pending = "" } in
           children := c :: !children)
     done;
     (* Peel every complete Marshal value off [s] from [pos]; return the
@@ -273,8 +282,21 @@ let map_collect ?backend ?(jobs = 1)
           (Printf.sprintf "worker %d (pid %d) %s before returning it" c.slot
              c.pid (status_to_string status))
     in
+    (* Workers poll their own copy of [stop], and a signal sent to this
+       process alone (kill PID, a supervisor's SIGTERM) never reaches
+       them: pass a stop seen here on by shutting down this end's
+       sending side, which makes each worker's end readable. *)
+    let halted = ref false in
     let chunk = Bytes.create 65536 in
     while !children <> [] do
+      if (not !halted) && stop () then begin
+        halted := true;
+        List.iter
+          (fun c ->
+            try Unix.shutdown c.fd Unix.SHUTDOWN_SEND
+            with Unix.Unix_error _ -> ())
+          !children
+      end;
       match Unix.select (List.map (fun c -> c.fd) !children) [] [] (-1.) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | ready, _, _ ->

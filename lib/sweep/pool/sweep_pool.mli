@@ -69,9 +69,10 @@ type 'b outcome = {
     honours a cooperative [stop] predicate, polled between tasks: when
     it flips to [true] the in-flight tasks finish (their results are
     kept), the rest are skipped, and the outcome has
-    [interrupted = true].  Forked workers poll their own copy of [stop],
-    so it must observe state the workers share with the parent — e.g. a
-    flag flipped by an inherited signal handler.
+    [interrupted = true].  Forked workers poll their own copy of [stop]
+    and also stop once the parent's copy returns [true], so a flag
+    flipped by an inherited signal handler works whether the signal
+    reaches the workers or only the parent.
 
     [on_progress] fires once per accounted task, in the calling
     process, in order, with [prog_done] running 1..n.  It must not

@@ -3,7 +3,7 @@
     {!Core.Runner.result}.
 
     Summaries are plain marshalable data (no traces, no closures), so
-    they can cross the {!Sweep_pool} worker pipe. *)
+    they can cross the {!Sweep_pool} worker socket. *)
 
 type t = {
   id : string;  (** scenario name, unique within a sweep *)

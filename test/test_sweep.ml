@@ -129,7 +129,7 @@ let test_pool_dead_worker () =
     ];
   Alcotest.(check int) "nothing re-run in the parent" 0 !parent_calls
 
-(* Results far larger than a pipe buffer and the parent's 64 KiB read
+(* Results far larger than a socket buffer and the parent's 64 KiB read
    arrive in many pieces, interleaved across workers with tiny ones; the
    Marshal stream must still split into exactly one value per point. *)
 let test_pool_large_results () =
@@ -244,7 +244,25 @@ let test_pool_stop_interrupts () =
   in
   Alcotest.(check bool) "interrupted" true outcome.interrupted;
   Alcotest.(check (list Alcotest.reject)) "no spurious point failures" []
-    outcome.point_failures
+    outcome.point_failures;
+  (* A stop only the parent sees — a signal sent to its pid alone —
+     still stops the workers after their in-flight points. *)
+  let parent = Unix.getpid () in
+  let accounted = ref false in
+  let o =
+    Sweep_pool.map_collect ~backend:Sweep_pool.Fork ~jobs:2
+      ~on_progress:(fun _ -> accounted := true)
+      ~stop:(fun () -> Unix.getpid () = parent && !accounted)
+      (fun x ->
+        Unix.sleepf 0.01;
+        x)
+      (List.init 64 Fun.id)
+  in
+  Alcotest.(check bool) "parent-only stop: interrupted" true o.interrupted;
+  Alcotest.(check (list Alcotest.reject)) "parent-only stop: no point failures"
+    [] o.point_failures;
+  Alcotest.(check bool) "parent-only stop: workers skipped the rest" true
+    (Array.exists Option.is_none o.results)
 
 (* ---------------- Driver determinism ---------------- *)
 
