@@ -140,12 +140,6 @@ type 'b message = int * ('b, string * string) result
    when the parent stops the sweep. *)
 let worker ~fd ~f ~tasks ~share ~stop =
   let oc = Unix.out_channel_of_descr fd in
-  let halted () =
-    match Unix.select [ fd ] [] [] 0. with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-  in
   let send i r =
     let m =
       try Marshal.to_string ((i, r) : _ message) []
@@ -162,7 +156,13 @@ let worker ~fd ~f ~tasks ~share ~stop =
     | r -> Ok r
     | exception e -> Error (Printexc.to_string e, Printexc.get_backtrace ())
   in
-  let stopped () = stop () || halted () in
+  let stopped () =
+    stop ()
+    ||
+    match Unix.select [ fd ] [] [] 0. with
+    | ready, _, _ -> ready <> []
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  in
   match List.iter (fun i -> if not (stopped ()) then send i (run i)) share with
   | () -> Unix._exit 0
   | exception _ -> Unix._exit 1
