@@ -83,12 +83,6 @@ let available_cores () =
 
 type backend = Seq | Fork | Domain
 
-(* Whether forked workers run the tasks: only for [jobs > 1] on a Unix
-   host, unless [Seq] is requested ([Domain] asks for [Fork]).  A
-   degraded request changes the executor, never the results. *)
-let forks ?(backend = Fork) ~jobs () =
-  jobs > 1 && backend <> Seq && Sys.os_type = "Unix"
-
 type point_failure = { point : int; exn_text : string; backtrace : string }
 type error = { message : string; point_failures : point_failure list }
 
@@ -196,7 +190,10 @@ let map_collect ?backend ?(jobs = 1)
     failures := { point; exn_text; backtrace } :: !failures
   in
   let jobs = min jobs n in
-  if not (forks ?backend ~jobs ()) then
+  (* Forked workers run the tasks only for [jobs > 1] on a Unix host,
+     unless [Seq] is requested ([Domain] asks for [Fork]).  A degraded
+     request changes the executor, never the results. *)
+  if jobs <= 1 || backend = Some Seq || Sys.os_type <> "Unix" then
     Array.iteri
       (fun i x ->
         if stop () then interrupted := true
