@@ -233,6 +233,132 @@ let test_pool_domain_forks () =
     (List.init 8 (fun _ -> 0))
     (running Sweep_pool.Seq)
 
+(* ---------------- The Domain alias ----------------
+   A [Domain] request runs forked workers, so it keeps the whole pool
+   contract: values and order, failures, progress, cooperative stop and
+   a stop raised by a signal. *)
+
+let dom = Sweep_pool.Domain
+
+let test_domain_matches_map () =
+  let f x = ((3 * x) + 1, x * x) in
+  List.iter
+    (fun (n, jobs) ->
+      let xs = List.init n Fun.id in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "n=%d jobs=%d equals in-process map" n jobs)
+        (List.map f xs)
+        (Sweep_pool.map ~backend:dom ~jobs f xs))
+    (* 2000 tasks at jobs 4 stream many results through each worker's
+       socket; the small cases cover more jobs than tasks and one task. *)
+    [ (17, 3); (2000, 4); (5, 8); (1, 4) ];
+  Alcotest.(check (list int))
+    "empty input" []
+    (Sweep_pool.map ~backend:dom ~jobs:4 Fun.id [])
+
+let test_domain_task_exception () =
+  let f x = if x = 3 then failwith "boom" else x in
+  (match Sweep_pool.map ~backend:dom ~jobs:2 f [ 1; 2; 3; 4 ] with
+   | _ -> Alcotest.fail "expected Sweep_pool.Error"
+   | exception Sweep_pool.Error e ->
+     Alcotest.(check int) "one failed point" 1 (List.length e.point_failures);
+     let pf = List.hd e.point_failures in
+     Alcotest.(check int) "failing point index" 2 pf.Sweep_pool.point;
+     Alcotest.(check string) "exception text carried back"
+       "Failure(\"boom\")" pf.Sweep_pool.exn_text);
+  (* map_collect keeps the surviving results. *)
+  let o = Sweep_pool.map_collect ~backend:dom ~jobs:2 f [ 1; 2; 3; 4 ] in
+  Alcotest.(check bool) "not interrupted" false o.interrupted;
+  Alcotest.(check (array (option int)))
+    "non-raising points all present"
+    [| Some 1; Some 2; None; Some 4 |]
+    o.results
+
+(* on_progress runs in the calling process: once per task, prog_done
+   counting 1..n in order, never more live workers than jobs. *)
+let test_domain_progress () =
+  let n = 500 and jobs = 4 in
+  let seen = ref [] in
+  let o =
+    Sweep_pool.map_collect ~backend:dom ~jobs
+      ~on_progress:(fun p -> seen := p :: !seen)
+      Fun.id (List.init n Fun.id)
+  in
+  Alcotest.(check bool) "all tasks completed" true
+    (Array.for_all Option.is_some o.results);
+  Alcotest.(check (list int)) "prog_done runs 1..n in order"
+    (List.init n succ)
+    (List.rev_map (fun (p : Sweep_pool.progress) -> p.prog_done) !seen);
+  Alcotest.(check bool) "at most jobs live workers" true
+    (List.for_all (fun (p : Sweep_pool.progress) -> p.prog_running <= jobs)
+       !seen)
+
+(* Cooperative stop: the flag goes up after the first completed task.
+   Each worker counts its own tasks and the parent counts accounted ones,
+   so a worker stops after its first task and the parent, whose flag is
+   up by the time it reaps, keeps the outcome a clean partial one. *)
+let test_domain_stop_partial () =
+  let seen = ref 0 in
+  let o =
+    Sweep_pool.map_collect ~backend:dom ~jobs:2
+      ~on_progress:(fun _ -> incr seen)
+      ~stop:(fun () -> !seen > 0)
+      (fun x ->
+        incr seen;
+        x * 2)
+      (List.init 64 Fun.id)
+  in
+  Alcotest.(check bool) "interrupted" true o.interrupted;
+  let completed = ref 0 in
+  Array.iteri
+    (fun i -> function
+      | Some r ->
+        incr completed;
+        Alcotest.(check int)
+          (Printf.sprintf "completed point %d is correct" i)
+          (2 * i) r
+      | None -> ())
+    o.results;
+  Alcotest.(check bool) "partial: stop landed before the end" true
+    (!completed < 64);
+  Alcotest.(check (list Alcotest.reject)) "no spurious point failures" []
+    o.point_failures
+
+(* SIGINT sent to the calling process alone: the first task signals it,
+   its handler (a monotonic ref flip, as installed by netsim) raises the
+   stop, and the workers, which never see the signal, finish their
+   in-flight tasks and skip the rest. *)
+let test_domain_sigint_stop () =
+  let hit = ref false in
+  let old =
+    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> hit := true))
+  in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint old)
+  @@ fun () ->
+  let parent = Unix.getpid () in
+  let o =
+    Sweep_pool.map_collect ~backend:dom ~jobs:2
+      ~stop:(fun () -> !hit)
+      (fun x ->
+        if x = 0 then Unix.kill parent Sys.sigint;
+        Unix.sleepf 0.01;
+        x + 100)
+      (List.init 64 Fun.id)
+  in
+  Alcotest.(check bool) "interrupted by the signal" true o.interrupted;
+  Array.iteri
+    (fun i -> function
+      | Some r ->
+        Alcotest.(check int)
+          (Printf.sprintf "in-flight point %d kept and correct" i)
+          (i + 100) r
+      | None -> ())
+    o.results;
+  Alcotest.(check bool) "workers skipped the rest" true
+    (Array.exists Option.is_none o.results);
+  Alcotest.(check (list Alcotest.reject)) "no spurious point failures" []
+    o.point_failures
+
 (* Cooperative stop: map_collect returns a partial outcome flagged
    interrupted instead of finishing the grid. *)
 let test_pool_stop_interrupts () =
@@ -456,6 +582,14 @@ let suite =
       Alcotest.test_case "pool progress" `Quick test_pool_progress;
       Alcotest.test_case "pool domain alias forks" `Quick
         test_pool_domain_forks;
+      Alcotest.test_case "domain pool matches map" `Quick
+        test_domain_matches_map;
+      Alcotest.test_case "domain task exception" `Quick
+        test_domain_task_exception;
+      Alcotest.test_case "domain progress" `Quick test_domain_progress;
+      Alcotest.test_case "domain cooperative stop" `Quick
+        test_domain_stop_partial;
+      Alcotest.test_case "domain SIGINT stop" `Quick test_domain_sigint_stop;
       Alcotest.test_case "pool cooperative stop" `Quick
         test_pool_stop_interrupts;
       Alcotest.test_case "pool stop mid-share" `Quick test_pool_stop_mid_share;
