@@ -6,7 +6,8 @@
      the flat-array implementation the columns replaced;
    - the Dep_log / Drop_log queries against reference
      logs kept the old way (a record list per hook) on random packet
-     streams through a live link.
+     streams through a live link, under every gateway discipline and
+     through an outage that flushes the buffer.
 
    Floats are compared bit for bit. *)
 
@@ -274,33 +275,62 @@ type stream = {
   discipline : Net.Discipline.kind;
   sends : (float * int * Net.Packet.kind * int) list;
       (* gap in transmission times, conn, kind, seq *)
+  outage : (int * float) option;
+      (* (k, d): the first send from the k-th on that leaves a packet
+         queued behind the one in service takes the link down for d
+         transmission times, flushing both *)
   windows : (float * float) list;
 }
 
 let stream_gen =
   let open QCheck.Gen in
-  map3
-    (fun random_drop sends windows ->
-      { discipline =
-          (if random_drop then Net.Discipline.Random_drop { seed = 7 }
-           else Net.Discipline.Fifo);
-        sends; windows })
-    bool
-    (length_gen >>= fun n ->
-     list_repeat n
-       (quad
-          (frequency [ (1, return 0.); (3, float_bound_inclusive 3.) ])
-          (int_range 1 6)
-          (oneofl [ Net.Packet.Data; Net.Packet.Ack ]) (int_bound 100_000)))
-    (list_repeat 5 (pair (float_bound_inclusive 1.2) (float_bound_inclusive 1.2)))
+  map
+    (fun (discipline, sends, outage, windows) ->
+      { discipline; sends; outage; windows })
+    (quad
+       (oneofl
+          [ Net.Discipline.Fifo; Net.Discipline.Random_drop { seed = 7 };
+            Net.Discipline.Fair_queue ])
+       (length_gen >>= fun n ->
+        list_repeat n
+          (quad
+             (frequency [ (1, return 0.); (3, float_bound_inclusive 3.) ])
+             (int_range 1 6)
+             (oneofl [ Net.Packet.Data; Net.Packet.Ack ]) (int_bound 100_000)))
+       (opt (pair (int_bound 200) (float_bound_inclusive 20.)))
+       (list_repeat 5
+          (pair (float_bound_inclusive 1.2) (float_bound_inclusive 1.2))))
 
-let run_stream { discipline; sends; _ } =
+(* Returns the logs, the reference, the horizon and how many packets the
+   outage found in the buffer (0 when it never fired). *)
+let run_stream { discipline; sends; outage; _ } =
   let sim = Engine.Sim.create () in
   let link =
     Net.Link.create ~discipline sim ~id:4 ~name:"l" ~src:0 ~dst:1
       ~bandwidth:1e6 ~prop_delay:0.001 ~buffer:(Some 6)
   in
   Net.Link.set_deliver link (fun _ -> ());
+  let tx = Net.Link.tx_time link ~bytes:500 in
+  let flushed = ref 0 in
+  let cut =
+    match outage with
+    | None -> fun _ -> ()
+    | Some (k, down) ->
+      Net.Link.install_faults link
+        ~ingress:(fun _ -> `Pass)
+        ~extra_delay:(fun _ -> 0.)
+        ~clone:Fun.id;
+      fun i ->
+        let queued = Net.Link.queue_length link in
+        if i >= k && !flushed = 0 && queued >= 2 then begin
+          flushed := queued;
+          Net.Link.set_down link true;
+          ignore
+            (Engine.Sim.schedule sim ~delay:(down *. tx) (fun () ->
+                 Net.Link.set_down link false)
+              : Engine.Sim.handle)
+        end
+  in
   let dep = Dep_log.attach link in
   let drops = Drop_log.create () in
   Drop_log.watch drops link;
@@ -324,7 +354,6 @@ let run_stream { discipline; sends; _ } =
       r.deps <-
         { Dep_log.time; conn = p.conn; kind = p.kind; seq = p.seq; sojourn }
         :: r.deps);
-  let tx = Net.Link.tx_time link ~bytes:500 in
   let _ =
     List.fold_left
       (fun (time, id) (gap, conn, kind, seq) ->
@@ -335,14 +364,15 @@ let run_stream { discipline; sends; _ } =
         in
         ignore
           (Engine.Sim.at sim ~time (fun () ->
-               ignore (Net.Link.send link p : [ `Ok | `Dropped ]))
+               ignore (Net.Link.send link p : [ `Ok | `Dropped ]);
+               cut id)
             : Engine.Sim.handle);
         (time, id + 1))
       (0., 0) sends
   in
   Engine.Sim.run_to_completion sim;
   let horizon = Engine.Sim.now sim in
-  (dep, drops, r, horizon)
+  (dep, drops, r, horizon, !flushed)
 
 let same_dep (a : Dep_log.record) (b : Dep_log.record) =
   same_float a.time b.time && a.conn = b.conn && a.kind = b.kind && a.seq = b.seq
@@ -353,7 +383,7 @@ let same_drop (a : Drop_log.record) (b : Drop_log.record) =
   && a.seq = b.seq && a.link = b.link
 
 let logs_agree stream =
-  let dep, drops, r, horizon = run_stream stream in
+  let dep, drops, r, horizon, _ = run_stream stream in
   let deps = List.rev r.deps and drop_list = List.rev r.drops in
   let within t0 t1 time = time >= t0 && time < t1 in
   let ok = ref true in
@@ -401,7 +431,13 @@ let logs_agree stream =
 let prop_logs =
   QCheck.Test.make ~name:"Dep_log/Drop_log == record lists" ~count:40
     (QCheck.make
-       ~print:(fun s -> Printf.sprintf "<%d sends>" (List.length s.sends))
+       ~print:(fun s ->
+         Printf.sprintf "<%s, %d sends, %s>"
+           (Net.Discipline.kind_to_string s.discipline)
+           (List.length s.sends)
+           (match s.outage with
+            | None -> "no outage"
+            | Some (k, d) -> Printf.sprintf "outage after send %d for %g tx" k d))
        stream_gen)
     logs_agree
 
@@ -417,12 +453,37 @@ let test_logs_cross_chunks () =
           i ))
   in
   let stream =
-    { discipline = Net.Discipline.Fifo; sends;
+    { discipline = Net.Discipline.Fifo; sends; outage = None;
       windows = [ (0., 1.); (0.2, 0.9); (0.5, 0.5); (0.99, 0.1) ] }
   in
-  let dep, _, _, _ = run_stream stream in
+  let dep, _, _, _, _ = run_stream stream in
   Alcotest.(check bool) "fourth chunk reached" true (Dep_log.total dep > 3 * chunk);
   Alcotest.(check bool) "logs agree" true (logs_agree stream)
+
+let test_logs_outage_flush () =
+  (* Bursts from five connections: under Fair Queueing packets leave out
+     of arrival order, and the outage after send 40 flushes the packet in
+     service and the queue behind it; sends during the outage are
+     discarded before the buffer. *)
+  let sends =
+    List.init 120 (fun i ->
+        ( (if i mod 4 = 0 then 2.5 else 0.),
+          1 + (i mod 5),
+          (if i mod 3 = 0 then Net.Packet.Ack else Net.Packet.Data),
+          i ))
+  in
+  List.iter
+    (fun discipline ->
+      let stream =
+        { discipline; sends; outage = Some (40, 6.);
+          windows = [ (0., 1.); (0.1, 0.6); (0.4, 0.9) ] }
+      in
+      let name = Net.Discipline.kind_to_string discipline in
+      let _, _, _, _, flushed = run_stream stream in
+      Alcotest.(check bool) (name ^ ": outage flushed a queue") true (flushed >= 2);
+      Alcotest.(check bool) (name ^ ": logs agree") true (logs_agree stream))
+    [ Net.Discipline.Fifo; Net.Discipline.Random_drop { seed = 7 };
+      Net.Discipline.Fair_queue ]
 
 let test_pack_roundtrip () =
   List.iter
@@ -442,6 +503,7 @@ let suite =
       Alcotest.test_case "chunk geometry" `Quick test_chunk_geometry;
       Alcotest.test_case "conn/kind packing" `Quick test_pack_roundtrip;
       Alcotest.test_case "logs across chunk boundaries" `Quick test_logs_cross_chunks;
+      Alcotest.test_case "logs through an outage flush" `Quick test_logs_outage_flush;
       QCheck_alcotest.to_alcotest prop_float_column;
       QCheck_alcotest.to_alcotest prop_int_column;
       QCheck_alcotest.to_alcotest prop_series;
