@@ -21,6 +21,11 @@ type record = {
 
 type t
 
+(** Watch a link's departures.  Accepted packets are matched to their
+    departures by packet id, oldest first, so two packets pending on one
+    link with the same id would take each other's enqueue times.  A
+    network never makes two: {!Net.Network.fresh_packet_id} numbers
+    every packet it builds, fault-injected duplicates included. *)
 val attach : Net.Link.t -> t
 val link : t -> Net.Link.t
 
