@@ -20,7 +20,7 @@ let () =
   (* The broken ACK clock, measured: consecutive ACKs of one connection
      should be spaced by a data transmission time (80 ms) if the clock
      held; compression squeezes them to the ACK transmission time (8 ms). *)
-  let data_tx = Core.Scenario.data_tx scenario in
+  let data_tx = Core.Scenario.data_tx in
   (match
      Analysis.Ackcomp.ack_spacing
        (Trace.Dep_log.in_window r.dep_fwd ~t0:r.t0 ~t1:r.t1)

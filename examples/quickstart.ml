@@ -14,7 +14,7 @@ let () =
   in
   Printf.printf "pipe size P = %.3g packets, data tx time = %.0f ms\n"
     (Core.Scenario.pipe scenario)
-    (1000. *. Core.Scenario.data_tx scenario);
+    (1000. *. Core.Scenario.data_tx);
 
   (* Build the network, attach every trace, run to completion. *)
   let r = Core.Runner.run scenario in

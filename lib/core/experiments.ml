@@ -2,9 +2,6 @@
 let duration = 600.
 let warmup = 200.
 
-(* Data transmission time on the 50 Kbps bottleneck: 500 B = 80 ms. *)
-let data_tx = 0.08
-
 let fmt = Printf.sprintf
 
 let pct x = fmt "%.1f%%" (100. *. x)
@@ -132,7 +129,7 @@ let data_clustering (r : Runner.result) dep =
 let ack_compression (r : Runner.result) dep =
   Analysis.Ackcomp.ack_spacing
     (Trace.Dep_log.in_window dep ~t0:r.t0 ~t1:r.t1)
-    ~data_tx
+    ~data_tx:Scenario.data_tx
 
 (* ACK clusters ride whichever direction the currently-large window's ACKs
    take; measure both bottleneck directions and report the stronger
@@ -158,14 +155,7 @@ let mixed_cluster_length (r : Runner.result) dep =
 let fluctuation (r : Runner.result) qt =
   Analysis.Ackcomp.fluctuation_rate
     (Trace.Queue_trace.series qt)
-    ~t0:r.t0 ~t1:r.t1 ~window:(2. *. data_tx) ~threshold:4.
-
-let queue_peak_in_window (r : Runner.result) qt =
-  match
-    Trace.Series.min_max (Trace.Queue_trace.series qt) ~t0:r.t0 ~t1:r.t1
-  with
-  | Some (_, hi) -> hi
-  | None -> 0.
+    ~t0:r.t0 ~t1:r.t1 ~window:(2. *. Scenario.data_tx) ~threshold:4.
 
 (* ------------------------------------------------------------------ *)
 (* FIG2: one-way baseline                                              *)
@@ -438,8 +428,8 @@ let fig67 () =
 
 let fig8 () =
   let r = Runner.run (scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 ()) in
-  let q1_max = queue_peak_in_window r r.q1 in
-  let q2_max = queue_peak_in_window r r.q2 in
+  let q1_max = Runner.queue_peak r r.q1 in
+  let q2_max = Runner.queue_peak r r.q2 in
   let compression = ack_compression r r.dep_fwd in
   let checks =
     [
@@ -501,8 +491,8 @@ let fig8 () =
 
 let fig9 () =
   let r = Runner.run (scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 ()) in
-  let q1_max = queue_peak_in_window r r.q1 in
-  let q2_max = queue_peak_in_window r r.q2 in
+  let q1_max = Runner.queue_peak r r.q1 in
+  let q2_max = Runner.queue_peak r r.q2 in
   let checks =
     [
       Report.in_band ~metric:"Q1 maximum (packets)" ~paper:"~23" ~value:q1_max
@@ -717,12 +707,12 @@ let multihop_table () =
   let fluct =
     Analysis.Ackcomp.fluctuation_rate
       (Trace.Queue_trace.series q_fwd)
-      ~t0:r.t0 ~t1:r.t1 ~window:(2. *. data_tx) ~threshold:4.
+      ~t0:r.t0 ~t1:r.t1 ~window:(2. *. Scenario.data_tx) ~threshold:4.
   in
   let compression =
     Analysis.Ackcomp.ack_spacing
       (Trace.Dep_log.in_window dep_fwd ~t0:r.t0 ~t1:r.t1)
-      ~data_tx
+      ~data_tx:Scenario.data_tx
   in
   let utils =
     Array.to_list r.trunk_utils
@@ -950,7 +940,7 @@ let pacing_table () =
   (* Pace at exactly the bottleneck data rate: one packet per 80 ms. *)
   let nonpaced = Runner.run (two_way_scenario ~tau:0.01 ()) in
   let paced =
-    Runner.run (two_way_scenario ~pacing:(Some data_tx) ~tau:0.01 ())
+    Runner.run (two_way_scenario ~pacing:(Some Scenario.data_tx) ~tau:0.01 ())
   in
   let cluster r = mixed_cluster_length r r.Runner.dep_fwd in
   let fluct r = fluctuation r r.Runner.q1 in
@@ -1116,7 +1106,7 @@ let rtt_table () =
     Option.value ~default:0. (data_clustering r r.dep_fwd)
   in
   let equal_rtt = run 0.0 in
-  let sub_packet = run (data_tx /. 2.) in
+  let sub_packet = run (Scenario.data_tx /. 2.) in
   let super_packet = run 0.5 in
   let baseline = Analysis.Clustering.interleaved_baseline ~n:2 in
   {
@@ -1179,8 +1169,13 @@ let formula_table () =
     (* Windows too small for the pipe: the line runs at sum(wnd)*tx/RTT. *)
     let w1 = 10 and w2 = 8 and tau = 1.0 in
     let r, _pipe = run ~w1 ~w2 ~tau in
-    let rtt = (2. *. tau) +. data_tx +. 0.008 in
-    let expected = float_of_int (w1 + w2) *. data_tx /. rtt in
+    let ack_tx =
+      Engine.Units.transmission_time
+        ~bytes:(List.hd r.scenario.conns).ack_size
+        ~rate_bps:Net.Topology.bottleneck_bw
+    in
+    let rtt = (2. *. tau) +. Scenario.data_tx +. ack_tx in
+    let expected = float_of_int (w1 + w2) *. Scenario.data_tx /. rtt in
     Report.expect
       ~metric:(fmt "underfilled pipe, w=(%d,%d)" w1 w2)
       ~paper:(fmt "utilization = sum(wnd)*tx/RTT = %s" (pct expected))

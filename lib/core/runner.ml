@@ -268,14 +268,6 @@ let goodput r i =
   if empty_window r then 0.
   else float_of_int r.delivered.(i) /. (r.t1 -. r.t0)
 
-let goodput_dir r dir =
-  let total = ref 0. in
-  Array.iteri
-    (fun i (spec, _c) ->
-      if spec.Scenario.dir = dir then total := !total +. goodput r i)
-    r.conns;
-  !total
-
 let drops_in_window r = Trace.Drop_log.in_window r.drops ~t0:r.t0 ~t1:r.t1
 
 let epoch_gap = 5.
@@ -288,15 +280,22 @@ let classify r a b =
 let queue_phase r =
   classify r (Trace.Queue_trace.series r.q1) (Trace.Queue_trace.series r.q2)
 
+let queue_peak r qt =
+  match
+    Trace.Series.min_max (Trace.Queue_trace.series qt) ~t0:r.t0 ~t1:r.t1
+  with
+  | Some (_, hi) -> hi
+  | None -> 0.
+
 let cwnd_phase r i j =
   classify r
     (Trace.Cwnd_trace.cwnd r.cwnds.(i))
     (Trace.Cwnd_trace.cwnd r.cwnds.(j))
 
 let effective_pipe r =
-  let data_tx = Scenario.data_tx r.scenario in
   let pipe trace =
-    Trace.Dep_log.effective_pipe_packets trace ~data_tx ~t0:r.t0 ~t1:r.t1
+    Trace.Dep_log.effective_pipe_packets trace ~data_tx:Scenario.data_tx
+      ~t0:r.t0 ~t1:r.t1
   in
   match (pipe r.dep_fwd, pipe r.dep_bwd) with
   | Some a, Some b -> Some (Float.max a b)

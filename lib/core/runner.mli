@@ -90,9 +90,6 @@ val env_forces_validation : unit -> bool
     [0.] when the run stopped before warm-up ended (empty window). *)
 val goodput : result -> int -> float
 
-(** Aggregate goodput (packets/s) of connections sending in [dir]. *)
-val goodput_dir : result -> Scenario.direction -> float
-
 (** Drops within the measurement window, chronological. *)
 val drops_in_window : result -> Trace.Drop_log.record list
 
@@ -105,6 +102,10 @@ val epochs : ?gap:float -> result -> Analysis.Epochs.t list
 (** Phase classification of the two bottleneck queue series;
     [(Unclassified, nan)] for an empty window (stopped before warm-up). *)
 val queue_phase : result -> Analysis.Sync.phase * float
+
+(** Largest length of a queue trace within the window (the Figure 8-9
+    queue peaks); [0.] when the window holds no sample. *)
+val queue_peak : result -> Trace.Queue_trace.t -> float
 
 (** Phase classification of two connections' cwnd series; as
     {!queue_phase} for an empty window. *)

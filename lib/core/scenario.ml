@@ -87,7 +87,7 @@ let pipe t =
     ~rate_bps:Net.Topology.bottleneck_bw
     ~delay:t.tau ~packet_bytes:Tcp.Config.data_size
 
-let data_tx _t =
+let data_tx =
   Engine.Units.transmission_time ~bytes:Tcp.Config.data_size
     ~rate_bps:Net.Topology.bottleneck_bw
 

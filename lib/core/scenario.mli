@@ -101,7 +101,7 @@ val make :
 val pipe : t -> float
 
 (** Bottleneck transmission time of a data packet (s). *)
-val data_tx : t -> float
+val data_tx : float
 
 (** Stagger connection starts: spec [i] starts at [i * step] (plus its own
     [start_time]).  Avoids perfectly tied phases at t = 0. *)

@@ -40,7 +40,7 @@ type dumbbell = {
   bwd : Link.t;  (** bottleneck Switch-2 -> Switch-1 *)
 }
 
-(** Build the dumbbell and install routes. *)
+(** Build the dumbbell and install routes: the two-switch {!chain}. *)
 val dumbbell : Engine.Sim.t -> params -> dumbbell
 
 (** A chain of [num_switches] switches, one host per switch, every

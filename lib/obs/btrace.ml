@@ -230,11 +230,6 @@ let declare_link w l =
   let pos = put_varint seg pos name_sid in
   w.pos <- put_f64 seg pos (Net.Link.bandwidth l)
 
-let declare_conn w conn =
-  ensure w 10;
-  let pos = put_byte w.seg w.pos tag_conn in
-  w.pos <- put_varint w.seg pos conn
-
 let declare_conn_meta w conn ~start_time ~flow_size =
   ensure w 27;
   let seg = w.seg in

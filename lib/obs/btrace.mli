@@ -127,11 +127,9 @@ val writer : ?segment:int -> (string -> unit) -> writer
     precede the link's events in the stream. *)
 val declare_link : writer -> Net.Link.t -> unit
 
-val declare_conn : writer -> int -> unit
-
 (** Conn-def plus flow metadata (start time, sized-flow length in
-    packets, [None] = infinite): one 0x03 record — emit this {e instead
-    of} {!declare_conn} when the metadata is known. *)
+    packets, [None] = infinite): one 0x03 record.  The reader also takes
+    a bare conn-def (0x02, no metadata), which version-1 files carry. *)
 val declare_conn_meta :
   writer -> int -> start_time:float -> flow_size:int option -> unit
 

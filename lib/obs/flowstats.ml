@@ -7,8 +7,9 @@
    attach time, the by-conn lookup is [Int_tbl.find] with a [Not_found]
    handler (no option box), and every update is an int/float store into
    an existing record.  The exceptions are once per round trip or rarer:
-   an RTT sample boxes its float sums, and a quantile-sketch bucket is
-   made on first use.
+   an RTT sample boxes the sketch's float sum and extrema, and a
+   quantile-sketch bucket is made on first use.  The sketch is the
+   flow's only RTT store: count, mean, min and max are read from it.
 
    The same accounting functions are driven from two sources that must
    agree bit-for-bit:
@@ -49,11 +50,7 @@ type flow = {
   mutable snd_una : int;
   mutable timing_seq : int;  (* Karn timer mirror; -1 = not timing *)
   mutable timing_sent : float;
-  mutable rtt_samples : int;
-  mutable rtt_sum : float;
-  mutable rtt_min : float;
-  mutable rtt_max : float;
-  rtt : Sketch.t;
+  rtt : Sketch.t;  (* every RTT sample: count, sum, min, max, quantiles *)
   mutable cwnd_min : float;
   mutable cwnd_max : float;
   mutable completed_at : float;  (* nan = not (yet) complete *)
@@ -76,10 +73,6 @@ let fresh_flow conn ~start_time ~flow_size =
     snd_una = 0;
     timing_seq = -1;
     timing_sent = 0.;
-    rtt_samples = 0;
-    rtt_sum = 0.;
-    rtt_min = infinity;
-    rtt_max = neg_infinity;
     rtt = Sketch.create ();
     cwnd_min = infinity;
     cwnd_max = neg_infinity;
@@ -136,12 +129,7 @@ let data_delivered f ~bytes =
 let ack_delivered f ~time ~ackno =
   if ackno > f.snd_una then begin
     if f.timing_seq >= 0 && ackno > f.timing_seq then begin
-      let rtt = time -. f.timing_sent in
-      f.rtt_samples <- f.rtt_samples + 1;
-      f.rtt_sum <- f.rtt_sum +. rtt;
-      if rtt < f.rtt_min then f.rtt_min <- rtt;
-      if rtt > f.rtt_max then f.rtt_max <- rtt;
-      Sketch.add f.rtt rtt;
+      Sketch.add f.rtt (time -. f.timing_sent);
       f.timing_seq <- -1
     end;
     f.snd_una <- ackno;
@@ -250,12 +238,10 @@ let stats_of_flow f =
     s_retransmits = f.retransmits;
     s_loss_events = f.loss_events;
     s_acked_pkts = f.snd_una;
-    s_rtt_samples = f.rtt_samples;
-    s_rtt_min = finite f.rtt_min;
-    s_rtt_mean =
-      (if f.rtt_samples = 0 then None
-       else Some (f.rtt_sum /. float_of_int f.rtt_samples));
-    s_rtt_max = finite f.rtt_max;
+    s_rtt_samples = Sketch.count f.rtt;
+    s_rtt_min = Sketch.min f.rtt;
+    s_rtt_mean = Sketch.mean f.rtt;
+    s_rtt_max = Sketch.quantile f.rtt 1.;
     s_rtt_p50 = Sketch.quantile f.rtt 0.5;
     s_rtt_p99 = Sketch.quantile f.rtt 0.99;
     s_cwnd_min = finite f.cwnd_min;
@@ -282,18 +268,9 @@ let jain t =
   match flows t with
   | [] -> None
   | fs ->
-    let shares =
-      Array.of_list (List.map (fun f -> float_of_int f.delivered_bytes) fs)
-    in
-    let total = Array.fold_left ( +. ) 0. shares in
-    let squares =
-      Array.fold_left (fun acc x -> acc +. (x *. x)) 0. shares
-    in
-    if squares <= 0. then Some 1.  (* all zero: degenerate but not unfair *)
-    else
-      Some
-        (total *. total
-        /. (float_of_int (Array.length shares) *. squares))
+    Some
+      (Analysis.Fairness.jain
+         (Array.of_list (List.map (fun f -> float_of_int f.delivered_bytes) fs)))
 
 let fct_sketch t =
   let sk = Sketch.create () in

@@ -15,7 +15,6 @@ type t = {
 }
 
 let create () = { metrics = []; names = Hashtbl.create 32 }
-let size t = List.length t.metrics
 
 let register t name cell =
   if Hashtbl.mem t.names name then
@@ -48,32 +47,39 @@ let observe h count =
   done;
   h.counts.(!i) <- h.counts.(!i) + 1
 
-(* %g keeps bucket-bound names stable and short (0.5, 10, 1e+06). *)
-let bound_name name b = Printf.sprintf "%s.le_%g" name b
+(* A metric's expanded names: a gauge's own, or a histogram's
+   cumulative [le_<bound>] rows (%g keeps them stable and short: 0.5,
+   10, 1e+06), then [le_inf] and [count]. *)
+let names m =
+  match m.cell with
+  | Gauge_fn _ -> [ m.name ]
+  | Histogram h ->
+    List.map (Printf.sprintf "%s.le_%g" m.name) (Array.to_list h.bounds)
+    @ [ m.name ^ ".le_inf"; m.name ^ ".count" ]
+
+(* The values of a cell's expanded rows, in [names] order, each passed
+   to [emit]: the snapshot and the recorder's tick share this walk. *)
+let emit_values cell emit =
+  match cell with
+  | Gauge_fn f -> emit (f ())
+  | Histogram h ->
+    let n = Array.length h.bounds in
+    let cumulative = ref 0 in
+    for i = 0 to n - 1 do
+      cumulative := !cumulative + h.counts.(i);
+      emit (float_of_int !cumulative)
+    done;
+    let total = float_of_int (!cumulative + h.counts.(n)) in
+    emit total;
+    emit total
 
 let snapshot t =
   List.concat_map
     (fun m ->
-      match m.cell with
-      | Gauge_fn f -> [ (m.name, f ()) ]
-      | Histogram h ->
-        let n = Array.length h.bounds in
-        let cumulative = ref 0 in
-        let buckets =
-          List.init n (fun i ->
-              cumulative := !cumulative + h.counts.(i);
-              (bound_name m.name h.bounds.(i), float_of_int !cumulative))
-        in
-        let total = !cumulative + h.counts.(n) in
-        buckets
-        @ [
-            (m.name ^ ".le_inf", float_of_int total);
-            (m.name ^ ".count", float_of_int total);
-          ])
+      let values = ref [] in
+      emit_values m.cell (fun v -> values := v :: !values);
+      List.combine (names m) (List.rev !values))
     (List.rev t.metrics)
-
-let find t name =
-  List.assoc_opt name (snapshot t)
 
 let float_json f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
@@ -114,26 +120,12 @@ let sample r =
     Trace.Series.add r.series.(!j) ~time:now ~value:v;
     incr j
   in
-  Array.iter
-    (fun cell ->
-      match cell with
-      | Gauge_fn f -> push (f ())
-      | Histogram h ->
-        let n = Array.length h.bounds in
-        let cumulative = ref 0 in
-        for i = 0 to n - 1 do
-          cumulative := !cumulative + h.counts.(i);
-          push (float_of_int !cumulative)
-        done;
-        let total = float_of_int (!cumulative + h.counts.(n)) in
-        push total;
-        push total)
-    r.cells
+  Array.iter (fun cell -> emit_values cell push) r.cells
 
 let record t sim ~dt =
   if Float.is_nan dt || dt <= 0. then
     invalid_arg "Metrics.record: dt must be positive";
-  let names = Array.of_list (List.map fst (snapshot t)) in
+  let names = Array.of_list (List.concat_map names (List.rev t.metrics)) in
   let r =
     {
       sim;

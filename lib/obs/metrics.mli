@@ -19,9 +19,6 @@ type histogram
 
 val create : unit -> t
 
-(** Number of registered metrics (histograms count once). *)
-val size : t -> int
-
 (** A gauge computed on demand: [f ()] is called at snapshot time only.
     @raise Invalid_argument if [name] is already registered. *)
 val gauge_fn : t -> string -> (unit -> float) -> unit
@@ -41,9 +38,6 @@ val observe : histogram -> int -> unit
     expands to cumulative [name.le_<bound>] entries, [name.le_inf], and
     [name.count]. *)
 val snapshot : t -> (string * float) list
-
-(** Value of one snapshot entry, by expanded name. *)
-val find : t -> string -> float option
 
 (** Deterministic JSON object over {!snapshot}: fixed key order,
     shortest round-trip floats ({!Json.float_repr}), integral values

@@ -21,13 +21,6 @@ type t = {
   metrics : (string * float) list;
 }
 
-let queue_max (r : Core.Runner.result) qt =
-  match
-    Trace.Series.min_max (Trace.Queue_trace.series qt) ~t0:r.t0 ~t1:r.t1
-  with
-  | Some (_, hi) -> hi
-  | None -> 0.
-
 (* Distinct controller specs across the point's connections, first-use
    order ("tahoe" for a homogeneous classic run, "tahoe,fixed:w=30" for a
    mixed one). *)
@@ -78,8 +71,8 @@ let of_result ~id ?(params = []) (r : Core.Runner.result) =
     epoch_count = List.length epochs;
     mean_drops_per_epoch = Analysis.Epochs.mean_drops epochs;
     single_loser = Analysis.Epochs.single_loser_fraction epochs;
-    q1_max = queue_max r r.q1;
-    q2_max = queue_max r r.q2;
+    q1_max = Core.Runner.queue_peak r r.q1;
+    q2_max = Core.Runner.queue_peak r r.q2;
     effective_pipe = Core.Runner.effective_pipe r;
     jain =
       Analysis.Fairness.jain (Array.map float_of_int r.delivered);

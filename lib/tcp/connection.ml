@@ -25,7 +25,3 @@ let receiver t = t.receiver
 let cwnd t = Sender.cwnd t.sender
 let ssthresh t = Sender.ssthresh t.sender
 let delivered t = Sender.snd_una t.sender
-
-let goodput t ~t0 ~t1 ~delivered_at_t0 =
-  if t1 <= t0 then invalid_arg "Connection.goodput: empty interval";
-  float_of_int (delivered t - delivered_at_t0) /. (t1 -. t0)

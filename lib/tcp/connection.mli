@@ -19,6 +19,3 @@ val ssthresh : t -> float
 
 (** Packets acknowledged end-to-end. *)
 val delivered : t -> int
-
-(** Goodput in packets/s over [(t0, t1)], based on acknowledged data. *)
-val goodput : t -> t0:float -> t1:float -> delivered_at_t0:int -> float

@@ -24,7 +24,6 @@ type t = {
   mutable loss_hooks : (float -> loss_reason -> unit) list;
   mutable send_hooks : (float -> Net.Packet.t -> unit) list;
   mutable completed_at : float option;  (* sized flow fully acknowledged *)
-  mutable complete_hooks : (float -> unit) list;
 }
 
 let nop () = ()
@@ -53,7 +52,6 @@ let make net config =
     loss_hooks = [];
     send_hooks = [];
     completed_at = None;
-    complete_hooks = [];
   }
 
 let config t = t.config
@@ -71,9 +69,7 @@ let fast_retransmits t = t.fast_retransmits
 let on_cwnd t f = t.cwnd_hooks <- f :: t.cwnd_hooks
 let on_loss t f = t.loss_hooks <- f :: t.loss_hooks
 let on_send t f = t.send_hooks <- f :: t.send_hooks
-let on_complete t f = t.complete_hooks <- f :: t.complete_hooks
 let completed_at t = t.completed_at
-let completed t = t.completed_at <> None
 
 (* Last packet of a sized flow (exclusive), or max_int for infinite data. *)
 let flow_limit t =
@@ -97,13 +93,6 @@ let rec call2 hooks a b =
   | f :: rest ->
     f a b;
     call2 rest a b
-
-let rec call_complete hooks time =
-  match hooks with
-  | [] -> ()
-  | f :: rest ->
-    f time;
-    call_complete rest time
 
 let fire_cwnd t =
   match t.cwnd_hooks with
@@ -182,14 +171,11 @@ and paced_send t interval =
       t.snd_nxt <- t.snd_nxt + 1;
       t.next_send <- now_ +. interval
     end;
-    if t.snd_nxt < limit then arm_pacer t interval
+    (* The pacer's action (tied in [create]) already closes over the
+       interval; firing disarms the timer, so [pending] gates re-arming. *)
+    if t.snd_nxt < limit && not (Engine.Sim.Timer.pending t.pacer) then
+      Engine.Sim.Timer.set t.pacer ~delay:(Float.max 0. (t.next_send -. now t))
   end
-
-and arm_pacer t _interval =
-  (* The pacer's action (tied in [create]) already closes over the
-     interval; firing disarms the timer, so [pending] gates re-arming. *)
-  if not (Engine.Sim.Timer.pending t.pacer) then
-    Engine.Sim.Timer.set t.pacer ~delay:(Float.max 0. (t.next_send -. now t))
 
 and send_one t seq =
   let retransmit = seq <= t.highest_sent in
@@ -255,10 +241,8 @@ let on_ack t (p : Net.Packet.t) =
     if t.snd_una >= t.snd_nxt then cancel_timer t else arm_timer t;
     (match t.config.Config.flow_size with
      | Some n when t.snd_una >= n && t.completed_at = None ->
-       let time = now t in
-       t.completed_at <- Some time;
-       cancel_timer t;
-       call_complete t.complete_hooks time
+       t.completed_at <- Some (now t);
+       cancel_timer t
      | _ -> ());
     (* NewReno-style partial ACK: the controller stays in recovery and
        asks for the next hole to be retransmitted immediately. *)

@@ -56,11 +56,5 @@ val on_loss : t -> (float -> loss_reason -> unit) -> unit
 (** [on_send s f] — [f time packet] fires as each data packet is injected. *)
 val on_send : t -> (float -> Net.Packet.t -> unit) -> unit
 
-(** For sized flows: has every packet been acknowledged? *)
-val completed : t -> bool
-
 (** Completion time of a sized flow, if reached. *)
 val completed_at : t -> float option
-
-(** [on_complete s f] — [f time] fires once when a sized flow finishes. *)
-val on_complete : t -> (float -> unit) -> unit

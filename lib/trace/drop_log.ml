@@ -36,13 +36,3 @@ let record t i =
 
 let records t = Rows.all (total t) (record t)
 let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)
-
-let count_kind t kind =
-  let n = ref 0 in
-  for i = 0 to total t - 1 do
-    if Rows.kind (Column.Int.get t.code i) = kind then incr n
-  done;
-  !n
-
-let data_drops t = count_kind t Net.Packet.Data
-let ack_drops t = count_kind t Net.Packet.Ack

@@ -20,5 +20,3 @@ val records : t -> record list
 val in_window : t -> t0:float -> t1:float -> record list
 
 val total : t -> int
-val data_drops : t -> int
-val ack_drops : t -> int

@@ -8,13 +8,12 @@ type t = {
   report : Report.t;
   subject : string;
   maxwnd : int;
-  modified_ca : bool;
   mutable last : (float * float) option;  (* last observed (cwnd, ssthresh) *)
   mutable pending_loss : bool;  (* a loss fired; next sample is the reset *)
 }
 
-let create report ~subject ~maxwnd ~modified_ca =
-  { report; subject; maxwnd; modified_ca; last = None; pending_loss = false }
+let create report ~subject ~maxwnd =
+  { report; subject; maxwnd; last = None; pending_loss = false }
 
 let add t ~time fmt =
   Printf.ksprintf
@@ -86,12 +85,11 @@ let attach report conn =
   let sender = Tcp.Connection.sender conn in
   let config = Tcp.Sender.config sender in
   match config.Tcp.Config.cc.Tcp.Cc.name with
-  | ("tahoe" | "tahoe-unmodified") as name ->
-    let modified_ca = name = "tahoe" in
+  | "tahoe" | "tahoe-unmodified" ->
     let t =
       create report
         ~subject:(Printf.sprintf "conn %d" config.Tcp.Config.conn)
-        ~maxwnd:config.Tcp.Config.maxwnd ~modified_ca
+        ~maxwnd:config.Tcp.Config.maxwnd
     in
     Tcp.Sender.on_loss sender (fun time reason -> observe_loss t ~time reason);
     Tcp.Sender.on_cwnd sender (fun time ~cwnd ~ssthresh ->

@@ -15,8 +15,7 @@ type t
 
 val name : string
 
-val create :
-  Report.t -> subject:string -> maxwnd:int -> modified_ca:bool -> t
+val create : Report.t -> subject:string -> maxwnd:int -> t
 
 (** Note that a loss was detected; the next {!observe_cwnd} sample is
     validated as the post-loss reset. *)

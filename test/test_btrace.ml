@@ -109,7 +109,10 @@ let encode_all () =
   in
   declare_link w fwd;
   declare_link w bwd;
-  declare_conn w 1;
+  (* A bare conn-def (tag 0x02, conn 1), as version-1 writers emitted
+     it: the reader still takes one anywhere in a stream. *)
+  flush w;
+  Buffer.add_string buf "\x02\x01";
   declare_conn_meta w 2 ~start_time:(0.1 +. 0.2) ~flow_size:(Some 100);
   declare_conn_meta w 3 ~start_time:0. ~flow_size:None;
   List.iter (fun (time, write, _) -> write time) events;
@@ -309,7 +312,7 @@ let test_validate_flags_undeclared_conn () =
   let _net, _fwd, _bwd, _pkt = fixture () in
   let buf = Buffer.create 256 in
   let w = Obs.Btrace.writer (Buffer.add_string buf) in
-  Obs.Btrace.declare_conn w 1;
+  Obs.Btrace.declare_conn_meta w 1 ~start_time:0. ~flow_size:None;
   Obs.Btrace.cwnd w ~time:1. ~conn:1 ~cwnd:2. ~ssthresh:8.;
   Obs.Btrace.loss w ~time:2. ~conn:7 ~reason:"timeout";
   Obs.Btrace.flush w;
@@ -324,7 +327,7 @@ let test_validate_flags_backwards_time () =
   let _net, _fwd, _bwd, _pkt = fixture () in
   let buf = Buffer.create 256 in
   let w = Obs.Btrace.writer (Buffer.add_string buf) in
-  Obs.Btrace.declare_conn w 1;
+  Obs.Btrace.declare_conn_meta w 1 ~start_time:0. ~flow_size:None;
   Obs.Btrace.cwnd w ~time:5. ~conn:1 ~cwnd:2. ~ssthresh:8.;
   Obs.Btrace.cwnd w ~time:1. ~conn:1 ~cwnd:3. ~ssthresh:8.;
   Obs.Btrace.flush w;

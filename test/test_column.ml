@@ -392,9 +392,6 @@ let logs_agree stream =
   check (same_list same_drop (Drop_log.records drops) drop_list);
   check (Dep_log.total dep = List.length deps);
   check (Drop_log.total drops = List.length drop_list);
-  let count kind = List.length (List.filter (fun (d : Drop_log.record) -> d.kind = kind) drop_list) in
-  check (Drop_log.data_drops drops = count Net.Packet.Data);
-  check (Drop_log.ack_drops drops = count Net.Packet.Ack);
   List.iter
     (fun (a, b) ->
       let t0 = horizon *. Float.min a b and t1 = horizon *. Float.max a b in

@@ -126,21 +126,6 @@ let test_conservation () =
         (c.Link.dep_data + c.Link.dep_ack + Link.queue_length link))
     (Network.links d.net)
 
-let test_goodput_helper () =
-  let sim, d = dumbbell () in
-  let conn =
-    Connection.create d.net
-      (Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2 ())
-  in
-  Sim.run sim ~until:50.;
-  let at_50 = Connection.delivered conn in
-  Sim.run sim ~until:150.;
-  let g = Connection.goodput conn ~t0:50. ~t1:150. ~delivered_at_t0:at_50 in
-  Alcotest.(check bool) "positive goodput" true (g > 0.);
-  Alcotest.check_raises "empty interval rejected"
-    (Invalid_argument "Connection.goodput: empty interval") (fun () ->
-      ignore (Connection.goodput conn ~t0:1. ~t1:1. ~delivered_at_t0:0 : float))
-
 let suite =
   ( "connection",
     [
@@ -154,5 +139,4 @@ let suite =
       Alcotest.test_case "fixed window steady state" `Quick
         test_fixed_window_steady_state;
       Alcotest.test_case "conservation" `Quick test_conservation;
-      Alcotest.test_case "goodput helper" `Quick test_goodput_helper;
     ] )

@@ -19,15 +19,10 @@ let test_flow_completes () =
       (Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2
          ~flow_size:(Some 100) ())
   in
-  let completions = ref [] in
-  Sender.on_complete (Connection.sender conn) (fun time ->
-      completions := time :: !completions);
   Sim.run sim ~until:120.;
   let sender = Connection.sender conn in
-  Alcotest.(check bool) "completed" true (Sender.completed sender);
   Alcotest.(check int) "exactly the flow delivered" 100
     (Connection.delivered conn);
-  Alcotest.(check int) "hook fired once" 1 (List.length !completions);
   Alcotest.(check int) "no data beyond the flow" 100 (Sender.data_sent sender);
   (* 100 packets at 12.5 pkt/s bottleneck: at least 8 s, well under 120 *)
   (match Sender.completed_at sender with
@@ -44,7 +39,7 @@ let test_flow_completes_despite_losses () =
   Sim.run sim ~until:300.;
   Alcotest.(check bool) "losses occurred" true (Link.total_drops d.fwd > 0);
   Alcotest.(check bool) "still completed" true
-    (Sender.completed (Connection.sender conn));
+    (Sender.completed_at (Connection.sender conn) <> None);
   Alcotest.(check int) "all packets delivered in order" 200
     (Receiver.rcv_nxt (Connection.receiver conn))
 
@@ -58,7 +53,8 @@ let test_flow_sender_goes_quiet () =
   Sim.run sim ~until:60.;
   let events_at_60 = Sim.events_run sim in
   Sim.run sim ~until:120.;
-  Alcotest.(check bool) "flow done" true (Sender.completed (Connection.sender conn));
+  Alcotest.(check bool) "flow done" true
+    (Sender.completed_at (Connection.sender conn) <> None);
   Alcotest.(check int) "no further activity after completion" events_at_60
     (Sim.events_run sim)
 
@@ -69,8 +65,8 @@ let test_infinite_flow_never_completes () =
       (Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2 ())
   in
   Sim.run sim ~until:60.;
-  Alcotest.(check bool) "infinite source" false
-    (Sender.completed (Connection.sender conn))
+  Alcotest.(check bool) "infinite source" true
+    (Sender.completed_at (Connection.sender conn) = None)
 
 let test_bad_flow_size () =
   let raised =

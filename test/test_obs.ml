@@ -37,16 +37,10 @@ let test_metrics_basic () =
   Obs.Metrics.gauge_fn reg "derived" (fun () -> 42.5);
   events := 5;
   depth := 7.25;
-  Alcotest.(check int) "size" 3 (Obs.Metrics.size reg);
   Alcotest.(check (list (pair string (float 0.))))
     "snapshot reads the gauges, in registration order"
     [ ("events", 5.); ("depth", 7.25); ("derived", 42.5) ]
-    (Obs.Metrics.snapshot reg);
-  Alcotest.(check (option (float 0.)))
-    "find" (Some 7.25)
-    (Obs.Metrics.find reg "depth");
-  Alcotest.(check (option (float 0.))) "find missing" None
-    (Obs.Metrics.find reg "nope")
+    (Obs.Metrics.snapshot reg)
 
 let test_metrics_duplicate_name () =
   let reg = Obs.Metrics.create () in

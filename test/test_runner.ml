@@ -36,20 +36,6 @@ let test_direction_wiring () =
   Alcotest.(check int) "conn ids are 1-based" 1 cfg1.Tcp.Config.conn;
   Alcotest.(check int) "second id" 2 cfg2.Tcp.Config.conn
 
-let test_goodput_dir () =
-  let r =
-    Core.Runner.run
-      (short
-         [
-           Core.Scenario.conn Core.Scenario.Forward;
-           Core.Scenario.conn ~start_time:1. Core.Scenario.Reverse;
-         ])
-  in
-  let fwd = Core.Runner.goodput_dir r Core.Scenario.Forward in
-  let rev = Core.Runner.goodput_dir r Core.Scenario.Reverse in
-  Alcotest.(check (float 1e-9)) "fwd = conn 0" (Core.Runner.goodput r 0) fwd;
-  Alcotest.(check (float 1e-9)) "rev = conn 1" (Core.Runner.goodput r 1) rev
-
 let test_delivered_counts_window_only () =
   let r = Core.Runner.run (short [ Core.Scenario.conn Core.Scenario.Forward ]) in
   let _, conn = r.conns.(0) in
@@ -88,7 +74,6 @@ let suite =
       Alcotest.test_case "single connection metrics" `Quick
         test_single_connection_metrics;
       Alcotest.test_case "direction wiring" `Quick test_direction_wiring;
-      Alcotest.test_case "goodput by direction" `Quick test_goodput_dir;
       Alcotest.test_case "window-restricted delivery" `Quick
         test_delivered_counts_window_only;
       Alcotest.test_case "traces attached" `Quick test_queue_traces_attached;

@@ -240,7 +240,7 @@ let test_monotone_tracks_delivered_acks () =
 (* --- Tahoe window rules ------------------------------------------------ *)
 
 let tahoe_checker r =
-  Validate.Tahoe_rules.create r ~subject:"conn 1" ~maxwnd:20 ~modified_ca:false
+  Validate.Tahoe_rules.create r ~subject:"conn 1" ~maxwnd:20
 
 let test_tahoe_clean_trajectory () =
   let r = Validate.Report.create () in
