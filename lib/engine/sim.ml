@@ -359,7 +359,7 @@ module Timer = struct
            time t.clock.(0));
     set_time tm ~time
 
-  let set tm ~delay =
+  let[@inline] set tm ~delay =
     let t = tm.owner in
     if Float.is_nan delay then invalid_arg "Sim.Timer.set: NaN delay";
     if delay < 0. then

@@ -1,6 +1,6 @@
 let bits_of_bytes bytes = 8. *. float_of_int bytes
 
-let transmission_time ~bytes ~rate_bps =
+let[@inline] transmission_time ~bytes ~rate_bps =
   if rate_bps <= 0. then invalid_arg "Units.transmission_time: rate <= 0";
   bits_of_bytes bytes /. rate_bps
 

@@ -114,7 +114,8 @@ let contents t =
   if t.in_service != Packet.none then t.in_service :: Discipline.contents t.queue
   else Discipline.contents t.queue
 
-let tx_time t ~bytes = Engine.Units.transmission_time ~bytes ~rate_bps:t.bandwidth
+let[@inline] tx_time t ~bytes =
+  Engine.Units.transmission_time ~bytes ~rate_bps:t.bandwidth
 
 let busy_time t ~now =
   t.meter.(1)

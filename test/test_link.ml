@@ -141,16 +141,19 @@ let words_per_packet ~hooked =
    packet.  A closure built per fire and a [Queue] cell and [Some] per
    queued packet took it to 16 more.
 
-   A packet through a hookless link costs 2 words when the build inlines
-   across modules and 6 under -opaque, where [Sim.now] returns the time
-   boxed at the start and the end of each serialization; the bound of 3
-   fails both that build and one float boxed again per packet. *)
+   A packet through a hookless link costs nothing when the build inlines
+   across modules: [Sim.Timer.set], [Units.transmission_time] and
+   [Link.tx_time] all inline into [Link.maybe_start], so the
+   serialization time is never boxed (with any one of them a call, it
+   is, 2 words).  Under -opaque it costs 6, where [Sim.now] also returns
+   the time boxed at the start and the end of each serialization.  The
+   bound of 1 fails that build and one float boxed again per packet. *)
 let test_hook_allocation () =
   let bare = words_per_packet ~hooked:false in
   let hooked = words_per_packet ~hooked:true in
-  if bare > 3. then
+  if bare > 1. then
     Alcotest.failf
-      "a hookless link allocates %.2f minor words per packet (bound 3): \
+      "a hookless link allocates %.2f minor words per packet (bound 1): \
        build in dune-workspace's release profile, not --profile dev"
       bare;
   if hooked -. bare > 4. then
