@@ -142,7 +142,7 @@ let trace () =
    histogram's bucket scan on each enqueue); flowstats (metrics plus the
    per-flow registry of --flowstats-out); series (metrics plus the 1 Hz
    recorder of --metrics-out); trace (the --trace-out Btrace writer, no
-   flight ring, into a sink that drops the bytes, so the number measures
+   flight recorder, into a sink that drops the bytes, so the number measures
    encoding, not disk).
 
    Timed part.  Every rep runs in its own child, forked from the same

@@ -169,11 +169,33 @@ let report_validation (r : Core.Runner.result) =
     print_endline (Validate.Report.to_string report);
     if Validate.Report.is_clean report then 0 else 1
 
+(* Under NETSIM_VALIDATE=1 a run that did not ask for validation raises
+   [Core.Runner.Validation_failed] on a violation, directly or as failed
+   points of [Sweep_pool.map].  That is a verdict, as [--validate]'s is:
+   its summary on stderr and exit 1.  Any other exception still reaches
+   cmdliner (exit 125). *)
+let verdict f =
+  match f () with
+  | code -> code
+  | exception (Core.Runner.Validation_failed _ as e) ->
+    prerr_endline (Printexc.to_string e);
+    1
+  | exception Sweep_pool.Error { point_failures = _ :: _ as failures; _ }
+    when List.for_all
+           (fun (pf : Sweep_pool.point_failure) ->
+             Core.Runner.is_validation_failure pf.exn_text)
+           failures ->
+    List.iter
+      (fun (pf : Sweep_pool.point_failure) -> prerr_endline pf.exn_text)
+      failures;
+    1
+
 (* ---------------- experiment ---------------- *)
 
 let experiment_names = "all" :: List.map fst Core.Experiments.registry
 
 let run_experiment name json =
+  verdict @@ fun () ->
   let outcomes =
     if name = "all" then Core.Experiments.all ()
     else
@@ -437,7 +459,7 @@ let obs_term =
       & opt (checked_int ~what:"--flight-recorder" ~min:0) 0
       & info [ "flight-recorder" ] ~docv:"N"
           ~doc:
-            "Keep the last N trace events in a ring and dump them to \
+            "Keep the last N trace events in memory and dump them to \
              stderr when a validation checker fires or the run fails.")
   in
   let json =
@@ -501,6 +523,7 @@ let metrics_file_json probe =
 let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
     gateway flow_size skew duration warmup csv_dir validate faults_cli
     obs_cli guard_cli =
+  verdict @@ fun () ->
   (* [--cc list] prints the zoo table and exits (usable without any other
      scenario flags). *)
   (match cc with
@@ -955,6 +978,7 @@ let plottable =
   List.map (fun (f : Core.Experiments.figure) -> f.fig) Core.Experiments.figures
 
 let plot_figure name width validate =
+  verdict @@ fun () ->
   let scenario =
     match
       List.find_opt
@@ -1016,6 +1040,7 @@ let plot_cmd =
 (* ---------------- dump ---------------- *)
 
 let dump_figures dir validate =
+  verdict @@ fun () ->
   output_dir ~flag:"--dir" dir;
   let failures = ref 0 in
   let dump prefix scenario =

@@ -97,9 +97,9 @@ let run spec =
      if not (Validate.Report.is_clean report) then begin
        prerr_endline "netsim validation FAILED for multihop run:";
        prerr_endline (Validate.Report.to_string report);
-       failwith
-         (Printf.sprintf "validation failed for multihop run: %s"
-            (Validate.Report.summary report))
+       raise
+         (Runner.Validation_failed
+            ("multihop run: " ^ Validate.Report.summary report))
      end);
   let trunk_utils =
     Array.map

@@ -37,6 +37,18 @@ let env_forces_validation () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
+(* The printer gives the exception one spelling everywhere, a sweep-pool
+   point failure's text included, and that spelling identifies it. *)
+exception Validation_failed of string
+
+let validation_failed = "validation failed for "
+let is_validation_failure = String.starts_with ~prefix:validation_failed
+
+let () =
+  Printexc.register_printer (function
+    | Validation_failed what -> Some (validation_failed ^ what)
+    | _ -> None)
+
 let connection_config (d : Net.Topology.dumbbell) ~conn_id
     (spec : Scenario.conn_spec) =
   let src_host, dst_host =
@@ -208,9 +220,9 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = budget ()) ?stop ?bundle_dir
     | None -> ());
   (match !validation_summary with
    | Some summary when env_forces_validation () && not scenario.validate ->
-     failwith
-       (Printf.sprintf "validation failed for scenario %s: %s" scenario.name
-          summary)
+     raise
+       (Validation_failed
+          (Printf.sprintf "scenario %s: %s" scenario.name summary))
    | _ -> ());
   (match obs with Some probe -> Obs.Probe.finish probe | None -> ());
   let util_fwd, util_bwd =

@@ -48,14 +48,14 @@ type result = {
 (** Build and run to completion.  When validation is enabled the
     invariant checkers run inside the simulation; a violated invariant is
     printed to stderr (and, when forced via [NETSIM_VALIDATE] rather than
-    the scenario flag, raises [Failure]).
+    the scenario flag, raises {!Validation_failed}).
 
     [obs] (default {!Obs.Probe.disabled}) configures the observability
     probe: metrics, trace sinks, and the flight recorder.  The probe is
     attached before the run, armed on the validation report when there
-    is one (first violation dumps the flight ring), and finished (trace
-    outputs closed) when the run ends — including when [Sim.run]
-    raises, in which case the flight ring is dumped first and the
+    is one (first violation dumps the flight recorder), and finished
+    (trace outputs closed) when the run ends — including when [Sim.run]
+    raises, in which case the flight recorder is dumped first and the
     exception re-raised.
 
     Every run goes through {!Engine.Sim.run_guarded}.  [budget]
@@ -85,6 +85,18 @@ val validation_report : result -> Validate.Report.t option
 (** Is the [NETSIM_VALIDATE] environment variable set (to anything but
     [""] or ["0"])? *)
 val env_forces_validation : unit -> bool
+
+(** Raised by {!run} and {!Multihop.run} when [NETSIM_VALIDATE] forced
+    validation on a run that did not ask for it and a checker fired;
+    the report is on stderr by then.  The payload names the run and
+    summarizes the report (["scenario fig2: 278 violations ..."]), and
+    [Printexc.to_string] spells the exception ["validation failed for "]
+    followed by it. *)
+exception Validation_failed of string
+
+(** Is [text] a {!Validation_failed} as [Printexc.to_string] spells it?
+    A {!Sweep_pool} point failure carries only that text. *)
+val is_validation_failure : string -> bool
 
 (** Goodput of connection [i] (packets/s) over the measurement window;
     [0.] when the run stopped before warm-up ended (empty window). *)

@@ -25,7 +25,9 @@
 
    The writer appends records to one preallocated segment buffer and
    hands it to the sink only when full (or on [flush]) — zero
-   formatting, zero per-event syscalls.  The one decoder, a pull cursor
+   formatting, zero per-event syscalls.  A recorder (the flight
+   recorder) is the same writer without a sink: it keeps its last full
+   segment and decodes both on a dump.  The one decoder, a pull cursor
    that [iter] and [read] loop over, is torn-tolerant — a file cut
    mid-record (crash before the last flush) yields every complete record
    and a [Torn] note — and strict: bytes the writer never produces stop
@@ -54,8 +56,7 @@ let tag_loss = 0x18
 let tag_ack_tx = 0x19
 
 (* ------------------------------------------------------------------ *)
-(* Plain decoded data, no live model objects: the flight ring records
-   the same values the decoder yields, so one JSONL renderer serves both. *)
+(* Plain decoded data: copies, never live model objects                *)
 (* ------------------------------------------------------------------ *)
 
 type pkt = {
@@ -101,23 +102,6 @@ let ev_label = function
   | Loss _ -> "loss"
   | Ack_tx _ -> "ack_tx"
 
-let plain_pkt (p : Net.Packet.t) =
-  {
-    id = p.id;
-    conn = p.conn;
-    kind = p.kind;
-    seq = p.seq;
-    retransmit = p.retransmit;
-    size = p.size;
-  }
-
-let plain_link l =
-  {
-    link_id = Net.Link.id l;
-    link_name = Net.Link.name l;
-    bandwidth = Net.Link.bandwidth l;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -128,8 +112,24 @@ let plain_link l =
    previous time boxed instead: it hands that box out with the event.) *)
 type clock = { mutable prev : float }
 
+(* A flight recorder's memory.  Its segments hold event records only,
+   each segment's clock starting at 0; the keyframe holds the header
+   and every def, so the keyframe followed by a segment is a trace on
+   its own.  The spare is the last full segment. *)
+type ring = {
+  capacity : int;  (* the events a dump shows *)
+  keyframe : Buffer.t;
+  spare : Bytes.t;
+  mutable spare_len : int;
+  mutable spare_events : int;
+  mutable live_from : int;  (* [events] when the live segment started *)
+}
+
+(* Where a full segment goes: to the sink, or into a recorder's spare. *)
+type out = Sink of (string -> unit) | Ring of ring
+
 type writer = {
-  sink : string -> unit;
+  out : out;
   seg : Bytes.t;
   mutable pos : int;
   strings : (string, int) Hashtbl.t;
@@ -139,10 +139,11 @@ type writer = {
 }
 
 let flush w =
-  if w.pos > 0 then begin
-    w.sink (Bytes.sub_string w.seg 0 w.pos);
+  match w.out with
+  | Sink sink when w.pos > 0 ->
+    sink (Bytes.sub_string w.seg 0 w.pos);
     w.pos <- 0
-  end
+  | Sink _ | Ring _ -> ()
 
 (* Upper bound on one record's encoding: tag (1) + time varint (<= 10)
    + three int varints (<= 9 each) + packet (<= 37) + qlen (<= 9).
@@ -151,7 +152,20 @@ let flush w =
    record boundaries, which keeps crash truncation record-aligned. *)
 let max_record = 80
 
-let ensure w n = if w.pos + n > Bytes.length w.seg then flush w
+(* A recorder's segment has room for [capacity + 1] records of
+   [max_record] bytes, so once full it holds more than [capacity]
+   events: all a dump needs of the past.  It is copied into the spare,
+   and the live segment starts over. *)
+let restart w r =
+  Bytes.blit w.seg 0 r.spare 0 w.pos;
+  r.spare_len <- w.pos;
+  r.spare_events <- w.events - r.live_from;
+  r.live_from <- w.events;
+  w.pos <- 0;
+  w.clock.prev <- 0.
+
+let spill w = match w.out with Sink _ -> flush w | Ring r -> restart w r
+let ensure w n = if w.pos + n > Bytes.length w.seg then spill w
 
 (* Unchecked writers: callers must [ensure] the total first.  They
    thread [pos] as a value instead of re-reading the mutable field —
@@ -179,33 +193,51 @@ let put_f64 seg pos f =
   Bytes.set_int64_le seg pos (Int64.bits_of_float f);
   pos + 8
 
+(* Defs: a file writer leaves each in its segment; a recorder moves it,
+   written from [start] to [pos], to its keyframe. *)
+let keep_def w start =
+  match w.out with
+  | Sink _ -> ()
+  | Ring r ->
+    Buffer.add_subbytes r.keyframe w.seg start (w.pos - start);
+    w.pos <- start
+
+(* A def's raw bytes, after its header went through [keep_def]. *)
 let put_raw w s =
-  let len = String.length s in
-  if w.pos + len > Bytes.length w.seg then flush w;
-  if len > Bytes.length w.seg then w.sink s
-  else begin
-    Bytes.blit_string s 0 w.seg w.pos len;
-    w.pos <- w.pos + len
-  end
+  match w.out with
+  | Ring r -> Buffer.add_string r.keyframe s
+  | Sink sink ->
+    let len = String.length s in
+    if w.pos + len > Bytes.length w.seg then flush w;
+    if len > Bytes.length w.seg then sink s
+    else begin
+      Bytes.blit_string s 0 w.seg w.pos len;
+      w.pos <- w.pos + len
+    end
+
+let make out seg =
+  { out; seg; pos = 0; strings = Hashtbl.create 32; next_sid = 0;
+    clock = { prev = 0. }; events = 0 }
+
+let header_bytes = magic ^ String.make 1 (Char.chr version)
 
 let writer ?(segment = 256 * 1024) sink =
   if segment < 2 * max_record then
     invalid_arg "Btrace.writer: segment too small";
-  let w =
-    {
-      sink;
-      seg = Bytes.create segment;
-      pos = 0;
-      strings = Hashtbl.create 32;
-      next_sid = 0;
-      clock = { prev = 0. };
-      events = 0;
-    }
-  in
-  put_raw w magic;
-  ensure w 1;
-  w.pos <- put_byte w.seg w.pos version;
+  let w = make (Sink sink) (Bytes.create segment) in
+  put_raw w header_bytes;
   w
+
+let recorder capacity =
+  if capacity < 1 then invalid_arg "Btrace.recorder: capacity must be >= 1";
+  let segment = (capacity + 1) * max_record in
+  let keyframe = Buffer.create 256 in
+  Buffer.add_string keyframe header_bytes;
+  make
+    (Ring
+       { capacity; keyframe; spare = Bytes.create segment; spare_len = 0;
+         spare_events = 0; live_from = 0 })
+    (Bytes.create segment)
 
 let intern w s =
   match Hashtbl.find_opt w.strings s with
@@ -215,29 +247,33 @@ let intern w s =
     w.next_sid <- sid + 1;
     Hashtbl.add w.strings s sid;
     ensure w 19;
-    let pos = put_byte w.seg w.pos tag_string in
+    let start = w.pos in
+    let pos = put_byte w.seg start tag_string in
     let pos = put_varint w.seg pos sid in
     w.pos <- put_varint w.seg pos (String.length s);
+    keep_def w start;
     put_raw w s;
     sid
 
 let declare_link w l =
   let name_sid = intern w (Net.Link.name l) in
   ensure w 27;
-  let seg = w.seg in
-  let pos = put_byte seg w.pos tag_link in
+  let seg = w.seg and start = w.pos in
+  let pos = put_byte seg start tag_link in
   let pos = put_varint seg pos (Net.Link.id l) in
   let pos = put_varint seg pos name_sid in
-  w.pos <- put_f64 seg pos (Net.Link.bandwidth l)
+  w.pos <- put_f64 seg pos (Net.Link.bandwidth l);
+  keep_def w start
 
 let declare_conn_meta w conn ~start_time ~flow_size =
   ensure w 27;
-  let seg = w.seg in
-  let pos = put_byte seg w.pos tag_conn_meta in
+  let seg = w.seg and start = w.pos in
+  let pos = put_byte seg start tag_conn_meta in
   let pos = put_varint seg pos conn in
   let pos = put_f64 seg pos start_time in
   w.pos <-
-    put_varint seg pos (match flow_size with None -> 0 | Some n -> n + 1)
+    put_varint seg pos (match flow_size with None -> 0 | Some n -> n + 1);
+  keep_def w start
 
 let zigzag d = Int64.logxor (Int64.shift_left d 1) (Int64.shift_right d 63)
 
@@ -717,19 +753,41 @@ let jsonl_line ~time ev =
   Buffer.contents buf
 
 (* One buffer for every line, handed to [sink] with its newline; each
-   link's field is rendered once, when its def is read. *)
-let export_jsonl data sink =
+   link's field is rendered once, when its def is read.  The first
+   [skip] events are decoded but not rendered. *)
+let jsonl_after ~skip data sink =
   let buf = Buffer.create 128 in
   let fields = Engine.Int_tbl.create 8 in
   let link (l : link) = Engine.Int_tbl.find fields l.link_id in
+  let skip = ref skip in
   iter data (function
     | Def_link l -> Engine.Int_tbl.replace fields l.link_id (link_field l)
     | Def_conn _ | Def_conn_meta _ -> ()
+    | Event _ when !skip > 0 -> decr skip
     | Event (time, ev) ->
       Buffer.clear buf;
       add_jsonl buf ~link ~time ev;
       Buffer.add_char buf '\n';
       sink (Buffer.contents buf))
+
+let export_jsonl data sink = jsonl_after ~skip:0 data sink
+
+(* The spare's events, then the live segment's, each segment decoded
+   after the keyframe: the last [shown] of them are the last [shown]
+   written. *)
+let recent_jsonl w sink =
+  match w.out with
+  | Sink _ -> invalid_arg "Btrace.recent_jsonl: not a recorder"
+  | Ring r ->
+    let shown = min r.capacity w.events in
+    let skip = r.spare_events + (w.events - r.live_from) - shown in
+    let render ~skip seg len =
+      let data = Buffer.contents r.keyframe ^ Bytes.sub_string seg 0 len in
+      ignore (jsonl_after ~skip data sink : _ result)
+    in
+    if skip < r.spare_events then render ~skip r.spare r.spare_len;
+    render ~skip:(max 0 (skip - r.spare_events)) w.seg w.pos;
+    shown
 
 (* Chrome trace_event rendering: one process, one thread ("track" in
    Perfetto) per link and per connection; counter tracks (queue depth,

@@ -43,11 +43,9 @@ val min_version : int
 
 (** {2 Decoded plain data}
 
-    Decoded events carry copies, never live model objects: the {!Flight}
-    ring records the same plain values the decoder yields, so one JSONL
-    renderer serves both.  A link is its identity:
-    [link_id] doubles as the Perfetto track id, [bandwidth]
-    reconstructs departure slice durations offline.
+    Decoded events carry copies, never live model objects.  A link is
+    its identity: [link_id] doubles as the Perfetto track id,
+    [bandwidth] reconstructs departure slice durations offline.
 
     The values are immutable, and the decoder hands out one value where
     records repeat one: items may share a physically equal [pkt] (the
@@ -107,11 +105,6 @@ type stop =
 (** Short event-kind tag, e.g. ["enqueue"]; the JSONL ["ev"] value. *)
 val ev_label : ev -> string
 
-(** Plain copies of live model values. *)
-val plain_pkt : Net.Packet.t -> pkt
-
-val plain_link : Net.Link.t -> link
-
 (** {2 Writer} *)
 
 type writer
@@ -122,6 +115,17 @@ type writer
     @raise Invalid_argument if [segment] is under two records' worth
     (160 bytes). *)
 val writer : ?segment:int -> (string -> unit) -> writer
+
+(** [recorder n] is a flight recorder: a writer without a sink that
+    keeps its latest records in memory, at least the last [n] events,
+    for {!recent_jsonl}.  It records with the file writer's code, so it
+    allocates no more per record.  Its two segments, the live one and a
+    spare, have room for [n + 1] records each and hold events only; the
+    header and every def sit once in a keyframe.  A full segment is
+    copied into the spare and the live one starts over, its clock at 0,
+    so the keyframe and either segment decode on their own.
+    @raise Invalid_argument if [n < 1]. *)
+val recorder : int -> writer
 
 (** Emit a link-def (and its name's string-def on first sight).  Must
     precede the link's events in the stream. *)
@@ -172,7 +176,8 @@ val ack_tx :
 val events_written : writer -> int
 
 (** Hand buffered bytes to the sink.  Call on every exit path (the
-    writer never flushes on its own except when a segment fills). *)
+    writer never flushes on its own except when a segment fills).  A
+    {!recorder} has no sink: it keeps its records. *)
 val flush : writer -> unit
 
 (** {2 Decoder and offline formatters} *)
@@ -200,6 +205,13 @@ val jsonl_line : time:float -> ev -> string
     what {!iter} returns; on [Error] nothing was written. *)
 val export_jsonl :
   string -> (string -> unit) -> (int * stop option, string) result
+
+(** [recent_jsonl w sink] decodes {!recorder} [w]'s spare and live
+    segments and renders the last [min n (events_written w)] events,
+    oldest first, as {!export_jsonl} renders them: one call of [sink]
+    per line, newline included.  Returns how many lines it rendered.
+    @raise Invalid_argument if [w] is not a {!recorder}. *)
+val recent_jsonl : writer -> (string -> unit) -> int
 
 (** Decode and render a Chrome [trace_event] JSON file (loadable in
     Perfetto / [chrome://tracing]) in one pass, byte-identical to the

@@ -23,7 +23,7 @@ type t = {
   registry : Metrics.t option;
   recorder : Metrics.recorder option;
   writer : Btrace.writer option;
-  ring : (float * Btrace.ev) Flight.t option;
+  flight : Btrace.writer option;
   fs : Flowstats.t option;
   flight_sink : string -> unit;
   mutable flight_dumped : bool;
@@ -90,8 +90,8 @@ let register_metrics reg ~net ~conns =
   List.iter (register_link reg ~sim) (Net.Network.links net);
   List.iter (register_conn reg) conns
 
-(* Binary trace: every model event, written straight from the live
-   values each hook receives. *)
+(* Binary trace and flight recorder: every model event, written
+   straight from the live values each hook receives. *)
 
 let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_drop label -> label
@@ -132,48 +132,6 @@ let write_events w ~net ~conns =
   List.iter (write_link w) (Net.Network.links net);
   List.iter (write_conn w) conns
 
-(* Flight ring: the same events as plain [Btrace.ev] copies, the values
-   the trace decoder yields, so one JSONL renderer serves both.  Each
-   link's plain record is built once, here. *)
-
-let ring_link f link =
-  let l = Btrace.plain_link link in
-  Net.Link.on_enqueue link (fun time p qlen ->
-      Flight.record f
-        (time, Btrace.Enqueue { link = l; pkt = Btrace.plain_pkt p; qlen }));
-  Net.Link.on_drop link (fun time p ->
-      Flight.record f
-        (time, Btrace.Drop { link = l; pkt = Btrace.plain_pkt p }));
-  Net.Link.on_depart link (fun time p qlen ->
-      Flight.record f
-        (time, Btrace.Depart { link = l; pkt = Btrace.plain_pkt p; qlen }));
-  Net.Link.on_fault link (fun time fe p ->
-      Flight.record f
-        ( time,
-          Btrace.Fault
-            { link = l; label = fault_label fe; pkt = Btrace.plain_pkt p } ))
-
-let ring_conn f (conn, c) =
-  let s = Tcp.Connection.sender c in
-  Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
-      Flight.record f (time, Btrace.Cwnd { conn; cwnd; ssthresh }));
-  Tcp.Sender.on_loss s (fun time reason ->
-      Flight.record f
-        (time, Btrace.Loss { conn; reason = loss_reason reason }));
-  Tcp.Sender.on_send s (fun time p ->
-      Flight.record f (time, Btrace.Send { conn; pkt = Btrace.plain_pkt p }));
-  Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver c)
-    (fun time ~ackno ~delayed ~dup ->
-      Flight.record f (time, Btrace.Ack_tx { conn; ackno; delayed; dup }))
-
-let ring_events f ~net ~conns =
-  Net.Network.on_inject net (fun time p ->
-      Flight.record f (time, Btrace.Inject (Btrace.plain_pkt p)));
-  Net.Network.on_deliver net (fun time p ->
-      Flight.record f (time, Btrace.Deliver (Btrace.plain_pkt p)));
-  List.iter (ring_link f) (Net.Network.links net);
-  List.iter (ring_conn f) conns
-
 (* Flowstats: per-flow sends, losses, cwnd extrema and deliveries. *)
 
 let account_conn fs (cid, conn) =
@@ -206,14 +164,12 @@ let account fs ~net ~conns =
 let attach setup ~net ~conns =
   let sim = Net.Network.sim net in
   let writer = Option.map (fun sink -> Btrace.writer sink) setup.btrace in
-  let ring =
-    Option.map (fun capacity -> Flight.create ~capacity) setup.flight
-  in
+  let flight = Option.map Btrace.recorder setup.flight in
   let fs = if setup.flowstats then Some (Flowstats.create ()) else None in
   let registry = if setup.metrics then Some (Metrics.create ()) else None in
   Option.iter (fun reg -> register_metrics reg ~net ~conns) registry;
   Option.iter (fun w -> write_events w ~net ~conns) writer;
-  Option.iter (fun f -> ring_events f ~net ~conns) ring;
+  Option.iter (fun w -> write_events w ~net ~conns) flight;
   Option.iter (fun fs -> account fs ~net ~conns) fs;
   (* The recorder snapshots whatever is registered at creation time, so it
      must come after all of the wiring above. *)
@@ -222,23 +178,21 @@ let attach setup ~net ~conns =
     | Some reg, Some dt -> Some (Metrics.record reg sim ~dt)
     | _ -> None
   in
-  { registry; recorder; writer; ring; fs; flight_sink = setup.flight_sink;
+  { registry; recorder; writer; flight; fs; flight_sink = setup.flight_sink;
     flight_dumped = false }
 
-let render_flight (time, ev) = Btrace.jsonl_line ~time ev
-
-let dump_flight t ~reason =
-  match t.ring with
-  | Some f -> Flight.dump f ~reason ~render:render_flight t.flight_sink
-  | None -> ()
-
 let flight_text t ~reason =
-  match t.ring with
-  | Some f ->
-    let buf = Buffer.create 4096 in
-    Flight.dump f ~reason ~render:render_flight (Buffer.add_string buf);
-    Some (Buffer.contents buf)
-  | None -> None
+  Option.map
+    (fun f ->
+      let lines = Buffer.create 4096 in
+      let shown = Btrace.recent_jsonl f (Buffer.add_string lines) in
+      Printf.sprintf
+        "=== flight recorder: %s (last %d of %d events) ===\n\
+         %s=== end flight recorder ===\n"
+        reason shown (Btrace.events_written f) (Buffer.contents lines))
+    t.flight
+
+let dump_flight t ~reason = Option.iter t.flight_sink (flight_text t ~reason)
 
 let arm_report t report =
   Validate.Report.on_violation report (fun v ->
@@ -253,7 +207,6 @@ let arm_report t report =
 
 let finish t = Option.iter Btrace.flush t.writer
 let flowstats t = t.fs
-let flight t = t.ring
 
 let final_metrics t =
   match t.registry with Some reg -> Metrics.snapshot reg | None -> []

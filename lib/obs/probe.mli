@@ -1,5 +1,5 @@
 (** Probe: wires the observability pillars ({!Metrics}, the {!Btrace}
-    writer, the {!Flight} ring, {!Flowstats}) into a live simulation.
+    writer, the flight recorder, {!Flowstats}) into a live simulation.
 
     A probe is configured with a {!setup} value and attached once, after
     the network and connections exist but {b before} [Sim.run].  Count
@@ -15,9 +15,9 @@
     - the binary trace writer, every link, connection and network
       hook, each calling the {!Btrace} writer function for its record
       kind with the live values it receives;
-    - the flight ring, the same hooks, each recording a plain
-      {!Btrace.ev} copy (a link's plain record is built once, when its
-      hooks are installed);
+    - the flight recorder, a {!Btrace.recorder} wired through the
+      same hooks as the trace writer, keeping its latest records in
+      memory instead of handing them to a sink;
     - flowstats, [on_cwnd], [on_loss] and [on_send] per connection and
       [on_deliver] on the network.
 
@@ -36,7 +36,7 @@ type setup
     - [btrace]: binary trace sink, handed large batches of the
       {!Btrace} stream ([output_string oc], [Buffer.add_string buf]);
       convert offline with {!Btrace} or [netsim trace export].
-    - [flight]: keep a flight-recorder ring of the last [n] events.
+    - [flight]: keep a flight recorder of the last [n] events.
     - [flight_sink] (default stderr): where {!dump_flight} writes.
     - [flowstats] (default [false]): per-flow accounting registry
       ({!Flowstats}) fed from its own hooks; zero cost when off. *)
@@ -68,11 +68,14 @@ val attach :
     report (subsequent violations do not re-dump). *)
 val arm_report : t -> Validate.Report.t -> unit
 
-(** Dump the flight ring to the configured sink, if a ring exists. *)
+(** Dump the flight recorder to the configured sink, if there is one. *)
 val dump_flight : t -> reason:string -> unit
 
-(** Rendered flight-ring postmortem (banner + JSONL lines), or [None]
-    without a ring — what crash bundles embed as [flight.txt]. *)
+(** Rendered flight-recorder postmortem: a banner naming [reason] and
+    how many of the events ever recorded it shows, the last
+    [min n events] of them as JSONL lines (oldest first, rendered as
+    [trace export] renders them), and a footer; [None] without a
+    recorder.  What crash bundles embed as [flight.txt]. *)
 val flight_text : t -> reason:string -> string option
 
 (** Flush buffered binary trace records to the sink.  Idempotent; runs
@@ -80,9 +83,6 @@ val flight_text : t -> reason:string -> string option
 val finish : t -> unit
 
 val flowstats : t -> Flowstats.t option
-
-(** The flight ring: each event's time and plain copy, oldest first. *)
-val flight : t -> (float * Btrace.ev) Flight.t option
 
 (** Final scalar snapshot of every metric ([[]] without a registry). *)
 val final_metrics : t -> (string * float) list

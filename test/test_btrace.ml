@@ -60,6 +60,15 @@ let fixture () =
   in
   (net, fwd, bwd, pkt)
 
+(* The plain values a live packet and link decode to. *)
+let plain_pkt (p : Net.Packet.t) : Obs.Btrace.pkt =
+  { id = p.id; conn = p.conn; kind = p.kind; seq = p.seq;
+    retransmit = p.retransmit; size = p.size }
+
+let plain_link l : Obs.Btrace.link =
+  { link_id = Net.Link.id l; link_name = Net.Link.name l;
+    bandwidth = Net.Link.bandwidth l }
+
 (* Encode one of everything through every per-kind writer function
    (awkward times included: 0.1 +. 0.2 needs 17 digits, 1e-9 exercises
    a large negative exponent jump) and return the byte stream plus the

@@ -114,50 +114,111 @@ let test_metrics_recorder () =
 
 (* ---------------- flight recorder ---------------- *)
 
+(* Two hosts joined by a duplex link; [send seq] injects a data packet
+   from h1 to h2. *)
+let two_hosts () =
+  let sim = Engine.Sim.create () in
+  let net = Net.Network.create sim in
+  let h1 = Net.Network.add_host net ~name:"h1" ~proc_delay:1e-4 in
+  let h2 = Net.Network.add_host net ~name:"h2" ~proc_delay:1e-4 in
+  let fwd, bwd =
+    Net.Network.add_duplex net ~src:h1 ~dst:h2 ~bandwidth:1e6 ~prop_delay:0.01
+      ~buffer:(Some 10)
+  in
+  Net.Network.set_route net ~node:h1 ~dst:h2 ~link:fwd;
+  Net.Network.set_route net ~node:h2 ~dst:h1 ~link:bwd;
+  Net.Network.register_endpoint net ~host:h2 ~conn:1 (fun _ -> ());
+  let pkt seq =
+    Net.Network.make_packet net ~conn:1 ~kind:Net.Packet.Data ~seq ~size:500
+      ~src:h1 ~dst:h2 ~retransmit:false
+  in
+  let send seq = Net.Network.send_from_host net ~host:h1 (pkt seq) in
+  (sim, net, fwd, pkt, send)
+
+(* A recorder's lines, and how many it says it rendered. *)
+let recent f =
+  let buf = Buffer.create 256 in
+  let n = Obs.Btrace.recent_jsonl f (Buffer.add_string buf) in
+  (n, Buffer.contents buf)
+
+let jsonl_lines data =
+  let buf = Buffer.create 4096 in
+  (match Obs.Btrace.export_jsonl data (Buffer.add_string buf) with
+   | Ok (_, None) -> ()
+   | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg))
+   | Error msg ->
+     Alcotest.failf "trace unreadable: %s" msg);
+  List.filter_map
+    (fun l -> if l = "" then None else Some (l ^ "\n"))
+    (String.split_on_char '\n' (Buffer.contents buf))
+
+let last n l =
+  let drop = List.length l - n in
+  List.filteri (fun i _ -> i >= drop) l
+
 let test_flight_ring () =
   Alcotest.check_raises "capacity must be >= 1"
-    (Invalid_argument "Flight.create: capacity must be >= 1") (fun () ->
-      ignore (Obs.Flight.create ~capacity:0 : string Obs.Flight.t));
-  let f = Obs.Flight.create ~capacity:3 in
-  Alcotest.(check int) "empty length" 0 (Obs.Flight.length f);
-  List.iter (Obs.Flight.record f) [ "a"; "b"; "c"; "d"; "e" ];
-  Alcotest.(check int) "capped length" 3 (Obs.Flight.length f);
-  Alcotest.(check int) "total counts overwritten" 5 (Obs.Flight.total f);
-  Alcotest.(check (list string))
-    "last three, oldest first" [ "c"; "d"; "e" ]
-    (Obs.Flight.entries f);
-  let buf = Buffer.create 256 in
-  Obs.Flight.dump f ~reason:"test" ~render:Fun.id (Buffer.add_string buf);
-  let out = Buffer.contents buf in
-  Alcotest.(check bool) "banner" true
-    (contains out "=== flight recorder: test (last 3 of 5 events) ===");
-  Alcotest.(check bool) "entries present" true (contains out "c\nd\ne\n");
-  Alcotest.(check bool) "footer" true
-    (contains out "=== end flight recorder ===")
+    (Invalid_argument "Btrace.recorder: capacity must be >= 1") (fun () ->
+      ignore (Obs.Btrace.recorder 0 : Obs.Btrace.writer));
+  Alcotest.check_raises "a file writer keeps no recent events"
+    (Invalid_argument "Btrace.recent_jsonl: not a recorder") (fun () ->
+      ignore (Obs.Btrace.recent_jsonl (Obs.Btrace.writer ignore) ignore : int));
+  let f = Obs.Btrace.recorder 3 in
+  Alcotest.(check (pair int string)) "empty" (0, "") (recent f);
+  List.iteri
+    (fun i reason -> Obs.Btrace.loss f ~time:(float_of_int i) ~conn:1 ~reason)
+    [ "a"; "b"; "c"; "d"; "e" ];
+  Alcotest.(check int) "every event counted" 5 (Obs.Btrace.events_written f);
+  let line t reason =
+    Printf.sprintf "{\"t\":%d,\"ev\":\"loss\",\"conn\":1,\"reason\":\"%s\"}\n" t
+      reason
+  in
+  Alcotest.(check (pair int string))
+    "last three, oldest first"
+    (3, line 2 "c" ^ line 3 "d" ^ line 4 "e")
+    (recent f)
 
-let test_flight_total_saturates () =
-  (* Regression: [total] used to grow without bound and was once used
-     modulo capacity for slot selection; the invariant now is that the
-     ring keeps working at the int boundary and [total] saturates at
-     [max_int] instead of wrapping negative. *)
-  let f = Obs.Flight.create ~capacity:3 in
-  List.iter (Obs.Flight.record f) [ "a"; "b"; "c" ];
-  Obs.Flight.force_total f (max_int - 1);
-  Obs.Flight.record f "d";
-  Alcotest.(check int) "total reaches max_int" max_int (Obs.Flight.total f);
-  Obs.Flight.record f "e";
-  Obs.Flight.record f "f";
-  Alcotest.(check bool) "total never wraps negative" true
-    (Obs.Flight.total f > 0);
-  Alcotest.(check int) "total saturates at max_int" max_int
-    (Obs.Flight.total f);
-  Alcotest.(check int) "length still capped" 3 (Obs.Flight.length f);
-  Alcotest.(check (list string))
-    "ring order survives saturation" [ "d"; "e"; "f" ]
-    (Obs.Flight.entries f);
-  Alcotest.check_raises "force_total below held entries rejected"
-    (Invalid_argument "Flight.force_total: below filled") (fun () ->
-      Obs.Flight.force_total f 1)
+(* Capacity 8 gives segments of 9 records of the largest kind, 720
+   bytes, and an inject record takes at least 8, so a segment holds at
+   most 90 of them: the 200 injects restart the segment at least twice
+   before the first loss and fault intern their strings, and the 300
+   mixed calls after them restart it at least once more.  After every
+   call, the recorder's dump must be the tail of a file writer's export
+   of the same calls: each segment restarts its clock at 0 and finds
+   every def, the late strings included, in the keyframe. *)
+let test_flight_restarts () =
+  let _sim, _net, fwd, pkt, _send = two_hosts () in
+  let capacity = 8 in
+  let f = Obs.Btrace.recorder capacity in
+  let binary = Buffer.create 4096 in
+  let w = Obs.Btrace.writer (Buffer.add_string binary) in
+  let both write = write f; write w in
+  both (fun w -> Obs.Btrace.declare_link w fwd);
+  both (fun w ->
+      Obs.Btrace.declare_conn_meta w 1 ~start_time:0. ~flow_size:None);
+  let time = ref 0. in
+  let call i =
+    (* Repeated times, 17-digit times and an exponent crossing. *)
+    if i mod 4 <> 0 then time := !time +. 0.1 +. 0.2;
+    if i = 350 then time := !time *. 1024.;
+    let time = !time and p = pkt i in
+    both
+      (if i < 200 || i mod 3 = 0 then fun w -> Obs.Btrace.inject w ~time p
+       else if i mod 3 = 1 then fun w ->
+         Obs.Btrace.loss w ~time ~conn:1 ~reason:"timeout"
+       else fun w ->
+         Obs.Btrace.fault w ~time ~link:fwd ~label:"blackout" ~pkt:p);
+    Obs.Btrace.flush w;
+    let lines = jsonl_lines (Buffer.contents binary) in
+    let held = min capacity (List.length lines) in
+    let got = recent f in
+    if got <> (held, String.concat "" (last capacity lines)) then
+      Alcotest.failf "after call %d the dump holds %d events:\n%s" i (fst got)
+        (snd got)
+  in
+  for i = 0 to 499 do
+    call i
+  done
 
 (* ---------------- json ---------------- *)
 
@@ -321,17 +382,7 @@ let test_trace_exports () =
      | _ -> Alcotest.fail "chrome traceEvents missing")
 
 let test_flight_dump_on_violation () =
-  let sim = Engine.Sim.create () in
-  let net = Net.Network.create sim in
-  let h1 = Net.Network.add_host net ~name:"h1" ~proc_delay:1e-4 in
-  let h2 = Net.Network.add_host net ~name:"h2" ~proc_delay:1e-4 in
-  let fwd, bwd =
-    Net.Network.add_duplex net ~src:h1 ~dst:h2 ~bandwidth:1e6 ~prop_delay:0.01
-      ~buffer:(Some 10)
-  in
-  Net.Network.set_route net ~node:h1 ~dst:h2 ~link:fwd;
-  Net.Network.set_route net ~node:h2 ~dst:h1 ~link:bwd;
-  Net.Network.register_endpoint net ~host:h2 ~conn:1 (fun _ -> ());
+  let sim, net, fwd, pkt, send = two_hosts () in
   let report = Validate.Report.create () in
   ignore (Validate.Conservation.attach report net : Validate.Conservation.t);
   let dump = Buffer.create 1024 in
@@ -341,19 +392,11 @@ let test_flight_dump_on_violation () =
   in
   let probe = Obs.Probe.attach setup ~net ~conns:[] in
   Obs.Probe.arm_report probe report;
-  (* A legitimate packet first, so the ring has history to dump. *)
-  let legit =
-    Net.Network.make_packet net ~conn:1 ~kind:Net.Packet.Data ~seq:0 ~size:500
-      ~src:h1 ~dst:h2 ~retransmit:false
-  in
-  Net.Network.send_from_host net ~host:h1 legit;
+  (* A legitimate packet first, so the recorder has history to dump. *)
+  send 0;
   (* Then a packet that reaches the endpoint without ever being injected:
-     conservation must flag the delivery, which must dump the ring. *)
-  let rogue =
-    Net.Network.make_packet net ~conn:1 ~kind:Net.Packet.Data ~seq:99 ~size:500
-      ~src:h1 ~dst:h2 ~retransmit:false
-  in
-  (match Net.Link.send fwd rogue with
+     conservation must flag the delivery, which must dump the recorder. *)
+  (match Net.Link.send fwd (pkt 99) with
    | `Ok -> ()
    | `Dropped -> Alcotest.fail "rogue packet not accepted");
   Engine.Sim.run_to_completion sim;
@@ -576,9 +619,9 @@ let prop_counts_match_trace =
         r.Core.Runner.conns;
       true)
 
-(* The writer and the flight ring install separate hooks.  They must
-   still see the same events in the same order: the ring's rendered
-   lines are the tail of the JSONL export of the same run's trace. *)
+(* The trace writer and the flight recorder are two writers on the same
+   hooks.  The recorder's dump must be the tail of the JSONL export of
+   the same run's trace, under a banner that counts every event. *)
 let prop_ring_is_trace_tail =
   Test.make ~name:"flight ring holds the tail of the binary trace" ~count:20
     (QCheck.make
@@ -594,33 +637,52 @@ let prop_ring_is_trace_tail =
           (scenario_of_spec s)
       in
       let probe = Option.get r.Core.Runner.obs in
-      let ring =
-        List.map
-          (fun (time, ev) -> Obs.Btrace.jsonl_line ~time ev)
-          (Obs.Flight.entries (Option.get (Obs.Probe.flight probe)))
-      in
-      let jsonl = Buffer.create (1 lsl 16) in
-      (match
-         Obs.Btrace.export_jsonl (Buffer.contents binary)
-           (Buffer.add_string jsonl)
-       with
-       | Ok (_, None) -> ()
-       | Ok (_, Some (Obs.Btrace.Torn msg | Obs.Btrace.Corrupt msg))
-       | Error msg ->
-         Test.fail_reportf "trace unreadable: %s" msg);
-      let lines =
-        List.filter (( <> ) "")
-          (String.split_on_char '\n' (Buffer.contents jsonl))
-      in
+      let lines = jsonl_lines (Buffer.contents binary) in
       let total = List.length lines in
-      let tail = List.filteri (fun i _ -> i >= total - n) lines in
-      if List.length ring <> min n total then
-        Test.fail_reportf "ring holds %d events, expected min(%d, %d)"
-          (List.length ring) n total;
-      if ring <> tail then
-        Test.fail_reportf "ring differs from the trace's last %d events"
-          (List.length tail);
+      let expected =
+        Printf.sprintf "=== flight recorder: tail (last %d of %d events) ===\n"
+          (min n total) total
+        ^ String.concat "" (last n lines)
+        ^ "=== end flight recorder ===\n"
+      in
+      if Obs.Probe.flight_text probe ~reason:"tail" <> Some expected then
+        Test.fail_reportf "the dump is not the trace's last %d events"
+          (min n total);
       true)
+
+(* Recording builds no values: per event, a flight-only run at the CI
+   smoke's size allocates what a trace-only run does, to 0.01 minor
+   words.  Only a segment restart allocates (its first time delta,
+   measured from 0, takes the writer's boxed path), and a segment of
+   4097 records of the largest kind holds some 20 000 events.  A plain
+   copy of each event costs some 20 words more. *)
+let test_flight_allocation () =
+  let scenario =
+    Core.Scenario.make ~name:"flight-words" ~tau:0.01 ~buffer:(Some 20)
+      ~conns:
+        (Core.Scenario.stagger ~step:1.0
+           [ Core.Scenario.conn Core.Scenario.Forward;
+             Core.Scenario.conn Core.Scenario.Reverse ])
+      ~duration:500. ~warmup:200. ()
+  in
+  let words setup =
+    ignore (Core.Runner.run ~obs:(setup ()) scenario : Core.Runner.result);
+    let before = Gc.minor_words () in
+    let r = Core.Runner.run ~obs:(setup ()) scenario in
+    (Gc.minor_words () -. before)
+    /. float_of_int
+         (Engine.Sim.events_run (Net.Network.sim r.dumbbell.Net.Topology.net))
+  in
+  let trace =
+    words (fun () -> Obs.Probe.setup ~metrics:false ~btrace:ignore ())
+  and flight =
+    words (fun () -> Obs.Probe.setup ~metrics:false ~flight:4096 ())
+  in
+  if flight > trace +. 0.01 then
+    Alcotest.failf
+      "a flight-only run allocates %.3f minor words per event, a trace-only \
+       run %.3f (bound: 0.01 more)"
+      flight trace
 
 let suite =
   ( "obs",
@@ -636,8 +698,8 @@ let suite =
         test_metrics_recorder;
       Alcotest.test_case "flight: bounded ring and dump format" `Quick
         test_flight_ring;
-      Alcotest.test_case "flight: total saturates at max_int" `Quick
-        test_flight_total_saturates;
+      Alcotest.test_case "flight: segments restart with the keyframe" `Quick
+        test_flight_restarts;
       Alcotest.test_case "json: parser round-trips traces" `Quick
         test_json_parse;
       Alcotest.test_case "json: JSONL validation" `Quick test_validate_jsonl;
@@ -655,4 +717,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_observation_transparent;
       QCheck_alcotest.to_alcotest prop_counts_match_trace;
       QCheck_alcotest.to_alcotest prop_ring_is_trace_tail;
+      Alcotest.test_case "flight: allocates no more per event than a trace"
+        `Quick test_flight_allocation;
     ] )

@@ -68,6 +68,34 @@ let test_epochs_and_phase_helpers () =
   Alcotest.(check bool) "cwnd correlation in range" true
     (ccorr >= -1. && ccorr <= 1.)
 
+(* A forced validation failure keeps one spelling, and the CLI knows it
+   by that spelling when it comes back as a sweep pool's failed point,
+   from either executor. *)
+let test_validation_failure_text () =
+  let text =
+    Printexc.to_string (Core.Runner.Validation_failed "scenario x: 1 violation")
+  in
+  Alcotest.(check string)
+    "spelling" "validation failed for scenario x: 1 violation" text;
+  Alcotest.(check bool) "recognized" true
+    (Core.Runner.is_validation_failure text);
+  Alcotest.(check bool) "another failure is not" false
+    (Core.Runner.is_validation_failure (Printexc.to_string (Failure text)));
+  List.iter
+    (fun backend ->
+      match
+        Sweep_pool.map ~backend ~jobs:2
+          (fun i ->
+            if i = 1 then
+              raise (Core.Runner.Validation_failed "scenario x: 1 violation");
+            i)
+          [ 0; 1; 2 ]
+      with
+      | _ -> Alcotest.fail "the failed point went unreported"
+      | exception Sweep_pool.Error { point_failures = [ pf ]; _ } ->
+        Alcotest.(check string) "point failure text" text pf.exn_text)
+    [ Sweep_pool.Seq; Sweep_pool.Fork ]
+
 let suite =
   ( "runner",
     [
@@ -79,4 +107,6 @@ let suite =
       Alcotest.test_case "traces attached" `Quick test_queue_traces_attached;
       Alcotest.test_case "epoch and phase helpers" `Quick
         test_epochs_and_phase_helpers;
+      Alcotest.test_case "forced validation failure keeps its text" `Quick
+        test_validation_failure_text;
     ] )
