@@ -1158,7 +1158,7 @@ let print_stats_table fs =
 let run_trace_stats file flow json =
   let data = read_input ~cmd:"trace stats" file in
   let fs = Obs.Flowstats.create () in
-  match Obs.Btrace.iter data (Obs.Flowstats.feed fs) with
+  match Obs.Btrace.decode data (Obs.Flowstats.observer fs) with
   | Error msg ->
     Printf.eprintf "trace stats: %s: %s\n" file msg;
     2

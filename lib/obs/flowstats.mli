@@ -9,8 +9,9 @@
     10^4+ flows.
 
     The same accounting rules are driven online (from {!Probe} hooks
-    during a run) and offline (from {!feed} folding a decoded binary
-    trace); they mirror the sender's own bookkeeping —
+    during a run) and offline (from {!observer} on the decoder's
+    callbacks, or {!feed} on decoded items); they mirror the sender's
+    own bookkeeping —
     including Karn's algorithm for RTT sampling — so the two paths
     agree {e bit-for-bit}: {!to_json} of a live run equals {!to_json}
     of its own trace, byte for byte. *)
@@ -66,11 +67,17 @@ val flow_cwnd : flow -> cwnd:float -> unit
 
 (** {2 Offline}
 
-    Fold one decoded binary-trace record: conn-defs register flows
-    (bare v1 conn-defs with [start_time = 0.], infinite size), events
-    dispatch to the [record_*] functions above, everything else is
-    skipped.  [Btrace.iter data (feed t)] accounts a whole trace in
-    one pass. *)
+    [Btrace.decode data (observer t)] accounts a whole binary trace in
+    one pass, which [netsim trace stats] runs: conn-defs register flows
+    (bare version-1 conn-defs with [start_time = 0.], infinite size),
+    sends, deliveries, losses and cwnd changes go to the [record_*]
+    functions above, and everything else is skipped.  It builds no
+    items. *)
+val observer : t -> Btrace.cell -> Btrace.observer
+
+(** The same fold over one decoded {!Btrace.item}:
+    [Btrace.iter data (feed t)] accounts a trace as {!observer} does,
+    and [List.iter (feed t) file.items] a {!Btrace.read}. *)
 val feed : t -> Btrace.item -> unit
 
 (** {2 Views} *)
