@@ -194,7 +194,7 @@ let time_in_child run =
     Unix.close rd;
     match (snd (Unix.waitpid [] pid), float_of_string_opt msg) with
     | Unix.WEXITED 0, Some seconds -> seconds
-    | _ -> failwith "obs: a timed child failed or reported no time")
+    | _ -> failwith "a timed child failed or reported no time")
 
 let median xs =
   let a = Array.of_list xs in
@@ -281,9 +281,41 @@ let obs () =
    clock are what a code change moves on any machine, so those two are
    gated (25% band); the multi-job rows also depend on the core count,
    so they are recorded, with [cores_available] and [parallel_ok], but
-   not gated. *)
+   not gated.
+
+   The in-process dispatch row is timed as the obs gate times its rows,
+   and scaled as bench/e2e scales its times.  Each round times two reps,
+   each in a child forked from the same parent state, in alternating
+   order: [dispatch_maps] maps of 128 trivial tasks, some 6 ms, and
+   [kernel], fixed work no netsim change can touch, some 10 ms.  The row
+   is the median over [dispatch_rounds] rounds of that round's ratio,
+   scaled to a machine on which the kernel takes [kernel_nominal]
+   seconds, per point; the raw medians are recorded beside it.  A
+   machine that runs everything slower for a while moves both reps of a
+   round.  The best of 3 single maps of 512 tasks, 20 us each in this
+   process, measured the runner: on unchanged code it read 0.035 to
+   0.053 us a point against a 0.0489 limit, and medians over children
+   of unscaled reps still moved 4.1 to 6.8 ms between runs. *)
 
 let sweep_grid = Sweep.Grids.fig8
+let dispatch_tasks = List.init 128 Fun.id
+let dispatch_maps = 1024
+let dispatch_rounds = 21
+let kernel_nominal = 0.01
+
+(* Small allocations, hashing, list walks and float arithmetic, as in
+   bench/e2e's scaling kernel; about 10 ms here. *)
+let kernel () =
+  let h = Hashtbl.create 1024 in
+  let acc = ref 0. in
+  for i = 0 to 40_000 do
+    let k = (i * 7919) land 4095 in
+    let l = Option.value (Hashtbl.find_opt h k) ~default:[] in
+    Hashtbl.replace h k
+      ((float_of_int i *. 1.0001) :: (if List.length l > 8 then [] else l));
+    acc := !acc +. float_of_int k
+  done;
+  ignore (Sys.opaque_identity !acc : float)
 
 let sweep () =
   let points = sweep_grid.points () in
@@ -299,15 +331,35 @@ let sweep () =
   (* Raw dispatch: trivial tasks make the per-point overhead visible.
      Fork pays one Marshal value, a socket write, a zero-timeout select
      and a trip through the parent's select loop per point. *)
-  let tasks = List.init 512 (fun i -> i) in
-  let dispatch backend jobs =
-    let map () = Sweep_pool.map ~backend ~jobs (fun x -> x) tasks in
-    ignore (map () : int list);
-    1e6 *. best_of reps map /. float_of_int (List.length tasks)
+  let map backend jobs tasks () =
+    Sweep_pool.map ~backend ~jobs (fun x -> x) tasks
   in
+  let dispatch () =
+    for _ = 1 to dispatch_maps do
+      ignore (map Sweep_pool.Seq 1 dispatch_tasks () : int list)
+    done
+  in
+  let per_point seconds =
+    1e6 *. seconds
+    /. float_of_int (dispatch_maps * List.length dispatch_tasks)
+  in
+  let rounds =
+    List.init dispatch_rounds (fun r ->
+        if r land 1 = 0 then
+          let d = time_in_child dispatch in
+          (d, time_in_child kernel)
+        else
+          let k = time_in_child kernel in
+          (time_in_child dispatch, k))
+  in
+  let inprocess_us =
+    per_point
+      (kernel_nominal *. median (List.map (fun (d, k) -> d /. k) rounds))
+  in
+  let raw_inprocess_us = per_point (median (List.map fst rounds)) in
+  let kernel_ms = 1000. *. median (List.map snd rounds) in
   let jobs1 = time Sweep_pool.Seq 1 in
   let reference = json Sweep_pool.Seq 1 in
-  let inprocess_us = dispatch Sweep_pool.Seq 1 in
   (* Fork at jobs 2 and 4: its timings, and how many of its outputs
      differ from the reference. *)
   let jobs = [ 2; 4 ] in
@@ -315,7 +367,12 @@ let sweep () =
   let differing =
     List.length (List.filter (fun j -> json Sweep_pool.Fork j <> reference) jobs)
   in
-  let fork_us = dispatch Sweep_pool.Fork 2 in
+  let fork_us =
+    let tasks = List.init 512 Fun.id in
+    ignore (map Sweep_pool.Fork 2 tasks () : int list);
+    1e6 *. best_of reps (map Sweep_pool.Fork 2 tasks)
+    /. float_of_int (List.length tasks)
+  in
   let cores = Sweep_pool.available_cores () in
   (* Speedup rows above the usable core count measure scheduling
      overhead, not parallelism; say so next to them rather than leaving
@@ -344,6 +401,7 @@ let sweep () =
         ("parallel_ok", string_of_bool (cores >= 2));
         ("points", string_of_int (List.length points));
         ("reps", string_of_int reps);
+        ("dispatch_rounds", string_of_int dispatch_rounds);
       ]
       @ note
       @ [
@@ -351,6 +409,8 @@ let sweep () =
           ( "runs",
             fmt "[\n%s\n  ]" (String.concat ",\n" (List.map run_row runs)) );
           ("inprocess_dispatch_us_per_point", fmt "%.4f" inprocess_us);
+          ("inprocess_dispatch_raw_us_per_point", fmt "%.4f" raw_inprocess_us);
+          ("kernel_ms", fmt "%.2f" kernel_ms);
           ("fork_dispatch_us_per_point", fmt "%.3f" fork_us);
           ("byte_identical", string_of_bool (differing = 0));
         ];
