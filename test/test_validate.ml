@@ -405,6 +405,104 @@ let test_harness_cross_checks () =
     + Validate.Conservation.dropped c
     + Validate.Conservation.in_flight c)
 
+(* --- Report order --------------------------------------------------------- *)
+
+(* When two checkers report at one event, the harness's wiring decides
+   which comes first in the report.  These runs feed rogue events through
+   the public model API: a packet injected twice (Monotone sees a gap,
+   Conservation a duplicate id), a never-injected packet sent straight
+   into a link (Conservation flags its delivery), the same packet sent
+   again into that drop-tail link once its buffer is full (Fifo_order sees
+   a queued id discarded, Conservation a drop of a never-injected packet),
+   and a fault plan with loss and duplication.  Every report goes into one
+   MD5, so swapping either pair of checkers changes it. *)
+
+(* Two hosts joined by a duplex drop-tail link whose buffer holds
+   [buffer] packets, the one in service included. *)
+let two_hosts ~buffer =
+  let sim = Engine.Sim.create () in
+  let net = Net.Network.create sim in
+  let h1 = Net.Network.add_host net ~name:"h1" ~proc_delay:1e-4 in
+  let h2 = Net.Network.add_host net ~name:"h2" ~proc_delay:1e-4 in
+  let fwd, bwd =
+    Net.Network.add_duplex net ~src:h1 ~dst:h2 ~bandwidth:1e6 ~prop_delay:0.01
+      ~buffer:(Some buffer)
+  in
+  Net.Network.set_route net ~node:h1 ~dst:h2 ~link:fwd;
+  Net.Network.set_route net ~node:h2 ~dst:h1 ~link:bwd;
+  Net.Network.register_endpoint net ~host:h2 ~conn:1 (fun _ -> ());
+  let pkt seq =
+    Net.Network.make_packet net ~conn:1 ~kind:Net.Packet.Data ~seq ~size:500
+      ~src:h1 ~dst:h2 ~retransmit:false
+  in
+  let send p = Net.Network.send_from_host net ~host:h1 p in
+  (sim, net, fwd, pkt, send)
+
+(* Offer [p] to [link] until the link drops it. *)
+let rec send_until_dropped link p =
+  match Net.Link.send link p with
+  | `Ok -> send_until_dropped link p
+  | `Dropped -> ()
+
+let rogue_report ~faults =
+  let sim, net, fwd, pkt, send = two_hosts ~buffer:4 in
+  Option.iter
+    (fun seed ->
+      ignore
+        (Faults.Plan.install net fwd ~seed
+           (Faults.Spec.merge (Faults.Spec.bernoulli 0.25)
+              (Faults.Spec.duplicate 0.25))
+          : Faults.Plan.t))
+    faults;
+  let h = Validate.Harness.attach net ~conns:[] in
+  let rogue = pkt 7 in
+  let at time f =
+    ignore (Engine.Sim.at sim ~time f : Engine.Sim.handle)
+  in
+  for i = 0 to 9 do
+    at (0.1 *. float_of_int i) (fun () ->
+        let p = pkt i in
+        send p;
+        if i mod 3 = 1 then send p;
+        if i mod 2 = 0 then ignore (Net.Link.send fwd rogue : [ `Ok | `Dropped ]))
+  done;
+  at 1.5 (fun () -> send_until_dropped fwd rogue);
+  Engine.Sim.run_to_completion sim;
+  Validate.Report.to_string
+    (Validate.Harness.finalize h ~now:(Engine.Sim.now sim))
+
+(* One Tahoe connection over a lossy, duplicating bottleneck: every
+   checker is wired, and the run is clean. *)
+let faulted_tahoe_report () =
+  let sim = Engine.Sim.create () in
+  let d =
+    Net.Topology.dumbbell sim
+      (Net.Topology.params ~tau:0.01 ~buffer:(Some 8) ())
+  in
+  let conn =
+    Tcp.Connection.create d.net
+      (Tcp.Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2 ())
+  in
+  let h = Validate.Harness.attach d.net ~conns:[ conn ] in
+  ignore
+    (Faults.Plan.install d.net d.fwd ~seed:5
+       (Faults.Spec.merge (Faults.Spec.bernoulli 0.05)
+          (Faults.Spec.duplicate 0.05))
+      : Faults.Plan.t);
+  Engine.Sim.run sim ~until:20.;
+  Validate.Report.to_string
+    (Validate.Harness.finalize h ~now:(Engine.Sim.now sim))
+
+let test_report_order_pinned () =
+  let reports =
+    [ rogue_report ~faults:None; rogue_report ~faults:(Some 3);
+      faulted_tahoe_report () ]
+  in
+  Alcotest.(check string)
+    "reports of the rogue and faulted runs"
+    "0530f2fcdf56fa1a579f570f2e622a3a"
+    (Digest.to_hex (Digest.string (String.concat "\n" reports)))
+
 let suite =
   ( "validate",
     [
@@ -446,4 +544,5 @@ let suite =
       Alcotest.test_case "examples run clean" `Slow test_examples_clean;
       Alcotest.test_case "harness cross-checks" `Quick
         test_harness_cross_checks;
+      Alcotest.test_case "report order pinned" `Quick test_report_order_pinned;
     ] )
