@@ -60,7 +60,7 @@ type t = {
   mutable nslots : int;  (* slots handed out so far *)
   mutable free : int array;  (* released one-shot slots, a stack *)
   mutable nfree : int;
-  mutable observers : (float -> unit) list;  (* in registration order *)
+  mutable observers : (unit -> unit) list;  (* in registration order *)
   sentinel : timer;  (* fills the cell of every free slot *)
 }
 
@@ -374,13 +374,18 @@ end
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Observers are walked directly, as the model's hook lists are, and
+   take no argument: one that needs the time reads [now], so a walk
+   allocates nothing. *)
+let rec call_observers = function
+  | [] -> ()
+  | f :: rest ->
+    f ();
+    call_observers rest
+
 let execute t tm =
   t.executed <- t.executed + 1;
-  (match t.observers with
-   | [] -> ()
-   | obs ->
-     let time = t.clock.(0) in
-     List.iter (fun f -> f time) obs);
+  (match t.observers with [] -> () | obs -> call_observers obs);
   tm.action ()
 
 (* The one event loop: pop and execute at most [n] events at or before

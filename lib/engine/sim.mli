@@ -40,12 +40,13 @@ val events_run : t -> int
     events are removed immediately, so this is an exact count. *)
 val queue_length : t -> int
 
-(** [on_event t f] registers an observer called with the clock value each
-    time a non-cancelled event is about to execute.  Observers run before
-    the event's action, in registration order — validate/trace hooks
-    rely on running in the order they were installed.  Observers must not
+(** [on_event t f] registers an observer called each time a
+    non-cancelled event is about to execute, once the clock has moved to
+    the event's time: an observer that needs the time reads {!now}, so
+    the walk passes no float and allocates nothing.  Observers run before
+    the event's action, in registration order.  Observers must not
     schedule or cancel events. *)
-val on_event : t -> (float -> unit) -> unit
+val on_event : t -> (unit -> unit) -> unit
 
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay] is negative or NaN. *)

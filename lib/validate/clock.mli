@@ -1,16 +1,13 @@
 (** Checker: the simulation clock never moves backwards.
 
-    Observes every executed event's timestamp and reports any regression.
-    [observe] is exposed so tests can drive the checker with a synthetic
-    (violating) event stream. *)
+    Fed every executed event's time, it reports any regression and any
+    NaN.  {!Harness} feeds it {!Engine.Sim.now} from an
+    {!Engine.Sim.on_event} observer; tests feed it synthetic (violating)
+    time streams. *)
 
 type t
 
-val name : string
 val create : Report.t -> t
 
 (** Feed one executed-event timestamp. *)
 val observe : t -> float -> unit
-
-(** Wire the checker into a live simulator via {!Engine.Sim.on_event}. *)
-val attach : Report.t -> Engine.Sim.t -> t

@@ -4,14 +4,14 @@ type status = In_flight | Delivered | Dropped
 
 type t = {
   report : Report.t;
-  table : (int, status) Hashtbl.t;  (* packet id -> status *)
+  table : status Engine.Int_tbl.t;  (* packet id -> status *)
   mutable injected : int;
   mutable delivered : int;
   mutable dropped : int;
 }
 
 let create report =
-  { report; table = Hashtbl.create 4096; injected = 0; delivered = 0;
+  { report; table = Engine.Int_tbl.create 4096; injected = 0; delivered = 0;
     dropped = 0 }
 
 let injected t = t.injected
@@ -32,20 +32,21 @@ let violation t ~time (p : Net.Packet.t) fmt =
     fmt
 
 let observe_inject t ~time (p : Net.Packet.t) =
-  match Hashtbl.find_opt t.table p.Net.Packet.id with
-  | Some _ -> violation t ~time p "injected twice (duplicate packet id)"
-  | None ->
-    Hashtbl.replace t.table p.Net.Packet.id In_flight;
+  if Engine.Int_tbl.mem t.table p.Net.Packet.id then
+    violation t ~time p "injected twice (duplicate packet id)"
+  else begin
+    Engine.Int_tbl.add t.table p.Net.Packet.id In_flight;
     t.injected <- t.injected + 1
+  end
 
 let observe_drop t ~time (p : Net.Packet.t) =
-  match Hashtbl.find_opt t.table p.Net.Packet.id with
-  | Some In_flight ->
-    Hashtbl.replace t.table p.Net.Packet.id Dropped;
+  match Engine.Int_tbl.find t.table p.Net.Packet.id with
+  | In_flight ->
+    Engine.Int_tbl.replace t.table p.Net.Packet.id Dropped;
     t.dropped <- t.dropped + 1
-  | Some Dropped -> violation t ~time p "dropped twice"
-  | Some Delivered -> violation t ~time p "dropped after delivery"
-  | None -> violation t ~time p "dropped but never injected"
+  | Dropped -> violation t ~time p "dropped twice"
+  | Delivered -> violation t ~time p "dropped after delivery"
+  | exception Not_found -> violation t ~time p "dropped but never injected"
 
 (* A fault-injected duplicate is a new wire entity born inside the
    network: ledger it as injected so its later delivery (or drop)
@@ -57,13 +58,13 @@ let observe_fault t ~time (event : Net.Link.fault_event) (p : Net.Packet.t) =
   | Net.Link.Fault_drop _ | Net.Link.Fault_delay _ -> ()
 
 let observe_deliver t ~time (p : Net.Packet.t) =
-  match Hashtbl.find_opt t.table p.Net.Packet.id with
-  | Some In_flight ->
-    Hashtbl.replace t.table p.Net.Packet.id Delivered;
+  match Engine.Int_tbl.find t.table p.Net.Packet.id with
+  | In_flight ->
+    Engine.Int_tbl.replace t.table p.Net.Packet.id Delivered;
     t.delivered <- t.delivered + 1
-  | Some Delivered -> violation t ~time p "delivered twice (duplicated)"
-  | Some Dropped -> violation t ~time p "delivered after being dropped"
-  | None -> violation t ~time p "delivered but never injected"
+  | Delivered -> violation t ~time p "delivered twice (duplicated)"
+  | Dropped -> violation t ~time p "delivered after being dropped"
+  | exception Not_found -> violation t ~time p "delivered but never injected"
 
 (* End-of-run audit: every packet still sitting in a link buffer must be
    accounted as in-flight, and the per-status counts must add up. *)
@@ -72,15 +73,15 @@ let finalize t ~time ~links =
     (fun link ->
       List.iter
         (fun (p : Net.Packet.t) ->
-          match Hashtbl.find_opt t.table p.Net.Packet.id with
-          | Some In_flight -> ()
-          | Some Delivered ->
+          match Engine.Int_tbl.find t.table p.Net.Packet.id with
+          | In_flight -> ()
+          | Delivered ->
             violation t ~time p "queued on link %s but already delivered"
               (Net.Link.name link)
-          | Some Dropped ->
+          | Dropped ->
             violation t ~time p "queued on link %s but already dropped"
               (Net.Link.name link)
-          | None ->
+          | exception Not_found ->
             violation t ~time p "queued on link %s but never injected"
               (Net.Link.name link))
         (Net.Link.contents link))
@@ -91,14 +92,3 @@ let finalize t ~time ~links =
         (Printf.sprintf
            "negative in-flight count: injected %d, delivered %d, dropped %d"
            t.injected t.delivered t.dropped)
-
-let attach report net =
-  let t = create report in
-  Net.Network.on_inject net (fun time p -> observe_inject t ~time p);
-  Net.Network.on_deliver net (fun time p -> observe_deliver t ~time p);
-  List.iter
-    (fun link ->
-      Net.Link.on_drop link (fun time p -> observe_drop t ~time p);
-      Net.Link.on_fault link (fun time event p -> observe_fault t ~time event p))
-    (Net.Network.links net);
-  t

@@ -7,12 +7,12 @@
     violations.  {!finalize} additionally audits that every packet still
     sitting in a link buffer is accounted as in-flight.
 
-    The [observe_*] functions are exposed so tests can feed synthetic
-    violating event streams. *)
+    The [observe_*] functions are its interface: {!Harness} calls them
+    from the network's inject and deliver hooks and every link's drop and
+    fault hooks, and tests feed them synthetic violating event streams. *)
 
 type t
 
-val name : string
 val create : Report.t -> t
 val observe_inject : t -> time:float -> Net.Packet.t -> unit
 val observe_drop : t -> time:float -> Net.Packet.t -> unit
@@ -32,7 +32,3 @@ val dropped : t -> int
 
 (** [injected - delivered - dropped]. *)
 val in_flight : t -> int
-
-(** Wire the checker into a network: injection and delivery hooks plus the
-    drop and fault hooks of every link existing at attach time. *)
-val attach : Report.t -> Net.Network.t -> t

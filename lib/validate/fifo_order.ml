@@ -5,7 +5,7 @@ type t = {
   subject : string;
   capacity : int option;
   model : int Queue.t;  (* packet ids in expected departure order *)
-  sanctioned : (int, unit) Hashtbl.t;
+  sanctioned : unit Engine.Int_tbl.t;
       (* ids whose next drop was announced as a fault injection *)
 }
 
@@ -15,7 +15,7 @@ let create report ~subject ~capacity =
     subject;
     capacity;
     model = Queue.create ();
-    sanctioned = Hashtbl.create 8;
+    sanctioned = Engine.Int_tbl.create 8;
   }
 
 let add t ~time fmt =
@@ -50,7 +50,7 @@ let observe_fault t ~time:_ (event : Net.Link.fault_event)
     (p : Net.Packet.t) =
   match event with
   | Net.Link.Fault_drop _ ->
-    Hashtbl.replace t.sanctioned p.Net.Packet.id ();
+    Engine.Int_tbl.replace t.sanctioned p.Net.Packet.id ();
     remove_from_model t p.Net.Packet.id
   | Net.Link.Fault_duplicate | Net.Link.Fault_delay _ -> ()
 
@@ -59,7 +59,8 @@ let observe_fault t ~time:_ (event : Net.Link.fault_event)
    exempt: the link announces them through the fault hook first. *)
 let observe_drop t ~time (p : Net.Packet.t) =
   let id = p.Net.Packet.id in
-  if Hashtbl.mem t.sanctioned id then Hashtbl.remove t.sanctioned id
+  if Engine.Int_tbl.mem t.sanctioned id then
+    Engine.Int_tbl.remove t.sanctioned id
   else begin
     if Queue.fold (fun acc x -> acc || x = id) false t.model then
       add t ~time "queued packet #%d discarded (drop-tail must reject arrivals)"
@@ -73,43 +74,27 @@ let observe_drop t ~time (p : Net.Packet.t) =
           c
   end
 
+(* Forget the model up to and including [id], so one reordering is
+   reported once, not once per subsequent departure. *)
+let rec resync t id =
+  if not (Queue.is_empty t.model) && Queue.take t.model <> id then resync t id
+
 let observe_depart t ~time (p : Net.Packet.t) ~qlen =
   check_occupancy t ~time ~qlen;
-  match Queue.take_opt t.model with
-  | None -> add t ~time "packet #%d departed from an empty queue" p.Net.Packet.id
-  | Some expected when expected <> p.Net.Packet.id ->
-    add t ~time "FIFO order violated: packet #%d departed before #%d"
-      p.Net.Packet.id expected;
-    (* Resynchronize so one reordering is reported once, not once per
-       subsequent departure: forget the model up to the departed packet. *)
-    let rec resync () =
-      match Queue.take_opt t.model with
-      | Some id when id = p.Net.Packet.id -> ()
-      | Some _ -> resync ()
-      | None -> ()
-    in
-    resync ()
-  | Some _ -> ()
+  let id = p.Net.Packet.id in
+  if Queue.is_empty t.model then
+    add t ~time "packet #%d departed from an empty queue" id
+  else begin
+    let expected = Queue.take t.model in
+    if expected <> id then begin
+      add t ~time "FIFO order violated: packet #%d departed before #%d" id
+        expected;
+      resync t id
+    end
+  end
 
 let finalize t ~time ~occupancy =
   let modelled = Queue.length t.model in
   if modelled <> occupancy then
     add t ~time "end-of-run occupancy %d disagrees with modelled %d" occupancy
       modelled
-
-let attach report link =
-  match Net.Link.discipline link with
-  | Net.Discipline.Fifo ->
-    let t =
-      create report
-        ~subject:(Printf.sprintf "link %s" (Net.Link.name link))
-        ~capacity:(Net.Link.capacity link)
-    in
-    Net.Link.on_enqueue link (fun time p qlen -> observe_enqueue t ~time p ~qlen);
-    Net.Link.on_fault link (fun time event p -> observe_fault t ~time event p);
-    Net.Link.on_drop link (fun time p -> observe_drop t ~time p);
-    Net.Link.on_depart link (fun time p qlen -> observe_depart t ~time p ~qlen);
-    Some t
-  | Net.Discipline.Random_drop _ | Net.Discipline.Fair_queue ->
-    (* Eviction and round-robin service are legitimately non-FIFO. *)
-    None

@@ -5,14 +5,15 @@
     occupancy stays within [0 .. capacity], and (3) drop-tail only rejects
     arrivals, and only when the buffer is full.
 
-    Only meaningful for {!Net.Discipline.Fifo} links; {!attach} returns
-    [None] for the other disciplines (eviction and round-robin service are
-    legitimately non-FIFO).  The [observe_*] functions are exposed so tests
-    can feed a synthetic reordered/violating event stream. *)
+    Only meaningful for {!Net.Discipline.Fifo} links: eviction and
+    round-robin service are legitimately non-FIFO, so {!Harness} watches
+    drop-tail links only.  The [observe_*] functions are its interface:
+    the harness calls them from the link's enqueue, depart, drop and fault
+    hooks, and tests feed them a synthetic reordered/violating event
+    stream. *)
 
 type t
 
-val name : string
 val create : Report.t -> subject:string -> capacity:int option -> t
 
 (** Feed a link event: [qlen] is the occupancy after the event, as passed
@@ -33,7 +34,3 @@ val observe_fault : t -> time:float -> Net.Link.fault_event -> Net.Packet.t -> u
 (** Compare the shadow queue against the link's actual end-of-run
     occupancy. *)
 val finalize : t -> time:float -> occupancy:int -> unit
-
-(** Wire the checker into a live link's hooks ([None] unless the link runs
-    drop-tail FIFO). *)
-val attach : Report.t -> Net.Link.t -> t option

@@ -1,31 +1,83 @@
 type t = {
   report : Report.t;
   net : Net.Network.t;
-  clock : Clock.t;
   conservation : Conservation.t;
   monotone : Monotone.t;
   fifos : (Net.Link.t * Fifo_order.t) list;
-  tahoes : Tahoe_rules.t list;
   mutable finalized : bool;
 }
+
+(* Every hook below is one closure per site that calls the checkers'
+   observers directly.  Where two checkers watch one site, the order of
+   the calls is the order of their reports at one event: Monotone before
+   Conservation on inject and deliver, Fifo_order before Conservation on
+   drop and fault. *)
+
+(* Drop and fault hooks on every link; a drop-tail FIFO link also gets
+   a Fifo_order checker on those and on enqueue and depart.  Eviction and
+   round-robin service are legitimately non-FIFO. *)
+let watch_link report conservation link =
+  match Net.Link.discipline link with
+  | Net.Discipline.Fifo ->
+    let fifo =
+      Fifo_order.create report
+        ~subject:(Printf.sprintf "link %s" (Net.Link.name link))
+        ~capacity:(Net.Link.capacity link)
+    in
+    Net.Link.on_enqueue link (fun time p qlen ->
+        Fifo_order.observe_enqueue fifo ~time p ~qlen);
+    Net.Link.on_fault link (fun time event p ->
+        Fifo_order.observe_fault fifo ~time event p;
+        Conservation.observe_fault conservation ~time event p);
+    Net.Link.on_drop link (fun time p ->
+        Fifo_order.observe_drop fifo ~time p;
+        Conservation.observe_drop conservation ~time p);
+    Net.Link.on_depart link (fun time p qlen ->
+        Fifo_order.observe_depart fifo ~time p ~qlen);
+    Some (link, fifo)
+  | Net.Discipline.Random_drop _ | Net.Discipline.Fair_queue ->
+    Net.Link.on_drop link (fun time p ->
+        Conservation.observe_drop conservation ~time p);
+    Net.Link.on_fault link (fun time event p ->
+        Conservation.observe_fault conservation ~time event p);
+    None
+
+(* Tahoe connections only: Reno's inflation and deflation, fixed windows
+   and the rest of the zoo follow other rules. *)
+let watch_conn report conn =
+  let sender = Tcp.Connection.sender conn in
+  let config = Tcp.Sender.config sender in
+  match config.Tcp.Config.cc.Tcp.Cc.name with
+  | "tahoe" | "tahoe-unmodified" ->
+    let tahoe =
+      Tahoe_rules.create report
+        ~subject:(Printf.sprintf "conn %d" config.Tcp.Config.conn)
+        ~maxwnd:config.Tcp.Config.maxwnd
+    in
+    Tcp.Sender.on_loss sender (fun time reason ->
+        Tahoe_rules.observe_loss tahoe ~time reason);
+    Tcp.Sender.on_cwnd sender (fun time ~cwnd ~ssthresh ->
+        Tahoe_rules.observe_cwnd tahoe ~time ~cwnd ~ssthresh)
+  | _ -> ()
 
 let attach net ~conns =
   let report = Report.create () in
   let sim = Net.Network.sim net in
-  let clock = Clock.attach report sim in
-  let conservation = Conservation.attach report net in
-  let monotone = Monotone.attach report net in
+  let clock = Clock.create report in
+  Engine.Sim.on_event sim (fun () -> Clock.observe clock (Engine.Sim.now sim));
+  let conservation = Conservation.create report in
+  let monotone = Monotone.create report in
+  Net.Network.on_inject net (fun time p ->
+      Monotone.observe_inject monotone ~time p;
+      Conservation.observe_inject conservation ~time p);
+  Net.Network.on_deliver net (fun time p ->
+      Monotone.observe_deliver monotone ~time p;
+      Conservation.observe_deliver conservation ~time p);
   let fifos =
-    List.filter_map
-      (fun link ->
-        match Fifo_order.attach report link with
-        | Some checker -> Some (link, checker)
-        | None -> None)
-      (Net.Network.links net)
+    List.filter_map (watch_link report conservation) (Net.Network.links net)
   in
-  let tahoes = List.filter_map (Tahoe_rules.attach report) conns in
-  { report; net; clock; conservation; monotone; fifos; tahoes;
-    finalized = false }
+  List.iter (watch_conn report) conns;
+  { report; net; conservation; monotone; fifos; finalized = false }
 
 let report t = t.report
 let conservation t = t.conservation

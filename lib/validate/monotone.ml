@@ -6,16 +6,16 @@ type conn_state = {
   mutable max_ack_delivered : int;  (* largest ACK handed to the sender *)
 }
 
-type t = { report : Report.t; conns : (int, conn_state) Hashtbl.t }
+type t = { report : Report.t; conns : conn_state Engine.Int_tbl.t }
 
-let create report = { report; conns = Hashtbl.create 16 }
+let create report = { report; conns = Engine.Int_tbl.create 16 }
 
 let state t conn =
-  match Hashtbl.find_opt t.conns conn with
-  | Some s -> s
-  | None ->
+  match Engine.Int_tbl.find t.conns conn with
+  | s -> s
+  | exception Not_found ->
     let s = { max_ack_sent = -1; next_new_seq = 0; max_ack_delivered = 0 } in
-    Hashtbl.add t.conns conn s;
+    Engine.Int_tbl.add t.conns conn s;
     s
 
 let add t ~time ~conn fmt =
@@ -62,12 +62,6 @@ let observe_deliver t ~time:_ (p : Net.Packet.t) =
 (* Largest cumulative ACK actually handed to the sender's host; equals the
    sender's [snd_una] once its endpoint has processed the ACK. *)
 let max_ack_delivered t ~conn =
-  match Hashtbl.find_opt t.conns conn with
-  | Some s -> s.max_ack_delivered
-  | None -> 0
-
-let attach report net =
-  let t = create report in
-  Net.Network.on_inject net (fun time p -> observe_inject t ~time p);
-  Net.Network.on_deliver net (fun time p -> observe_deliver t ~time p);
-  t
+  match Engine.Int_tbl.find t.conns conn with
+  | s -> s.max_ack_delivered
+  | exception Not_found -> 0

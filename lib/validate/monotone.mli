@@ -8,12 +8,12 @@
     On delivery it records the largest cumulative ACK handed to the
     sender, which cross-checks the sender's [snd_una] / delivered count.
 
-    The [observe_*] functions are exposed so tests can feed synthetic
-    violating event streams. *)
+    The [observe_*] functions are its interface: {!Harness} calls them
+    from the network's inject and deliver hooks, and tests feed them
+    synthetic violating event streams. *)
 
 type t
 
-val name : string
 val create : Report.t -> t
 val observe_inject : t -> time:float -> Net.Packet.t -> unit
 val observe_deliver : t -> time:float -> Net.Packet.t -> unit
@@ -21,6 +21,3 @@ val observe_deliver : t -> time:float -> Net.Packet.t -> unit
 (** Largest cumulative ACK delivered to the sender's host for [conn]
     (0 if none). *)
 val max_ack_delivered : t -> conn:int -> int
-
-(** Wire the checker into a network's inject/deliver hooks. *)
-val attach : Report.t -> Net.Network.t -> t

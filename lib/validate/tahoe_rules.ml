@@ -4,16 +4,20 @@ let name = "tahoe"
    congestion module snaps near-integers within 1e-9. *)
 let eps = 1e-6
 
+(* The last sample sits in a flat float array, so storing it boxes
+   nothing. *)
 type t = {
   report : Report.t;
   subject : string;
   maxwnd : int;
-  mutable last : (float * float) option;  (* last observed (cwnd, ssthresh) *)
+  last : float array;  (* last observed cwnd, ssthresh, once [sampled] *)
+  mutable sampled : bool;
   mutable pending_loss : bool;  (* a loss fired; next sample is the reset *)
 }
 
 let create report ~subject ~maxwnd =
-  { report; subject; maxwnd; last = None; pending_loss = false }
+  { report; subject; maxwnd; last = [| 0.; 0. |]; sampled = false;
+    pending_loss = false }
 
 let add t ~time fmt =
   Printf.ksprintf
@@ -29,17 +33,18 @@ let observe_loss t ~time:_ (_reason : Tcp.Sender.loss_reason) =
 let check_loss_transition t ~time ~cwnd ~ssthresh =
   if Float.abs (cwnd -. 1.) > eps then
     add t ~time "cwnd after loss is %g, must reset to 1" cwnd;
-  match t.last with
-  | None -> ()
-  | Some (prev_cwnd, _) ->
+  if t.sampled then begin
+    let prev_cwnd = t.last.(0) in
     let expected =
       Float.max (Float.min (prev_cwnd /. 2.) (float_of_int t.maxwnd)) 2.
     in
     if Float.abs (ssthresh -. expected) > eps then
       add t ~time "ssthresh after loss is %g, must be flight/2 = %g (cwnd was %g)"
         ssthresh expected prev_cwnd
+  end
 
-let check_ack_growth t ~time ~cwnd ~ssthresh ~prev_cwnd ~prev_ssthresh =
+let check_ack_growth t ~time ~cwnd ~ssthresh =
+  let prev_cwnd = t.last.(0) and prev_ssthresh = t.last.(1) in
   if Float.abs (ssthresh -. prev_ssthresh) > eps then
     add t ~time "ssthresh changed without a loss: %g -> %g" prev_ssthresh
       ssthresh;
@@ -73,30 +78,7 @@ let observe_cwnd t ~time ~cwnd ~ssthresh =
     check_loss_transition t ~time ~cwnd ~ssthresh;
     t.pending_loss <- false
   end
-  else begin
-    match t.last with
-    | None -> ()
-    | Some (prev_cwnd, prev_ssthresh) ->
-      check_ack_growth t ~time ~cwnd ~ssthresh ~prev_cwnd ~prev_ssthresh
-  end;
-  t.last <- Some (cwnd, ssthresh)
-
-let attach report conn =
-  let sender = Tcp.Connection.sender conn in
-  let config = Tcp.Sender.config sender in
-  match config.Tcp.Config.cc.Tcp.Cc.name with
-  | "tahoe" | "tahoe-unmodified" ->
-    let t =
-      create report
-        ~subject:(Printf.sprintf "conn %d" config.Tcp.Config.conn)
-        ~maxwnd:config.Tcp.Config.maxwnd
-    in
-    Tcp.Sender.on_loss sender (fun time reason -> observe_loss t ~time reason);
-    Tcp.Sender.on_cwnd sender (fun time ~cwnd ~ssthresh ->
-        observe_cwnd t ~time ~cwnd ~ssthresh);
-    Some t
-  | _ ->
-    (* Reno's inflation/deflation, fixed windows and the rest of the zoo
-       follow different rules; this checker pins the paper's Tahoe state
-       machine only. *)
-    None
+  else if t.sampled then check_ack_growth t ~time ~cwnd ~ssthresh;
+  t.last.(0) <- cwnd;
+  t.last.(1) <- ssthresh;
+  t.sampled <- true

@@ -8,12 +8,12 @@
     [ssthresh = max (min (cwnd/2) maxwnd) 2].  cwnd stays within
     [1 .. maxwnd] throughout.
 
-    The [observe_*] functions are exposed so tests can feed synthetic
-    violating trajectories. *)
+    The [observe_*] functions are its interface: {!Harness} calls them
+    from a Tahoe connection's sender loss and cwnd hooks (Reno's
+    inflation and deflation, fixed windows and the rest of the zoo follow
+    other rules), and tests feed them synthetic violating trajectories. *)
 
 type t
-
-val name : string
 
 val create : Report.t -> subject:string -> maxwnd:int -> t
 
@@ -23,7 +23,3 @@ val observe_loss : t -> time:float -> Tcp.Sender.loss_reason -> unit
 
 (** Feed one (cwnd, ssthresh) sample, as fired by {!Tcp.Sender.on_cwnd}. *)
 val observe_cwnd : t -> time:float -> cwnd:float -> ssthresh:float -> unit
-
-(** Wire the checker into a connection's sender hooks ([None] unless the
-    connection runs Tahoe). *)
-val attach : Report.t -> Tcp.Connection.t -> t option

@@ -156,7 +156,7 @@ let test_step () =
 let test_on_event_observer () =
   let sim = Sim.create () in
   let seen = ref [] in
-  Sim.on_event sim (fun time -> seen := time :: !seen);
+  Sim.on_event sim (fun () -> seen := Sim.now sim :: !seen);
   ignore (Sim.schedule sim ~delay:1. (fun () -> ()) : Sim.handle);
   let h = Sim.schedule sim ~delay:2. (fun () -> ()) in
   ignore (Sim.schedule sim ~delay:3. (fun () -> ()) : Sim.handle);

@@ -77,7 +77,9 @@ let test_clock_attached () =
   (* Through the real Sim hook: a normal run stays clean. *)
   let r = Validate.Report.create () in
   let sim = Engine.Sim.create () in
-  let (_ : Validate.Clock.t) = Validate.Clock.attach r sim in
+  let c = Validate.Clock.create r in
+  Engine.Sim.on_event sim (fun () ->
+      Validate.Clock.observe c (Engine.Sim.now sim));
   for i = 1 to 10 do
     ignore
       (Engine.Sim.schedule sim ~delay:(float_of_int i) (fun () -> ())
@@ -184,6 +186,106 @@ let test_fifo_finalize_mismatch () =
   Validate.Fifo_order.observe_enqueue f ~time:0. (pkt ~id:1 ~seq:0 ()) ~qlen:1;
   Validate.Fifo_order.finalize f ~time:1. ~occupancy:0;
   check_total "end-of-run occupancy mismatch caught" 1 r
+
+(* --- Fault events ------------------------------------------------------- *)
+
+(* The two checkers that take fault events, on one report, fed as the
+   harness feeds a drop-tail link: Fifo_order first. *)
+let fault_checkers () =
+  let r = Validate.Report.create () in
+  let f = Validate.Fifo_order.create r ~subject:"link test" ~capacity:(Some 4) in
+  let c = Validate.Conservation.create r in
+  let fault time event p =
+    Validate.Fifo_order.observe_fault f ~time event p;
+    Validate.Conservation.observe_fault c ~time event p
+  and drop time p =
+    Validate.Fifo_order.observe_drop f ~time p;
+    Validate.Conservation.observe_drop c ~time p
+  and arrive time ~qlen p =
+    Validate.Conservation.observe_inject c ~time p;
+    Validate.Fifo_order.observe_enqueue f ~time p ~qlen
+  in
+  (r, f, c, fault, drop, arrive)
+
+let details r =
+  List.map (fun v -> v.Validate.Report.detail) (Validate.Report.violations r)
+
+let test_fault_duplicate_injects () =
+  let r, f, c, fault, _, arrive = fault_checkers () in
+  let p = pkt ~id:1 ~seq:0 () and copy = pkt ~id:2 ~seq:0 () in
+  arrive 0. ~qlen:1 p;
+  (* The link announces the copy, then buffers it like any arrival. *)
+  fault 0. Net.Link.Fault_duplicate copy;
+  Validate.Fifo_order.observe_enqueue f ~time:0. copy ~qlen:2;
+  Validate.Fifo_order.observe_depart f ~time:1. p ~qlen:1;
+  Validate.Fifo_order.observe_depart f ~time:2. copy ~qlen:0;
+  Validate.Conservation.observe_deliver c ~time:3. p;
+  Validate.Conservation.observe_deliver c ~time:4. copy;
+  Validate.Conservation.finalize c ~time:5. ~links:[];
+  Validate.Fifo_order.finalize f ~time:5. ~occupancy:0;
+  check_total "the copy's delivery balances" 0 r;
+  Alcotest.(check int) "the copy counts as injected" 2
+    (Validate.Conservation.injected c);
+  Alcotest.(check int) "both delivered" 2 (Validate.Conservation.delivered c);
+  Alcotest.(check int) "none in flight" 0 (Validate.Conservation.in_flight c)
+
+let test_fault_drop_sanctions_one () =
+  let r, f, c, fault, drop, arrive = fault_checkers () in
+  let ps = Array.init 3 (fun i -> pkt ~id:(i + 1) ~seq:i ()) in
+  Array.iteri (fun i p -> arrive 0. ~qlen:(i + 1) p) ps;
+  (* An outage flushes the queued middle packet: announced, then dropped
+     with the buffer below capacity. *)
+  fault 1. (Net.Link.Fault_drop "outage") ps.(1);
+  drop 1. ps.(1);
+  check_total "a flushed packet is no drop-tail violation" 0 r;
+  Alcotest.(check int) "the flush counts as a drop" 1
+    (Validate.Conservation.dropped c);
+  (* The sanction is spent: a second drop of the id is judged. *)
+  drop 2. ps.(1);
+  Alcotest.(check (list string))
+    "a second drop is a violation"
+    [ "packet #2 tail-dropped with buffer at 2/4"; "dropped twice" ]
+    (details r);
+  (* The flushed packet left the shadow queue: the rest depart in order. *)
+  Validate.Fifo_order.observe_depart f ~time:3. ps.(0) ~qlen:1;
+  Validate.Fifo_order.observe_depart f ~time:4. ps.(2) ~qlen:0;
+  Validate.Fifo_order.finalize f ~time:5. ~occupancy:0;
+  check_total "the survivors depart in order" 2 r
+
+let test_fault_delay_changes_nothing () =
+  let run ~jitter =
+    let r, f, c, fault, drop, arrive = fault_checkers () in
+    let p1 = pkt ~id:1 ~seq:0 () and p2 = pkt ~id:2 ~seq:1 () in
+    arrive 0. ~qlen:1 p1;
+    arrive 0. ~qlen:2 p2;
+    (* A drop below capacity, so that there is something to report. *)
+    drop 0.5 (pkt ~id:9 ~seq:5 ());
+    (* Jitter is announced after departure, before propagation.  One
+       more for a packet still queued: a checker that took a delay for a
+       drop would lose it from its shadow queue. *)
+    Validate.Fifo_order.observe_depart f ~time:1. p1 ~qlen:1;
+    if jitter then begin
+      fault 1. (Net.Link.Fault_delay 0.05) p1;
+      fault 1. (Net.Link.Fault_delay 0.05) p2
+    end;
+    Validate.Fifo_order.observe_depart f ~time:2. p2 ~qlen:0;
+    Validate.Conservation.observe_deliver c ~time:3. p1;
+    Validate.Conservation.observe_deliver c ~time:4. p2;
+    (* A delay sanctions no drop: a later drop of a delayed id is judged. *)
+    drop 4.5 p1;
+    Validate.Conservation.finalize c ~time:5. ~links:[];
+    Validate.Fifo_order.finalize f ~time:5. ~occupancy:0;
+    Printf.sprintf "%s\ninjected %d delivered %d dropped %d"
+      (Validate.Report.to_string r)
+      (Validate.Conservation.injected c)
+      (Validate.Conservation.delivered c)
+      (Validate.Conservation.dropped c)
+  in
+  let plain = run ~jitter:false in
+  Alcotest.(check bool) "the plain run reports the drop" true
+    (contains ~needle:"tail-dropped" plain);
+  Alcotest.(check string) "jitter changes no report and no count" plain
+    (run ~jitter:true)
 
 (* --- Monotone sequence discipline ------------------------------------- *)
 
@@ -405,6 +507,44 @@ let test_harness_cross_checks () =
     + Validate.Conservation.dropped c
     + Validate.Conservation.in_flight c)
 
+(* --- Validation's allocation ---------------------------------------------- *)
+
+(* The engine gate's run (bench/main.exe engine): fig-4 two-way, 100
+   sim-s, about 21k events. *)
+let engine_scenario ~validate =
+  let open Core.Scenario in
+  make ~name:"engine-bench" ~tau:0.01 ~buffer:(Some 20)
+    ~conns:[ conn Forward; conn ~start_time:1. Reverse ]
+    ~duration:100. ~warmup:1. ~validate ()
+
+(* Minor words per event of one run, after a warm-up run. *)
+let words_per_event scenario =
+  ignore (Core.Runner.run scenario : Core.Runner.result);
+  let w0 = Gc.minor_words () in
+  let r = Core.Runner.run scenario in
+  let words = Gc.minor_words () -. w0 in
+  words
+  /. float_of_int
+       (Engine.Sim.events_run (Net.Network.sim r.dumbbell.Net.Topology.net))
+
+(* The checkers' extra minor words per event, an exact count: 3.662 on
+   OCaml 5.1.1 in the release profile (11.565 before they gave up their
+   closure and boxed time per event, options per lookup and tuples per
+   window sample), plus the trace gate's 10% band.  The OCaml 4.14 count
+   has not been read. *)
+let validation_words_limit = 4.03
+
+let test_validation_allocation () =
+  let extra =
+    words_per_event (engine_scenario ~validate:true)
+    -. words_per_event (engine_scenario ~validate:false)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "validation adds %.3f minor words/event (limit %.2f)" extra
+       validation_words_limit)
+    true
+    (extra <= validation_words_limit)
+
 (* --- Report order --------------------------------------------------------- *)
 
 (* When two checkers report at one event, the harness's wiring decides
@@ -522,6 +662,12 @@ let suite =
       Alcotest.test_case "fifo drop rules" `Quick test_fifo_drop_rules;
       Alcotest.test_case "fifo finalize mismatch" `Quick
         test_fifo_finalize_mismatch;
+      Alcotest.test_case "fault duplicate injects" `Quick
+        test_fault_duplicate_injects;
+      Alcotest.test_case "fault drop sanctions one drop" `Quick
+        test_fault_drop_sanctions_one;
+      Alcotest.test_case "fault delay changes nothing" `Quick
+        test_fault_delay_changes_nothing;
       Alcotest.test_case "monotone ack regression" `Quick
         test_monotone_ack_regression;
       Alcotest.test_case "monotone data contiguity" `Quick
@@ -545,4 +691,6 @@ let suite =
       Alcotest.test_case "harness cross-checks" `Quick
         test_harness_cross_checks;
       Alcotest.test_case "report order pinned" `Quick test_report_order_pinned;
+      Alcotest.test_case "validation allocation bounded" `Quick
+        test_validation_allocation;
     ] )
