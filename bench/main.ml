@@ -38,25 +38,112 @@ let band ?(slack = 0.) ?(cap = infinity) ~scale base name key value =
 
 let str s = fmt "\"%s\"" (Obs.Json.escape s)
 
-(* Best wall-clock seconds of [reps] calls of [f]. *)
-let best_of reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+(* Timed rows.  Every timed rep runs in its own child, forked from the
+   same parent state: it warms twice, times one run and reports the time
+   over a pipe.  Reps in one process let the minor-GC phase, which each
+   rep inherits from the last, decide a short run's time.  A gate's reps
+   run once per round, the order rotating over the rounds, so a load
+   spike costs one round, not a rep, and each row is a median over
+   rounds.
+
+   Raw wall times measure the runner as much as the code: on unchanged
+   code the engine row read 108.7 to 295.2 ns/event across machines.  So
+   the engine and sweep gates time [kernel], fixed work no netsim change
+   can touch, among their reps, and a row is the median over rounds of
+   the rep's time over the kernel's in that round, scaled to a machine
+   on which the kernel takes [kernel_nominal] seconds; the raw median is
+   recorded beside it.  A machine that runs everything slower for a
+   while moves both reps of a round. *)
+
+(* Wall seconds of one [run ()] after two warm-up runs, in a forked
+   child that reports them over a pipe and leaves with [Unix._exit], so
+   it never returns into this process or flushes its buffered output. *)
+let time_in_child run =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    Unix._exit
+      (match
+         run ();
+         run ();
+         let t0 = Unix.gettimeofday () in
+         run ();
+         fmt "%h" (Unix.gettimeofday () -. t0)
+       with
+       | msg -> ignore (Unix.write_substring wr msg 0 (String.length msg)); 0
+       | exception _ -> 1)
+  | pid -> (
+    Unix.close wr;
+    (* One write of a few bytes to a pipe arrives whole. *)
+    let buf = Bytes.create 64 in
+    let msg = Bytes.sub_string buf 0 (Unix.read rd buf 0 64) in
+    Unix.close rd;
+    match (snd (Unix.waitpid [] pid), float_of_string_opt msg) with
+    | Unix.WEXITED 0, Some seconds -> seconds
+    | _ -> failwith "a timed child failed or reported no time")
+
+(* [secs.(r).(i)]: rep [i]'s seconds in round [r], each rep once per
+   round, in an order that rotates over the rounds. *)
+let time_rounds ~rounds reps =
+  let reps = Array.of_list reps in
+  let n = Array.length reps in
+  let secs = Array.make_matrix rounds n 0. in
+  for r = 0 to rounds - 1 do
+    for k = 0 to n - 1 do
+      let i = (r + k) mod n in
+      secs.(r).(i) <- time_in_child reps.(i)
+    done
   done;
-  !best
+  secs
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+let kernel_rounds = 21
+let kernel_nominal = 0.01
+
+(* Small allocations, hashing, list walks and float arithmetic, as in
+   bench/e2e's scaling kernel; about 10 ms here. *)
+let kernel () =
+  let h = Hashtbl.create 1024 in
+  let acc = ref 0. in
+  for i = 0 to 40_000 do
+    let k = (i * 7919) land 4095 in
+    let l = Option.value (Hashtbl.find_opt h k) ~default:[] in
+    Hashtbl.replace h k
+      ((float_of_int i *. 1.0001) :: (if List.length l > 8 then [] else l));
+    acc := !acc +. float_of_int k
+  done;
+  ignore (Sys.opaque_identity !acc : float)
+
+(* A row timed against the kernel: its scaled and raw medians in
+   seconds. *)
+type timing = { scaled : float; raw : float }
+
+(* Time [reps] with [kernel] over [kernel_rounds] rounds: each rep's
+   timing, and the kernel's median seconds. *)
+let time_scaled reps =
+  let secs = time_rounds ~rounds:kernel_rounds (kernel :: reps) in
+  let over_rounds f = median (List.init kernel_rounds f) in
+  let timing i =
+    { scaled =
+        kernel_nominal *. over_rounds (fun r -> secs.(r).(i) /. secs.(r).(0));
+      raw = over_rounds (fun r -> secs.(r).(i)) }
+  in
+  (List.mapi (fun i _ -> timing (i + 1)) reps, over_rounds (fun r -> secs.(r).(0)))
 
 let events_of (r : Core.Runner.result) =
   Engine.Sim.events_run (Net.Network.sim r.dumbbell.Net.Topology.net)
 
 (* engine: the event hot path on a 100 sim-second fig-4-style two-way
-   run.  Wall time per event (best of 5) and minor-heap words per event
-   (a single Gc.minor_words delta — allocation is deterministic, so one
-   run suffices).  Wall time is noisy on shared CI runners and
-   allocation is exact; the same 25% band covers both, since a stray
-   per-event closure moves words/event far more than 25%. *)
+   run.  Wall time per event, timed against the kernel as above, and
+   minor-heap words per event (a single Gc.minor_words delta in this
+   process: allocation is deterministic, so one run suffices).  The
+   same 25% band covers both, since a stray per-event closure moves
+   words/event far more than 25%. *)
 
 let engine_scenario () =
   Core.Scenario.make ~name:"engine-bench" ~tau:0.01 ~buffer:(Some 20)
@@ -73,14 +160,21 @@ let engine () =
   let w0 = Gc.minor_words () in
   ignore (run () : Core.Runner.result);
   let words = Gc.minor_words () -. w0 in
-  let ns = 1e9 *. best_of 5 run /. float_of_int events in
+  let times, kernel_s =
+    time_scaled [ (fun () -> ignore (run () : Core.Runner.result)) ]
+  in
+  let ns seconds = 1e9 *. seconds /. float_of_int events in
+  let ns_raw = ns (List.hd times).raw and ns = ns (List.hd times).scaled in
   let words = words /. float_of_int events in
   {
     fields =
       [
         ("scenario", str "fig4-two-way-100s");
         ("events", string_of_int events);
+        ("rounds", string_of_int kernel_rounds);
         ("ns_per_event", fmt "%.1f" ns);
+        ("ns_per_event_raw", fmt "%.1f" ns_raw);
+        ("kernel_ms", fmt "%.2f" (1000. *. kernel_s));
         ("minor_words_per_event", fmt "%.3f" words);
       ];
     checks =
@@ -145,14 +239,10 @@ let trace () =
    flight recorder, into a sink that drops the bytes, so the number measures
    encoding, not disk).
 
-   Timed part.  Every rep runs in its own child, forked from the same
-   parent state: it warms twice, times one run and reports the time over
-   a pipe.  Reps in one process let the minor-GC phase, which each rep
-   inherits from the last, decide a 4 ms run's time.  The five configs
-   run once per round, the order rotating over [rounds] rounds; each
-   [*_ms] field is a config's median over rounds, and each overhead (and
-   the flowstats/metrics ratio) the median over rounds of that round's
-   own ratio, so a load spike costs one round, not a config.  The
+   Timed part.  The five configs are the reps of [rounds] rounds, each
+   in its own child, as above; each [*_ms] field is a config's median
+   over rounds, and each overhead (and the flowstats/metrics ratio) the
+   median over rounds of that round's own ratio to the off run.  The
    metrics, flowstats and trace overhead percentages are gated at 125%
    of the baseline plus 25 points: the relative part scales with noisy
    baselines, the absolute part keeps near-zero baselines checkable.  Two
@@ -167,39 +257,6 @@ let trace () =
 let trace_overhead_limit_pct = 100.
 let flowstats_vs_metrics_limit = 1.10
 let rounds = 45
-
-(* Wall seconds of one [run ()] after two warm-up runs, in a forked
-   child that reports them over a pipe and leaves with [Unix._exit], so
-   it never returns into this process or flushes its buffered output. *)
-let time_in_child run =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    Unix._exit
-      (match
-         run ();
-         run ();
-         let t0 = Unix.gettimeofday () in
-         run ();
-         fmt "%h" (Unix.gettimeofday () -. t0)
-       with
-       | msg -> ignore (Unix.write_substring wr msg 0 (String.length msg)); 0
-       | exception _ -> 1)
-  | pid -> (
-    Unix.close wr;
-    (* One write of a few bytes to a pipe arrives whole. *)
-    let buf = Bytes.create 64 in
-    let msg = Bytes.sub_string buf 0 (Unix.read rd buf 0 64) in
-    Unix.close rd;
-    match (snd (Unix.waitpid [] pid), float_of_string_opt msg) with
-    | Unix.WEXITED 0, Some seconds -> seconds
-    | _ -> failwith "a timed child failed or reported no time")
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)
 
 let obs () =
   let scenario = engine_scenario () in
@@ -217,14 +274,7 @@ let obs () =
   let run obs () =
     ignore (Core.Runner.run ~obs:(obs ()) scenario : Core.Runner.result)
   in
-  let n = Array.length configs in
-  let secs = Array.make_matrix rounds n 0. in
-  for r = 0 to rounds - 1 do
-    for k = 0 to n - 1 do
-      let i = (r + k) mod n in
-      secs.(r).(i) <- time_in_child (run configs.(i))
-    done
-  done;
+  let secs = time_rounds ~rounds (List.map run (Array.to_list configs)) in
   let over_rounds f = median (List.init rounds f) in
   let ms i = 1000. *. over_rounds (fun r -> secs.(r).(i)) in
   let pct i =
@@ -273,105 +323,65 @@ let obs () =
             overhead ~cap:trace_overhead_limit_pct 4 ]);
   }
 
-(* sweep: the full Fig-8 buffer grid through Sweep.Driver under the
-   fork executor at jobs 2 and 4, the number of those runs whose JSON
-   differs from the sequential run's (nonzero fails the gate in every
-   mode), and the in-process and fork per-point dispatch costs on
-   trivial tasks.  The in-process dispatch cost and the jobs=1 wall
-   clock are what a code change moves on any machine, so those two are
-   gated (25% band); the multi-job rows also depend on the core count,
-   so they are recorded, with [cores_available] and [parallel_ok], but
-   not gated.
+(* sweep: the full Fig-8 buffer grid through Sweep.Driver in process
+   (jobs = 1) and under the fork executor at jobs 2 and 4, the number of
+   those fork runs whose JSON differs from the sequential run's (nonzero
+   fails the gate in every mode), and the in-process and fork per-point
+   dispatch costs on trivial tasks.  The in-process dispatch cost and
+   the jobs=1 wall clock are what a code change moves on any machine, so
+   those two are gated (25% band); the fork rows also depend on the core
+   count, so they are recorded, with [cores_available] and
+   [parallel_ok], but not gated.
 
-   The in-process dispatch row is timed as the obs gate times its rows,
-   and scaled as bench/e2e scales its times.  Each round times two reps,
-   each in a child forked from the same parent state, in alternating
-   order: [dispatch_maps] maps of 128 trivial tasks, some 6 ms, and
-   [kernel], fixed work no netsim change can touch, some 10 ms.  The row
-   is the median over [dispatch_rounds] rounds of that round's ratio,
-   scaled to a machine on which the kernel takes [kernel_nominal]
-   seconds, per point; the raw medians are recorded beside it.  A
-   machine that runs everything slower for a while moves both reps of a
-   round.  The best of 3 single maps of 512 tasks, 20 us each in this
-   process, measured the runner: on unchanged code it read 0.035 to
-   0.053 us a point against a 0.0489 limit, and medians over children
-   of unscaled reps still moved 4.1 to 6.8 ms between runs. *)
+   Every row is timed against the kernel as above, the five reps and the
+   kernel in one set of rounds.  The in-process dispatch rep is
+   [dispatch_maps] maps of 128 trivial tasks, some 6 ms, since one map
+   of 512 (20 us) timed the runner, not the pool; the fork dispatch rep
+   is one map of 512 at jobs 2. *)
 
 let sweep_grid = Sweep.Grids.fig8
 let dispatch_tasks = List.init 128 Fun.id
 let dispatch_maps = 1024
-let dispatch_rounds = 21
-let kernel_nominal = 0.01
-
-(* Small allocations, hashing, list walks and float arithmetic, as in
-   bench/e2e's scaling kernel; about 10 ms here. *)
-let kernel () =
-  let h = Hashtbl.create 1024 in
-  let acc = ref 0. in
-  for i = 0 to 40_000 do
-    let k = (i * 7919) land 4095 in
-    let l = Option.value (Hashtbl.find_opt h k) ~default:[] in
-    Hashtbl.replace h k
-      ((float_of_int i *. 1.0001) :: (if List.length l > 8 then [] else l));
-    acc := !acc +. float_of_int k
-  done;
-  ignore (Sys.opaque_identity !acc : float)
+let fork_dispatch_tasks = List.init 512 Fun.id
 
 let sweep () =
   let points = sweep_grid.points () in
-  let reps = 3 in
-  let run backend jobs =
+  let run backend jobs () =
     Sweep_pool.map ~backend ~jobs (fun p -> Sweep.Driver.run_point p) points
   in
-  let time backend jobs =
-    ignore (run backend jobs : Sweep.Summary.t list);
-    best_of reps (fun () -> run backend jobs)
-  in
-  let json backend jobs = Sweep.Driver.to_json (run backend jobs) in
+  let json backend jobs = Sweep.Driver.to_json (run backend jobs ()) in
   (* Raw dispatch: trivial tasks make the per-point overhead visible.
      Fork pays one Marshal value, a socket write, a zero-timeout select
      and a trip through the parent's select loop per point. *)
   let map backend jobs tasks () =
-    Sweep_pool.map ~backend ~jobs (fun x -> x) tasks
+    ignore (Sweep_pool.map ~backend ~jobs (fun x -> x) tasks : int list)
   in
   let dispatch () =
     for _ = 1 to dispatch_maps do
-      ignore (map Sweep_pool.Seq 1 dispatch_tasks () : int list)
+      map Sweep_pool.Seq 1 dispatch_tasks ()
     done
   in
-  let per_point seconds =
-    1e6 *. seconds
-    /. float_of_int (dispatch_maps * List.length dispatch_tasks)
+  let sweep_rep backend jobs () =
+    ignore (run backend jobs () : Sweep.Summary.t list)
   in
-  let rounds =
-    List.init dispatch_rounds (fun r ->
-        if r land 1 = 0 then
-          let d = time_in_child dispatch in
-          (d, time_in_child kernel)
-        else
-          let k = time_in_child kernel in
-          (time_in_child dispatch, k))
-  in
-  let inprocess_us =
-    per_point
-      (kernel_nominal *. median (List.map (fun (d, k) -> d /. k) rounds))
-  in
-  let raw_inprocess_us = per_point (median (List.map fst rounds)) in
-  let kernel_ms = 1000. *. median (List.map snd rounds) in
-  let jobs1 = time Sweep_pool.Seq 1 in
-  let reference = json Sweep_pool.Seq 1 in
-  (* Fork at jobs 2 and 4: its timings, and how many of its outputs
-     differ from the reference. *)
   let jobs = [ 2; 4 ] in
-  let runs = List.map (fun j -> (j, time Sweep_pool.Fork j)) jobs in
+  let times, kernel_s =
+    time_scaled
+      (dispatch :: sweep_rep Sweep_pool.Seq 1
+       :: map Sweep_pool.Fork 2 fork_dispatch_tasks
+       :: List.map (sweep_rep Sweep_pool.Fork) jobs)
+  in
+  let inprocess, jobs1, fork_dispatch, forks =
+    match times with
+    | d :: j1 :: fd :: forks -> (d, j1, fd, forks)
+    | _ -> assert false (* one timing per rep *)
+  in
+  let per_point tasks seconds = 1e6 *. seconds /. float_of_int tasks in
+  let inprocess_us = per_point (dispatch_maps * List.length dispatch_tasks) in
+  let fork_us = per_point (List.length fork_dispatch_tasks) in
+  let reference = json Sweep_pool.Seq 1 in
   let differing =
     List.length (List.filter (fun j -> json Sweep_pool.Fork j <> reference) jobs)
-  in
-  let fork_us =
-    let tasks = List.init 512 Fun.id in
-    ignore (map Sweep_pool.Fork 2 tasks () : int list);
-    1e6 *. best_of reps (map Sweep_pool.Fork 2 tasks)
-    /. float_of_int (List.length tasks)
   in
   let cores = Sweep_pool.available_cores () in
   (* Speedup rows above the usable core count measure scheduling
@@ -386,11 +396,11 @@ let sweep () =
                    beyond jobs=%d measure scheduling overhead, not parallelism"
                 max_jobs cores cores)) ]
   in
-  let run_row (j, t) =
+  let run_row j t =
     fmt
       "    {\"backend\": \"fork\", \"jobs\": %d, \"seconds\": %.4f, \
        \"speedup\": %.3f}"
-      j t (jobs1 /. t)
+      j t.scaled (jobs1.scaled /. t.scaled)
   in
   {
     fields =
@@ -400,18 +410,21 @@ let sweep () =
         ("cores_available", string_of_int cores);
         ("parallel_ok", string_of_bool (cores >= 2));
         ("points", string_of_int (List.length points));
-        ("reps", string_of_int reps);
-        ("dispatch_rounds", string_of_int dispatch_rounds);
+        ("rounds", string_of_int kernel_rounds);
       ]
       @ note
       @ [
-          ("jobs1_seconds", fmt "%.4f" jobs1);
+          ("jobs1_seconds", fmt "%.4f" jobs1.scaled);
+          ("jobs1_raw_seconds", fmt "%.4f" jobs1.raw);
           ( "runs",
-            fmt "[\n%s\n  ]" (String.concat ",\n" (List.map run_row runs)) );
-          ("inprocess_dispatch_us_per_point", fmt "%.4f" inprocess_us);
-          ("inprocess_dispatch_raw_us_per_point", fmt "%.4f" raw_inprocess_us);
-          ("kernel_ms", fmt "%.2f" kernel_ms);
-          ("fork_dispatch_us_per_point", fmt "%.3f" fork_us);
+            fmt "[\n%s\n  ]"
+              (String.concat ",\n" (List.map2 run_row jobs forks)) );
+          ( "inprocess_dispatch_us_per_point",
+            fmt "%.4f" (inprocess_us inprocess.scaled) );
+          ( "inprocess_dispatch_raw_us_per_point",
+            fmt "%.4f" (inprocess_us inprocess.raw) );
+          ("kernel_ms", fmt "%.2f" (1000. *. kernel_s));
+          ("fork_dispatch_us_per_point", fmt "%.3f" (fork_us fork_dispatch.scaled));
           ("byte_identical", string_of_bool (differing = 0));
         ];
     checks =
@@ -420,9 +433,10 @@ let sweep () =
           base = None; limit = 0. }
         :: Option.fold ~none:[] base ~some:(fun base ->
                [ band ~scale:1.25 base "in-process dispatch us/pt"
-                   "inprocess_dispatch_us_per_point" inprocess_us;
+                   "inprocess_dispatch_us_per_point"
+                   (inprocess_us inprocess.scaled);
                  band ~scale:1.25 base "jobs=1 wall seconds" "jobs1_seconds"
-                   jobs1 ]));
+                   jobs1.scaled ]));
   }
 
 let gates =
