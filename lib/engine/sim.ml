@@ -374,9 +374,8 @@ end
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Observers are walked directly, as the model's hook lists are, and
-   take no argument: one that needs the time reads [now], so a walk
-   allocates nothing. *)
+(* Walked directly, as the model's hook lists are; an observer reads
+   [now] itself, so a walk allocates nothing. *)
 let rec call_observers = function
   | [] -> ()
   | f :: rest ->

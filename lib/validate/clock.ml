@@ -1,23 +1,20 @@
 let name = "clock"
 
-(* The last time seen sits in a one-cell float array, so storing it
-   boxes nothing. *)
+(* The last time sits in a float array, so storing it boxes nothing. *)
 type t = { report : Report.t; last : float array }
 
 let create report = { report; last = [| neg_infinity |] }
 
 let regression t time =
-  if Float.is_nan time then
-    Report.add t.report ~time ~checker:name ~subject:"sim"
-      ~detail:"event clock is NaN"
-  else
-    Report.add t.report ~time ~checker:name ~subject:"sim"
-      ~detail:
-        (Printf.sprintf "event clock went backwards: %g after %g" time
+  Report.add t.report ~time ~checker:name ~subject:"sim"
+    ~detail:
+      (if Float.is_nan time then "event clock is NaN"
+       else
+         Printf.sprintf "event clock went backwards: %g after %g" time
            t.last.(0))
 
-(* [last] is never NaN, so the comparison fails exactly for a time that
-   went backwards or is NaN.  Inlined, so that a caller's unboxed time
-   stays unboxed. *)
+(* [last] is never NaN, so the test fails exactly for a time that went
+   backwards or is NaN.  Inlined, so a caller's unboxed time stays
+   unboxed. *)
 let[@inline] observe t time =
   if time >= t.last.(0) then t.last.(0) <- time else regression t time

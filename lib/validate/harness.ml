@@ -7,15 +7,10 @@ type t = {
   mutable finalized : bool;
 }
 
-(* Every hook below is one closure per site that calls the checkers'
-   observers directly.  Where two checkers watch one site, the order of
-   the calls is the order of their reports at one event: Monotone before
-   Conservation on inject and deliver, Fifo_order before Conservation on
-   drop and fault. *)
-
-(* Drop and fault hooks on every link; a drop-tail FIFO link also gets
-   a Fifo_order checker on those and on enqueue and depart.  Eviction and
-   round-robin service are legitimately non-FIFO. *)
+(* One closure per hook site.  Where two checkers share a site, the
+   order of the calls is the order of their reports at one event.
+   Eviction and round-robin service are legitimately non-FIFO, so only
+   drop-tail links get a Fifo_order. *)
 let watch_link report conservation link =
   match Net.Link.discipline link with
   | Net.Discipline.Fifo ->
@@ -42,8 +37,8 @@ let watch_link report conservation link =
         Conservation.observe_fault conservation ~time event p);
     None
 
-(* Tahoe connections only: Reno's inflation and deflation, fixed windows
-   and the rest of the zoo follow other rules. *)
+(* Reno's inflation and deflation, fixed windows and the rest of the
+   zoo follow other rules than Tahoe's. *)
 let watch_conn report conn =
   let sender = Tcp.Connection.sender conn in
   let config = Tcp.Sender.config sender in

@@ -1,22 +1,29 @@
 (** The full invariant-checking harness for one simulation run.
 
-    {!attach} wires every checker into a live network and its connections:
+    {!attach} is the one place that connects the checkers to the model.
+    It registers one hook per site, and each hook calls the checkers'
+    [observe_*] functions directly:
 
-    - {!Clock}: simulation clock monotonicity
-    - {!Conservation}: no packet duplicated or lost without a drop
-    - {!Monotone}: per-connection ACK/sequence discipline
-    - {!Fifo_order}: per-link FIFO order and occupancy bounds (drop-tail
-      links only)
-    - {!Tahoe_rules}: Tahoe window dynamics (Tahoe connections only)
+    - {!Engine.Sim.on_event}: {!Clock}, fed {!Engine.Sim.now}
+    - {!Net.Network.on_inject} and [on_deliver]: {!Monotone}, then
+      {!Conservation}
+    - every link's {!Net.Link.on_drop} and [on_fault]: {!Fifo_order}
+      (drop-tail links only), then {!Conservation}
+    - a drop-tail link's [on_enqueue] and [on_depart]: {!Fifo_order}
+    - a Tahoe connection's {!Tcp.Sender.on_loss} and [on_cwnd]:
+      {!Tahoe_rules}
+
+    Where two checkers watch one site, that order is the order of their
+    reports at one event.
 
     Attach after the topology and connections are built and before the
     simulation runs; links or connections added later are not watched.
     Call {!finalize} once the run ends to perform the end-of-run audits
-    and obtain the report.  The harness adds about 70% to a run's time
+    and obtain the report.  The harness adds about 45% to a run's time
     per event (the validate row of the [bench/e2e] ledger over its
     runner row on longrun-fig3, median of five runs on a 2-vCPU Intel
-    Xeon VM), so it is off by default in {!Core.Runner}-driven runs and
-    enabled per scenario. *)
+    Xeon VM, range 43–56%), so it is off by default in
+    {!Core.Runner}-driven runs and enabled per scenario. *)
 
 type t
 
