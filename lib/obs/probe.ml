@@ -99,8 +99,8 @@ let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_delay _ -> "delay"
 
 let loss_reason = function
-  | Tcp.Sender.Timeout -> "timeout"
-  | Tcp.Sender.Dup_ack -> "dup_ack"
+  | Tcp.Cc.Timeout -> "timeout"
+  | Tcp.Cc.Fast_retransmit -> "dup_ack"
 
 let write_link w link =
   Btrace.declare_link w link;

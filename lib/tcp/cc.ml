@@ -63,7 +63,6 @@ module type S = sig
   val on_ack : t -> ackno:int -> newly:int -> bool
   val on_dup_ack : t -> unit
   val on_loss : t -> reason -> highest_sent:int -> unit
-  val on_send : t -> seq:int -> retransmit:bool -> unit
   val on_rtt_sample : t -> rtt:float -> unit
   val window : t -> int
   val cwnd : t -> float
@@ -77,24 +76,10 @@ end
 (* Packed instances                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One record of closures over the module's own state type: the sender
-   stays monomorphic and pays one indirect call per hook.  Built once
-   per connection, never on the event hot path. *)
-type t = {
-  spec : spec;
-  maxwnd : int;
-  ack : ackno:int -> newly:int -> bool;
-  dup_ack : unit -> unit;
-  loss : reason -> highest_sent:int -> unit;
-  send : seq:int -> retransmit:bool -> unit;
-  rtt_sample : rtt:float -> unit;
-  window : unit -> int;
-  cwnd : unit -> float;
-  ssthresh : unit -> float;
-  in_slow_start : unit -> bool;
-  in_recovery : unit -> bool;
-  reset : unit -> unit;
-}
+(* The variant's module packed with its own state: the sender stays
+   monomorphic, and each operation unpacks the module and makes one
+   call into it. *)
+type t = T : { ops : (module S with type t = 's); st : 's; maxwnd : int } -> t
 
 let instantiate (module M : S) ~maxwnd ~params =
   if maxwnd < 2 then invalid_arg "Cc.instantiate: maxwnd must be >= 2";
@@ -103,36 +88,26 @@ let instantiate (module M : S) ~maxwnd ~params =
       if not (Float.is_finite v) then
         invalid_arg (Printf.sprintf "%s: parameter %s must be finite" M.id k))
     params;
-  let st = M.create ~maxwnd ~params in
-  {
-    spec = { name = M.id; params };
-    maxwnd;
-    ack = (fun ~ackno ~newly -> M.on_ack st ~ackno ~newly);
-    dup_ack = (fun () -> M.on_dup_ack st);
-    loss = (fun reason ~highest_sent -> M.on_loss st reason ~highest_sent);
-    send = (fun ~seq ~retransmit -> M.on_send st ~seq ~retransmit);
-    rtt_sample = (fun ~rtt -> M.on_rtt_sample st ~rtt);
-    window = (fun () -> M.window st);
-    cwnd = (fun () -> M.cwnd st);
-    ssthresh = (fun () -> M.ssthresh st);
-    in_slow_start = (fun () -> M.in_slow_start st);
-    in_recovery = (fun () -> M.in_recovery st);
-    reset = (fun () -> M.reset st);
-  }
+  T { ops = (module M); st = M.create ~maxwnd ~params; maxwnd }
 
-let name t = t.spec.name
-let maxwnd t = t.maxwnd
-let on_ack t ~ackno ~newly = t.ack ~ackno ~newly
-let on_dup_ack t = t.dup_ack ()
-let on_loss t reason ~highest_sent = t.loss reason ~highest_sent
-let on_send t ~seq ~retransmit = t.send ~seq ~retransmit
-let on_rtt_sample t ~rtt = t.rtt_sample ~rtt
-let window t = t.window ()
-let cwnd t = t.cwnd ()
-let ssthresh t = t.ssthresh ()
-let in_slow_start t = t.in_slow_start ()
-let in_recovery t = t.in_recovery ()
-let reset t = t.reset ()
+let name (T { ops = (module M); _ }) = M.id
+let maxwnd (T { maxwnd; _ }) = maxwnd
+
+let on_ack (T { ops = (module M); st; _ }) ~ackno ~newly =
+  M.on_ack st ~ackno ~newly
+
+let on_dup_ack (T { ops = (module M); st; _ }) = M.on_dup_ack st
+
+let on_loss (T { ops = (module M); st; _ }) reason ~highest_sent =
+  M.on_loss st reason ~highest_sent
+
+let on_rtt_sample (T { ops = (module M); st; _ }) ~rtt = M.on_rtt_sample st ~rtt
+let window (T { ops = (module M); st; _ }) = M.window st
+let cwnd (T { ops = (module M); st; _ }) = M.cwnd st
+let ssthresh (T { ops = (module M); st; _ }) = M.ssthresh st
+let in_slow_start (T { ops = (module M); st; _ }) = M.in_slow_start st
+let in_recovery (T { ops = (module M); st; _ }) = M.in_recovery st
+let reset (T { ops = (module M); st; _ }) = M.reset st
 
 (* ------------------------------------------------------------------ *)
 (* Parameter helpers                                                   *)

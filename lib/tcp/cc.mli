@@ -68,9 +68,6 @@ module type S = sig
       transmitted so far (NewReno's recovery point). *)
   val on_loss : t -> reason -> highest_sent:int -> unit
 
-  (** A data packet was handed to the network. *)
-  val on_send : t -> seq:int -> retransmit:bool -> unit
-
   (** A Karn-valid RTT measurement (delay-based controllers). *)
   val on_rtt_sample : t -> rtt:float -> unit
 
@@ -92,7 +89,8 @@ end
 
 (** {1 Running instances} *)
 
-(** A packed instance: one controller's state behind the hooks. *)
+(** A running instance: the variant's module packed with its state, so
+    each operation below is one call into the module. *)
 type t
 
 (** Raises [Invalid_argument] for [maxwnd < 2] or a non-finite
@@ -104,7 +102,6 @@ val maxwnd : t -> int
 val on_ack : t -> ackno:int -> newly:int -> bool
 val on_dup_ack : t -> unit
 val on_loss : t -> reason -> highest_sent:int -> unit
-val on_send : t -> seq:int -> retransmit:bool -> unit
 val on_rtt_sample : t -> rtt:float -> unit
 val window : t -> int
 val cwnd : t -> float

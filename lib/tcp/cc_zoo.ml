@@ -133,7 +133,6 @@ let classic_module ~id_ ~describe_ ~modified_ca ~fast_recovery ~newreno =
     let on_ack = Classic.on_ack
     let on_dup_ack = Classic.on_dup_ack
     let on_loss = Classic.on_loss
-    let on_send _ ~seq:_ ~retransmit:_ = ()
     let on_rtt_sample _ ~rtt:_ = ()
     let window = Classic.window
     let cwnd = Classic.cwnd
@@ -192,7 +191,6 @@ module Aimd = struct
     | Cc.Fast_retransmit -> t.cwnd <- Float.max (t.b *. t.cwnd) 1.
 
   let on_dup_ack _ = ()
-  let on_send _ ~seq:_ ~retransmit:_ = ()
   let on_rtt_sample _ ~rtt:_ = ()
   let cwnd t = t.cwnd
   let ssthresh t = t.ssthresh
@@ -290,7 +288,6 @@ module Compound = struct
       cap_dwnd t
     end
 
-  let on_send _ ~seq:_ ~retransmit:_ = ()
   let cwnd t = effective t
   let ssthresh t = t.loss.Classic.ssthresh
   let in_slow_start t = Classic.in_slow_start t.loss
@@ -342,7 +339,6 @@ module Oracle = struct
   let on_ack _ ~ackno:_ ~newly:_ = false
   let on_dup_ack _ = ()
   let on_loss _ _ ~highest_sent:_ = ()
-  let on_send _ ~seq:_ ~retransmit:_ = ()
 
   let on_rtt_sample t ~rtt =
     if rtt > 0. && rtt < t.min_rtt then t.min_rtt <- rtt
@@ -374,7 +370,6 @@ module Fixed = struct
   let on_ack _ ~ackno:_ ~newly:_ = false
   let on_dup_ack _ = ()
   let on_loss _ _ ~highest_sent:_ = ()
-  let on_send _ ~seq:_ ~retransmit:_ = ()
   let on_rtt_sample _ ~rtt:_ = ()
   let cwnd t = float_of_int t.w
   let ssthresh t = float_of_int t.maxwnd
@@ -387,11 +382,8 @@ end
 (* The table                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let adaptive =
-  [ "tahoe"; "tahoe-unmodified"; "reno"; "reno-unmodified"; "newreno";
-    "aimd"; "compound" ]
-
-let variants =
+(* The adaptive entries first; oracle and fixed close the table. *)
+let adaptive_variants =
   [
     classic_module ~id_:"tahoe"
       ~describe_:"4.3-Tahoe, modified CA increment (the paper's machine)"
@@ -410,12 +402,12 @@ let variants =
       ~modified_ca:true ~fast_recovery:true ~newreno:true;
     (module Aimd : Cc.S);
     (module Compound : Cc.S);
-    (module Oracle : Cc.S);
-    (module Fixed : Cc.S);
   ]
 
+let variants = adaptive_variants @ [ (module Oracle : Cc.S); (module Fixed) ]
 let zoo = List.map (fun (module M : Cc.S) -> (M.id, M.describe)) variants
 let names = List.map fst zoo
+let adaptive = List.map (fun (module M : Cc.S) -> M.id) adaptive_variants
 
 let make (spec : Cc.spec) ~maxwnd =
   match List.find_opt (fun (module M : Cc.S) -> M.id = spec.name) variants with

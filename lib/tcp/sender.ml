@@ -1,5 +1,3 @@
-type loss_reason = Dup_ack | Timeout
-
 type t = {
   net : Net.Network.t;
   sim : Engine.Sim.t;
@@ -21,7 +19,7 @@ type t = {
   mutable timeouts : int;
   mutable fast_retransmits : int;
   mutable cwnd_hooks : (float -> cwnd:float -> ssthresh:float -> unit) list;
-  mutable loss_hooks : (float -> loss_reason -> unit) list;
+  mutable loss_hooks : (float -> Cc.reason -> unit) list;
   mutable send_hooks : (float -> Net.Packet.t -> unit) list;
   mutable completed_at : float option;  (* sized flow fully acknowledged *)
 }
@@ -121,32 +119,28 @@ and on_timeout t =
        retransmit: there the counter keeps climbing past the threshold so
        the remaining duplicate ACKs of the old window cannot re-trigger). *)
     t.dup_acks <- 0;
-    handle_loss t Timeout
+    handle_loss t Cc.Timeout
   end
 
 and handle_loss t reason =
   fire_loss t reason;
+  Cc.on_loss t.cc reason ~highest_sent:t.highest_sent;
+  fire_cwnd t;
+  t.timing <- None;  (* Karn: no sample spans the retransmission *)
   (match reason with
-   | Timeout ->
-     Cc.on_loss t.cc Cc.Timeout ~highest_sent:t.highest_sent;
-     fire_cwnd t;
-     t.timing <- None;  (* Karn: no sample spans the retransmission *)
+   | Cc.Timeout ->
      (* Timeout recovery is go-back-N: resume from the hole. *)
-     t.snd_nxt <- t.snd_una;
-     try_send t
-   | Dup_ack ->
-     Cc.on_loss t.cc Cc.Fast_retransmit ~highest_sent:t.highest_sent;
-     fire_cwnd t;
-     t.timing <- None;
+     t.snd_nxt <- t.snd_una
+   | Cc.Fast_retransmit ->
      (* Fast retransmit (both Tahoe and Reno) resends only the missing
         segment and then restores snd_nxt, so the packets that were in
         flight are not transmitted again (their duplicate ACKs must not be
-        able to feed another recovery). *)
+        able to feed another recovery).  Reno's inflated window may then
+        admit new data during recovery. *)
      let old_nxt = t.snd_nxt in
      send_one t t.snd_una;
-     t.snd_nxt <- max old_nxt (t.snd_una + 1);
-     (* Reno's inflated window may admit new data during recovery. *)
-     try_send t);
+     t.snd_nxt <- max old_nxt (t.snd_una + 1));
+  try_send t;
   arm_timer t
 
 and try_send t =
@@ -185,7 +179,6 @@ and send_one t seq =
     t.highest_sent <- seq
   end;
   if t.timing = None && not retransmit then t.timing <- Some (seq, now t);
-  Cc.on_send t.cc ~seq ~retransmit;
   let p =
     Net.Network.make_packet t.net ~conn:t.config.Config.conn ~kind:Net.Packet.Data
       ~seq ~size:Config.data_size ~src:t.config.Config.src_host
@@ -259,7 +252,7 @@ let on_ack t (p : Net.Packet.t) =
     if t.config.Config.loss_detection then begin
       if t.dup_acks = Config.dupack_threshold then begin
         t.fast_retransmits <- t.fast_retransmits + 1;
-        handle_loss t Dup_ack
+        handle_loss t Cc.Fast_retransmit
       end
       else if t.dup_acks > Config.dupack_threshold
               && Cc.in_recovery t.cc

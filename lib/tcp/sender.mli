@@ -2,16 +2,17 @@
     under window flow control.
 
     Nonpaced, as in the paper: a data packet is transmitted immediately
-    upon receipt of the ACK that opens the window.  Loss recovery is the
-    Tahoe go-back-N: on the third duplicate ACK or a retransmission
-    timeout the congestion window collapses to one packet and sending
-    resumes from the first unacknowledged packet.  Karn's rule is applied
+    upon receipt of the ACK that opens the window.  The window is the
+    congestion controller's ({!Cc}, named by [config.cc]); the sender
+    reports each loss to it and recovers.  On a retransmission timeout
+    sending resumes from the first unacknowledged packet (go-back-N).  On
+    the third duplicate ACK (fast retransmit) only the first
+    unacknowledged segment is resent and snd_nxt is restored, so the
+    packets still in flight are not sent again.  Karn's rule is applied
     (no RTT sample spans a retransmission), and the retransmission timer
     backs off exponentially across consecutive timeouts. *)
 
 type t
-
-type loss_reason = Dup_ack | Timeout
 
 val create : Net.Network.t -> Config.t -> t
 
@@ -47,13 +48,18 @@ val retransmits : t -> int
 val timeouts : t -> int
 val fast_retransmits : t -> int
 
-(** [on_cwnd s f] — [f time ~cwnd ~ssthresh] fires after every change. *)
+(** [on_cwnd s f] — [f time ~cwnd ~ssthresh] fires after the controller
+    handles an ACK of new data, a loss, or a duplicate ACK during
+    recovery, whether or not the window moved. *)
 val on_cwnd : t -> (float -> cwnd:float -> ssthresh:float -> unit) -> unit
 
-(** [on_loss s f] — [f time reason] fires when a loss is detected. *)
-val on_loss : t -> (float -> loss_reason -> unit) -> unit
+(** [on_loss s f] — [f time reason] fires when a loss is detected,
+    before the controller reacts to it. *)
+val on_loss : t -> (float -> Cc.reason -> unit) -> unit
 
-(** [on_send s f] — [f time packet] fires as each data packet is injected. *)
+(** [on_send s f] — [f time packet] fires for each data packet,
+    retransmissions included, as it is handed to the network (before any
+    per-connection RTT skew delays it). *)
 val on_send : t -> (float -> Net.Packet.t -> unit) -> unit
 
 (** Completion time of a sized flow, if reached. *)

@@ -25,7 +25,7 @@ let add t ~time fmt =
       Report.add t.report ~time ~checker:name ~subject:t.subject ~detail)
     fmt
 
-let observe_loss t ~time:_ (_reason : Tcp.Sender.loss_reason) =
+let observe_loss t ~time:_ (_reason : Tcp.Cc.reason) =
   (* Tahoe reacts identically to timeout and fast retransmit: the next
      window sample must be the slow-start reset. *)
   t.pending_loss <- true

@@ -19,7 +19,7 @@ val create : Report.t -> subject:string -> maxwnd:int -> t
 
 (** Note that a loss was detected; the next {!observe_cwnd} sample is
     validated as the post-loss reset. *)
-val observe_loss : t -> time:float -> Tcp.Sender.loss_reason -> unit
+val observe_loss : t -> time:float -> Tcp.Cc.reason -> unit
 
 (** Feed one (cwnd, ssthresh) sample, as fired by {!Tcp.Sender.on_cwnd}. *)
 val observe_cwnd : t -> time:float -> cwnd:float -> ssthresh:float -> unit

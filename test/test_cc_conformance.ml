@@ -42,7 +42,8 @@ let arb_events =
     QCheck.Gen.(list_size (int_range 0 80) gen_event)
 
 (* Drive one event the way the sender would: ACKs advance a cumulative
-   counter, losses pass the current highest-sent. *)
+   counter, a send only advances the highest sequence sent (controllers
+   do not see sends), and losses pass the current highest-sent. *)
 let apply c ~ackno ~highest event =
   match event with
   | Ack ->
@@ -53,9 +54,7 @@ let apply c ~ackno ~highest event =
   | Loss_fast -> Cc.on_loss c Cc.Fast_retransmit ~highest_sent:!highest
   | Loss_timeout -> Cc.on_loss c Cc.Timeout ~highest_sent:!highest
   | Rtt rtt -> Cc.on_rtt_sample c ~rtt
-  | Send ->
-    incr highest;
-    Cc.on_send c ~seq:!highest ~retransmit:false
+  | Send -> incr highest
 
 let healthy name c ~maxwnd =
   let w = Cc.window c in

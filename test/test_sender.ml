@@ -191,7 +191,7 @@ let test_loss_hook_reason () =
   ack 3;
   ack 3;
   Alcotest.(check bool) "dup-ack loss reported" true
-    (List.mem Sender.Dup_ack !reasons)
+    (List.mem Cc.Fast_retransmit !reasons)
 
 let prop_adversarial_acks =
   (* Any ACK sequence — stale, duplicate, far-future — must leave the

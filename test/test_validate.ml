@@ -354,7 +354,7 @@ let test_tahoe_clean_trajectory () =
   (* ...then congestion avoidance above ssthresh... *)
   Validate.Tahoe_rules.observe_cwnd t ~time:3. ~cwnd:10.1 ~ssthresh:10.;
   (* ...then a timeout resets to 1 with ssthresh = flight/2. *)
-  Validate.Tahoe_rules.observe_loss t ~time:5. Tcp.Sender.Timeout;
+  Validate.Tahoe_rules.observe_loss t ~time:5. Tcp.Cc.Timeout;
   Validate.Tahoe_rules.observe_cwnd t ~time:5. ~cwnd:1. ~ssthresh:5.05;
   check_total "textbook Tahoe trajectory is clean" 0 r
 
@@ -382,7 +382,7 @@ let test_tahoe_missing_reset () =
   let r = Validate.Report.create () in
   let t = tahoe_checker r in
   Validate.Tahoe_rules.observe_cwnd t ~time:0. ~cwnd:8. ~ssthresh:4.;
-  Validate.Tahoe_rules.observe_loss t ~time:1. Tcp.Sender.Timeout;
+  Validate.Tahoe_rules.observe_loss t ~time:1. Tcp.Cc.Timeout;
   Validate.Tahoe_rules.observe_cwnd t ~time:1. ~cwnd:8. ~ssthresh:4.;
   check_total "missing post-loss reset caught" 1 r;
   check_detail "names the reset" "must reset to 1" r
@@ -391,7 +391,7 @@ let test_tahoe_wrong_ssthresh () =
   let r = Validate.Report.create () in
   let t = tahoe_checker r in
   Validate.Tahoe_rules.observe_cwnd t ~time:0. ~cwnd:12. ~ssthresh:6.;
-  Validate.Tahoe_rules.observe_loss t ~time:1. Tcp.Sender.Dup_ack;
+  Validate.Tahoe_rules.observe_loss t ~time:1. Tcp.Cc.Fast_retransmit;
   Validate.Tahoe_rules.observe_cwnd t ~time:1. ~cwnd:1. ~ssthresh:12.;
   check_total "wrong post-loss ssthresh caught" 1 r;
   check_detail "names flight/2" "flight/2" r
