@@ -430,7 +430,8 @@ let obs_term =
       & info [ "metrics-dt" ] ~docv:"SECONDS"
           ~doc:
             "Also sample every metric each SECONDS of simulated time \
-             into step series.")
+             into step series, written to the $(b,--metrics-out) file \
+             (which this flag requires).")
   in
   let trace_out =
     Arg.(
@@ -485,7 +486,7 @@ let obs_setup_of_cli (cli : obs_cli) ~btrace =
   then Obs.Probe.disabled
   else begin
     Obs.Probe.setup ~metrics
-      ?series_dt:(if metrics then cli.metrics_dt else None)
+      ?series_dt:cli.metrics_dt
       ?btrace
       ?flight:(if cli.flight > 0 then Some cli.flight else None)
       ~flowstats ()
@@ -535,6 +536,15 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
    | _ -> ());
   if fwd + rev = 0 && fixed = None then begin
     prerr_endline "nothing to simulate: need --fwd, --rev or --fixed";
+    exit 2
+  end;
+  if duration <= warmup then begin
+    Printf.eprintf "--duration (%g) must exceed --warmup (%g)\n%!" duration
+      warmup;
+    exit 2
+  end;
+  if obs_cli.metrics_dt <> None && obs_cli.metrics_out = None then begin
+    prerr_endline "--metrics-dt needs --metrics-out: the series go only there";
     exit 2
   end;
   let cc =

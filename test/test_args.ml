@@ -132,7 +132,9 @@ let test_per_flag_rejection () =
     flag_table
 
 (* End to end: an out-of-range int flag is CLI misuse (exit 2), not an
-   uncaught exception (exit 125) or a silently different run. *)
+   uncaught exception (exit 125) or a silently different run; so are a
+   duration that leaves no measurement window after the warm-up, and
+   series asked for with nowhere to write them. *)
 let test_cli_int_flags_exit_2 () =
   List.iter
     (fun args ->
@@ -147,6 +149,12 @@ let test_cli_int_flags_exit_2 () =
       [ "run"; "--max-events"; "0" ];
       [ "run"; "--fixed"; "0,5" ];
       [ "run"; "--fixed"; "5" ];
+      [ "run"; "--rev"; "1"; "--duration"; "10"; "--warmup"; "10" ];
+      [ "run"; "--rev"; "1"; "--duration"; "10"; "--warmup"; "20" ];
+      [ "run"; "--rev"; "1"; "--duration"; "20"; "--warmup"; "5";
+        "--metrics-dt"; "1" ];
+      [ "run"; "--rev"; "1"; "--duration"; "20"; "--warmup"; "5";
+        "--metrics-dt"; "1"; "--json" ];
       [ "plot"; "fig8"; "--width"; "0" ];
       [ "sweep"; "smoke"; "--jobs"; "0" ];
       [ "sweep"; "smoke"; "--jobs=-3" ];
