@@ -107,7 +107,8 @@ let queue_length t = t.events.size + t.rearmed.size
 
 (* Registration is rare and iteration is the hot path, so keep the list
    in registration order (append) rather than reversing on every event:
-   validate/trace hooks rely on running in install order. *)
+   observers run in install order, as the interface promises.  Users:
+   validation's Clock checker and the end-to-end benchmark's probe. *)
 let on_event t f = t.observers <- t.observers @ [ f ]
 
 (* ------------------------------------------------------------------ *)

@@ -26,7 +26,8 @@
     - ["fixed"] — the paper's fixed-window flow control (Figures 8-9).
 
     The table is a static list, so a new variant joins {!make}, {!names},
-    {!zoo} and the conformance battery by being listed. *)
+    {!zoo}, the conformance battery and, listed before oracle, {!adaptive}
+    by being listed. *)
 
 (** Look the spec's name up in the table and instantiate it.
     Raises [Invalid_argument] (listing the known names) for an unknown
@@ -39,6 +40,7 @@ val names : string list
 (** [(id, describe)] rows, in table order. *)
 val zoo : (string * string) list
 
-(** The adaptive entries (everything except ["fixed"] and ["oracle"]),
-    for sweep grids and the cross-variant experiment. *)
+(** The adaptive entries (every key before ["oracle"], which with
+    ["fixed"] closes the table), for sweep grids and the cross-variant
+    experiment. *)
 val adaptive : string list
