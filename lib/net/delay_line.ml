@@ -1,77 +1,85 @@
-(* Free cells form an intrusive list ended by a nil cell that points to
-   itself; idle slots hold [Packet.none] (physical-equality sentinel)
-   rather than an option, so the steady state allocates nothing.
-   [cells] keeps every cell ever made, for [flush]. *)
-type cell = {
-  timer : Engine.Sim.Timer.timer;
-  mutable pkt : Packet.t;  (* == Packet.none when the cell is free *)
-  mutable next : cell;  (* next free cell *)
-}
-
+(* Cells are ints: cell [c] is [timers.(c)] and [pkts.(c)], and the free
+   cells form an int stack, so taking and releasing a cell stores only
+   ints and never runs the write barrier.  A push stores its packet once;
+   a delivery stores nothing, and the stale packet stays in [pkts] until
+   the cell is reused, so only a cell whose timer is pending holds a live
+   packet.  Cells are made on first use and reused from then on. *)
 type t = {
   sim : Engine.Sim.t;
   mutable deliver : Packet.t -> unit;
-  mutable free : cell;
-  nil : cell;
-  mutable cells : cell list;
+  mutable timers : Engine.Sim.Timer.timer array;
+  mutable pkts : Packet.t array;
+  mutable free : int array;  (* a stack of free cells *)
+  mutable nfree : int;
+  mutable ncells : int;
 }
 
-let nop () = ()
-
 let create sim =
-  let rec nil =
-    { timer = Engine.Sim.Timer.create sim nop; pkt = Packet.none; next = nil }
-  in
   {
     sim;
     deliver = (fun _ -> failwith "Delay_line: deliver callback not set");
-    free = nil;
-    nil;
-    cells = [];
+    timers = [||];
+    pkts = [||];
+    free = [||];
+    nfree = 0;
+    ncells = 0;
   }
 
 let set_deliver t f = t.deliver <- f
 
-let release t c =
-  c.pkt <- Packet.none;
-  c.next <- t.free;
-  t.free <- c
+let[@inline] release t c =
+  t.free.(t.nfree) <- c;
+  t.nfree <- t.nfree + 1
 
-let take t =
-  let c = t.free in
-  if c != t.nil then begin
-    t.free <- c.next;
-    c.next <- t.nil;
-    c
-  end
-  else begin
-    let c =
-      { timer = Engine.Sim.Timer.create t.sim nop; pkt = Packet.none;
-        next = t.nil }
+(* Read the packet before releasing the cell: the hand-off may push into
+   this line and reuse it. *)
+let fire t c () =
+  let p = t.pkts.(c) in
+  release t c;
+  t.deliver p
+
+(* A new cell, on the free stack. *)
+let add_cell t =
+  let c = t.ncells in
+  let timer = Engine.Sim.Timer.create t.sim (fire t c) in
+  if c = Array.length t.timers then begin
+    (* The new timer fills the fresh slots: a slot is read only once a
+       cell owns it. *)
+    let cap = max 4 (2 * c) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 c;
+      b
     in
-    Engine.Sim.Timer.set_action c.timer (fun () ->
-        let p = c.pkt in
-        release t c;
-        t.deliver p);
-    t.cells <- c :: t.cells;
-    c
-  end
+    t.timers <- extend t.timers timer;
+    t.pkts <- extend t.pkts Packet.none;
+    t.free <- extend t.free 0
+  end;
+  t.timers.(c) <- timer;
+  t.ncells <- c + 1;
+  release t c
 
-(* Arm before filling the slot: a rejected delay then leaves no packet
-   behind for [flush] to find. *)
+(* Arm before taking the cell: a rejected delay leaves it free, holding
+   no packet. *)
 let push t p ~delay =
-  let c = take t in
-  Engine.Sim.Timer.set c.timer ~delay;
-  c.pkt <- p
+  if t.nfree = 0 then add_cell t;
+  let c = t.free.(t.nfree - 1) in
+  Engine.Sim.Timer.set t.timers.(c) ~delay;
+  t.nfree <- t.nfree - 1;
+  t.pkts.(c) <- p
 
 let flush t f =
-  let pending =
-    List.filter (fun c -> c.pkt != Packet.none) t.cells
-    |> List.sort (fun a b -> compare a.pkt.Packet.id b.pkt.Packet.id)
+  let pending = ref [] in
+  for c = 0 to t.ncells - 1 do
+    if Engine.Sim.Timer.pending t.timers.(c) then pending := c :: !pending
+  done;
+  let packets =
+    List.sort
+      (fun a b -> Int.compare t.pkts.(a).Packet.id t.pkts.(b).Packet.id)
+      !pending
     |> List.map (fun c ->
-           let p = c.pkt in
-           Engine.Sim.Timer.cancel c.timer;
+           Engine.Sim.Timer.cancel t.timers.(c);
            release t c;
-           p)
+           t.pkts.(c))
   in
-  List.iter f pending
+  List.iter f packets

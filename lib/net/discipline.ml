@@ -7,10 +7,12 @@ let kind_to_string = function
 
 type outcome = Accepted | Rejected | Evicted of Packet.t
 
-(* FIFO store: a growable ring of packets ([Packet.none] in empty
-   slots), so a push or pop allocates nothing once the array has grown
-   to the largest backlog.  The array is made on the first push, so a
-   link that never carries a packet costs no slots. *)
+(* FIFO store: a growable ring of packets, so a push or pop allocates
+   nothing once the array has grown to the largest backlog.  Only
+   [\[head, head + len)] is ever read: a pop or a removal leaves its
+   vacated slot holding a stale packet rather than storing a pointer to
+   clear it.  The array is made on the first push, so a link that never
+   carries a packet costs no slots. *)
 type ring = {
   mutable slots : Packet.t array;  (* length 0 or a power of two *)
   mutable head : int;
@@ -40,7 +42,6 @@ let ring_take r =
   if r.len = 0 then Packet.none
   else begin
     let p = r.slots.(r.head) in
-    r.slots.(r.head) <- Packet.none;
     r.head <- slot r 1;
     r.len <- r.len - 1;
     p
@@ -53,7 +54,6 @@ let ring_remove r idx =
   for i = idx to r.len - 2 do
     r.slots.(slot r i) <- r.slots.(slot r (i + 1))
   done;
-  r.slots.(slot r (r.len - 1)) <- Packet.none;
   r.len <- r.len - 1;
   victim
 

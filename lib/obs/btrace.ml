@@ -186,7 +186,7 @@ let restart w r =
   w.clock.prev <- 0.
 
 let spill w = match w.out with Sink _ -> flush w | Ring r -> restart w r
-let ensure w n = if w.pos + n > Bytes.length w.seg then spill w
+let[@inline] ensure w n = if w.pos + n > Bytes.length w.seg then spill w
 
 (* Unchecked writers: callers must [ensure] the total first.  They
    thread [pos] as a value instead of re-reading the mutable field —
@@ -194,13 +194,23 @@ let ensure w n = if w.pos + n > Bytes.length w.seg then spill w
    measurable share of the per-event cost; this way the encoder's
    position stays in a register across one record and [w.pos] is
    touched once per record. *)
-let put_byte seg pos b =
+let[@inline] put_byte seg pos b =
   Bytes.unsafe_set seg pos (Char.unsafe_chr (b land 0xff));
   pos + 1
 
-let rec put_varint seg pos n =
+let rec put_varint_loop seg pos n =
   if n land lnot 0x7f = 0 then put_byte seg pos n
-  else put_varint seg (put_byte seg pos ((n land 0x7f) lor 0x80)) (n lsr 7)
+  else
+    put_varint_loop seg (put_byte seg pos ((n land 0x7f) lor 0x80)) (n lsr 7)
+
+(* One- and two-byte varints, nearly every field of a record, are
+   written inline; only longer ones take the loop.  The bytes are the
+   loop's. *)
+let[@inline] put_varint seg pos n =
+  if n land lnot 0x7f = 0 then put_byte seg pos n
+  else if n land lnot 0x3fff = 0 then
+    put_byte seg (put_byte seg pos ((n land 0x7f) lor 0x80)) (n lsr 7)
+  else put_varint_loop seg pos n
 
 let put_f64 seg pos f =
   Bytes.set_int64_le seg pos (Int64.bits_of_float f);

@@ -22,9 +22,10 @@
    particular Karn's algorithm for RTT sampling:
 
      - a first-transmission Send starts the timer when none is running
-       (the sender sets [timing] in [send_one] under the same condition)
+       (the sender sets [timed_seq] in [send_one] under the same
+       condition)
      - any Loss and any retransmitted Send clear the timer (the sender
-       clears [timing] in [handle_loss] and before every hole
+       clears [timed_seq] in [handle_loss] and before every hole
        retransmission; by the time a retransmitted packet's Send hook
        fires the sender's timer is already clear, so clearing here too is
        a faithful no-op that keeps the mirror robust)

@@ -11,8 +11,11 @@ type t = {
   timer : Engine.Sim.Timer.timer;
       (* persistent retransmission timer: BSD cancels and restarts it on
          every ACK, so it is re-armed in place rather than reallocated *)
-  mutable timing : (int * float) option;  (* (seq, send time) being timed *)
-  mutable next_send : float;  (* pacing: earliest permitted injection *)
+  mutable timed_seq : int;  (* seq being timed; -1 when none *)
+  times : float array;
+      (* 0: the timed seq's send time; 1: pacing's earliest permitted
+         injection.  Flat cells, since assigning a float field of a mixed
+         record boxes it. *)
   pacer : Engine.Sim.Timer.timer;  (* persistent; armed only when pacing *)
   mutable data_sent : int;
   mutable retransmits : int;
@@ -39,8 +42,8 @@ let make net config =
     highest_sent = -1;
     dup_acks = 0;
     timer = Engine.Sim.Timer.create sim nop;
-    timing = None;
-    next_send = 0.;
+    timed_seq = -1;
+    times = [| 0.; 0. |];
     pacer = Engine.Sim.Timer.create sim nop;
     data_sent = 0;
     retransmits = 0;
@@ -126,7 +129,7 @@ and handle_loss t reason =
   fire_loss t reason;
   Cc.on_loss t.cc reason ~highest_sent:t.highest_sent;
   fire_cwnd t;
-  t.timing <- None;  (* Karn: no sample spans the retransmission *)
+  t.timed_seq <- -1;  (* Karn: no sample spans the retransmission *)
   (match reason with
    | Cc.Timeout ->
      (* Timeout recovery is go-back-N: resume from the hole. *)
@@ -160,15 +163,15 @@ and paced_send t interval =
   let limit = min (t.snd_una + Cc.window t.cc) (flow_limit t) in
   if t.snd_nxt < limit then begin
     let now_ = now t in
-    if now_ +. 1e-12 >= t.next_send then begin
+    if now_ +. 1e-12 >= t.times.(1) then begin
       send_one t t.snd_nxt;
       t.snd_nxt <- t.snd_nxt + 1;
-      t.next_send <- now_ +. interval
+      t.times.(1) <- now_ +. interval
     end;
     (* The pacer's action (tied in [create]) already closes over the
        interval; firing disarms the timer, so [pending] gates re-arming. *)
     if t.snd_nxt < limit && not (Engine.Sim.Timer.pending t.pacer) then
-      Engine.Sim.Timer.set t.pacer ~delay:(Float.max 0. (t.next_send -. now t))
+      Engine.Sim.Timer.set t.pacer ~delay:(Float.max 0. (t.times.(1) -. now t))
   end
 
 and send_one t seq =
@@ -178,7 +181,10 @@ and send_one t seq =
     t.data_sent <- t.data_sent + 1;
     t.highest_sent <- seq
   end;
-  if t.timing = None && not retransmit then t.timing <- Some (seq, now t);
+  if t.timed_seq < 0 && not retransmit then begin
+    t.timed_seq <- seq;
+    t.times.(0) <- now t
+  end;
   let p =
     Net.Network.make_packet t.net ~conn:t.config.Config.conn ~kind:Net.Packet.Data
       ~seq ~size:Config.data_size ~src:t.config.Config.src_host
@@ -214,13 +220,12 @@ let on_ack t (p : Net.Packet.t) =
   let ackno = p.seq in
   if ackno > t.snd_una then begin
     (* New data acknowledged. *)
-    (match t.timing with
-     | Some (seq, sent_at) when ackno > seq ->
-       let rtt = now t -. sent_at in
-       Rto.sample t.rto rtt;
-       Cc.on_rtt_sample t.cc ~rtt;
-       t.timing <- None
-     | _ -> ());
+    if t.timed_seq >= 0 && ackno > t.timed_seq then begin
+      let rtt = now t -. t.times.(0) in
+      Rto.sample t.rto rtt;
+      Cc.on_rtt_sample t.cc ~rtt;
+      t.timed_seq <- -1
+    end;
     Rto.reset_backoff t.rto;
     let newly = ackno - t.snd_una in
     t.snd_una <- ackno;
@@ -240,7 +245,7 @@ let on_ack t (p : Net.Packet.t) =
     (* NewReno-style partial ACK: the controller stays in recovery and
        asks for the next hole to be retransmitted immediately. *)
     if retransmit_hole && t.snd_una < t.snd_nxt then begin
-      t.timing <- None;  (* Karn: the retransmission makes samples ambiguous *)
+      t.timed_seq <- -1;  (* Karn: the retransmission makes samples ambiguous *)
       let old_nxt = t.snd_nxt in
       send_one t t.snd_una;
       t.snd_nxt <- max old_nxt (t.snd_una + 1)

@@ -46,12 +46,6 @@ struct
       t.pos <- 0
     end
 
-  let push t v =
-    if t.pos = Array.length t.cur then grow t;
-    Array.unsafe_set t.cur t.pos v;
-    t.pos <- t.pos + 1;
-    t.len <- t.len + 1
-
   let get t i =
     if i < 0 || i >= t.len then
       invalid_arg "Column.get: index out of range";
@@ -65,6 +59,11 @@ struct
     Array.unsafe_get t.chunks c
 end
 
+(* Each push is written where the element type is known, not in [Make]:
+   there a store into an ['a array] takes the generic path (the write
+   barrier for an int, a boxed argument for a float).  Here an int store
+   is a plain store and, inlined into the caller, a float is stored flat
+   without ever being boxed. *)
 module Float = struct
   include Make (struct
     type elt = float
@@ -72,18 +71,25 @@ module Float = struct
     let zero = 0.
   end)
 
-  (* The conversion happens here, where [cur] is known to be a float
-     array, so the store is flat: a float argument crossing a module
-     boundary would be boxed first. *)
-  let push_int t n =
+  let[@inline] push t v =
     if t.pos = Array.length t.cur then grow t;
-    Array.unsafe_set t.cur t.pos (float_of_int n);
+    Array.unsafe_set t.cur t.pos v;
+    t.pos <- t.pos + 1;
+    t.len <- t.len + 1
+
+  let[@inline] push_int t n = push t (float_of_int n)
+end
+
+module Int = struct
+  include Make (struct
+    type elt = int
+
+    let zero = 0
+  end)
+
+  let[@inline] push t v =
+    if t.pos = Array.length t.cur then grow t;
+    Array.unsafe_set t.cur t.pos v;
     t.pos <- t.pos + 1;
     t.len <- t.len + 1
 end
-
-module Int = Make (struct
-  type elt = int
-
-  let zero = 0
-end)
