@@ -79,7 +79,7 @@ end
 (* The variant's module packed with its own state: the sender stays
    monomorphic, and each operation unpacks the module and makes one
    call into it. *)
-type t = T : { ops : (module S with type t = 's); st : 's; maxwnd : int } -> t
+type t = T : { ops : (module S with type t = 's); st : 's } -> t
 
 let instantiate (module M : S) ~maxwnd ~params =
   if maxwnd < 2 then invalid_arg "Cc.instantiate: maxwnd must be >= 2";
@@ -88,10 +88,9 @@ let instantiate (module M : S) ~maxwnd ~params =
       if not (Float.is_finite v) then
         invalid_arg (Printf.sprintf "%s: parameter %s must be finite" M.id k))
     params;
-  T { ops = (module M); st = M.create ~maxwnd ~params; maxwnd }
+  T { ops = (module M); st = M.create ~maxwnd ~params }
 
 let name (T { ops = (module M); _ }) = M.id
-let maxwnd (T { maxwnd; _ }) = maxwnd
 
 let on_ack (T { ops = (module M); st; _ }) ~ackno ~newly =
   M.on_ack st ~ackno ~newly

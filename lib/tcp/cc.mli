@@ -98,7 +98,6 @@ type t
 val instantiate : (module S) -> maxwnd:int -> params:(string * float) list -> t
 
 val name : t -> string
-val maxwnd : t -> int
 val on_ack : t -> ackno:int -> newly:int -> bool
 val on_dup_ack : t -> unit
 val on_loss : t -> reason -> highest_sent:int -> unit
