@@ -47,7 +47,12 @@ let bad_path what msg =
   Printf.eprintf "netsim: %s: %s\n%!" what msg;
   exit 2
 
+(* A directory opens for reading on Linux, and then fails on its length
+   with an error that names no path. *)
 let read_input ~cmd file =
+  (match Sys.is_directory file with
+   | true -> bad_path cmd (file ^ ": Is a directory")
+   | false | (exception Sys_error _) -> ());
   try
     In_channel.with_open_bin file (fun ic ->
         really_input_string ic (in_channel_length ic))

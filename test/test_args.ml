@@ -160,8 +160,9 @@ let test_cli_int_flags_exit_2 () =
       [ "sweep"; "smoke"; "--jobs=-3" ];
     ]
 
-(* So is a path netsim cannot read or write.  Outputs are opened before
-   the first simulation, so none of these runs anything. *)
+(* So is a path netsim cannot read or write, and a directory given where
+   a trace is read.  Outputs are opened before the first simulation, so
+   none of these runs anything. *)
 let test_cli_bad_paths_exit_2 () =
   let trace = Filename.temp_file "netsim-args" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
@@ -170,13 +171,16 @@ let test_cli_bad_paths_exit_2 () =
     Test_cc_conformance.run_netsim (run @ [ "--trace-out"; trace ])
   in
   Alcotest.(check int) "trace written" 0 code;
-  let bad = "/nonexistent/x" in
+  let bad = "/nonexistent/x" and dir = Filename.get_temp_dir_name () in
   List.iter
     (fun args ->
       let code, _ = Test_cc_conformance.run_netsim args in
       Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 code)
     [
       [ "tracecheck"; bad ];
+      [ "tracecheck"; dir ];
+      [ "trace"; "stats"; dir ];
+      [ "trace"; "export"; dir ];
       [ "trace"; "export"; trace; "-o"; bad ];
       run @ [ "--trace-out"; bad ];
       run @ [ "--metrics-out"; bad ];
