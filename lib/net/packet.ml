@@ -11,9 +11,10 @@ type t = {
   retransmit : bool;
 }
 
-(* Sentinel for empty slots (link transmitters, delivery free-lists,
-   FIFO rings) and for "no packet" results: compared with (==), never
-   offered to a link or counted anywhere. *)
+(* Filler for slots that have never held a packet (a link's transmitter
+   before its first packet, fresh ring and delay-line slots) and the "no
+   packet" result of a dequeue: compared with (==), never offered to a
+   link or counted anywhere. *)
 let none =
   {
     id = -1;

@@ -20,9 +20,11 @@ type t = {
   retransmit : bool;  (** true if this data packet is a retransmission *)
 }
 
-(** Sentinel packet for empty slots and "no packet" results (such as
-    {!Discipline.dequeue} on an empty buffer); compare it with [(==)]
-    only.  Never transmit it or count it in any statistic. *)
+(** Filler for slots that have never held a packet, and the "no packet"
+    result of {!Discipline.dequeue} on an empty buffer; compare it with
+    [(==)] only.  A slot a packet has left keeps that packet: a flag or
+    a range says which slots are live.  Never transmit it or count it in
+    any statistic. *)
 val none : t
 
 val kind_to_string : kind -> string

@@ -26,6 +26,9 @@ module Float : sig
 
   val create : unit -> t
   val length : t -> int
+
+  (** Inlined into the caller, so the float is stored flat without being
+      boxed. *)
   val push : t -> float -> unit
 
   (** [push_int t n] is [push t (float_of_int n)] without boxing the
@@ -46,6 +49,8 @@ module Int : sig
 
   val create : unit -> t
   val length : t -> int
+
+  (** Inlined; a plain store, without the write barrier. *)
   val push : t -> int -> unit
 
   (** @raise Invalid_argument if the index is out of range. *)
