@@ -30,11 +30,10 @@ type profile = {
   checks : (string -> float) option -> check list;
 }
 
-(* A check against [base key] scaled by [scale], plus [slack], at most
-   [cap]. *)
-let band ?(slack = 0.) ?(cap = infinity) ~scale base name key value =
+(* A check against [base key] scaled by [scale], plus [slack]. *)
+let band ?(slack = 0.) ~scale base name key value =
   let b = base key in
-  { name; value; base = Some b; limit = Float.min cap ((b *. scale) +. slack) }
+  { name; value; base = Some b; limit = (b *. scale) +. slack }
 
 let str s = fmt "\"%s\"" (Obs.Json.escape s)
 
@@ -123,17 +122,19 @@ let kernel () =
    seconds. *)
 type timing = { scaled : float; raw : float }
 
+(* Rep [i]'s timing from rounds whose rep 0 is [kernel]. *)
+let timing secs i =
+  let over_rounds f = median (List.init (Array.length secs) f) in
+  { scaled =
+      kernel_nominal *. over_rounds (fun r -> secs.(r).(i) /. secs.(r).(0));
+    raw = over_rounds (fun r -> secs.(r).(i)) }
+
 (* Time [reps] with [kernel] over [kernel_rounds] rounds: each rep's
    timing, and the kernel's median seconds. *)
 let time_scaled reps =
   let secs = time_rounds ~rounds:kernel_rounds (kernel :: reps) in
-  let over_rounds f = median (List.init kernel_rounds f) in
-  let timing i =
-    { scaled =
-        kernel_nominal *. over_rounds (fun r -> secs.(r).(i) /. secs.(r).(0));
-      raw = over_rounds (fun r -> secs.(r).(i)) }
-  in
-  (List.mapi (fun i _ -> timing (i + 1)) reps, over_rounds (fun r -> secs.(r).(0)))
+  ( List.mapi (fun i _ -> timing secs (i + 1)) reps,
+    median (List.init kernel_rounds (fun r -> secs.(r).(0))) )
 
 let events_of (r : Core.Runner.result) =
   Engine.Sim.events_run (Net.Network.sim r.dumbbell.Net.Topology.net)
@@ -239,15 +240,19 @@ let trace () =
    flight recorder, into a sink that drops the bytes, so the number measures
    encoding, not disk).
 
-   Timed part.  The five configs are the reps of [rounds] rounds, each
-   in its own child, as above; each [*_ms] field is a config's median
-   over rounds, and each overhead (and the flowstats/metrics ratio) the
-   median over rounds of that round's own ratio to the off run.  The
-   metrics, flowstats and trace overhead percentages are gated at 125%
-   of the baseline plus 25 points: the relative part scales with noisy
-   baselines, the absolute part keeps near-zero baselines checkable.  Two
-   caps hold whatever the baseline says: a fully traced run stays under
-   2x the untraced one, and flowstats under 1.10x the metrics-only run.
+   Timed part.  The kernel and the five configs are the reps of [rounds]
+   rounds, each in its own child, as above; each [*_ms] field is a
+   config's median over rounds, and each overhead (and the
+   flowstats/metrics ratio) the median over rounds of that round's own
+   ratio to the off run.  The metrics and flowstats overhead percentages
+   are gated at 125% of the baseline plus 25 points: the relative part
+   scales with noisy baselines, the absolute part keeps near-zero
+   baselines checkable.  The trace config is gated on its own time per
+   event, scaled by the kernel as the engine gate's is (125% of the
+   baseline, raw median beside it): an overhead ratio also rises when
+   only the untraced run gets faster.  Two caps hold whatever the
+   baseline says: a fully traced run stays under 2x the untraced one,
+   and flowstats under 1.10x the metrics-only run.
 
    Exact part.  Flowstats' extra minor words per event over metrics,
    counted in this process, gated within 10% of the baseline as the
@@ -274,13 +279,16 @@ let obs () =
   let run obs () =
     ignore (Core.Runner.run ~obs:(obs ()) scenario : Core.Runner.result)
   in
-  let secs = time_rounds ~rounds (List.map run (Array.to_list configs)) in
-  let over_rounds f = median (List.init rounds f) in
-  let ms i = 1000. *. over_rounds (fun r -> secs.(r).(i)) in
-  let pct i =
-    100. *. over_rounds (fun r -> (secs.(r).(i) /. secs.(r).(0)) -. 1.)
+  (* Config [i] is rep [i + 1]: rep 0 is the kernel. *)
+  let secs =
+    time_rounds ~rounds (kernel :: List.map run (Array.to_list configs))
   in
-  let ratio = over_rounds (fun r -> secs.(r).(2) /. secs.(r).(1)) in
+  let over_rounds f = median (List.init rounds f) in
+  let ms i = 1000. *. over_rounds (fun r -> secs.(r).(i + 1)) in
+  let pct i =
+    100. *. over_rounds (fun r -> (secs.(r).(i + 1) /. secs.(r).(1)) -. 1.)
+  in
+  let ratio = over_rounds (fun r -> secs.(r).(3) /. secs.(r).(2)) in
   (* Minor words of one run after a warm-up run of the same config. *)
   let words obs =
     run obs ();
@@ -289,12 +297,15 @@ let obs () =
     (Gc.minor_words () -. w0) /. float_of_int (events_of r)
   in
   let extra_words = words configs.(2) -. words configs.(1) in
-  let events_traced =
+  let events, events_traced =
     let r = Core.Runner.run ~obs:(trace_setup ()) scenario in
-    match r.Core.Runner.obs with
-    | Some probe -> Obs.Probe.events_traced probe
-    | None -> 0
+    ( events_of r,
+      match r.Core.Runner.obs with
+      | Some probe -> Obs.Probe.events_traced probe
+      | None -> 0 )
   in
+  let traced = timing secs (1 + 4) in
+  let ns seconds = 1e9 *. seconds /. float_of_int events in
   let names = [ "off"; "metrics"; "flowstats"; "series"; "trace" ] in
   {
     fields =
@@ -304,14 +315,16 @@ let obs () =
       @ List.mapi
           (fun i n -> (n ^ "_overhead_pct", fmt "%.1f" (pct (i + 1))))
           (List.tl names)
-      @ [ ("flowstats_vs_metrics", fmt "%.3f" ratio);
+      @ [ ("trace_ns_per_event", fmt "%.1f" (ns traced.scaled));
+          ("trace_ns_per_event_raw", fmt "%.1f" (ns traced.raw));
+          ("flowstats_vs_metrics", fmt "%.3f" ratio);
           ("flowstats_extra_words_per_event", fmt "%.3f" extra_words);
           ("events_traced", string_of_int events_traced) ];
     checks =
       Option.fold ~none:[] ~some:(fun base ->
-          let overhead ?cap i =
+          let overhead i =
             let n = List.nth names i in
-            band ~slack:25. ?cap ~scale:1.25 base (n ^ " overhead %")
+            band ~slack:25. ~scale:1.25 base (n ^ " overhead %")
               (n ^ "_overhead_pct") (pct i)
           in
           [ overhead 1;
@@ -320,7 +333,10 @@ let obs () =
               limit = flowstats_vs_metrics_limit };
             band ~scale:1.10 base "flowstats extra words/event"
               "flowstats_extra_words_per_event" extra_words;
-            overhead ~cap:trace_overhead_limit_pct 4 ]);
+            band ~scale:1.25 base "trace ns/event" "trace_ns_per_event"
+              (ns traced.scaled);
+            { name = "trace overhead %"; value = pct 4; base = None;
+              limit = trace_overhead_limit_pct } ]);
   }
 
 (* sweep: the full Fig-8 buffer grid through Sweep.Driver in process

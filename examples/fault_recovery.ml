@@ -37,13 +37,14 @@ let () =
   (* Watch the sender live: deepest timer backoff reached, and the
      smallest congestion window seen while the link was down. *)
   let max_backoff = ref 0 in
-  Tcp.Sender.on_loss sender (fun _time _reason ->
+  Tcp.Sender.on_loss sender (fun _reason ->
       max_backoff := max !max_backoff (Tcp.Rto.backoff_count (Tcp.Sender.rto sender)));
   let min_cwnd_in_outage = ref infinity in
-  Tcp.Sender.on_cwnd sender (fun time ~cwnd ~ssthresh:_ ->
+  Tcp.Sender.on_cwnd sender (fun ~cwnd ~ssthresh:_ ->
+      let time = Tcp.Sender.now sender in
       if time >= outage_start && time <= outage_stop then
         min_cwnd_in_outage := Float.min !min_cwnd_in_outage cwnd);
-  let cwnd_trace = Trace.Cwnd_trace.attach sender ~now:0. in
+  let cwnd_trace = Trace.Cwnd_trace.attach sender in
   (* Meter utilization only after the connection has had time to recover
      from the outage. *)
   let recovery_meter = ref None in
@@ -75,7 +76,7 @@ let () =
        ~t0:40. ~t1:140.);
   print_newline ();
 
-  let report = Validate.Harness.finalize harness ~now:(Engine.Sim.now sim) in
+  let report = Validate.Harness.finalize harness in
   (* Evaluate each check before folding: a list literal would print them
      in reverse (right-to-left construction) and [for_all] would stop at
      the first failure. *)

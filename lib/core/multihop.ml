@@ -57,11 +57,9 @@ let run spec =
         in
         Tcp.Connection.create chain.cnet config)
   in
-  let now = Engine.Sim.now sim in
   let trunk_queues =
     Array.map
-      (fun (fwd, bwd) ->
-        (Trace.Queue_trace.attach fwd ~now, Trace.Queue_trace.attach bwd ~now))
+      (fun (f, b) -> (Trace.Queue_trace.attach f, Trace.Queue_trace.attach b))
       chain.trunks
   in
   let trunk_deps =
@@ -93,7 +91,7 @@ let run spec =
   (match validation with
    | None -> ()
    | Some harness ->
-     let report = Validate.Harness.finalize harness ~now in
+     let report = Validate.Harness.finalize harness in
      if not (Validate.Report.is_clean report) then begin
        prerr_endline "netsim validation FAILED for multihop run:";
        prerr_endline (Validate.Report.to_string report);

@@ -115,12 +115,11 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = budget ()) ?stop ?bundle_dir
     end
     else None
   in
-  let now = Engine.Sim.now sim in
-  let q1 = Trace.Queue_trace.attach dumbbell.fwd ~now in
-  let q2 = Trace.Queue_trace.attach dumbbell.bwd ~now in
+  let q1 = Trace.Queue_trace.attach dumbbell.fwd in
+  let q2 = Trace.Queue_trace.attach dumbbell.bwd in
   let cwnds =
     Array.map
-      (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c) ~now)
+      (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c))
       conns
   in
   let drops = Trace.Drop_log.create () in
@@ -193,7 +192,7 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = budget ()) ?stop ?bundle_dir
   (match validation with
    | None -> ()
    | Some harness ->
-     let report = Validate.Harness.finalize harness ~now in
+     let report = Validate.Harness.finalize harness in
      if not (Validate.Report.is_clean report) then begin
        validation_summary := Some (Validate.Report.summary report);
        (* An invariant violation means the simulation itself cannot be

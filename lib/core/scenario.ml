@@ -74,8 +74,13 @@ let make ~name ~tau ~buffer ?(gateway = Net.Discipline.Fifo) ~conns
     ?(duration = 600.) ?(warmup = 200.) ?(sample_dt = 0.5)
     ?(validate = false) ?(faults = []) ?(fault_seed = 1) () =
   if conns = [] then invalid_arg "Scenario.make: no connections";
+  List.iter
+    (fun (what, check, v) ->
+      Result.iter_error (fun msg -> invalid_arg ("Scenario.make: " ^ msg))
+        (Args.check ~what check v))
+    Args.[ ("tau", Non_negative, tau); ("warmup", Non_negative, warmup);
+      ("duration", Positive, duration); ("sample_dt", Positive, sample_dt) ];
   if duration <= warmup then invalid_arg "Scenario.make: duration <= warmup";
-  if sample_dt <= 0. then invalid_arg "Scenario.make: sample_dt <= 0";
   let sites = List.map fst faults in
   if List.length (List.sort_uniq compare sites) <> List.length sites then
     invalid_arg "Scenario.make: duplicate fault site";

@@ -82,6 +82,10 @@ type t = {
           else in the scenario; default 1 *)
 }
 
+(** @raise Invalid_argument naming the field on empty [conns], a [tau] or
+    [warmup] not finite and [>= 0.], a [duration] or [sample_dt] not
+    finite and [> 0.] ({!Args.check}), [duration <= warmup] or a shared
+    fault site. *)
 val make :
   name:string ->
   tau:float ->

@@ -375,17 +375,17 @@ end
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Walked directly, as the model's hook lists are; an observer reads
-   [now] itself, so a walk allocates nothing. *)
-let rec call_observers = function
+(* A direct walk: no closure, and no time (a hook reads [now] itself). *)
+let rec call_hooks hooks x =
+  match hooks with
   | [] -> ()
   | f :: rest ->
-    f ();
-    call_observers rest
+    f x;
+    call_hooks rest x
 
 let execute t tm =
   t.executed <- t.executed + 1;
-  (match t.observers with [] -> () | obs -> call_observers obs);
+  (match t.observers with [] -> () | obs -> call_hooks obs ());
   tm.action ()
 
 (* The one event loop: pop and execute at most [n] events at or before

@@ -48,6 +48,10 @@ val queue_length : t -> int
     schedule or cancel events. *)
 val on_event : t -> (unit -> unit) -> unit
 
+(** [call_hooks hooks x] calls each of [hooks] on [x] in list order,
+    building no closure: the walk of the model's one-argument hooks. *)
+val call_hooks : ('a -> unit) list -> 'a -> unit
+
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay] is negative or NaN. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle

@@ -25,7 +25,7 @@ let bump tbl conn =
   Hashtbl.replace tbl conn
     (1 + Option.value ~default:0 (Hashtbl.find_opt tbl conn))
 
-let observe counts _time (event : Net.Link.fault_event) (p : Net.Packet.t) =
+let observe counts (event : Net.Link.fault_event) (p : Net.Packet.t) =
   match event with
   | Net.Link.Fault_drop label ->
     if label = "outage" then counts.outage_drops <- counts.outage_drops + 1
@@ -150,7 +150,7 @@ let install net link ~seed spec =
       ~size:p.size ~src:p.src ~dst:p.dst ~retransmit:p.retransmit
   in
   Net.Link.install_faults link ~ingress ~extra_delay ~clone;
-  Net.Link.on_fault link (fun time event p -> observe counts time event p);
+  Net.Link.on_fault link (observe counts);
   schedule_outages spec ~sim ~link ~rng:(stream ~seed ~link_id ~kind:2);
   { link; spec; counts }
 

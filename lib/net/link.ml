@@ -44,13 +44,13 @@ type t = {
   prop : Delay_line.t;
   meter : float array;  (* 0: busy_since; 1: busy_accum *)
   counters : counters;
-  mutable enqueue_hooks : (float -> Packet.t -> int -> unit) list;
-  mutable drop_hooks : (float -> Packet.t -> unit) list;
-  mutable depart_hooks : (float -> Packet.t -> int -> unit) list;
+  mutable enqueue_hooks : (Packet.t -> unit) list;
+  mutable drop_hooks : (Packet.t -> unit) list;
+  mutable depart_hooks : (Packet.t -> unit) list;
   (* Fault injection (lib/faults).  [faults = None] is the default and the
      hot path: a single option check per send/departure. *)
   mutable faults : fault_plan option;
-  mutable fault_hooks : (float -> fault_event -> Packet.t -> unit) list;
+  mutable fault_hooks : (fault_event -> Packet.t -> unit) list;
   mutable down : bool;
   tx_timer : Engine.Sim.Timer.timer;
 }
@@ -60,8 +60,10 @@ let nop () = ()
 (* Builds the record; [create] below ties the tx timer's knot. *)
 let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
     ~prop_delay ~buffer =
-  if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
-  if prop_delay < 0. then invalid_arg "Link.create: negative propagation delay";
+  if not (Float.is_finite bandwidth && bandwidth > 0.) then
+    invalid_arg "Link.create: bandwidth must be finite and positive";
+  if not (Float.is_finite prop_delay && prop_delay >= 0.) then
+    invalid_arg "Link.create: prop_delay must be finite and non-negative";
   (match buffer with
    | Some b when b <= 0 -> invalid_arg "Link.create: buffer must be positive"
    | _ -> ());
@@ -105,6 +107,7 @@ let src t = t.src
 let dst t = t.dst
 let bandwidth t = t.bandwidth
 let prop_delay t = t.prop_delay
+let[@inline] now t = Engine.Sim.now t.sim
 let discipline t = Discipline.kind t.queue
 let capacity t = Discipline.capacity t.queue
 
@@ -131,45 +134,23 @@ let on_depart t f = t.depart_hooks <- f :: t.depart_hooks
 let on_fault t f = t.fault_hooks <- f :: t.fault_hooks
 
 (* Hooks are walked directly rather than by [List.iter] over a closure
-   built per fire, and their arguments (the current time, the post-event
-   queue length) are only computed when somebody is listening: a fire
-   boxes the time once and allocates nothing else, and the no-observer
-   run pays nothing beyond the empty-list check.  One walker per arity
-   serves every hook list of that shape. *)
-let rec call2 hooks a b =
+   built per fire, so a fire allocates nothing.  A hook is handed only
+   the event: it reads the clock and [queue_length] itself, so every
+   fire comes after the state update it reports. *)
+let rec call_fault hooks event p =
   match hooks with
   | [] -> ()
   | f :: rest ->
-    f a b;
-    call2 rest a b
-
-let rec call3 hooks a b c =
-  match hooks with
-  | [] -> ()
-  | f :: rest ->
-    f a b c;
-    call3 rest a b c
+    f event p;
+    call_fault rest event p
 
 let fire_fault t event p =
   t.counters.faults <- t.counters.faults + 1;
-  match t.fault_hooks with
-  | [] -> ()
-  | hooks -> call3 hooks (Engine.Sim.now t.sim) event p
+  call_fault t.fault_hooks event p
 
-let fire_enqueue t p =
-  match t.enqueue_hooks with
-  | [] -> ()
-  | hooks -> call3 hooks (Engine.Sim.now t.sim) p (queue_length t)
-
-let fire_drop t p =
-  match t.drop_hooks with
-  | [] -> ()
-  | hooks -> call2 hooks (Engine.Sim.now t.sim) p
-
-let fire_depart t p =
-  match t.depart_hooks with
-  | [] -> ()
-  | hooks -> call3 hooks (Engine.Sim.now t.sim) p (queue_length t)
+let fire_enqueue t p = Engine.Sim.call_hooks t.enqueue_hooks p
+let fire_drop t p = Engine.Sim.call_hooks t.drop_hooks p
+let fire_depart t p = Engine.Sim.call_hooks t.depart_hooks p
 
 let count_enq t (p : Packet.t) =
   match p.kind with
@@ -187,7 +168,7 @@ let rec maybe_start t =
     if p != Packet.none then begin
       t.busy <- true;
       t.in_service <- p;
-      t.meter.(0) <- Engine.Sim.now t.sim;
+      t.meter.(0) <- now t;
       Engine.Sim.Timer.set t.tx_timer ~delay:(tx_time t ~bytes:p.Packet.size)
     end
   end
@@ -195,8 +176,7 @@ let rec maybe_start t =
 and finish t =
   if not t.busy then failwith "Link: transmitter out of sync with queue";
   let p = t.in_service in
-  let now = Engine.Sim.now t.sim in
-  t.meter.(1) <- t.meter.(1) +. (now -. t.meter.(0));
+  t.meter.(1) <- t.meter.(1) +. (now t -. t.meter.(0));
   t.busy <- false;
   (match p.Packet.kind with
    | Packet.Data -> t.counters.dep_data <- t.counters.dep_data + 1
@@ -282,7 +262,7 @@ let set_down t flag =
       (if t.busy then begin
          Engine.Sim.Timer.cancel t.tx_timer;
          t.meter.(1) <-
-           t.meter.(1) +. (Engine.Sim.now t.sim -. t.meter.(0));
+           t.meter.(1) +. (now t -. t.meter.(0));
          t.busy <- false;
          fault_discard t t.in_service ~label:"outage"
        end);

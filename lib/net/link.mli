@@ -10,8 +10,8 @@
     Monitor hooks fire synchronously: [on_enqueue] after a packet is
     accepted, [on_drop] when one is discarded (the arrival, or the evicted
     victim), [on_depart] when a packet finishes serialization and leaves
-    the queue.  Queue lengths passed to hooks are the lengths {e after}
-    the event. *)
+    the queue.  A hook is handed the packet alone; {!now} and
+    {!queue_length} already read the event's time and the length after it. *)
 
 type t
 
@@ -50,8 +50,8 @@ type counters = {
     selects the gateway queueing discipline (default drop-tail {!Discipline.Fifo}).
     The [deliver] callback (set with {!set_deliver}) receives each packet at
     the far end, [prop_delay] seconds after its serialization completes.
-    @raise Invalid_argument if [bandwidth <= 0.], [prop_delay < 0.], or
-    [buffer] is [Some b] with [b <= 0]. *)
+    @raise Invalid_argument unless [bandwidth > 0.] and [prop_delay >= 0.]
+    are finite, or if [buffer] is [Some b] with [b <= 0]. *)
 val create :
   ?discipline:Discipline.kind ->
   Engine.Sim.t ->
@@ -76,6 +76,9 @@ val dst : t -> int
 val bandwidth : t -> float
 val prop_delay : t -> float
 
+(** The current time of the link's simulator ({!Engine.Sim.now}). *)
+val now : t -> float
+
 (** The gateway discipline this link's buffer runs. *)
 val discipline : t -> Discipline.kind
 
@@ -98,9 +101,9 @@ val total_drops : t -> int
 (** Buffer contents, head (in service) first. *)
 val contents : t -> Packet.t list
 
-val on_enqueue : t -> (float -> Packet.t -> int -> unit) -> unit
-val on_drop : t -> (float -> Packet.t -> unit) -> unit
-val on_depart : t -> (float -> Packet.t -> int -> unit) -> unit
+val on_enqueue : t -> (Packet.t -> unit) -> unit
+val on_drop : t -> (Packet.t -> unit) -> unit
+val on_depart : t -> (Packet.t -> unit) -> unit
 
 (** {2 Fault-plan hook point}
 
@@ -135,4 +138,4 @@ val is_down : t -> bool
 (** Observe fault events on this link.  For a fault discard the hook
     fires immediately {e before} the packet's [on_drop] hooks; for a
     duplicate, immediately before the copy's [on_enqueue]/[on_drop]. *)
-val on_fault : t -> (float -> fault_event -> Packet.t -> unit) -> unit
+val on_fault : t -> (fault_event -> Packet.t -> unit) -> unit

@@ -18,8 +18,8 @@ type t = {
   mutable next_packet_id : int;
   mutable injected : int;
   mutable delivered : int;
-  mutable inject_hooks : (float -> Packet.t -> unit) list;
-  mutable deliver_hooks : (float -> Packet.t -> unit) list;
+  mutable inject_hooks : (Packet.t -> unit) list;
+  mutable deliver_hooks : (Packet.t -> unit) list;
   proc : Delay_line.t;  (* packets inside host processing *)
 }
 
@@ -44,26 +44,13 @@ let delivered t = t.delivered
 let on_inject t f = t.inject_hooks <- f :: t.inject_hooks
 let on_deliver t f = t.deliver_hooks <- f :: t.deliver_hooks
 
-(* A direct walk rather than [List.iter] over a closure: firing boxes the
-   current time once and allocates nothing else. *)
-let rec call_hooks hooks now p =
-  match hooks with
-  | [] -> ()
-  | f :: rest ->
-    f now p;
-    call_hooks rest now p
-
 let fire_inject t p =
   t.injected <- t.injected + 1;
-  match t.inject_hooks with
-  | [] -> ()
-  | hooks -> call_hooks hooks (Engine.Sim.now t.sim) p
+  Engine.Sim.call_hooks t.inject_hooks p
 
 let fire_deliver t p =
   t.delivered <- t.delivered + 1;
-  match t.deliver_hooks with
-  | [] -> ()
-  | hooks -> call_hooks hooks (Engine.Sim.now t.sim) p
+  Engine.Sim.call_hooks t.deliver_hooks p
 
 (* Out of line, so that [node] inlines into the per-hop path. *)
 let[@inline never] unknown_node id =

@@ -66,13 +66,14 @@ val send_from_host : t -> host:int -> Packet.t -> unit
 
 (** [on_inject t f] observes every packet entering the network via
     {!send_from_host}, before it is offered to the first link (so a packet
-    dropped at the first buffer is still observed). *)
-val on_inject : t -> (float -> Packet.t -> unit) -> unit
+    dropped at the first buffer is still observed), handing [f] the
+    packet alone: the time is [Engine.Sim.now (sim t)]. *)
+val on_inject : t -> (Packet.t -> unit) -> unit
 
 (** [on_deliver t f] observes every packet handed to a host's transport
     endpoint, at the instant the endpoint handler runs (i.e. after the
-    host's processing delay). *)
-val on_deliver : t -> (float -> Packet.t -> unit) -> unit
+    host's processing delay), handing [f] the packet alone. *)
+val on_deliver : t -> (Packet.t -> unit) -> unit
 
 (** Packets injected via {!send_from_host} since the network was
     created. *)

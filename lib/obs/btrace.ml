@@ -125,11 +125,11 @@ let ev_label = function
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The writer's previous event time, in a record of floats only, so
-   storing it writes the float flat; a float or int64 field of a mixed
-   record would box a fresh copy on every event.  (The decoder keeps its
-   previous time boxed instead: it hands that box out with the event.) *)
-type clock = { mutable prev : float }
+(* The writer's previous event time and the record's own, in a record
+   of floats only, so storing them writes the floats flat; a float or
+   int64 field of a mixed record would box a fresh copy on every event.
+   (The decoder keeps its previous time boxed: it hands that box out.) *)
+type clock = { mutable prev : float; mutable now : float }
 
 (* A flight recorder's memory.  Its segments hold event records only,
    each segment's clock starting at 0; the keyframe holds the header
@@ -240,7 +240,7 @@ let put_raw w s =
 
 let make out seg =
   { out; seg; pos = 0; strings = Hashtbl.create 32; next_sid = 0;
-    clock = { prev = 0. }; events = 0 }
+    clock = { prev = 0.; now = 0. }; events = 0 }
 
 let header_bytes = magic ^ String.make 1 (Char.chr version)
 
@@ -318,7 +318,8 @@ let rec put_low56 seg pos n k =
 let native_min = Int64.neg 0x2000000000000000L
 let native_max = 0x2000000000000000L
 
-let put_time w seg pos time =
+let put_time w seg pos =
+  let time = w.clock.now in
   let delta =
     Int64.sub (Int64.bits_of_float time) (Int64.bits_of_float w.clock.prev)
   in
@@ -352,48 +353,54 @@ let put_pkt seg pos (p : Net.Packet.t) =
 (* Every event record begins here: reserve [max_record] (after any
    string interning, since a string-def may have moved [pos]), count the
    record, and write its tag and time stamp.  Returns the payload
-   position. *)
-let start w tag time =
+   position.  Inlined with the record writers, so a hook's time reaches
+   the flat cell [put_time] reads unboxed. *)
+let[@inline] start w tag time =
   ensure w max_record;
   w.events <- w.events + 1;
-  put_time w w.seg (put_byte w.seg w.pos tag) time
+  w.clock.now <- time;
+  put_time w w.seg (put_byte w.seg w.pos tag)
 
-let link_start w tag time link =
+let[@inline] link_start w tag time link =
   put_varint w.seg (start w tag time) (Net.Link.id link)
 
-let conn_start w tag time conn = put_varint w.seg (start w tag time) conn
+let[@inline] conn_start w tag time conn =
+  put_varint w.seg (start w tag time) conn
 
-let inject w ~time p = w.pos <- put_pkt w.seg (start w tag_inject time) p
-let deliver w ~time p = w.pos <- put_pkt w.seg (start w tag_deliver time) p
+let[@inline] inject w ~time p =
+  w.pos <- put_pkt w.seg (start w tag_inject time) p
 
-let enqueue w ~time ~link ~pkt ~qlen =
+let[@inline] deliver w ~time p =
+  w.pos <- put_pkt w.seg (start w tag_deliver time) p
+
+let[@inline] enqueue w ~time ~link ~pkt ~qlen =
   let pos = put_pkt w.seg (link_start w tag_enqueue time link) pkt in
   w.pos <- put_varint w.seg pos qlen
 
-let drop w ~time ~link ~pkt =
+let[@inline] drop w ~time ~link ~pkt =
   w.pos <- put_pkt w.seg (link_start w tag_drop time link) pkt
 
-let depart w ~time ~link ~pkt ~qlen =
+let[@inline] depart w ~time ~link ~pkt ~qlen =
   let pos = put_pkt w.seg (link_start w tag_depart time link) pkt in
   w.pos <- put_varint w.seg pos qlen
 
-let fault w ~time ~link ~label ~pkt =
+let[@inline] fault w ~time ~link ~label ~pkt =
   let sid = intern w label in
   let pos = put_varint w.seg (link_start w tag_fault time link) sid in
   w.pos <- put_pkt w.seg pos pkt
 
-let send w ~time ~conn ~pkt =
+let[@inline] send w ~time ~conn ~pkt =
   w.pos <- put_pkt w.seg (conn_start w tag_send time conn) pkt
 
-let cwnd w ~time ~conn ~cwnd ~ssthresh =
+let[@inline] cwnd w ~time ~conn ~cwnd ~ssthresh =
   let pos = put_f64 w.seg (conn_start w tag_cwnd time conn) cwnd in
   w.pos <- put_f64 w.seg pos ssthresh
 
-let loss w ~time ~conn ~reason =
+let[@inline] loss w ~time ~conn ~reason =
   let sid = intern w reason in
   w.pos <- put_varint w.seg (conn_start w tag_loss time conn) sid
 
-let ack_tx w ~time ~conn ~ackno ~delayed ~dup =
+let[@inline] ack_tx w ~time ~conn ~ackno ~delayed ~dup =
   let pos = put_varint w.seg (conn_start w tag_ack_tx time conn) ackno in
   w.pos <-
     put_byte w.seg pos ((if delayed then 1 else 0) lor if dup then 2 else 0)
@@ -1247,7 +1254,7 @@ let validate data =
   let missing = Engine.Int_tbl.create 8 in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let clock = { prev = neg_infinity } in
+  let clock = { prev = neg_infinity; now = 0. } in
   let declare conn = Engine.Int_tbl.replace conns conn () in
   let audit (cell : cell) =
     let event label conn =

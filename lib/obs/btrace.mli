@@ -145,8 +145,8 @@ val declare_conn_meta :
 (** {3 Event records}
 
     One function per event kind, called straight from the model's hooks
-    with the live values they receive; each appends one record stamped
-    [time] (the hook's [Sim.now]) to the segment buffer.  Live packets
+    with the event they receive; each appends one record stamped [time]
+    (the [Sim.now] the hook reads) to the segment buffer.  Live packets
     and links are read only during the call. *)
 
 val inject : writer -> time:float -> Net.Packet.t -> unit

@@ -59,7 +59,8 @@ let register_link reg ~sim link =
   count reg (pfx ^ ".dep_bytes") (fun () -> c.dep_bytes);
   count reg (pfx ^ ".faults") (fun () -> c.faults);
   let h = Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds in
-  Net.Link.on_enqueue link (fun _time _pkt qlen -> Metrics.observe h qlen)
+  Net.Link.on_enqueue link (fun _pkt ->
+      Metrics.observe h (Net.Link.queue_length link))
 
 let register_conn reg (cid, conn) =
   let s = Tcp.Connection.sender conn in
@@ -91,7 +92,7 @@ let register_metrics reg ~net ~conns =
   List.iter (register_conn reg) conns
 
 (* Binary trace and flight recorder: every model event, written
-   straight from the live values each hook receives. *)
+   straight from the event each hook receives and the clock it reads. *)
 
 let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_drop label -> label
@@ -104,33 +105,41 @@ let loss_reason = function
 
 let write_link w link =
   Btrace.declare_link w link;
-  Net.Link.on_enqueue link (fun time pkt qlen ->
-      Btrace.enqueue w ~time ~link ~pkt ~qlen);
-  Net.Link.on_drop link (fun time pkt -> Btrace.drop w ~time ~link ~pkt);
-  Net.Link.on_depart link (fun time pkt qlen ->
-      Btrace.depart w ~time ~link ~pkt ~qlen);
-  Net.Link.on_fault link (fun time fe pkt ->
-      Btrace.fault w ~time ~link ~label:(fault_label fe) ~pkt)
+  let qlen () = Net.Link.queue_length link in
+  Net.Link.on_enqueue link (fun pkt ->
+      Btrace.enqueue w ~time:(Net.Link.now link) ~link ~pkt ~qlen:(qlen ()));
+  Net.Link.on_drop link (fun pkt ->
+      Btrace.drop w ~time:(Net.Link.now link) ~link ~pkt);
+  Net.Link.on_depart link (fun pkt ->
+      Btrace.depart w ~time:(Net.Link.now link) ~link ~pkt ~qlen:(qlen ()));
+  Net.Link.on_fault link (fun fe pkt ->
+      Btrace.fault w ~time:(Net.Link.now link) ~link ~label:(fault_label fe)
+        ~pkt)
 
-let write_conn w (conn, c) =
+let write_conn w sim (conn, c) =
   let cfg = Tcp.Connection.config c in
   Btrace.declare_conn_meta w conn ~start_time:cfg.Tcp.Config.start_time
     ~flow_size:cfg.Tcp.Config.flow_size;
   let s = Tcp.Connection.sender c in
-  Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
-      Btrace.cwnd w ~time ~conn ~cwnd ~ssthresh);
-  Tcp.Sender.on_loss s (fun time reason ->
-      Btrace.loss w ~time ~conn ~reason:(loss_reason reason));
-  Tcp.Sender.on_send s (fun time pkt -> Btrace.send w ~time ~conn ~pkt);
+  Tcp.Sender.on_cwnd s (fun ~cwnd ~ssthresh ->
+      Btrace.cwnd w ~time:(Engine.Sim.now sim) ~conn ~cwnd ~ssthresh);
+  Tcp.Sender.on_loss s (fun reason ->
+      Btrace.loss w ~time:(Engine.Sim.now sim) ~conn
+        ~reason:(loss_reason reason));
+  Tcp.Sender.on_send s (fun pkt ->
+      Btrace.send w ~time:(Engine.Sim.now sim) ~conn ~pkt);
   Tcp.Receiver.on_ack_sent (Tcp.Connection.receiver c)
-    (fun time ~ackno ~delayed ~dup ->
-      Btrace.ack_tx w ~time ~conn ~ackno ~delayed ~dup)
+    (fun ~ackno ~delayed ~dup ->
+      Btrace.ack_tx w ~time:(Engine.Sim.now sim) ~conn ~ackno ~delayed ~dup)
 
 let write_events w ~net ~conns =
-  Net.Network.on_inject net (fun time p -> Btrace.inject w ~time p);
-  Net.Network.on_deliver net (fun time p -> Btrace.deliver w ~time p);
+  let sim = Net.Network.sim net in
+  Net.Network.on_inject net (fun p ->
+      Btrace.inject w ~time:(Engine.Sim.now sim) p);
+  Net.Network.on_deliver net (fun p ->
+      Btrace.deliver w ~time:(Engine.Sim.now sim) p);
   List.iter (write_link w) (Net.Network.links net);
-  List.iter (write_conn w) conns
+  List.iter (write_conn w sim) conns
 
 (* Flowstats: per-flow sends, losses, cwnd extrema and deliveries. *)
 
@@ -141,24 +150,24 @@ let account_conn fs (cid, conn) =
   (* The sender's hooks hold the flow record: no lookup per event. *)
   let f = Flowstats.flow fs ~conn:cid in
   let s = Tcp.Connection.sender conn in
-  Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh:_ ->
-      Flowstats.flow_cwnd f ~cwnd);
-  Tcp.Sender.on_loss s (fun _time _reason -> Flowstats.flow_loss f);
-  Tcp.Sender.on_send s (fun time pkt ->
-      Flowstats.flow_send f ~time ~seq:pkt.Net.Packet.seq
+  Tcp.Sender.on_cwnd s (fun ~cwnd ~ssthresh:_ -> Flowstats.flow_cwnd f ~cwnd);
+  Tcp.Sender.on_loss s (fun _reason -> Flowstats.flow_loss f);
+  Tcp.Sender.on_send s (fun pkt ->
+      Flowstats.flow_send f ~time:(Tcp.Sender.now s) ~seq:pkt.Net.Packet.seq
         ~retransmit:pkt.Net.Packet.retransmit)
 
 let account fs ~net ~conns =
-  (* [time] is [Sim.now], the stamp the trace writer uses, so the offline
-     fold over the trace sees bit-identical times. *)
-  Net.Network.on_deliver net (fun time p ->
+  (* The time is [Sim.now], the stamp the trace writer uses, so the
+     offline fold over the trace sees bit-identical times. *)
+  let sim = Net.Network.sim net in
+  Net.Network.on_deliver net (fun p ->
       match p.Net.Packet.kind with
       | Net.Packet.Data ->
         Flowstats.record_data_delivered fs ~conn:p.Net.Packet.conn
           ~bytes:p.Net.Packet.size
       | Net.Packet.Ack ->
-        Flowstats.record_ack_delivered fs ~time ~conn:p.Net.Packet.conn
-          ~ackno:p.Net.Packet.seq);
+        Flowstats.record_ack_delivered fs ~time:(Engine.Sim.now sim)
+          ~conn:p.Net.Packet.conn ~ackno:p.Net.Packet.seq);
   List.iter (account_conn fs) conns
 
 let attach setup ~net ~conns =

@@ -1,6 +1,5 @@
 type t = {
   net : Net.Network.t;
-  sim : Engine.Sim.t;
   config : Config.t;
   mutable rcv_nxt : int;
   above_hole : unit Engine.Int_tbl.t;  (* out-of-order packets held back *)
@@ -12,8 +11,7 @@ type t = {
   mutable dup_acks_sent : int;
   mutable delayed_acks_sent : int;
   mutable last_ack : int;  (* last cumulative number ACKed, -1 if none *)
-  mutable ack_hooks :
-    (float -> ackno:int -> delayed:bool -> dup:bool -> unit) list;
+  mutable ack_hooks : (ackno:int -> delayed:bool -> dup:bool -> unit) list;
 }
 
 let nop () = ()
@@ -22,7 +20,6 @@ let make net config =
   let sim = Net.Network.sim net in
   {
     net;
-    sim;
     config;
     rcv_nxt = 0;
     above_hole = Engine.Int_tbl.create 64;
@@ -47,12 +44,12 @@ let buffered t = Engine.Int_tbl.length t.above_hole
 let on_ack_sent t f = t.ack_hooks <- f :: t.ack_hooks
 
 (* A direct walk, not [List.iter] over a closure built per ACK. *)
-let rec call_ack hooks now ackno delayed dup =
+let rec call_ack hooks ackno delayed dup =
   match hooks with
   | [] -> ()
   | f :: rest ->
-    f now ~ackno ~delayed ~dup;
-    call_ack rest now ackno delayed dup
+    f ~ackno ~delayed ~dup;
+    call_ack rest ackno delayed dup
 
 let cancel_delack t =
   Engine.Sim.Timer.cancel t.delack_timer;
@@ -74,9 +71,7 @@ let send_ack t ~delayed =
       ~retransmit:false
   in
   Net.Network.send_from_host t.net ~host:t.config.Config.dst_host p;
-  match t.ack_hooks with
-  | [] -> ()
-  | hooks -> call_ack hooks (Engine.Sim.now t.sim) t.rcv_nxt delayed dup
+  call_ack t.ack_hooks t.rcv_nxt delayed dup
 
 let create net config =
   let t = make net config in

@@ -34,9 +34,8 @@ val delayed_acks_sent : t -> int
 (** Packets buffered above a hole right now. *)
 val buffered : t -> int
 
-(** [on_ack_sent t f] — [f time ~ackno ~delayed ~dup] fires after each ACK
-    is handed to the network.  [delayed] marks ACKs released by the
-    delayed-ACK timer; [dup] marks ACKs that did not advance the
-    cumulative sequence number. *)
-val on_ack_sent :
-  t -> (float -> ackno:int -> delayed:bool -> dup:bool -> unit) -> unit
+(** [on_ack_sent t f] — [f ~ackno ~delayed ~dup] fires after each ACK
+    is handed to the network, at the simulator's current time.
+    [delayed] marks ACKs released by the delayed-ACK timer; [dup] marks
+    ACKs that did not advance the cumulative sequence number. *)
+val on_ack_sent : t -> (ackno:int -> delayed:bool -> dup:bool -> unit) -> unit

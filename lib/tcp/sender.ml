@@ -21,9 +21,9 @@ type t = {
   mutable retransmits : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
-  mutable cwnd_hooks : (float -> cwnd:float -> ssthresh:float -> unit) list;
-  mutable loss_hooks : (float -> Cc.reason -> unit) list;
-  mutable send_hooks : (float -> Net.Packet.t -> unit) list;
+  mutable cwnd_hooks : (cwnd:float -> ssthresh:float -> unit) list;
+  mutable loss_hooks : (Cc.reason -> unit) list;
+  mutable send_hooks : (Net.Packet.t -> unit) list;
   mutable completed_at : float option;  (* sized flow fully acknowledged *)
 }
 
@@ -76,34 +76,22 @@ let completed_at t = t.completed_at
 let flow_limit t =
   match t.config.Config.flow_size with Some n -> n | None -> max_int
 
-let now t = Engine.Sim.now t.sim
+let[@inline] now t = Engine.Sim.now t.sim
 
 (* Hooks are walked directly, not by [List.iter] over a closure built
-   per fire, and nothing is computed for an empty list. *)
-let rec call_cwnd hooks time cwnd ssthresh =
+   per fire, and read the clock themselves.  The windows are asked of
+   the controller, which boxes each, only when a cwnd hook listens. *)
+let rec call_cwnd hooks cwnd ssthresh =
   match hooks with
   | [] -> ()
   | f :: rest ->
-    f time ~cwnd ~ssthresh;
-    call_cwnd rest time cwnd ssthresh
-
-(* The loss and send hooks share this walker. *)
-let rec call2 hooks a b =
-  match hooks with
-  | [] -> ()
-  | f :: rest ->
-    f a b;
-    call2 rest a b
+    f ~cwnd ~ssthresh;
+    call_cwnd rest cwnd ssthresh
 
 let fire_cwnd t =
   match t.cwnd_hooks with
   | [] -> ()
-  | hooks -> call_cwnd hooks (now t) (Cc.cwnd t.cc) (Cc.ssthresh t.cc)
-
-let fire_loss t reason =
-  match t.loss_hooks with
-  | [] -> ()
-  | hooks -> call2 hooks (now t) reason
+  | hooks -> call_cwnd hooks (Cc.cwnd t.cc) (Cc.ssthresh t.cc)
 
 let cancel_timer t = Engine.Sim.Timer.cancel t.timer
 
@@ -126,7 +114,7 @@ and on_timeout t =
   end
 
 and handle_loss t reason =
-  fire_loss t reason;
+  Engine.Sim.call_hooks t.loss_hooks reason;
   Cc.on_loss t.cc reason ~highest_sent:t.highest_sent;
   fire_cwnd t;
   t.timed_seq <- -1;  (* Karn: no sample spans the retransmission *)
@@ -190,9 +178,7 @@ and send_one t seq =
       ~seq ~size:Config.data_size ~src:t.config.Config.src_host
       ~dst:t.config.Config.dst_host ~retransmit
   in
-  (match t.send_hooks with
-   | [] -> ()
-   | hooks -> call2 hooks (now t) p);
+  Engine.Sim.call_hooks t.send_hooks p;
   let host = t.config.Config.src_host in
   (* A constant per-connection skew stretches this sender's RTT without
      reordering its packets (it models a longer access path). *)

@@ -48,19 +48,22 @@ val retransmits : t -> int
 val timeouts : t -> int
 val fast_retransmits : t -> int
 
-(** [on_cwnd s f] — [f time ~cwnd ~ssthresh] fires after the controller
+(** The sender's clock ({!Engine.Sim.now}): the time of a hook's event. *)
+val now : t -> float
+
+(** [on_cwnd s f] — [f ~cwnd ~ssthresh] fires after the controller
     handles an ACK of new data, a loss, or a duplicate ACK during
     recovery, whether or not the window moved. *)
-val on_cwnd : t -> (float -> cwnd:float -> ssthresh:float -> unit) -> unit
+val on_cwnd : t -> (cwnd:float -> ssthresh:float -> unit) -> unit
 
-(** [on_loss s f] — [f time reason] fires when a loss is detected,
-    before the controller reacts to it. *)
-val on_loss : t -> (float -> Cc.reason -> unit) -> unit
+(** [on_loss s f] — [f reason] fires when a loss is detected, before
+    the controller reacts to it. *)
+val on_loss : t -> (Cc.reason -> unit) -> unit
 
-(** [on_send s f] — [f time packet] fires for each data packet,
+(** [on_send s f] — [f packet] fires for each data packet,
     retransmissions included, as it is handed to the network (before any
     per-connection RTT skew delays it). *)
-val on_send : t -> (float -> Net.Packet.t -> unit) -> unit
+val on_send : t -> (Net.Packet.t -> unit) -> unit
 
 (** Completion time of a sized flow, if reached. *)
 val completed_at : t -> float option

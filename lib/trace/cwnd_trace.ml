@@ -1,6 +1,11 @@
 type t = { conn : int; cwnd : Series.t; ssthresh : Series.t }
 
-let attach sender ~now =
+let record t sender ~cwnd ~ssthresh =
+  let time = Tcp.Sender.now sender in
+  Series.add t.cwnd ~time ~value:cwnd;
+  Series.add t.ssthresh ~time ~value:ssthresh
+
+let attach sender =
   let t =
     {
       conn = (Tcp.Sender.config sender).Tcp.Config.conn;
@@ -8,11 +13,9 @@ let attach sender ~now =
       ssthresh = Series.create ();
     }
   in
-  Series.add t.cwnd ~time:now ~value:(Tcp.Sender.cwnd sender);
-  Series.add t.ssthresh ~time:now ~value:(Tcp.Sender.ssthresh sender);
-  Tcp.Sender.on_cwnd sender (fun time ~cwnd ~ssthresh ->
-      Series.add t.cwnd ~time ~value:cwnd;
-      Series.add t.ssthresh ~time ~value:ssthresh);
+  record t sender ~cwnd:(Tcp.Sender.cwnd sender)
+    ~ssthresh:(Tcp.Sender.ssthresh sender);
+  Tcp.Sender.on_cwnd sender (record t sender);
   t
 
 let cwnd t = t.cwnd

@@ -43,7 +43,7 @@ let grow t =
   t.entered_at <- entered_at;
   t.head <- 0
 
-let accept t id time =
+let[@inline] accept t id time =
   if t.pending = Array.length t.ids then grow t;
   let s = slot t t.pending in
   t.ids.(s) <- id;
@@ -76,15 +76,15 @@ let attach link =
       time = Column.Float.create (); code = Column.Int.create ();
       seq = Column.Int.create (); entered = Column.Float.create () }
   in
-  Net.Link.on_enqueue link (fun time (p : Net.Packet.t) _qlen ->
-      accept t p.id time);
-  Net.Link.on_drop link (fun _time (p : Net.Packet.t) ->
+  Net.Link.on_enqueue link (fun (p : Net.Packet.t) ->
+      accept t p.id (Net.Link.now link));
+  Net.Link.on_drop link (fun (p : Net.Packet.t) ->
       (* A random-drop or FQ eviction or an outage flush can remove an
          accepted packet; a rejected arrival is not pending. *)
       let i = find t p.id in
       if i >= 0 then forget t i);
-  Net.Link.on_depart link (fun time (p : Net.Packet.t) _qlen ->
-      Column.Float.push t.time time;
+  Net.Link.on_depart link (fun (p : Net.Packet.t) ->
+      Column.Float.push t.time (Net.Link.now link);
       Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
       Column.Int.push t.seq p.seq;
       let i = find t p.id in

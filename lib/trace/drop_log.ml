@@ -20,8 +20,8 @@ let create () =
 
 let watch t link =
   let id = Net.Link.id link in
-  Net.Link.on_drop link (fun time (p : Net.Packet.t) ->
-      Column.Float.push t.time time;
+  Net.Link.on_drop link (fun (p : Net.Packet.t) ->
+      Column.Float.push t.time (Net.Link.now link);
       Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
       Column.Int.push t.seq p.seq;
       Column.Int.push t.link id)

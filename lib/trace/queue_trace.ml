@@ -1,17 +1,17 @@
 type t = { link : Net.Link.t; series : Series.t; mutable last : int }
 
-let attach link ~now =
+let record t =
+  let qlen = Net.Link.queue_length t.link in
+  t.last <- qlen;
+  Series.add_int t.series ~time:(Net.Link.now t.link) qlen
+
+let attach link =
   let t = { link; series = Series.create (); last = 0 } in
-  let record time qlen =
-    t.last <- qlen;
-    Series.add_int t.series ~time qlen
-  in
-  record now (Net.Link.queue_length link);
-  Net.Link.on_enqueue link (fun time _p qlen -> record time qlen);
-  Net.Link.on_depart link (fun time _p qlen -> record time qlen);
-  Net.Link.on_drop link (fun time _p ->
-      let qlen = Net.Link.queue_length link in
-      if qlen <> t.last then record time qlen);
+  record t;
+  Net.Link.on_enqueue link (fun _p -> record t);
+  Net.Link.on_depart link (fun _p -> record t);
+  Net.Link.on_drop link (fun _p ->
+      if Net.Link.queue_length link <> t.last then record t);
   t
 
 let series t = t.series

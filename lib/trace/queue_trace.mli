@@ -1,9 +1,9 @@
 (** Records a link's buffer occupancy as a step {!Series}.
 
-    A sample is appended at attach time and after every enqueue and
-    departure, exactly reproducing the paper's queue-length graphs
-    (including the high-frequency alternation between adjacent values as
-    packets arrive and depart).
+    A sample, stamped {!Net.Link.now}, is appended at attach time and
+    after every enqueue and departure, exactly reproducing the paper's
+    queue-length graphs (including the high-frequency alternation
+    between adjacent values as packets arrive and depart).
 
     A drop adds a sample only when it changed the occupancy, which is
     what an outage flush does: [Net.Link.set_down] empties the queue
@@ -14,6 +14,6 @@
 
 type t
 
-val attach : Net.Link.t -> now:float -> t
+val attach : Net.Link.t -> t
 val series : t -> Series.t
 val link : t -> Net.Link.t

@@ -13,17 +13,18 @@ let is_empty t = length t = 0
 let[@inline] at col i =
   Array.unsafe_get (Column.Float.chunk col (i lsr Column.chunk_bits)) (i land mask)
 
-let check_time t time =
+(* Inlined, so a caller's unboxed time is stored unboxed. *)
+let[@inline] check_time t time =
   let n = length t in
   if n > 0 && time < at t.times (n - 1) then
     invalid_arg "Series.add: time went backwards"
 
-let add t ~time ~value =
+let[@inline] add t ~time ~value =
   check_time t time;
   Column.Float.push t.times time;
   Column.Float.push t.values value
 
-let add_int t ~time n =
+let[@inline] add_int t ~time n =
   check_time t time;
   Column.Float.push t.times time;
   Column.Float.push_int t.values n

@@ -31,7 +31,8 @@ let violation t ~time (p : Net.Packet.t) fmt =
         ~detail)
     fmt
 
-let observe_inject t ~time (p : Net.Packet.t) =
+(* Inlined, so a hook's time is boxed only to report a violation. *)
+let[@inline] observe_inject t ~time (p : Net.Packet.t) =
   if Engine.Int_tbl.mem t.table p.Net.Packet.id then
     violation t ~time p "injected twice (duplicate packet id)"
   else begin
@@ -39,7 +40,7 @@ let observe_inject t ~time (p : Net.Packet.t) =
     t.injected <- t.injected + 1
   end
 
-let observe_drop t ~time (p : Net.Packet.t) =
+let[@inline] observe_drop t ~time (p : Net.Packet.t) =
   match Engine.Int_tbl.find t.table p.Net.Packet.id with
   | In_flight ->
     Engine.Int_tbl.replace t.table p.Net.Packet.id Dropped;
@@ -52,12 +53,12 @@ let observe_drop t ~time (p : Net.Packet.t) =
    network: ledger it as injected so its later delivery (or drop)
    balances.  Fault drops need no special casing — the link fires its
    ordinary drop hook for them. *)
-let observe_fault t ~time (event : Net.Link.fault_event) (p : Net.Packet.t) =
+let[@inline] observe_fault t ~time (event : Net.Link.fault_event) p =
   match event with
   | Net.Link.Fault_duplicate -> observe_inject t ~time p
   | Net.Link.Fault_drop _ | Net.Link.Fault_delay _ -> ()
 
-let observe_deliver t ~time (p : Net.Packet.t) =
+let[@inline] observe_deliver t ~time (p : Net.Packet.t) =
   match Engine.Int_tbl.find t.table p.Net.Packet.id with
   | In_flight ->
     Engine.Int_tbl.replace t.table p.Net.Packet.id Delivered;

@@ -24,14 +24,15 @@ let add t ~time fmt =
       Report.add t.report ~time ~checker:name ~subject:t.subject ~detail)
     fmt
 
-let check_occupancy t ~time ~qlen =
+(* Inlined, so a hook's time is boxed only to report a violation. *)
+let[@inline] check_occupancy t ~time ~qlen =
   if qlen < 0 then add t ~time "negative queue occupancy %d" qlen;
   match t.capacity with
   | Some c when qlen > c ->
     add t ~time "occupancy %d exceeds configured buffer %d" qlen c
   | _ -> ()
 
-let observe_enqueue t ~time (p : Net.Packet.t) ~qlen =
+let[@inline] observe_enqueue t ~time (p : Net.Packet.t) ~qlen =
   check_occupancy t ~time ~qlen;
   Queue.push p.Net.Packet.id t.model
 
@@ -46,7 +47,7 @@ let remove_from_model t id =
    propagation.  The link announces the fault before firing the ordinary
    drop hook, so we sanction the id here and let {!observe_drop} skip its
    drop-tail reasoning exactly once. *)
-let observe_fault t ~time:_ (event : Net.Link.fault_event)
+let[@inline] observe_fault t ~time:_ (event : Net.Link.fault_event)
     (p : Net.Packet.t) =
   match event with
   | Net.Link.Fault_drop _ ->
@@ -79,7 +80,7 @@ let observe_drop t ~time (p : Net.Packet.t) =
 let rec resync t id =
   if not (Queue.is_empty t.model) && Queue.take t.model <> id then resync t id
 
-let observe_depart t ~time (p : Net.Packet.t) ~qlen =
+let[@inline] observe_depart t ~time (p : Net.Packet.t) ~qlen =
   check_occupancy t ~time ~qlen;
   let id = p.Net.Packet.id in
   if Queue.is_empty t.model then

@@ -1,8 +1,8 @@
 (** The full invariant-checking harness for one simulation run.
 
     {!attach} is the one place that connects the checkers to the model.
-    It registers one hook per site, and each hook calls the checkers'
-    [observe_*] functions directly:
+    It registers one hook per site, and each hook reads the clock (and
+    queue length) and calls the checkers' [observe_*] functions directly:
 
     - {!Engine.Sim.on_event}: {!Clock}, fed {!Engine.Sim.now}
     - {!Net.Network.on_inject} and [on_deliver]: {!Monotone}, then
@@ -43,4 +43,4 @@ val conservation : t -> Conservation.t
 val max_ack_delivered : t -> conn:int -> int
 
 (** Run the end-of-run audits (idempotent) and return the report. *)
-val finalize : t -> now:float -> Report.t
+val finalize : t -> Report.t

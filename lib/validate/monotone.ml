@@ -26,7 +26,8 @@ let add t ~time ~conn fmt =
         ~detail)
     fmt
 
-let observe_inject t ~time (p : Net.Packet.t) =
+(* Inlined, so a hook's time is boxed only to report a violation. *)
+let[@inline] observe_inject t ~time (p : Net.Packet.t) =
   let s = state t p.Net.Packet.conn in
   match p.Net.Packet.kind with
   | Net.Packet.Ack ->
@@ -51,7 +52,7 @@ let observe_inject t ~time (p : Net.Packet.t) =
       s.next_new_seq <- max s.next_new_seq (p.Net.Packet.seq + 1)
     end
 
-let observe_deliver t ~time:_ (p : Net.Packet.t) =
+let[@inline] observe_deliver t ~time:_ (p : Net.Packet.t) =
   match p.Net.Packet.kind with
   | Net.Packet.Ack ->
     let s = state t p.Net.Packet.conn in

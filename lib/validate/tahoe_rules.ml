@@ -25,7 +25,7 @@ let add t ~time fmt =
       Report.add t.report ~time ~checker:name ~subject:t.subject ~detail)
     fmt
 
-let observe_loss t ~time:_ (_reason : Tcp.Cc.reason) =
+let[@inline] observe_loss t ~time:_ (_reason : Tcp.Cc.reason) =
   (* Tahoe reacts identically to timeout and fast retransmit: the next
      window sample must be the slow-start reset. *)
   t.pending_loss <- true
@@ -43,7 +43,9 @@ let check_loss_transition t ~time ~cwnd ~ssthresh =
         ssthresh expected prev_cwnd
   end
 
-let check_ack_growth t ~time ~cwnd ~ssthresh =
+(* Inlined, so a hook's time is boxed only to report a violation; the
+   post-loss check runs once per loss and is a call. *)
+let[@inline] check_ack_growth t ~time ~cwnd ~ssthresh =
   let prev_cwnd = t.last.(0) and prev_ssthresh = t.last.(1) in
   if Float.abs (ssthresh -. prev_ssthresh) > eps then
     add t ~time "ssthresh changed without a loss: %g -> %g" prev_ssthresh
@@ -70,7 +72,7 @@ let check_ack_growth t ~time ~cwnd ~ssthresh =
         delta prev_cwnd floor_wnd
   end
 
-let observe_cwnd t ~time ~cwnd ~ssthresh =
+let[@inline] observe_cwnd t ~time ~cwnd ~ssthresh =
   if cwnd < 1. -. eps then add t ~time "cwnd %g below 1" cwnd;
   if cwnd > float_of_int t.maxwnd +. eps then
     add t ~time "cwnd %g above the advertised window %d" cwnd t.maxwnd;

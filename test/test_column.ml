@@ -336,14 +336,16 @@ let run_stream { discipline; sends; outage; _ } =
   Drop_log.watch drops link;
   let r = { deps = []; drops = [] } in
   let entered = Hashtbl.create 64 in
-  Net.Link.on_enqueue link (fun time (p : Net.Packet.t) _ ->
-      Hashtbl.replace entered p.id time);
-  Net.Link.on_drop link (fun time (p : Net.Packet.t) ->
+  Net.Link.on_enqueue link (fun (p : Net.Packet.t) ->
+      Hashtbl.replace entered p.id (Net.Link.now link));
+  Net.Link.on_drop link (fun (p : Net.Packet.t) ->
+      let time = Net.Link.now link in
       Hashtbl.remove entered p.id;
       r.drops <-
         { Drop_log.time; conn = p.conn; kind = p.kind; seq = p.seq; link = 4 }
         :: r.drops);
-  Net.Link.on_depart link (fun time (p : Net.Packet.t) _ ->
+  Net.Link.on_depart link (fun (p : Net.Packet.t) ->
+      let time = Net.Link.now link in
       let sojourn =
         match Hashtbl.find_opt entered p.id with
         | None -> Float.nan

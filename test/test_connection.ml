@@ -44,7 +44,7 @@ let test_losses_recovered () =
   let config = Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2 () in
   let conn = Connection.create d.net config in
   let drops = ref 0 in
-  Link.on_drop d.fwd (fun _ _ -> incr drops);
+  Link.on_drop d.fwd (fun _ -> incr drops);
   Sim.run sim ~until:300.;
   Alcotest.(check bool) "drops happened" true (!drops > 3);
   Alcotest.(check bool) "and were all recovered" true
@@ -80,7 +80,8 @@ let test_determinism () =
     let drops = ref [] in
     List.iter
       (fun link ->
-        Link.on_drop link (fun t p -> drops := (t, p.Packet.conn, p.Packet.seq) :: !drops))
+        Link.on_drop link (fun p ->
+            drops := (Link.now link, p.Packet.conn, p.Packet.seq) :: !drops))
       (Network.links d.net);
     Sim.run sim ~until:150.;
     (!drops, Sim.events_run sim)

@@ -9,7 +9,28 @@ let test_scenario_validation () =
     (raises (fun () ->
          Core.Scenario.make ~name:"x" ~tau:1. ~buffer:None
            ~conns:[ Core.Scenario.conn Core.Scenario.Forward ]
-           ~duration:10. ~warmup:10. ()))
+           ~duration:10. ~warmup:10. ()));
+  (* Each non-finite field is refused by name at construction, not by a
+     timer or an analysis after the run. *)
+  let refused field ?(tau = 1.) ?duration ?warmup ?sample_dt () =
+    match
+      Core.Scenario.make ~name:"x" ~tau ~buffer:None
+        ~conns:[ Core.Scenario.conn Core.Scenario.Forward ]
+        ?duration ?warmup ?sample_dt ()
+    with
+    | _ -> Alcotest.failf "%s: accepted" field
+    | exception Invalid_argument msg ->
+      let prefix = "Scenario.make: " ^ field ^ " must be" in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: %S does not name it" field msg
+  in
+  refused "tau" ~tau:Float.nan ();
+  refused "tau" ~tau:Float.infinity ();
+  refused "duration" ~duration:Float.infinity ();
+  refused "duration" ~duration:Float.nan ();
+  refused "warmup" ~warmup:Float.nan ();
+  refused "sample_dt" ~sample_dt:Float.nan ();
+  refused "sample_dt" ~sample_dt:Float.infinity ()
 
 let test_scenario_pipe () =
   let s tau =

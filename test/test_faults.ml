@@ -40,9 +40,9 @@ let test_ingress_drop () =
   Link.set_deliver link (fun _ -> incr delivered);
   install link ~ingress:(fun _ -> `Drop "loss");
   let faults = ref [] in
-  Link.on_fault link (fun _t ev p -> faults := (ev, p.Packet.id) :: !faults);
+  Link.on_fault link (fun ev p -> faults := (ev, p.Packet.id) :: !faults);
   let drops = ref [] in
-  Link.on_drop link (fun _t p -> drops := p.Packet.id :: !drops);
+  Link.on_drop link (fun p -> drops := p.Packet.id :: !drops);
   let outcome = Link.send link (packet ~id:7 ()) in
   Sim.run sim ~until:1.;
   Alcotest.(check bool) "send reports the drop" true (outcome = `Dropped);
@@ -68,7 +68,7 @@ let test_duplicate () =
       else `Pass)
     ~clone:(fun p -> { p with Packet.id = 100 });
   let dup_events = ref [] in
-  Link.on_fault link (fun _t ev p ->
+  Link.on_fault link (fun ev p ->
       if ev = Link.Fault_duplicate then dup_events := p.Packet.id :: !dup_events);
   ignore (Link.send link (packet ~id:1 ()) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
@@ -83,7 +83,7 @@ let test_outage_flush_and_reject () =
   Link.set_deliver link (fun p -> delivered := p.Packet.id :: !delivered);
   install link;
   let outage_drops = ref [] in
-  Link.on_fault link (fun _t ev p ->
+  Link.on_fault link (fun ev p ->
       if ev = Link.Fault_drop "outage" then
         outage_drops := p.Packet.id :: !outage_drops);
   (* Three packets at t=0: id 0 serializes (tx 80 ms) and is propagating
@@ -120,7 +120,7 @@ let test_jitter_delay_event () =
   Link.set_deliver link (fun _ -> arrival := Some (Sim.now sim));
   install link ~extra_delay:(fun _ -> 0.05);
   let delays = ref [] in
-  Link.on_fault link (fun _t ev _p ->
+  Link.on_fault link (fun ev _p ->
       match ev with Link.Fault_delay d -> delays := d :: !delays | _ -> ());
   ignore (Link.send link (packet ()) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
@@ -228,8 +228,8 @@ let test_timeout_recovery () =
   let sender = Tcp.Connection.sender conn in
   let max_backoff = ref 0 in
   let min_cwnd = ref infinity in
-  Tcp.Sender.on_loss sender (fun time _reason ->
-      if time >= 30. then begin
+  Tcp.Sender.on_loss sender (fun _reason ->
+      if Tcp.Sender.now sender >= 30. then begin
         max_backoff :=
           max !max_backoff (Tcp.Rto.backoff_count (Tcp.Sender.rto sender));
         min_cwnd := Float.min !min_cwnd (Tcp.Sender.cwnd sender)
@@ -251,7 +251,7 @@ let test_timeout_recovery () =
   Alcotest.(check bool) "window reopened" true (Tcp.Sender.cwnd sender > 1.);
   Alcotest.(check bool) "progress resumed after the outage" true
     (Tcp.Connection.delivered conn > !delivered_mid);
-  let report = Validate.Harness.finalize harness ~now:(Sim.now sim) in
+  let report = Validate.Harness.finalize harness in
   if not (Validate.Report.is_clean report) then
     Alcotest.fail (Validate.Report.to_string report)
 
@@ -348,12 +348,12 @@ let prop_faulty_runs_conservative =
       let plan = Faults.Plan.install d.net d.fwd ~seed:s.seed spec in
       (* Count each connection's data deliveries on the wire ourselves. *)
       let wire = Hashtbl.create 8 in
-      Net.Network.on_deliver d.net (fun _t p ->
+      Net.Network.on_deliver d.net (fun p ->
           if p.Packet.kind = Packet.Data then
             Hashtbl.replace wire p.Packet.conn
               (1 + Option.value ~default:0 (Hashtbl.find_opt wire p.Packet.conn)));
       Sim.run sim ~until:60.;
-      let report = Validate.Harness.finalize harness ~now:(Sim.now sim) in
+      let report = Validate.Harness.finalize harness in
       if not (Validate.Report.is_clean report) then
         QCheck.Test.fail_report (Validate.Report.to_string report);
       List.iteri

@@ -385,10 +385,12 @@ let test_flight_dump_on_violation () =
   let sim, net, fwd, pkt, send = two_hosts () in
   let report = Validate.Report.create () in
   let conservation = Validate.Conservation.create report in
-  Net.Network.on_inject net (fun time p ->
-      Validate.Conservation.observe_inject conservation ~time p);
-  Net.Network.on_deliver net (fun time p ->
-      Validate.Conservation.observe_deliver conservation ~time p);
+  Net.Network.on_inject net (fun p ->
+      Validate.Conservation.observe_inject conservation ~time:(Engine.Sim.now sim)
+        p);
+  Net.Network.on_deliver net (fun p ->
+      Validate.Conservation.observe_deliver conservation
+        ~time:(Engine.Sim.now sim) p);
   let dump = Buffer.create 1024 in
   let setup =
     Obs.Probe.setup ~metrics:false ~flight:8

@@ -171,7 +171,7 @@ let test_stale_ack_ignored () =
 let test_cwnd_hook_fires () =
   let _, sender, ack, flush, _ = harness () in
   let events = ref 0 in
-  Sender.on_cwnd sender (fun _ ~cwnd:_ ~ssthresh:_ -> incr events);
+  Sender.on_cwnd sender (fun ~cwnd:_ ~ssthresh:_ -> incr events);
   Sender.start sender;
   flush ();
   ack 1;
@@ -181,7 +181,7 @@ let test_cwnd_hook_fires () =
 let test_loss_hook_reason () =
   let _, sender, ack, flush, _ = harness () in
   let reasons = ref [] in
-  Sender.on_loss sender (fun _ reason -> reasons := reason :: !reasons);
+  Sender.on_loss sender (fun reason -> reasons := reason :: !reasons);
   Sender.start sender;
   flush ();
   ack 1;

@@ -25,7 +25,7 @@ let rig ?(buffer = Some 3) () =
 
 let test_queue_trace () =
   let sim, link, packet = rig () in
-  let qt = Trace.Queue_trace.attach link ~now:0. in
+  let qt = Trace.Queue_trace.attach link in
   ignore (Link.send link (packet 0) : [ `Ok | `Dropped ]);
   ignore (Link.send link (packet 1) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
@@ -175,7 +175,7 @@ let test_cwnd_trace () =
   let d = Topology.dumbbell sim (Topology.params ~tau:0.01 ~buffer:(Some 20) ()) in
   let config = Tcp.Config.make ~conn:1 ~src_host:d.host1 ~dst_host:d.host2 () in
   let conn = Tcp.Connection.create d.net config in
-  let trace = Trace.Cwnd_trace.attach (Tcp.Connection.sender conn) ~now:0. in
+  let trace = Trace.Cwnd_trace.attach (Tcp.Connection.sender conn) in
   Sim.run sim ~until:10.;
   Alcotest.(check int) "conn id" 1 (Trace.Cwnd_trace.conn trace);
   Alcotest.(check bool) "cwnd samples recorded" true
@@ -260,12 +260,14 @@ let prop_queue_series_follows_model =
               ())
           : Faults.Plan.t);
       let watch link =
-        let qt = Trace.Queue_trace.attach link ~now:0. in
+        let qt = Trace.Queue_trace.attach link in
         let readings = ref [] in
-        let read time = readings := (time, Link.queue_length link) :: !readings in
-        Link.on_enqueue link (fun time _ _ -> read time);
-        Link.on_depart link (fun time _ _ -> read time);
-        Link.on_drop link (fun time _ -> read time);
+        let read _ =
+          readings := (Link.now link, Link.queue_length link) :: !readings
+        in
+        Link.on_enqueue link read;
+        Link.on_depart link read;
+        Link.on_drop link read;
         (qt, readings)
       in
       let watched = [ watch d.fwd; watch d.bwd ] in

@@ -53,7 +53,8 @@ let test_paced_spacing () =
          ~pacing:(Some interval) ())
   in
   let sends = ref [] in
-  Sender.on_send (Connection.sender conn) (fun time _ -> sends := time :: !sends);
+  let sender = Connection.sender conn in
+  Sender.on_send sender (fun _ -> sends := Sender.now sender :: !sends);
   Engine.Sim.run sim ~until:60.;
   let times = List.rev !sends in
   let rec check_gaps = function
