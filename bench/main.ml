@@ -185,14 +185,16 @@ let engine () =
               words ]);
   }
 
-(* trace: memory cost of the lib/trace recorders Runner.run attaches to
-   every run, on fig-3's 5+5 two-way connections over 600 sim-seconds
-   (about 180k events), as two deterministic allocation counts per
-   event: the heap the held Runner.result reaches after a full major GC
-   (the recorders' storage dominates it), and the minor words of one
-   whole run (the hot path including the recorder hooks).  Counts do not
-   drift, so the 10% band only has to absorb compiler and stdlib
-   differences between CI legs. *)
+(* trace: memory cost of the lib/trace recorders on fig-3's 5+5 two-way
+   connections over 600 sim-seconds (about 180k events), as two
+   deterministic allocation counts per event: the heap the held
+   Runner.result reaches after a full major GC (the recorders' storage
+   dominates it), and the minor words of one whole run (the hot path
+   including the recorder hooks).  The plain rows measure what every run
+   records; the [logs_] rows the same run keeping both logs, so a
+   regression in either log's recorder fails too.  Counts do not drift,
+   so the 10% band only has to absorb compiler and stdlib differences
+   between CI legs. *)
 
 let trace_scenario () =
   Core.Scenario.make ~name:"trace-bench" ~tau:0.01 ~buffer:(Some 20)
@@ -204,17 +206,29 @@ let trace_scenario () =
                  else Core.Scenario.Reverse))))
     ~duration:600. ~warmup:200. ()
 
-let trace () =
-  let scenario = trace_scenario () in
-  ignore (Core.Runner.run scenario : Core.Runner.result);
+(* Retained bytes and minor words per event of one run after a warm-up
+   run, and its event count. *)
+let recorder_counts run =
+  ignore (run () : Core.Runner.result);
   let w0 = Gc.minor_words () in
-  let r = Core.Runner.run scenario in
+  let r = run () in
   let words = Gc.minor_words () -. w0 in
   Gc.full_major ();
   let retained = Obj.reachable_words (Obj.repr r) * (Sys.word_size / 8) in
   let events = events_of r in
-  let bytes = float_of_int retained /. float_of_int events in
-  let words = words /. float_of_int events in
+  ( float_of_int retained /. float_of_int events,
+    words /. float_of_int events,
+    events )
+
+let trace () =
+  let scenario = trace_scenario () in
+  let bytes, words, events =
+    recorder_counts (fun () -> Core.Runner.run scenario)
+  in
+  let logs_bytes, logs_words, _ =
+    recorder_counts (fun () ->
+        Core.Runner.run ~logs:[ Cwnd; Departures ] scenario)
+  in
   {
     fields =
       [
@@ -222,13 +236,19 @@ let trace () =
         ("events", string_of_int events);
         ("retained_bytes_per_event", fmt "%.3f" bytes);
         ("minor_words_per_event", fmt "%.3f" words);
+        ("logs_retained_bytes_per_event", fmt "%.3f" logs_bytes);
+        ("logs_minor_words_per_event", fmt "%.3f" logs_words);
       ];
     checks =
       Option.fold ~none:[] ~some:(fun base ->
           [ band ~scale:1.10 base "retained bytes/event"
               "retained_bytes_per_event" bytes;
             band ~scale:1.10 base "minor words/event" "minor_words_per_event"
-              words ]);
+              words;
+            band ~scale:1.10 base "logs retained bytes/event"
+              "logs_retained_bytes_per_event" logs_bytes;
+            band ~scale:1.10 base "logs minor words/event"
+              "logs_minor_words_per_event" logs_words ]);
   }
 
 (* obs: cost of the lib/obs probe on the engine run, in five

@@ -616,6 +616,7 @@ let run_custom tau buffer fwd rev fixed delack ack_size cc pacing
   @@ fun () ->
   let r =
     Core.Runner.run ~obs:obs_setup
+      ~logs:(if Option.is_some csv_dir then Core.Export.logs else [])
       ~budget:(budget_of_guard guard_cli)
       ~stop:(fun () -> !interrupted)
       ?bundle_dir:guard_cli.bundle_dir scenario
@@ -1011,7 +1012,7 @@ let plot_figure name width validate =
     if validate then { scenario with Core.Scenario.validate = true }
     else scenario
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:[ Cwnd ] scenario in
   let span = Float.min 40. (r.t1 -. r.t0) in
   let t0 = r.t1 -. span and t1 = r.t1 in
   Printf.printf "%s: queue at switch 1 (packets)\n" name;
@@ -1063,7 +1064,7 @@ let dump_figures dir validate =
       if validate then { scenario with Core.Scenario.validate = true }
       else scenario
     in
-    let r = Core.Runner.run scenario in
+    let r = Core.Runner.run ~logs:Core.Export.logs scenario in
     let files = Core.Export.run_csv ~dir ~prefix r in
     Printf.printf "%s: %d files\n" prefix (List.length files);
     failures := !failures + report_validation r

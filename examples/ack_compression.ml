@@ -12,7 +12,7 @@ let () =
   let scenario =
     Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:[ Departures ] scenario in
   Printf.printf
     "fixed windows 30/25, tau=0.01s (P=%.3g), infinite buffers\n\n"
     (Core.Scenario.pipe scenario);

@@ -16,8 +16,9 @@ let () =
     (Core.Scenario.pipe scenario)
     (1000. *. Core.Scenario.data_tx);
 
-  (* Build the network, attach every trace, run to completion. *)
-  let r = Core.Runner.run scenario in
+  (* Build the network, run to completion, and keep the cwnd log as
+     well as the queue series and drops every run records. *)
+  let r = Core.Runner.run ~logs:[ Cwnd ] scenario in
 
   (* Throughput and utilization over the post-warm-up window. *)
   Printf.printf "bottleneck utilization: %.1f%%\n" (100. *. r.util_fwd);

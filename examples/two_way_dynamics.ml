@@ -24,7 +24,7 @@ let describe tau =
            ])
       ~duration:600. ~warmup:200. ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:[ Cwnd ] scenario in
   section
     (Printf.sprintf "tau = %g s (pipe P = %.3g packets)" tau
        (Core.Scenario.pipe scenario));

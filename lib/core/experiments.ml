@@ -162,7 +162,7 @@ let fluctuation (r : Runner.result) qt =
 (* ------------------------------------------------------------------ *)
 
 let fig2 () =
-  let r = Runner.run scenario_fig2 in
+  let r = Runner.run ~logs:[ Cwnd; Departures ] scenario_fig2 in
   let r_small = Runner.run scenario_oneway_small_pipe in
   let epochs = Runner.epochs r in
   let cwnd_phase_01, _ = Runner.cwnd_phase r 0 1 in
@@ -218,7 +218,7 @@ let fig2 () =
 (* ------------------------------------------------------------------ *)
 
 let fig3 () =
-  let r = Runner.run (scenario_fig3 ()) in
+  let r = Runner.run ~logs:[ Departures ] (scenario_fig3 ()) in
   let r60 = Runner.run (scenario_fig3 ~buffer:60 ()) in
   let epochs = Runner.epochs ~gap:2. r in
   let drops = Runner.drops_in_window r in
@@ -279,7 +279,7 @@ let fig3 () =
 (* ------------------------------------------------------------------ *)
 
 let fig45 () =
-  let r = Runner.run scenario_fig45 in
+  let r = Runner.run ~logs:[ Cwnd; Departures ] scenario_fig45 in
   let r60 = Runner.run (scenario_buffer ~two_way:true ~buffer:60) in
   let r120 = Runner.run (scenario_buffer ~two_way:true ~buffer:120) in
   let epochs = Runner.epochs r in
@@ -383,7 +383,7 @@ let fig45 () =
 (* ------------------------------------------------------------------ *)
 
 let fig67 () =
-  let r = Runner.run scenario_fig67 in
+  let r = Runner.run ~logs:[ Cwnd ] scenario_fig67 in
   let epochs = Runner.epochs r in
   let qphase, qcorr = Runner.queue_phase r in
   let cphase, ccorr = Runner.cwnd_phase r 0 1 in
@@ -427,7 +427,9 @@ let fig67 () =
 (* ------------------------------------------------------------------ *)
 
 let fig8 () =
-  let r = Runner.run (scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 ()) in
+  let r =
+    Runner.run ~logs:[ Departures ] (scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 ())
+  in
   let q1_max = Runner.queue_peak r r.q1 in
   let q2_max = Runner.queue_peak r r.q2 in
   let compression = ack_compression r r.dep_fwd in
@@ -643,7 +645,7 @@ let buffer_table () =
 
 let delack_table () =
   let run ~delayed_ack ~maxwnd =
-    Runner.run
+    Runner.run ~logs:[ Departures ]
       (Scenario.make ~name:"delack" ~tau:0.01 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
@@ -938,10 +940,11 @@ let cczoo_table () =
 
 let pacing_table () =
   (* Pace at exactly the bottleneck data rate: one packet per 80 ms. *)
-  let nonpaced = Runner.run (two_way_scenario ~tau:0.01 ()) in
-  let paced =
-    Runner.run (two_way_scenario ~pacing:(Some Scenario.data_tx) ~tau:0.01 ())
+  let run pacing =
+    Runner.run ~logs:[ Departures ] (two_way_scenario ~pacing ~tau:0.01 ())
   in
+  let nonpaced = run None in
+  let paced = run (Some Scenario.data_tx) in
   let cluster r = mixed_cluster_length r r.Runner.dep_fwd in
   let fluct r = fluctuation r r.Runner.q1 in
   let util r = Float.max r.Runner.util_fwd r.Runner.util_bwd in
@@ -1093,7 +1096,7 @@ let rtt_table () =
      of extra access latency each way. *)
   let run skew =
     let r =
-      Runner.run
+      Runner.run ~logs:[ Departures ]
         (Scenario.make ~name:"rtt-skew" ~tau:1.0 ~buffer:(Some 20)
            ~conns:
              (Scenario.stagger ~step:1.0
@@ -1186,7 +1189,7 @@ let formula_table () =
     (* The adaptive case: windows grow until sum(wnd) = C = B + 2P, then
        each connection's +1 overshoot is dropped, so the peak total window
        is C + nconns. *)
-    let r = Runner.run scenario_fig2 in
+    let r = Runner.run ~logs:[ Cwnd ] scenario_fig2 in
     let dt = 0.25 in
     let arrays =
       Array.map

@@ -40,6 +40,8 @@ let drops_csv ~path drops =
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
+let logs = [ Runner.Cwnd ]
+
 let run_csv ~dir ~prefix (r : Runner.result) =
   ensure_dir dir;
   let files = ref [] in

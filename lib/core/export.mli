@@ -13,8 +13,12 @@ val dep_log_csv : path:string -> Trace.Dep_log.t -> unit
 (** Write a drop log as [time,conn,kind,seq,link] rows. *)
 val drops_csv : path:string -> Trace.Drop_log.t -> unit
 
+(** The logs {!run_csv} reads: run with [~logs] including them. *)
+val logs : Runner.log list
+
 (** Dump the standard artifacts of a run under [dir] with a [prefix]:
     [<prefix>-q1.csv], [<prefix>-q2.csv], [<prefix>-cwnd<i>.csv],
     [<prefix>-drops.csv].  Creates [dir] if missing.  Returns the file
-    names written. *)
+    names written.
+    @raise Invalid_argument if the run did not keep {!logs}. *)
 val run_csv : dir:string -> prefix:string -> Runner.result -> string list

@@ -7,6 +7,8 @@ type budget = { max_events : int option; max_wall : float option }
 
 let budget ?max_events ?max_wall () = { max_events; max_wall }
 
+type log = Cwnd | Departures
+
 type result = {
   scenario : Scenario.t;
   dumbbell : Net.Topology.dumbbell;
@@ -62,8 +64,8 @@ let connection_config (d : Net.Topology.dumbbell) ~conn_id
     ~rto_params:spec.rto_params ~pacing:spec.pacing ~rtt_skew:spec.rtt_skew
     ~flow_size:spec.flow_size ()
 
-let run ?(obs = Obs.Probe.disabled) ?(budget = budget ()) ?stop ?bundle_dir
-    (scenario : Scenario.t) =
+let run ?(obs = Obs.Probe.disabled) ?(logs = []) ?(budget = budget ()) ?stop
+    ?bundle_dir (scenario : Scenario.t) =
   let sim = Engine.Sim.create () in
   let params = Net.Topology.params ~gateway:scenario.gateway ~tau:scenario.tau
       ~buffer:scenario.buffer () in
@@ -119,13 +121,18 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = budget ()) ?stop ?bundle_dir
   let q2 = Trace.Queue_trace.attach dumbbell.bwd in
   let cwnds =
     Array.map
-      (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c))
+      (fun (_spec, c) ->
+        Trace.Cwnd_trace.attach ~keep:(List.mem Cwnd logs)
+          (Tcp.Connection.sender c))
       conns
   in
   let drops = Trace.Drop_log.create () in
   List.iter (Trace.Drop_log.watch drops) (Net.Network.links dumbbell.net);
-  let dep_fwd = Trace.Dep_log.attach dumbbell.fwd in
-  let dep_bwd = Trace.Dep_log.attach dumbbell.bwd in
+  let departures =
+    Trace.Dep_log.attach ~keep:(List.mem Departures logs) ~t0:scenario.warmup
+  in
+  let dep_fwd = departures dumbbell.fwd in
+  let dep_bwd = departures dumbbell.bwd in
   (* Metering starts at the end of warm-up. *)
   let meters = ref None in
   let delivered_at_warmup = Array.make (Array.length conns) 0 in
@@ -304,9 +311,10 @@ let cwnd_phase r i j =
     (Trace.Cwnd_trace.cwnd r.cwnds.(j))
 
 let effective_pipe r =
-  let pipe trace =
-    Trace.Dep_log.effective_pipe_packets trace ~data_tx:Scenario.data_tx
-      ~t0:r.t0 ~t1:r.t1
+  let pipe dep =
+    Option.map
+      (fun mean -> mean /. Scenario.data_tx)
+      (Trace.Dep_log.mean_ack_sojourn dep ~t1:r.t1)
   in
   match (pipe r.dep_fwd, pipe r.dep_bwd) with
   | Some a, Some b -> Some (Float.max a b)

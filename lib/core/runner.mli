@@ -10,6 +10,24 @@ type budget = { max_events : int option; max_wall : float option }
 
 val budget : ?max_events:int -> ?max_wall:float -> unit -> budget
 
+(** The per-event logs a run keeps only when its caller reads them.
+    Every run records the two bottleneck queue series, the drop log,
+    the utilization meters and the ACK-sojourn fold behind
+    {!effective_pipe}.  Reading a log the run did not keep raises
+    [Invalid_argument] naming it; it never reads as empty.  The costs
+    are per event on the [trace] gate's 600 s fig-3 5+5 run
+    ([bench/main.exe trace]), exact counts over a run that keeps no log
+    (5.44 retained bytes and 1.745 minor words):
+    - [Cwnd]: each sender's cwnd and ssthresh as step series
+      ({!Trace.Cwnd_trace}), for the cwnd graphs of Figures 2, 5 and 7
+      and {!cwnd_phase}.  +3.76 retained bytes and +0.369 minor words,
+      0.25 of them the two floats the sender boxes for its cwnd
+      listeners on every fire.
+    - [Departures]: one row per departure from either bottleneck
+      ({!Trace.Dep_log.records}), for the clustering and ACK-compression
+      analyses.  +4.48 retained bytes and +0.023 minor words. *)
+type log = Cwnd | Departures
+
 type result = {
   scenario : Scenario.t;
   dumbbell : Net.Topology.dumbbell;
@@ -17,11 +35,14 @@ type result = {
       (** in scenario order; connection ids are 1-based indices *)
   q1 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-1 (fwd direction) *)
   q2 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-2 (rev direction) *)
-  cwnds : Trace.Cwnd_trace.t array;  (** in scenario order *)
+  cwnds : Trace.Cwnd_trace.t array;
+      (** in scenario order; their series read only when the run kept
+          [Cwnd] *)
   drops : Trace.Drop_log.t;  (** drops anywhere in the network *)
   dep_fwd : Trace.Dep_log.t;
       (** departures from the fwd bottleneck, with each packet's
-          queueing delay *)
+          queueing delay; its rows read only when the run kept
+          [Departures] *)
   dep_bwd : Trace.Dep_log.t;
   util_fwd : float;  (** fwd bottleneck utilization over the window *)
   util_bwd : float;
@@ -50,6 +71,8 @@ type result = {
     printed to stderr (and, when forced via [NETSIM_VALIDATE] rather than
     the scenario flag, raises {!Validation_failed}).
 
+    [logs] (default none) names the {!log}s the run keeps.
+
     [obs] (default {!Obs.Probe.disabled}) configures the observability
     probe: metrics, trace sinks, and the flight recorder.  The probe is
     attached before the run, armed on the validation report when there
@@ -73,6 +96,7 @@ type result = {
     the original failure. *)
 val run :
   ?obs:Obs.Probe.setup ->
+  ?logs:log list ->
   ?budget:budget ->
   ?stop:(unit -> bool) ->
   ?bundle_dir:string ->
@@ -120,11 +144,13 @@ val queue_phase : result -> Analysis.Sync.phase * float
 val queue_peak : result -> Trace.Queue_trace.t -> float
 
 (** Phase classification of two connections' cwnd series; as
-    {!queue_phase} for an empty window. *)
+    {!queue_phase} for an empty window.  Needs the [Cwnd] log. *)
 val cwnd_phase : result -> int -> int -> Analysis.Sync.phase * float
 
 (** Mean ACK queueing delay over the window, expressed in data-packet
     transmission times — the paper's effective-pipe contribution (4.2).
     The maximum of the two directions (ACK clusters ride whichever queue
-    is congested).  [None] if no ACKs crossed the bottleneck. *)
+    is congested).  [None] if no ACKs crossed the bottleneck.  Every
+    run folds it as the ACKs depart ({!Trace.Dep_log.mean_ack_sojourn}),
+    so it needs no log. *)
 val effective_pipe : result -> float option

@@ -8,9 +8,26 @@ type record = {
 
 (* One row per departure, column-wise; [code] packs conn and kind.  The
    sojourn is subtracted on read: the same IEEE subtraction, so every
-   sojourn is bit-identical to one computed at departure.
+   sojourn is bit-identical to one computed at departure. *)
+type rows = {
+  time : Column.Float.t;
+  code : Column.Int.t;
+  seq : Column.Int.t;
+  entered : Column.Float.t;  (* nan: queued before the log attached *)
+}
 
-   The packets accepted and not yet gone wait in a ring, oldest first:
+(* The ACK-sojourn fold.  All floats, so OCaml stores the record flat
+   and an update allocates nothing.  [sum] adds every counted sojourn
+   oldest first; [before] is that sum as it stood before the first ACK
+   departing at [last], the time of the newest one. *)
+type acks = {
+  t0 : float;
+  mutable last : float;
+  mutable sum : float;
+  mutable before : float;
+}
+
+(* The packets accepted and not yet gone wait in a ring, oldest first:
    ids and enqueue times in two flat arrays whose length is a power of
    two, so an enqueue stores an int and an unboxed float and allocates
    nothing once the ring has grown to the largest backlog.  A FIFO
@@ -23,10 +40,10 @@ type t = {
   mutable entered_at : float array;
   mutable head : int;
   mutable pending : int;
-  time : Column.Float.t;
-  code : Column.Int.t;
-  seq : Column.Int.t;
-  entered : Column.Float.t;  (* nan: queued before the log attached *)
+  rows : rows option;  (* [None] unless the log keeps its departures *)
+  acks : acks;
+  mutable count : int;  (* ACKs in [acks.sum] *)
+  mutable count_before : int;  (* ACKs in [acks.before] *)
 }
 
 let slot t i = (t.head + i) land (Array.length t.ids - 1)
@@ -70,11 +87,29 @@ let forget t i =
     done;
   t.pending <- t.pending - 1
 
-let attach link =
+let[@inline] count_ack t now sojourn =
+  let a = t.acks in
+  if now >= a.t0 && not (Float.is_nan sojourn) then begin
+    if now > a.last then begin
+      a.before <- a.sum;
+      t.count_before <- t.count;
+      a.last <- now
+    end;
+    a.sum <- a.sum +. sojourn;
+    t.count <- t.count + 1
+  end
+
+let attach ?(keep = true) ?(t0 = Float.neg_infinity) link =
+  let rows =
+    if keep then
+      Some { time = Column.Float.create (); code = Column.Int.create ();
+             seq = Column.Int.create (); entered = Column.Float.create () }
+    else None
+  in
   let t =
-    { link; ids = [||]; entered_at = [||]; head = 0; pending = 0;
-      time = Column.Float.create (); code = Column.Int.create ();
-      seq = Column.Int.create (); entered = Column.Float.create () }
+    { link; ids = [||]; entered_at = [||]; head = 0; pending = 0; rows;
+      acks = { t0; last = Float.neg_infinity; sum = 0.; before = 0. };
+      count = 0; count_before = 0 }
   in
   Net.Link.on_enqueue link (fun (p : Net.Packet.t) ->
       accept t p.id (Net.Link.now link));
@@ -84,40 +119,66 @@ let attach link =
       let i = find t p.id in
       if i >= 0 then forget t i);
   Net.Link.on_depart link (fun (p : Net.Packet.t) ->
-      Column.Float.push t.time (Net.Link.now link);
-      Column.Int.push t.code (Rows.pack ~conn:p.conn ~kind:p.kind);
-      Column.Int.push t.seq p.seq;
+      let now = Net.Link.now link in
       let i = find t p.id in
-      if i < 0 then Column.Float.push t.entered Float.nan
-      else begin
-        Column.Float.push t.entered t.entered_at.(slot t i);
-        forget t i
-      end);
+      let entered = if i < 0 then Float.nan else t.entered_at.(slot t i) in
+      if i >= 0 then forget t i;
+      (match t.rows with
+       | Some r ->
+         Column.Float.push r.time now;
+         Column.Int.push r.code (Rows.pack ~conn:p.conn ~kind:p.kind);
+         Column.Int.push r.seq p.seq;
+         Column.Float.push r.entered entered
+       | None -> ());
+      if p.kind = Net.Packet.Ack then count_ack t now (now -. entered));
   t
 
 let link t = t.link
-let total t = Column.Float.length t.time
 
-let record t i =
-  let code = Column.Int.get t.code i in
-  let time = Column.Float.get t.time i in
+let rows t =
+  match t.rows with
+  | Some r -> r
+  | None -> invalid_arg "Dep_log: the Departures log was not kept"
+
+let total t = Column.Float.length (rows t).time
+
+let record r i =
+  let code = Column.Int.get r.code i in
+  let time = Column.Float.get r.time i in
   { time; conn = Rows.conn code; kind = Rows.kind code;
-    seq = Column.Int.get t.seq i;
-    sojourn = time -. Column.Float.get t.entered i }
+    seq = Column.Int.get r.seq i;
+    sojourn = time -. Column.Float.get r.entered i }
 
-let records t = Rows.all (total t) (record t)
-let in_window t ~t0 ~t1 = Rows.in_window t.time ~t0 ~t1 (record t)
+let records t =
+  let r = rows t in
+  Rows.all (Column.Float.length r.time) (record r)
+
+let in_window t ~t0 ~t1 =
+  let r = rows t in
+  Rows.in_window r.time ~t0 ~t1 (record r)
+
+(* Every counted ACK departed at or before [last]; those at [t1] lie
+   outside the window and are exactly the ones after [before]. *)
+let mean_ack_sojourn t ~t1 =
+  let a = t.acks in
+  if a.last > t1 then
+    invalid_arg "Dep_log.mean_ack_sojourn: an ACK departed after t1";
+  let sum, count =
+    if a.last = t1 then (a.before, t.count_before) else (a.sum, t.count)
+  in
+  if count = 0 then None else Some (sum /. float_of_int count)
 
 (* A chunk-by-chunk scan of the columns: it adds the matching sojourns
    oldest first, the order a left fold over [in_window] would, so the
    mean is bit-identical to that fold's. *)
 let mean_sojourn t ~kind ~t0 ~t1 =
-  let n = total t in
+  let r = rows t in
+  let n = Column.Float.length r.time in
   let sum = ref 0. and count = ref 0 in
   for c = 0 to Column.chunk_count n - 1 do
-    let ts = Column.Float.chunk t.time c in
-    let es = Column.Float.chunk t.entered c in
-    let cs = Column.Int.chunk t.code c in
+    let ts = Column.Float.chunk r.time c in
+    let es = Column.Float.chunk r.entered c in
+    let cs = Column.Int.chunk r.code c in
     for k = 0 to Column.chunk_length n c - 1 do
       let tm = Array.unsafe_get ts k in
       let s = tm -. Array.unsafe_get es k in

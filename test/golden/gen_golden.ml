@@ -32,7 +32,7 @@ let deps_checksum dep =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let digest (scenario : Core.Scenario.t) =
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:[ Departures ] scenario in
   (match Core.Runner.validation_report r with
   | Some report when not (Validate.Report.is_clean report) ->
     (* A golden scenario must also be invariant-clean; bail loudly so the

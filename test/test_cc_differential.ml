@@ -185,7 +185,7 @@ let prop_aimd_converges =
             ]
           ~duration:300. ~warmup:0. ()
       in
-      let r = Core.Runner.run scenario in
+      let r = Core.Runner.run ~logs:[ Cwnd ] scenario in
       let resample i =
         Trace.Series.resample
           (Trace.Cwnd_trace.cwnd r.Core.Runner.cwnds.(i))

@@ -147,7 +147,7 @@ let test_export_run () =
       ~conns:[ Core.Scenario.conn Core.Scenario.Forward ]
       ~duration:20. ~warmup:5. ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:Core.Export.logs scenario in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "repro-export" in
   let files = Core.Export.run_csv ~dir ~prefix:"t" r in
   (* q1, q2, one cwnd, drops *)
@@ -166,7 +166,7 @@ let test_export_roundtrip () =
           Core.Scenario.conn ~start_time:1. Core.Scenario.Reverse ]
       ~duration:30. ~warmup:5. ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~logs:Core.Export.logs scenario in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "repro-export-rt" in
   let files = Core.Export.run_csv ~dir ~prefix:"rt" r in
   let rows name =

@@ -530,10 +530,10 @@ let prop_observation_transparent =
     (QCheck.make ~print:spec_print spec_gen)
     (fun s ->
       let scenario = scenario_of_spec s in
-      let bare = Core.Runner.run scenario in
+      let bare = Core.Runner.run ~logs:[ Cwnd ] scenario in
       let sink (_ : string) = () in
       let observed =
-        Core.Runner.run
+        Core.Runner.run ~logs:[ Cwnd ]
           ~obs:
             (Obs.Probe.setup ~series_dt:1.0 ~btrace:sink ~flight:128
                ~flowstats:true ())

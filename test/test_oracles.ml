@@ -7,7 +7,8 @@
 let runs =
   lazy
     (List.map
-       (fun (f : Core.Experiments.figure) -> (f, Core.Runner.run f.scenario))
+       (fun (f : Core.Experiments.figure) ->
+         (f, Core.Runner.run ~logs:[ Departures ] f.scenario))
        Core.Experiments.figures)
 
 (* The utilization identity.  A bottleneck's busy fraction over the
