@@ -167,33 +167,3 @@ let mean_ack_sojourn t ~t1 =
     if a.last = t1 then (a.before, t.count_before) else (a.sum, t.count)
   in
   if count = 0 then None else Some (sum /. float_of_int count)
-
-(* A chunk-by-chunk scan of the columns: it adds the matching sojourns
-   oldest first, the order a left fold over [in_window] would, so the
-   mean is bit-identical to that fold's. *)
-let mean_sojourn t ~kind ~t0 ~t1 =
-  let r = rows t in
-  let n = Column.Float.length r.time in
-  let sum = ref 0. and count = ref 0 in
-  for c = 0 to Column.chunk_count n - 1 do
-    let ts = Column.Float.chunk r.time c in
-    let es = Column.Float.chunk r.entered c in
-    let cs = Column.Int.chunk r.code c in
-    for k = 0 to Column.chunk_length n c - 1 do
-      let tm = Array.unsafe_get ts k in
-      let s = tm -. Array.unsafe_get es k in
-      if tm >= t0 && tm < t1 && Rows.kind (Array.unsafe_get cs k) = kind
-         && not (Float.is_nan s)
-      then begin
-        sum := !sum +. s;
-        incr count
-      end
-    done
-  done;
-  if !count = 0 then None else Some (!sum /. float_of_int !count)
-
-let effective_pipe_packets t ~data_tx ~t0 ~t1 =
-  if data_tx <= 0. then invalid_arg "Dep_log: data_tx must be positive";
-  match mean_sojourn t ~kind:Net.Packet.Ack ~t0 ~t1 with
-  | None -> None
-  | Some mean -> Some (mean /. data_tx)

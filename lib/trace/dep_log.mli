@@ -54,16 +54,3 @@ val total : t -> int
     departure, and only ACKs departing at exactly [t1] are left out.
     @raise Invalid_argument if an ACK was counted after [t1]. *)
 val mean_ack_sojourn : t -> t1:float -> float option
-
-(** Mean sojourn of packets of [kind] departing within the window,
-    skipping [nan] sojourns.  [None] if there were none. *)
-val mean_sojourn :
-  t -> kind:Net.Packet.kind -> t0:float -> t1:float -> float option
-
-(** The §4.2 effective-pipe contribution: mean ACK sojourn divided by
-    [data_tx] (the data transmission time), i.e. how many extra
-    packet-slots of pipe the queued ACKs add.  [None] if no ACKs
-    departed.
-    @raise Invalid_argument if [data_tx <= 0]. *)
-val effective_pipe_packets :
-  t -> data_tx:float -> t0:float -> t1:float -> float option

@@ -4,10 +4,10 @@
      doubling of chunk 0 and several chunk boundaries;
    - every Series query against a list-backed reference that re-states
      the flat-array implementation the columns replaced;
-   - the Dep_log / Drop_log queries against reference
-     logs kept the old way (a record list per hook) on random packet
-     streams through a live link, under every gateway discipline and
-     through an outage that flushes the buffer.
+   - the Dep_log / Drop_log queries and Dep_log's ACK-sojourn fold
+     against reference logs kept the old way (a record list per hook) on
+     random packet streams through a live link, under every gateway
+     discipline and through an outage that flushes the buffer.
 
    Floats are compared bit for bit. *)
 
@@ -280,30 +280,35 @@ type stream = {
          queued behind the one in service takes the link down for d
          transmission times, flushing both *)
   windows : (float * float) list;
+  fold_from : float;
+      (* the ACK-sojourn fold's start, as a fraction of the last send *)
 }
 
 let stream_gen =
   let open QCheck.Gen in
   map
-    (fun (discipline, sends, outage, windows) ->
-      { discipline; sends; outage; windows })
-    (quad
-       (oneofl
-          [ Net.Discipline.Fifo; Net.Discipline.Random_drop { seed = 7 };
-            Net.Discipline.Fair_queue ])
-       (length_gen >>= fun n ->
-        list_repeat n
-          (quad
-             (frequency [ (1, return 0.); (3, float_bound_inclusive 3.) ])
-             (int_range 1 6)
-             (oneofl [ Net.Packet.Data; Net.Packet.Ack ]) (int_bound 100_000)))
-       (opt (pair (int_bound 200) (float_bound_inclusive 20.)))
-       (list_repeat 5
-          (pair (float_bound_inclusive 1.2) (float_bound_inclusive 1.2))))
+    (fun ((discipline, sends, outage, windows), fold_from) ->
+      { discipline; sends; outage; windows; fold_from })
+    (pair
+       (quad
+          (oneofl
+             [ Net.Discipline.Fifo; Net.Discipline.Random_drop { seed = 7 };
+               Net.Discipline.Fair_queue ])
+          (length_gen >>= fun n ->
+           list_repeat n
+             (quad
+                (frequency [ (1, return 0.); (3, float_bound_inclusive 3.) ])
+                (int_range 1 6)
+                (oneofl [ Net.Packet.Data; Net.Packet.Ack ]) (int_bound 100_000)))
+          (opt (pair (int_bound 200) (float_bound_inclusive 20.)))
+          (list_repeat 5
+             (pair (float_bound_inclusive 1.2) (float_bound_inclusive 1.2))))
+       (float_bound_inclusive 1.2))
 
-(* Returns the logs, the reference, the horizon and how many packets the
+(* Returns the logs (the kept one, and one that keeps only the ACK fold
+   from [fold_t0]), the reference, the horizon and how many packets the
    outage found in the buffer (0 when it never fired). *)
-let run_stream { discipline; sends; outage; _ } =
+let run_stream { discipline; sends; outage; fold_from; _ } =
   let sim = Engine.Sim.create () in
   let link =
     Net.Link.create ~discipline sim ~id:4 ~name:"l" ~src:0 ~dst:1
@@ -332,6 +337,10 @@ let run_stream { discipline; sends; outage; _ } =
         end
   in
   let dep = Dep_log.attach link in
+  let fold_t0 =
+    fold_from *. tx *. List.fold_left (fun acc (gap, _, _, _) -> acc +. gap) 0. sends
+  in
+  let fold = Dep_log.attach ~keep:false ~t0:fold_t0 link in
   let drops = Drop_log.create () in
   Drop_log.watch drops link;
   let r = { deps = []; drops = [] } in
@@ -374,7 +383,7 @@ let run_stream { discipline; sends; outage; _ } =
   in
   Engine.Sim.run_to_completion sim;
   let horizon = Engine.Sim.now sim in
-  (dep, drops, r, horizon, !flushed)
+  ((dep, fold, fold_t0), drops, r, horizon, !flushed)
 
 let same_dep (a : Dep_log.record) (b : Dep_log.record) =
   same_float a.time b.time && a.conn = b.conn && a.kind = b.kind && a.seq = b.seq
@@ -385,7 +394,7 @@ let same_drop (a : Drop_log.record) (b : Drop_log.record) =
   && a.seq = b.seq && a.link = b.link
 
 let logs_agree stream =
-  let dep, drops, r, horizon, _ = run_stream stream in
+  let (dep, fold, fold_t0), drops, r, horizon, _ = run_stream stream in
   let deps = List.rev r.deps and drop_list = List.rev r.drops in
   let within t0 t1 time = time >= t0 && time < t1 in
   let ok = ref true in
@@ -403,28 +412,38 @@ let logs_agree stream =
       check (same_list same_dep (Dep_log.in_window dep ~t0 ~t1) dep_window);
       check
         (same_list same_drop (Drop_log.in_window drops ~t0 ~t1)
-           (List.filter (fun (d : Drop_log.record) -> within t0 t1 d.time) drop_list));
-      List.iter
-        (fun kind ->
-          (* The pre-column mean: filter, then a left fold. *)
-          let expected =
-            match
-              List.filter
-                (fun (d : Dep_log.record) ->
-                  d.kind = kind && not (Float.is_nan d.sojourn))
-                dep_window
-            with
-            | [] -> None
-            | matching ->
-              let total =
-                List.fold_left (fun acc (d : Dep_log.record) -> acc +. d.sojourn) 0. matching
-              in
-              Some (total /. float_of_int (List.length matching))
-          in
-          check
-            (same_option same_float (Dep_log.mean_sojourn dep ~kind ~t0 ~t1) expected))
-        [ Net.Packet.Data; Net.Packet.Ack ])
+           (List.filter (fun (d : Drop_log.record) -> within t0 t1 d.time) drop_list)))
     stream.windows;
+  (* The ACK fold against the reference's: filter, then a left fold,
+     up to the horizon and up to the last departure, which it leaves
+     out when that is an ACK. *)
+  let ack_mean ~t0 ~t1 =
+    match
+      List.filter
+        (fun (d : Dep_log.record) ->
+          d.kind = Net.Packet.Ack && within t0 t1 d.time
+          && not (Float.is_nan d.sojourn))
+        deps
+    with
+    | [] -> None
+    | acks ->
+      let total =
+        List.fold_left (fun acc (d : Dep_log.record) -> acc +. d.sojourn) 0. acks
+      in
+      Some (total /. float_of_int (List.length acks))
+  in
+  let last =
+    List.fold_left (fun _ (d : Dep_log.record) -> d.time) horizon deps
+  in
+  List.iter
+    (fun t1 ->
+      check
+        (same_option same_float (Dep_log.mean_ack_sojourn dep ~t1)
+           (ack_mean ~t0:Float.neg_infinity ~t1));
+      check
+        (same_option same_float (Dep_log.mean_ack_sojourn fold ~t1)
+           (ack_mean ~t0:fold_t0 ~t1)))
+    [ horizon; last ];
   !ok
 
 let prop_logs =
@@ -453,9 +472,10 @@ let test_logs_cross_chunks () =
   in
   let stream =
     { discipline = Net.Discipline.Fifo; sends; outage = None;
-      windows = [ (0., 1.); (0.2, 0.9); (0.5, 0.5); (0.99, 0.1) ] }
+      windows = [ (0., 1.); (0.2, 0.9); (0.5, 0.5); (0.99, 0.1) ];
+      fold_from = 0.3 }
   in
-  let dep, _, _, _, _ = run_stream stream in
+  let (dep, _, _), _, _, _, _ = run_stream stream in
   Alcotest.(check bool) "fourth chunk reached" true (Dep_log.total dep > 3 * chunk);
   Alcotest.(check bool) "logs agree" true (logs_agree stream)
 
@@ -475,7 +495,7 @@ let test_logs_outage_flush () =
     (fun discipline ->
       let stream =
         { discipline; sends; outage = Some (40, 6.);
-          windows = [ (0., 1.); (0.1, 0.6); (0.4, 0.9) ] }
+          windows = [ (0., 1.); (0.1, 0.6); (0.4, 0.9) ]; fold_from = 0.5 }
       in
       let name = Net.Discipline.kind_to_string discipline in
       let _, _, _, _, flushed = run_stream stream in

@@ -110,10 +110,8 @@ let test_sojourn_values () =
      Alcotest.(check (float 1e-9)) "head sojourn" 0.08 a.Trace.Dep_log.sojourn;
      Alcotest.(check (float 1e-9)) "queued sojourn" 0.16 b.Trace.Dep_log.sojourn
    | _ -> Alcotest.fail "expected two records");
-  Alcotest.(check (option (float 1e-9))) "mean data sojourn" (Some 0.12)
-    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Data ~t0:0. ~t1:1.);
   Alcotest.(check bool) "no acks crossed" true
-    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Ack ~t0:0. ~t1:1. = None)
+    (Trace.Dep_log.mean_ack_sojourn trace ~t1:1. = None)
 
 let test_effective_pipe_from_acks () =
   let sim = Sim.create () in
@@ -140,16 +138,15 @@ let test_effective_pipe_from_acks () =
   ignore (Link.send link ack : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
   (* the ACK waited a full data transmission + its own 8 ms *)
-  match
-    Trace.Dep_log.effective_pipe_packets trace ~data_tx:0.08 ~t0:0. ~t1:1.
-  with
-  | Some pipe -> Alcotest.(check (float 1e-6)) "1.1 data slots" 1.1 pipe
+  match Trace.Dep_log.mean_ack_sojourn trace ~t1:1. with
+  | Some sojourn ->
+    Alcotest.(check (float 1e-6)) "1.1 data slots" 1.1 (sojourn /. 0.08)
   | None -> Alcotest.fail "expected an ack sojourn"
 
 let test_sojourn_before_attach () =
   (* A packet already in the buffer when the log attaches has no entry
-     time: it departs with a nan sojourn, stays in the log, and the mean
-     skips it. *)
+     time: it departs with a nan sojourn, stays in the log, and the ACK
+     fold skips it. *)
   let sim = Sim.create () in
   let link =
     Link.create sim ~id:0 ~name:"s" ~src:0 ~dst:1 ~bandwidth:50_000.
@@ -160,7 +157,7 @@ let test_sojourn_before_attach () =
     {
       Packet.id = seq;
       conn = 1;
-      kind = Packet.Data;
+      kind = Packet.Ack;  (* counted by the fold; the size sets the timing *)
       seq;
       size = 500;
       src = 0;
@@ -180,8 +177,8 @@ let test_sojourn_before_attach () =
      Alcotest.(check (float 1e-9)) "later packet waits behind it" 0.16
        b.Trace.Dep_log.sojourn
    | _ -> Alcotest.fail "expected two records");
-  Alcotest.(check (option (float 1e-9))) "mean skips the nan" (Some 0.16)
-    (Trace.Dep_log.mean_sojourn trace ~kind:Packet.Data ~t0:0. ~t1:1.)
+  Alcotest.(check (option (float 1e-9))) "the fold skips the nan" (Some 0.16)
+    (Trace.Dep_log.mean_ack_sojourn trace ~t1:1.)
 
 let test_runner_effective_pipe () =
   (* Two-way traffic queues ACKs; one-way barely does. *)

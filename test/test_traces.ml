@@ -155,20 +155,30 @@ let test_drop_log_window_boundaries () =
   Alcotest.(check int) "zero-width window empty" 0
     (List.length (Trace.Drop_log.in_window log ~t0:0. ~t1:0.))
 
+(* The ACK-sojourn fold counts from the [t0] it was attached with, and
+   leaves out the ACKs departing at exactly [t1]. *)
 let test_mean_sojourn_window_boundaries () =
   let sim, link, packet = rig ~buffer:None () in
   let dep = Trace.Dep_log.attach link in
-  ignore (Link.send link (packet 0) : [ `Ok | `Dropped ]);
+  let from t0 = Trace.Dep_log.attach ~keep:false ~t0 link in
+  let all = from 0. and at_first = from 0.008 and after_first = from 0.05 in
+  ignore (Link.send link (packet ~kind:Packet.Ack 0) : [ `Ok | `Dropped ]);
   ignore (Link.send link (packet 1) : [ `Ok | `Dropped ]);
+  ignore (Link.send link (packet ~kind:Packet.Ack 2) : [ `Ok | `Dropped ]);
   Sim.run sim ~until:1.;
-  (* departures at exactly 0.08 and 0.16, sojourns 0.08 and 0.16 *)
-  let mean ~t0 ~t1 = Trace.Dep_log.mean_sojourn dep ~kind:Packet.Data ~t0 ~t1 in
-  Alcotest.(check (option (float 1e-9))) "record at t0 included" (Some 0.12)
-    (mean ~t0:0.08 ~t1:1.);
-  Alcotest.(check (option (float 1e-9))) "record at t1 excluded" (Some 0.08)
-    (mean ~t0:0.08 ~t1:0.16);
-  Alcotest.(check (option (float 1e-9))) "zero-width window empty" None
-    (mean ~t0:0.16 ~t1:0.16)
+  (* ACKs depart at 0.008 and 0.096 after sojourns of 0.008 and 0.096;
+     the data packet between them is not counted *)
+  let last = (List.nth (Trace.Dep_log.records dep) 2).time in
+  let mean log ~t1 = Trace.Dep_log.mean_ack_sojourn log ~t1 in
+  let check = Alcotest.(check (option (float 1e-9))) in
+  check "every ACK" (Some 0.052) (mean all ~t1:1.);
+  check "record at t0 included" (Some 0.052) (mean at_first ~t1:1.);
+  check "record before t0 left out" (Some 0.096) (mean after_first ~t1:1.);
+  check "record at t1 excluded" (Some 0.008) (mean all ~t1:last);
+  check "empty window" None (mean after_first ~t1:last);
+  Alcotest.check_raises "t1 before a counted ACK"
+    (Invalid_argument "Dep_log.mean_ack_sojourn: an ACK departed after t1")
+    (fun () -> ignore (mean all ~t1:0.05 : float option))
 
 let test_cwnd_trace () =
   let sim = Sim.create () in
