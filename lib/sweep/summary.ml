@@ -92,50 +92,103 @@ let of_result ~id ?(params = []) (r : Core.Runner.result) =
    output, so the encoding must be a pure function of the summary values:
    fixed key order, fixed float formatting, no timestamps. *)
 
-let float_json f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.9g" f
+external format_float : string -> float -> string = "caml_format_float"
 
-let opt_float_json = function None -> "null" | Some f -> float_json f
+(* The spelling of [Printf.sprintf "%.9g"], without Printf's format
+   interpreter: [%.9g] prints an integer below 1e9 as its digits, so
+   those take [string_of_int] ([-0.] keeping its sign), and every other
+   float goes to the C formatter [%g] itself calls.  NaN and the
+   infinities are [null]. *)
+let add_float b f =
+  if Float.is_nan f || Float.abs f = Float.infinity then
+    Buffer.add_string b "null"
+  else if Float.is_integer f && Float.abs f < 1e9 then
+    Buffer.add_string b
+      (if Float.sign_bit f && f = 0. then "-0"
+       else string_of_int (int_of_float f))
+  else Buffer.add_string b (format_float "%.9g" f)
+
+let add_opt_float b = function
+  | None -> Buffer.add_string b "null"
+  | Some f -> add_float b f
+
+let add_int b n = Buffer.add_string b (string_of_int n)
+
+let add_string b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (Obs.Json.escape s);
+  Buffer.add_char b '"'
+
+(* [x1,x2,...], each written by [add]. *)
+let add_list b add xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      add b x)
+    xs
+
+let add_fields b =
+  add_list b (fun b (k, v) ->
+      add_string b k;
+      Buffer.add_char b ':';
+      add_float b v)
+
+let add_json b s =
+  let key k = Buffer.add_string b k in
+  key "{\"id\":";
+  add_string b s.id;
+  key ",\"params\":{";
+  add_fields b s.params;
+  key "},\"cc\":";
+  add_string b s.cc;
+  key ",\"util_fwd\":";
+  add_float b s.util_fwd;
+  key ",\"util_bwd\":";
+  add_float b s.util_bwd;
+  key ",\"drops_window\":";
+  add_int b s.drops_window;
+  key ",\"drops_total\":";
+  add_int b s.drops_total;
+  key ",\"delivered\":[";
+  add_list b add_int s.delivered;
+  key "],\"phase\":";
+  add_string b s.phase;
+  key ",\"phase_corr\":";
+  add_float b s.phase_corr;
+  key ",\"epochs\":";
+  add_int b s.epoch_count;
+  key ",\"mean_drops_per_epoch\":";
+  add_opt_float b s.mean_drops_per_epoch;
+  key ",\"single_loser\":";
+  add_opt_float b s.single_loser;
+  key ",\"q1_max\":";
+  add_float b s.q1_max;
+  key ",\"q2_max\":";
+  add_float b s.q2_max;
+  key ",\"effective_pipe\":";
+  add_opt_float b s.effective_pipe;
+  key ",\"jain\":";
+  add_float b s.jain;
+  key ",\"fct_p50\":";
+  add_opt_float b s.fct_p50;
+  key ",\"fct_p99\":";
+  add_opt_float b s.fct_p99;
+  key ",\"metrics\":{";
+  add_fields b s.metrics;
+  key "}}"
 
 let to_json s =
-  let params =
-    String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (Obs.Json.escape k) (float_json v))
-         s.params)
-  in
-  let delivered =
-    String.concat "," (List.map string_of_int s.delivered)
-  in
-  let metrics =
-    String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (Obs.Json.escape k) (float_json v))
-         s.metrics)
-  in
-  Printf.sprintf
-    "{\"id\":\"%s\",\"params\":{%s},\"cc\":\"%s\",\"util_fwd\":%s,\"util_bwd\":%s,\
-     \"drops_window\":%d,\"drops_total\":%d,\"delivered\":[%s],\
-     \"phase\":\"%s\",\"phase_corr\":%s,\"epochs\":%d,\
-     \"mean_drops_per_epoch\":%s,\"single_loser\":%s,\
-     \"q1_max\":%s,\"q2_max\":%s,\"effective_pipe\":%s,\
-     \"jain\":%s,\"fct_p50\":%s,\"fct_p99\":%s,\
-     \"metrics\":{%s}}"
-    (Obs.Json.escape s.id) params (Obs.Json.escape s.cc)
-    (float_json s.util_fwd) (float_json s.util_bwd)
-    s.drops_window s.drops_total delivered (Obs.Json.escape s.phase)
-    (float_json s.phase_corr) s.epoch_count
-    (opt_float_json s.mean_drops_per_epoch)
-    (opt_float_json s.single_loser)
-    (float_json s.q1_max) (float_json s.q2_max)
-    (opt_float_json s.effective_pipe)
-    (float_json s.jain)
-    (opt_float_json s.fct_p50)
-    (opt_float_json s.fct_p99)
-    metrics
+  let b = Buffer.create 4096 in
+  add_json b s;
+  Buffer.contents b
 
 let list_to_json summaries =
-  "[" ^ String.concat ",\n " (List.map to_json summaries) ^ "]\n"
+  let b = Buffer.create 4096 in
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_string b ",\n ";
+      add_json b s)
+    summaries;
+  Buffer.add_string b "]\n";
+  Buffer.contents b

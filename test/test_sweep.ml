@@ -550,6 +550,40 @@ let test_json_special_floats () =
   Alcotest.(check bool) "fct columns null without completions" true
     (contains "\"fct_p50\":null,\"fct_p99\":null")
 
+(* Every float the summary writes is spelled as [Printf.sprintf "%.9g"]
+   spells it: integers on both sides of 1e9, negative zero, halves,
+   tiny and huge magnitudes, and arbitrary bit patterns. *)
+let prop_json_float_spelling =
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [ oneofl
+          [ 0.; -0.; 1.; -1.; 999_999_999.; -999_999_999.; 1e9; -1e9;
+            1e9 +. 1.; 0.5; -2.5; 1e-7; 4.9e-324; 1.7976931348623157e308 ];
+        map float_of_int (int_range (-2_000_000_000) 2_000_000_000);
+        map (fun n -> float_of_int n /. 8.) (int_range (-100_000) 100_000);
+        map Int64.float_of_bits ui64 ]
+  in
+  QCheck.Test.make ~name:"summary floats spelled as %.9g" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      let json =
+        Sweep.Summary.to_json
+          { Sweep.Summary.id = "p"; params = [ ("a", f) ]; cc = "tahoe";
+            util_fwd = 0.; util_bwd = 0.; drops_window = 0; drops_total = 0;
+            delivered = []; phase = "?"; phase_corr = 0.; epoch_count = 0;
+            mean_drops_per_epoch = None; single_loser = None; q1_max = 0.;
+            q2_max = 0.; effective_pipe = None; jain = 0.; fct_p50 = None;
+            fct_p99 = None; metrics = [] }
+      in
+      let spelled =
+        if Float.is_nan f || Float.abs f = Float.infinity then "null"
+        else Printf.sprintf "%.9g" f
+      in
+      let prefix = "{\"id\":\"p\",\"params\":{\"a\":" in
+      let n = String.length prefix in
+      String.sub json n (String.index_from json n '}' - n) = spelled)
+
 (* ---------------- Grids registry ---------------- *)
 
 let test_grids_registry () =
@@ -596,6 +630,7 @@ let suite =
       Alcotest.test_case "driver jobs 1 vs 2 identical" `Quick
         test_driver_jobs_identical;
       Alcotest.test_case "json special floats" `Quick test_json_special_floats;
+      QCheck_alcotest.to_alcotest prop_json_float_spelling;
       Alcotest.test_case "grids registry" `Quick test_grids_registry;
       QCheck_alcotest.to_alcotest prop_fork_matches_map;
       Alcotest.test_case "netsim sweep SIGINT exits 130" `Slow
