@@ -277,7 +277,11 @@ let trace () =
    Exact part.  Flowstats' extra minor words per event over metrics,
    counted in this process, gated within 10% of the baseline as the
    trace gate gates words: a boxed float per flowstats hook fails it on
-   every run, where a timing cannot. *)
+   every run, where a timing cannot.  Both counted runs keep the Cwnd
+   log: once anything listens, a sender boxes cwnd and ssthresh on every
+   fire, and with flowstats as the only listener the row would count
+   those 4 words per fire (0.325 words/event), the sender's cost rather
+   than flowstats' own. *)
 
 let trace_overhead_limit_pct = 100.
 let flowstats_vs_metrics_limit = 1.10
@@ -311,9 +315,10 @@ let obs () =
   let ratio = over_rounds (fun r -> secs.(r).(3) /. secs.(r).(2)) in
   (* Minor words of one run after a warm-up run of the same config. *)
   let words obs =
-    run obs ();
+    let run () = Core.Runner.run ~logs:[ Cwnd ] ~obs:(obs ()) scenario in
+    ignore (run () : Core.Runner.result);
     let w0 = Gc.minor_words () in
-    let r = Core.Runner.run ~obs:(obs ()) scenario in
+    let r = run () in
     (Gc.minor_words () -. w0) /. float_of_int (events_of r)
   in
   let extra_words = words configs.(2) -. words configs.(1) in

@@ -134,48 +134,31 @@ let add_fields b =
       add_float b v)
 
 let add_json b s =
-  let key k = Buffer.add_string b k in
-  key "{\"id\":";
-  add_string b s.id;
-  key ",\"params\":{";
-  add_fields b s.params;
-  key "},\"cc\":";
-  add_string b s.cc;
-  key ",\"util_fwd\":";
-  add_float b s.util_fwd;
-  key ",\"util_bwd\":";
-  add_float b s.util_bwd;
-  key ",\"drops_window\":";
-  add_int b s.drops_window;
-  key ",\"drops_total\":";
-  add_int b s.drops_total;
-  key ",\"delivered\":[";
-  add_list b add_int s.delivered;
-  key "],\"phase\":";
-  add_string b s.phase;
-  key ",\"phase_corr\":";
-  add_float b s.phase_corr;
-  key ",\"epochs\":";
-  add_int b s.epoch_count;
-  key ",\"mean_drops_per_epoch\":";
-  add_opt_float b s.mean_drops_per_epoch;
-  key ",\"single_loser\":";
-  add_opt_float b s.single_loser;
-  key ",\"q1_max\":";
-  add_float b s.q1_max;
-  key ",\"q2_max\":";
-  add_float b s.q2_max;
-  key ",\"effective_pipe\":";
-  add_opt_float b s.effective_pipe;
-  key ",\"jain\":";
-  add_float b s.jain;
-  key ",\"fct_p50\":";
-  add_opt_float b s.fct_p50;
-  key ",\"fct_p99\":";
-  add_opt_float b s.fct_p99;
-  key ",\"metrics\":{";
-  add_fields b s.metrics;
-  key "}}"
+  let field key add v =
+    Buffer.add_string b key;
+    add b v
+  in
+  field "{\"id\":" add_string s.id;
+  field ",\"params\":{" add_fields s.params;
+  field "},\"cc\":" add_string s.cc;
+  field ",\"util_fwd\":" add_float s.util_fwd;
+  field ",\"util_bwd\":" add_float s.util_bwd;
+  field ",\"drops_window\":" add_int s.drops_window;
+  field ",\"drops_total\":" add_int s.drops_total;
+  field ",\"delivered\":[" (fun b -> add_list b add_int) s.delivered;
+  field "],\"phase\":" add_string s.phase;
+  field ",\"phase_corr\":" add_float s.phase_corr;
+  field ",\"epochs\":" add_int s.epoch_count;
+  field ",\"mean_drops_per_epoch\":" add_opt_float s.mean_drops_per_epoch;
+  field ",\"single_loser\":" add_opt_float s.single_loser;
+  field ",\"q1_max\":" add_float s.q1_max;
+  field ",\"q2_max\":" add_float s.q2_max;
+  field ",\"effective_pipe\":" add_opt_float s.effective_pipe;
+  field ",\"jain\":" add_float s.jain;
+  field ",\"fct_p50\":" add_opt_float s.fct_p50;
+  field ",\"fct_p99\":" add_opt_float s.fct_p99;
+  field ",\"metrics\":{" add_fields s.metrics;
+  Buffer.add_string b "}}"
 
 let to_json s =
   let b = Buffer.create 4096 in
