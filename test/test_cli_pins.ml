@@ -33,8 +33,12 @@ let rec remove path =
   end
   else Sys.remove path
 
+(* A fresh directory: [Filename.temp_file] reserves a unique name, which
+   then becomes the directory. *)
 let with_temp_dir f =
-  let dir = Filename.temp_dir "netsim-pins" "" in
+  let dir = Filename.temp_file "netsim-pins" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
 
 (* One "name md5" line per file under [dir], in name order. *)
